@@ -378,8 +378,11 @@ def conjugacy_representatives(n: int) -> tuple[tuple[int, ...], ...]:
     """One permutation per conjugacy class of S_n (cycle-type reps).
 
     Sheet relabeling acts on voltage assignments by simultaneous
-    conjugation, so restricting one cotree edge to class representatives
-    still reaches every derived graph up to isomorphism.
+    conjugation, so restricting the first cotree edge to class
+    representatives still reaches every derived graph up to isomorphism.
+    The search then takes each later cotree voltage up to conjugation by
+    the centralizer of the representative (and of the voltages chosen
+    before it), which leaves one tuple per orbit.
     """
     reps = []
     for part in _partitions(n):

@@ -95,6 +95,11 @@ class LabeledGraph:
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
+    @cached_property
+    def vertex_connectivity(self) -> int:
+        """Vertex connectivity capped at 3; see :func:`connectivity`."""
+        return _vertex_connectivity(self)
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -186,8 +191,13 @@ def connectivity(g: LabeledGraph) -> int:
     """Vertex connectivity capped at 3, by exhaustive small-cut search.
 
     Nothing downstream distinguishes connectivities above 3, so the search
-    stops there instead of pulling in max-flow machinery.
+    stops there instead of pulling in max-flow machinery.  The value is
+    computed once per graph and cached on it.
     """
+    return g.vertex_connectivity
+
+
+def _vertex_connectivity(g: LabeledGraph) -> int:
     if g.n < 2:
         raise GraphError("connectivity needs at least 2 vertices")
     if not is_connected(g):

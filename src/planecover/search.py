@@ -1,18 +1,25 @@
 """Exhaustive, certificate-producing searches.
 
 Covers are enumerated through normalized voltage assignments (spanning
-tree fixed to the identity); fixing the first cotree voltage to conjugacy
-class representatives is sound because sheet relabeling acts by
-simultaneous conjugation, and residual duplicates fall to canonical-form
-dedup.  The K4-fragment search then applies, per candidate and per plane
-embedding, every condition an admissible fragment must satisfy, plus the
-shape exclusions and the bead-demand feasibility of its quotient.
+tree fixed to the identity).  Sheet relabeling acts on them by
+simultaneous conjugation of the cotree voltages, so the scan visits one
+tuple per conjugation orbit: the first cotree voltage runs over conjugacy
+class representatives, and each later one over orbit representatives of
+the stabilizer of the voltages before it.  Both bases have pairwise
+distinct vertex labels, so a label-preserving isomorphism of derived
+graphs fixes every fiber, agrees along the identity tree edges, and is
+one sheet permutation: distinct orbits give non-isomorphic covers, and a
+canonical-form collision between orbits is raised as an error.  The
+K4-fragment search then applies, per candidate and per plane embedding,
+every condition an admissible fragment must satisfy, plus the shape
+exclusions and the bead-demand feasibility of its quotient.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import networkx as nx
@@ -115,8 +122,6 @@ class SearchSpec:
 
 def estimate_nodes(base: BaseGraph, n: int) -> int:
     """Pre-pruning size of the normalized voltage space."""
-    import math
-
     return math.factorial(n) ** len(base.cotree_edges)
 
 
@@ -168,44 +173,108 @@ def _sheets_transitive(perms, n: int) -> bool:
     return seen == (1 << n) - 1
 
 
-def _scan_chunk(base: BaseGraph, n: int, firsts, want_connected, want_planar):
-    """Scan assignments with the given first-cotree voltages.
+def _conjugate(g, p) -> tuple[int, ...]:
+    """g p g^-1: the voltage p after renaming every sheet i to g[i]."""
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[g[i]] = g[j]
+    return tuple(out)
 
-    Returns (visited, connected_count, planar_count, classes) where
-    classes maps canonical form -> [min voltage witness, hit count].
+
+def _orbit_tuples(group, perms, depth: int):
+    """One tuple per orbit of ``group`` acting on ``depth``-tuples of
+    ``perms`` by simultaneous conjugation, with the tuple's stabilizer.
+
+    ``perms`` must be in increasing order.  Each coordinate is taken as
+    the least of its orbit under the stabilizer of the coordinates before
+    it, so every yielded tuple is the lexicographic least of its orbit.
+    Yields (tuple, stabilizer) pairs.
+    """
+    if depth == 0:
+        yield (), group
+        return
+    if len(group) == 1 or len(perms) <= 2:
+        # conjugation acts trivially: the group is trivial, or it lies in
+        # S_n for n <= 2, which is abelian
+        for rest in itertools.product(perms, repeat=depth):
+            yield rest, group
+        return
+    seen = set()
+    for p in perms:
+        if p in seen:
+            continue
+        stabilizer = []
+        for g in group:
+            q = _conjugate(g, p)
+            seen.add(q)
+            if q == p:
+                stabilizer.append(g)
+        for rest, final in _orbit_tuples(tuple(stabilizer), perms, depth - 1):
+            yield (p, *rest), final
+
+
+def voltage_orbits(n: int, firsts, depth: int):
+    """Orbits of normalized cotree voltages under sheet relabeling.
+
+    For each first voltage ``c`` in ``firsts`` (conjugacy class
+    representatives), yields one ``(c, t_1, ..., t_depth)`` per orbit of
+    the centralizer of ``c`` acting by simultaneous conjugation, as
+    (voltage, centralizer size, stabilizer size).  The voltage is the
+    least of its orbit, and the orbit holds centralizer size / stabilizer
+    size of the tuples that start with ``c``.
     """
     perms = tuple(itertools.permutations(range(n)))
-    cotree_count = len(base.cotree_edges)
+    for first in firsts:
+        centralizer = tuple(g for g in perms if _conjugate(g, first) == first)
+        for rest, stabilizer in _orbit_tuples(centralizer, perms, depth):
+            yield (first, *rest), len(centralizer), len(stabilizer)
+
+
+class OrbitCollision(RuntimeError):
+    """Two conjugation orbits gave isomorphic derived graphs, which the
+    orbit argument rules out; the scan stops rather than merge them."""
+
+
+def _add_class(classes: dict, key: bytes, volt, count: int) -> None:
+    if key in classes:
+        raise OrbitCollision(
+            f"voltages {classes[key][0]} and {volt} lie in different "
+            "conjugation orbits but derive isomorphic graphs"
+        )
+    classes[key] = [volt, count]
+
+
+def _scan_chunk(base: BaseGraph, n: int, firsts, want_connected, want_planar):
+    """Scan the normalized assignments with the given first-cotree voltages.
+
+    Every test runs once per orbit of sheet relabeling (simultaneous
+    conjugation), on the orbit's least tuple; each orbit counts for the
+    assignments of the full scan that fall in it.  Returns (visited,
+    connected_count, planar_count, classes) where classes maps canonical
+    form -> [least voltage, assignment count].
+    """
     labels = tuple(
         base.graph.labels[b] for b in range(base.graph.n) for _ in range(n)
     )
-    visited = 0
+    depth = len(base.cotree_edges) - 1
+    visited = len(firsts) * math.factorial(n) ** depth
     connected_count = 0
     planar_count = 0
     classes: dict[bytes, list] = {}
-    for first in firsts:
-        for rest in itertools.product(perms, repeat=cotree_count - 1):
-            volt = (first, *rest)
-            visited += 1
-            if want_connected and not _sheets_transitive(volt, n):
+    for volt, cent, stab in voltage_orbits(n, firsts, depth):
+        weight = cent // stab
+        if want_connected and not _sheets_transitive(volt, n):
+            continue
+        connected_count += weight
+        edges = _derived_edges(base, n, volt)
+        if want_planar:
+            G = nx.Graph(edges)
+            ok, _ = nx.check_planarity(G, counterexample=False)
+            if not ok:
                 continue
-            connected_count += 1
-            edges = _derived_edges(base, n, volt)
-            if want_planar:
-                G = nx.Graph(edges)
-                ok, _ = nx.check_planarity(G, counterexample=False)
-                if not ok:
-                    continue
-            planar_count += 1
-            g = LabeledGraph(labels, tuple(edges))
-            key = canonical_form(g)
-            entry = classes.get(key)
-            if entry is None:
-                classes[key] = [volt, 1]
-            else:
-                entry[1] += 1
-                if volt < entry[0]:
-                    entry[0] = volt
+        planar_count += weight
+        key = canonical_form(LabeledGraph(labels, tuple(edges)))
+        _add_class(classes, key, volt, weight)
     return visited, connected_count, planar_count, classes
 
 
@@ -217,13 +286,7 @@ def _merge_chunks(results):
         connected += c
         planar += p
         for key, (volt, count) in cls.items():
-            entry = classes.get(key)
-            if entry is None:
-                classes[key] = [volt, count]
-            else:
-                entry[1] += count
-                if volt < entry[0]:
-                    entry[0] = volt
+            _add_class(classes, key, volt, count)
     return visited, connected, planar, classes
 
 
@@ -772,9 +835,9 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
     """Enumerate admissible K4-cover fragments for every fold up to h_max.
 
     For each fold, connected planar covers of K4 are generated from
-    normalized, conjugacy-pruned voltage assignments, deduplicated, and
-    pushed through the bare-fragment conditions over all their plane
-    embeddings and outer-face choices.
+    normalized voltage assignments, one per conjugation orbit, and pushed
+    through the bare-fragment conditions over all their plane embeddings
+    and outer-face choices.
     """
     import time
 

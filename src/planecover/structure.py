@@ -985,6 +985,11 @@ def quotient_graph(h_emb: PlaneEmbedding) -> tuple[QuotientGraph, dict[int, int]
         rotation[white_index[z]] = tuple(order)
     corner_qedge = {corner: qid for qid, corner in enumerate(sk.black_corner)}
     for bi, t in enumerate(neg_tris):
+        stranded = [v for v in t if v not in corner_qedge]
+        if stranded:
+            raise QuotientError(
+                f"triangle {t} corner {stranded[0]} is joined to no 0-vertex"
+            )
         tri_face = next(f for f in h_emb.faces if f.length == 3 and f.vertex_set == frozenset(t))
         rotation[a + bi] = tuple(corner_qedge[v] for v in reversed(tri_face.vertices))
 

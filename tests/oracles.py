@@ -3,13 +3,17 @@
 These deliberately avoid the library's own algorithms: planarity is
 decided by exhaustive subdivision search, connectivity by exhaustive cut
 enumeration with union-find, and the graph corpus is built by vertex
-extension with canonical dedup.
+extension with canonical dedup.  The reference voltage scan keeps the
+library's per-cover predicates but visits every normalized assignment,
+so it checks the orbit reduction of the library's scan on its own.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from planecover.covers import derive, is_connected_cover, normalized_assignment
+from planecover.embedding import is_planar
 from planecover.graphs import LabeledGraph, canonical_form
 
 
@@ -128,3 +132,32 @@ def random_graph(rng, n: int, p: float) -> LabeledGraph:
         if rng.random() < p
     ]
     return LabeledGraph((0,) * n, tuple(edges))
+
+
+def reference_scan_chunk(base, n: int, firsts, want_connected: bool, want_planar: bool):
+    """Brute-force normalized voltage scan: every cotree tuple whose first
+    voltage is in ``firsts``, one transitivity, planarity and canonical-form
+    test per tuple.
+
+    Returns (visited, connected_count, planar_count, classes) where classes
+    maps canonical form -> [least voltage, assignment count].
+    """
+    perms = tuple(itertools.permutations(range(n)))
+    visited = connected_count = planar_count = 0
+    classes: dict[bytes, list] = {}
+    for first in firsts:
+        for rest in itertools.product(perms, repeat=len(base.cotree_edges) - 1):
+            volt = (first, *rest)
+            visited += 1
+            va = normalized_assignment(base, n, volt)
+            if want_connected and not is_connected_cover(va):
+                continue
+            connected_count += 1
+            g, _ = derive(va)
+            if want_planar and not is_planar(g):
+                continue
+            planar_count += 1
+            entry = classes.setdefault(canonical_form(g), [volt, 0])
+            entry[1] += 1
+            entry[0] = min(entry[0], volt)
+    return visited, connected_count, planar_count, classes

@@ -178,3 +178,15 @@ def test_search_dot_dump(tmp_path):
     files = list(dots.glob("survivor-*.dot"))
     assert len(files) == cert["survivor_count"]
     assert "graph" in files[0].read_text()
+
+
+def test_trapezium_face_quotient_failure_is_handled(tmp_path, capsys):
+    # a black triangle with a corner joined to no 0-vertex has no quotient:
+    # analyze reports a null census, quotient rejects the input
+    out = tmp_path / "analyze.json"
+    assert main(["analyze", "--fixture", "trapezium_face", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["quotient_census"] is None
+    assert main(["quotient", "--fixture", "trapezium_face", "--out", str(tmp_path / "q.json")]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "joined to no 0-vertex" in captured.err

@@ -1,0 +1,114 @@
+"""The orbit-wise voltage scan against the brute-force scan, closed forms
+and the pinned certificate bytes."""
+
+import hashlib
+import math
+
+import pytest
+from oracles import reference_scan_chunk
+
+from planecover import fixtures as fx
+from planecover import io as pio
+from planecover import search
+from planecover.covers import conjugacy_representatives
+from planecover.graphs import make_base
+from planecover.search import (
+    OrbitCollision,
+    SearchSpec,
+    _merge_chunks,
+    _scan_chunk,
+    _sheets_transitive,
+    enumerate_covers,
+    voltage_orbits,
+)
+
+FILTER_SETS = [(), ("connected",), ("planar",), ("connected", "planar")]
+
+
+def _both_scans(kind, n, filters):
+    base = make_base(kind)
+    args = (base, n, conjugacy_representatives(n), "connected" in filters, "planar" in filters)
+    return _scan_chunk(*args), reference_scan_chunk(*args)
+
+
+@pytest.mark.parametrize("filters", FILTER_SETS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_scan_matches_brute_force_k4(n, filters):
+    got, want = _both_scans("k4", n, filters)
+    assert got == want
+
+
+def test_orbit_scan_matches_brute_force_k1222_n2():
+    got, want = _both_scans("k1222", 2, ("connected", "planar"))
+    assert got == want
+
+
+@pytest.mark.slow
+def test_orbit_scan_matches_brute_force_k4_n5():
+    got, want = _both_scans("k4", 5, ("connected", "planar"))
+    assert got == want
+
+
+# M. Hall (1949): transitive triples in S_n^3 for n = 1..5, and the orbit
+# counts of S_n acting on S_n^3 by simultaneous conjugation (all, transitive).
+HALL_TRANSITIVE_TRIPLES = {1: 1, 2: 7, 3: 194, 4: 12858, 5: 1647384}
+ORBIT_COUNTS = {1: (1, 1), 2: (8, 7), 3: (49, 41), 4: (681, 604), 5: (14721, 13753)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_hall_orbit_sum_identity(n):
+    orbits = transitive = weighted = 0
+    for volt, _, stab in voltage_orbits(n, conjugacy_representatives(n), 2):
+        orbits += 1
+        if _sheets_transitive(volt, n):
+            transitive += 1
+            weighted += math.factorial(n) // stab
+    assert (orbits, transitive) == ORBIT_COUNTS[n]
+    assert weighted == HALL_TRANSITIVE_TRIPLES[n]
+
+
+def test_orbit_collision_raises(monkeypatch):
+    # a canonical form that merges every orbit must stop the scan
+    monkeypatch.setattr(search, "canonical_form", lambda g: b"same")
+    with pytest.raises(OrbitCollision):
+        _scan_chunk(make_base("k4"), 2, conjugacy_representatives(2), True, True)
+
+
+def test_merge_collision_raises():
+    chunk = (1, 1, 1, {b"key": [((0, 1),), 1]})
+    other = (1, 1, 1, {b"key": [((1, 0),), 1]})
+    with pytest.raises(OrbitCollision):
+        _merge_chunks([chunk, other])
+
+
+# sha256 of io.dumps(certificate without "timing"), as written before the
+# orbit scan replaced the per-assignment scan
+GOLDEN_DIGESTS = {
+    "spec-k4-n1": "7d2ce6004bda8aabb36f922b1da7c3ddf297311bf6e4ea4f53966ffc4c99ab76",
+    "spec-k4-n2": "81097d957bae172859503817cc7cd980f9a1df7558be25c22ea10c1098d794e7",
+    "spec-k1222-n2": "8297e316fa5a1c5a5bf5ca586056efc06244c649245c0d844255fd2df2608e02",
+    "spec-k4-h-le-5": "c69f6474d91e1f6d1838093e1f45c7cda95054201c70c983b886b275624fa984",
+}
+
+
+def _cert_digest(cert: dict) -> str:
+    content = {k: v for k, v in cert.items() if k != "timing"}
+    return hashlib.sha256(pio.dumps(content).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["spec-k4-n1", "spec-k4-n2", "spec-k1222-n2"])
+def test_cover_certificate_golden_digest(name):
+    obj = fx.load_fixture_obj(name)
+    spec = SearchSpec(
+        base=obj["base"],
+        n=obj["n"],
+        filters=tuple(obj["filters"]),
+        dedup=obj["dedup"],
+        budget=obj["budget"],
+    )
+    assert _cert_digest(enumerate_covers(spec)) == GOLDEN_DIGESTS[name]
+
+
+def test_fragment_certificate_golden_digest(fragment_certificate):
+    assert fragment_certificate["format_version"] == 1
+    assert _cert_digest(fragment_certificate) == GOLDEN_DIGESTS["spec-k4-h-le-5"]
