@@ -205,21 +205,25 @@ def normalized_assignment(base: BaseGraph, n: int, cotree_perms) -> VoltageAssig
     return VoltageAssignment(base, n, tuple(perms))
 
 
-def derive(v: VoltageAssignment) -> tuple[LabeledGraph, CoverProjection]:
-    """Derived graph on (base vertex, sheet) pairs plus its projection.
+def derived_edges(base_graph: LabeledGraph, n: int, perms) -> list[tuple[int, int]]:
+    """Edges of the derived graph, given one voltage per base edge.
 
     Vertex (b, i) gets id b*n + i; base edge (u, w) with u < w and
     voltage s contributes the edges (u, i) -- (w, s[i]).
     """
+    return [
+        (u * n + i, w * n + s[i])
+        for (u, w), s in zip(base_graph.edges, perms)
+        for i in range(n)
+    ]
+
+
+def derive(v: VoltageAssignment) -> tuple[LabeledGraph, CoverProjection]:
+    """Derived graph on (base vertex, sheet) pairs plus its projection."""
     base_g = v.base.graph
     n = v.n
-    edges = []
-    for eid, (u, w) in enumerate(base_g.edges):
-        s = v.perms[eid]
-        for i in range(n):
-            edges.append((u * n + i, w * n + s[i]))
     ordered_labels = tuple(base_g.labels[b] for b in range(base_g.n) for _ in range(n))
-    source = LabeledGraph(ordered_labels, tuple(edges))
+    source = LabeledGraph(ordered_labels, tuple(derived_edges(base_g, n, v.perms)))
     vmap = tuple(b for b in range(base_g.n) for _ in range(n))
     return source, CoverProjection(source, v.base, vmap)
 
@@ -272,20 +276,25 @@ def cycle_net_voltages(v: VoltageAssignment) -> list[tuple[int, ...]]:
     return out
 
 
-def is_connected_cover(v: VoltageAssignment) -> bool:
-    """True iff the group generated by the fundamental-cycle voltages
-    acts transitively on the sheets."""
-    gens = cycle_net_voltages(v)
-    orbit = {0}
+def sheets_transitive(perms, n: int) -> bool:
+    """True iff the group generated by the permutations acts transitively
+    on the n sheets (a bitmask search from sheet 0)."""
+    seen = 1
     stack = [0]
     while stack:
         i = stack.pop()
-        for gperm in gens:
-            for j in (gperm[i], gperm.index(i)):
-                if j not in orbit:
-                    orbit.add(j)
+        for p in perms:
+            for j in (p[i], p.index(i)):
+                if not seen >> j & 1:
+                    seen |= 1 << j
                     stack.append(j)
-    return len(orbit) == v.n
+    return seen == (1 << n) - 1
+
+
+def is_connected_cover(v: VoltageAssignment) -> bool:
+    """True iff the fundamental-cycle voltages act transitively on the
+    sheets, that is, iff the derived graph is connected."""
+    return sheets_transitive(cycle_net_voltages(v), v.n)
 
 
 def triangle_net_voltage(v: VoltageAssignment, triangle_labels) -> tuple[int, ...]:

@@ -342,25 +342,6 @@ def _search_spec(name: str) -> dict:
     return specs[name]
 
 
-def _quotient_to_obj(q: QuotientGraph) -> dict:
-    return {
-        "a": q.a,
-        "edges": [list(e) for e in q.edges],
-        "rotation": [list(r) for r in q.rotation],
-        "outer_face": q.outer_face,
-        "census": {str(k): v for k, v in q.census.items()},
-    }
-
-
-def quotient_from_obj(obj: dict) -> QuotientGraph:
-    return QuotientGraph(
-        a=obj["a"],
-        edges=tuple(tuple(e) for e in obj["edges"]),
-        rotation=tuple(tuple(r) for r in obj["rotation"]),
-        outer_face=obj["outer_face"],
-    )
-
-
 def fixture_objects() -> dict[str, dict]:
     """All bundled fixtures as JSON-ready objects, keyed by name."""
     out: dict[str, dict] = {}
@@ -377,7 +358,7 @@ def fixture_objects() -> dict[str, dict]:
     out["crowded_face"] = pio.semicover_to_obj(crowded_face())
     for c in (1, 2, 3):
         out[f"support_case{c}"] = pio.semicover_to_obj(support_case(c))
-    out["double_lens"] = _quotient_to_obj(double_lens())
+    out["double_lens"] = pio.quotient_to_obj(double_lens())
 
     ident = make_base("k1222").graph
     out["k1222-identity.graph"] = pio.graph_to_obj(ident)

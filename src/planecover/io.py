@@ -154,20 +154,6 @@ def quotient_to_obj(q) -> dict:
     }
 
 
-def quotient_from_obj(obj: dict):
-    from .structure import QuotientGraph
-
-    try:
-        return QuotientGraph(
-            a=obj["a"],
-            edges=tuple(tuple(e) for e in obj["edges"]),
-            rotation=tuple(tuple(r) for r in obj["rotation"]),
-            outer_face=obj["outer_face"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad quotient object: {exc}") from exc
-
-
 def report_to_obj(report, exclusions=None) -> dict:
     obj = {
         "faces": [

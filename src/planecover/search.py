@@ -9,10 +9,15 @@ the stabilizer of the voltages before it.  Both bases have pairwise
 distinct vertex labels, so a label-preserving isomorphism of derived
 graphs fixes every fiber, agrees along the identity tree edges, and is
 one sheet permutation: distinct orbits give non-isomorphic covers, and a
-canonical-form collision between orbits is raised as an error.  The
-K4-fragment search then applies, per candidate and per plane embedding,
-every condition an admissible fragment must satisfy, plus the shape
-exclusions and the bead-demand feasibility of its quotient.
+canonical-form collision between orbits is raised as an error.  Each
+orbit's lift and transitivity test are the ones ``covers`` defines.
+
+The K4-fragment analyzer enumerates plane embeddings on the contracted
+quotient of a candidate, applies every condition an admissible fragment
+must satisfy and, unless told otherwise, the shape exclusions that
+``structure`` defines and the bead-demand feasibility of the quotient.
+``enumerate_covers`` and ``search_k4_fragments`` build their certificate
+entries through the same routine.
 """
 
 from __future__ import annotations
@@ -25,18 +30,13 @@ from dataclasses import dataclass, replace
 import networkx as nx
 
 from .covers import (
-    VoltageAssignment,
     conjugacy_representatives,
     derive,
+    derived_edges,
     normalized_assignment,
+    sheets_transitive,
 )
-from .embedding import (
-    PlaneEmbedding,
-    all_triangles,
-    is_planar,
-    planarity,
-    triangle_faces,
-)
+from .embedding import PlaneEmbedding, _canonical_rotation, planarity, trace_faces
 from .graphs import (
     K4NEG,
     BaseGraph,
@@ -44,33 +44,21 @@ from .graphs import (
     canonical_form,
     connectivity,
     find_cycles_covering,
-    is_connected,
     make_base,
 )
 from .structure import (
+    INTERIOR_CONDITION_KEYS,
     QuotientError,
     QuotientGraph,
-    StructureError,
-    _bead_hosts,
-    face_label_pattern,
+    bead_sharing_excluded,
+    face_count_exclusion,
     find_beads,
-    quotient_graph,
     quotient_skeleton,
 )
 
 FORMAT_VERSION = 1
 
 COVER_FILTERS = ("connected", "planar", "admissible", "exclusions")
-
-#: Admissibility conditions that need the interior of the ambient
-#: semi-cover; the bare-fragment search skips them and says so.
-SKIPPED_INTERIOR_CONDITIONS = (
-    "triangles_facial",
-    "short_octahedral_facial",
-    "paths_reach_boundary",
-    "positive_triangle",
-    "triangle_capacity",
-)
 
 #: Extra fragment-level conditions the bare search applies beyond the
 #: face-census exclusions.  Each is a restriction of an interior condition
@@ -132,45 +120,6 @@ def _digest(cert_bytes: bytes) -> str:
 # ---------------------------------------------------------------------------
 # Voltage scanning
 # ---------------------------------------------------------------------------
-
-
-def _derived_edges(base: BaseGraph, n: int, cotree_perms) -> list[tuple[int, int]]:
-    g = base.graph
-    cotree = set(base.cotree_edges)
-    edges = []
-    ci = 0
-    for eid, (u, w) in enumerate(g.edges):
-        if eid in cotree:
-            s = cotree_perms[ci]
-            ci += 1
-            for i in range(n):
-                edges.append((u * n + i, w * n + s[i]))
-        else:
-            for i in range(n):
-                edges.append((u * n + i, w * n + i))
-    return edges
-
-
-def _sheets_transitive(perms, n: int) -> bool:
-    if n == 1:
-        return True
-    orbit = 1  # bitmask over sheets
-    stack = [0]
-    seen = 1
-    while stack:
-        i = stack.pop()
-        for p in perms:
-            j = p[i]
-            b = 1 << j
-            if not seen & b:
-                seen |= b
-                stack.append(j)
-            j = p.index(i)
-            b = 1 << j
-            if not seen & b:
-                seen |= b
-                stack.append(j)
-    return seen == (1 << n) - 1
 
 
 def _conjugate(g, p) -> tuple[int, ...]:
@@ -261,12 +210,16 @@ def _scan_chunk(base: BaseGraph, n: int, firsts, want_connected, want_planar):
     connected_count = 0
     planar_count = 0
     classes: dict[bytes, list] = {}
+    cotree = base.cotree_edges
+    perms = [tuple(range(n))] * base.graph.m
     for volt, cent, stab in voltage_orbits(n, firsts, depth):
         weight = cent // stab
-        if want_connected and not _sheets_transitive(volt, n):
+        if want_connected and not sheets_transitive(volt, n):
             continue
         connected_count += weight
-        edges = _derived_edges(base, n, volt)
+        for eid, p in zip(cotree, volt):
+            perms[eid] = p
+        edges = derived_edges(base.graph, n, perms)
         if want_planar:
             G = nx.Graph(edges)
             ok, _ = nx.check_planarity(G, counterexample=False)
@@ -306,6 +259,36 @@ def _scan(base: BaseGraph, n: int, want_connected: bool, want_planar: bool, work
 
 
 # ---------------------------------------------------------------------------
+# Certificate entries
+# ---------------------------------------------------------------------------
+
+
+def _candidates(base: BaseGraph, n: int, classes: dict, apply_exclusions: bool | None):
+    """Certificate entries of the scanned classes, in canonical order.
+
+    With ``apply_exclusions`` not None, the derived graph of each class
+    runs through the fragment analyzer, whose verdict fills the entry.
+    Yields (entry, derived graph or None, quotient censuses).
+    """
+    for key in sorted(classes):
+        volt, count = classes[key]
+        entry = {
+            "canonical": _digest(key),
+            "assignments": count,
+            "voltage": [list(p) for p in volt],
+            "filters": {},
+            "survivor": True,
+        }
+        g, censuses = None, []
+        if apply_exclusions is not None:
+            g, _ = derive(normalized_assignment(base, n, volt))
+            analysis = analyze_fragment_candidate(g, apply_exclusions)
+            censuses = analysis.pop("quotient_censuses")
+            entry.update(analysis)
+        yield entry, g, censuses
+
+
+# ---------------------------------------------------------------------------
 # Cover enumeration
 # ---------------------------------------------------------------------------
 
@@ -332,37 +315,15 @@ def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
     visited, connected, planar, classes = _scan(base, spec.n, want_connected, want_planar, workers)
 
     structural = set(spec.filters) & {"admissible", "exclusions"}
+    scan_filters = {f: True for f in ("connected", "planar") if f in spec.filters}
     candidates = []
     survivors = []
     quotient_censuses = []
-    for key in sorted(classes):
-        volt, count = classes[key]
-        entry = {
-            "canonical": _digest(key),
-            "assignments": count,
-            "voltage": [list(p) for p in volt],
-            "filters": {},
-        }
-        if want_connected:
-            entry["filters"]["connected"] = True
-        if want_planar:
-            entry["filters"]["planar"] = True
-        if structural:
-            g, _ = derive(normalized_assignment(base, spec.n, volt))
-            if "exclusions" in spec.filters:
-                analysis = analyze_fragment_candidate(g)
-            else:
-                # admissibility without the shape exclusions: the quotient
-                # route bakes the necklace and face-count exclusions into
-                # its degenerate cases, so enumerate embeddings directly
-                analysis = analyze_fragment_direct(g, apply_exclusions=False)
-            entry["filters"].update(analysis["filters"])
-            entry["excluded_by"] = analysis["excluded_by"]
-            entry["embeddings"] = analysis["embeddings"]
-            quotient_censuses.extend(analysis["quotient_censuses"])
-            entry["survivor"] = analysis["survivor"]
-        else:
-            entry["survivor"] = True
+    for entry, _, censuses in _candidates(
+        base, spec.n, classes, ("exclusions" in spec.filters) if structural else None
+    ):
+        entry["filters"].update(scan_filters)
+        quotient_censuses.extend(censuses)
         candidates.append(entry)
         if entry["survivor"]:
             survivors.append(entry)
@@ -398,7 +359,7 @@ def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
         "survivors": [e["canonical"] for e in survivors],
         "survivor_count": survivor_count,
         "alarms": alarms,
-        "skipped_conditions": list(SKIPPED_INTERIOR_CONDITIONS) if structural else [],
+        "skipped_conditions": list(INTERIOR_CONDITION_KEYS) if structural else [],
         "extra_conditions": list(EXTRA_FRAGMENT_FILTERS) if structural else [],
         "quotient_censuses": quotient_censuses,
         "timing": {"seconds": time.monotonic() - t0, "workers": workers},
@@ -406,175 +367,9 @@ def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
     return cert
 
 
-def enumerate_covers_unnormalized(base_kind: str, n: int, filters=("connected", "planar")) -> dict[bytes, list]:
-    """Full scan over all |S_n|^m assignments, tree edges included.
-
-    Only used to certify that spanning-tree normalization loses nothing;
-    returns the canonical classes of the survivors.
-    """
-    base = make_base(base_kind)
-    perms = tuple(itertools.permutations(range(n)))
-    labels = tuple(base.graph.labels[b] for b in range(base.graph.n) for _ in range(n))
-    classes: dict[bytes, list] = {}
-    for volt in itertools.product(perms, repeat=base.graph.m):
-        va = VoltageAssignment(base, n, volt)
-        g, proj = derive(va)
-        from .graphs import is_connected
-
-        if "connected" in filters and not is_connected(g):
-            continue
-        if "planar" in filters and not is_planar(g):
-            continue
-        key = canonical_form(g)
-        entry = classes.setdefault(key, [volt, 0])
-        entry[1] += 1
-    return classes
-
-
 # ---------------------------------------------------------------------------
 # Fragment candidate analysis (bare K4-cover, all embeddings)
 # ---------------------------------------------------------------------------
-
-
-def _rotation_structures(g: LabeledGraph):
-    """All spherical face structures of a cubic graph whose faces are all
-    triangles or 0,a,b patterns, enumerated over rotation systems up to
-    reflection.  Yields (mask, faces) with faces as dart tuples."""
-    n, m = g.n, g.m
-    nd = 2 * m
-    tail = [0] * nd
-    head = [0] * nd
-    for e, (u, v) in enumerate(g.edges):
-        tail[2 * e], head[2 * e] = u, v
-        tail[2 * e + 1], head[2 * e + 1] = v, u
-    out_darts = [[] for _ in range(n)]
-    for d in range(nd):
-        out_darts[tail[d]].append(d)
-    if any(len(o) != 3 for o in out_darts):
-        raise SearchError("rotation enumeration expects a cubic graph")
-    zero_tail = [g.labels[tail[d]] == 0 for d in range(nd)]
-
-    # succ[d]: next out-dart after d at its tail; two options per vertex
-    options = []
-    for v in range(n):
-        d0, d1, d2 = out_darts[v]
-        options.append(
-            (
-                ((d0, d1), (d1, d2), (d2, d0)),
-                ((d0, d2), (d2, d1), (d1, d0)),
-            )
-        )
-    succ = [0] * nd
-    for v in range(n):
-        for a, b in options[v][0]:
-            succ[a] = b
-    state = [0] * n
-    visited = [0] * nd
-    stamp = 0
-    euler_target = 2 - n + m
-
-    def evaluate():
-        nonlocal stamp
-        stamp += 1
-        st = stamp
-        faces = []
-        for d0 in range(nd):
-            if visited[d0] == st:
-                continue
-            d = d0
-            length = 0
-            zero_pos = -1
-            while True:
-                visited[d] = st
-                if zero_tail[d]:
-                    if zero_pos < 0:
-                        zero_pos = length
-                    elif (length - zero_pos) % 3:
-                        return None
-                else:
-                    if zero_pos >= 0 and (length - zero_pos) % 3 == 0:
-                        return None
-                    if zero_pos < 0 and length >= 3:
-                        return None
-                length += 1
-                d = succ[d ^ 1]
-                if d == d0:
-                    break
-                if visited[d] == st:
-                    return None
-            if zero_pos < 0:
-                if length != 3:
-                    return None
-            else:
-                if length % 3 or zero_pos >= 3:
-                    return None
-            faces.append(length)
-        if len(faces) != euler_target:
-            return None
-        # re-trace to collect darts (cheap relative to the scan)
-        stamp += 1
-        st = stamp
-        out = []
-        for d0 in range(nd):
-            if visited[d0] == st:
-                continue
-            walk = []
-            d = d0
-            while visited[d] != st:
-                visited[d] = st
-                walk.append(d)
-                d = succ[d ^ 1]
-            out.append(tuple(walk))
-        return out
-
-    total = 1 << (n - 1)
-    gray = 0
-    seen_structures = set()
-    first = evaluate()
-    if first is not None:
-        key = frozenset(_min_rotation(f) for f in first)
-        seen_structures.add(key)
-        yield list(state), first
-    for k in range(1, total):
-        flip = (k & -k).bit_length()  # vertex 1..n-1
-        v = flip
-        state[v] ^= 1
-        for a, b in options[v][state[v]]:
-            succ[a] = b
-        faces = evaluate()
-        if faces is not None:
-            key = frozenset(_min_rotation(f) for f in faces)
-            if key not in seen_structures:
-                seen_structures.add(key)
-                yield list(state), faces
-
-
-def _min_rotation(seq: tuple) -> tuple:
-    best = seq
-    for i in range(1, len(seq)):
-        c = seq[i:] + seq[:i]
-        if c < best:
-            best = c
-    return best
-
-
-def _embedding_from_state(g: LabeledGraph, state) -> PlaneEmbedding:
-    rot = []
-    for v in range(g.n):
-        eids = list(g.incident_edges[v])
-        if state[v]:
-            eids = [eids[0], eids[2], eids[1]]
-        rot.append(tuple(eids))
-    return PlaneEmbedding(g, tuple(rot), 0)
-
-
-def _pattern_ok(emb: PlaneEmbedding) -> bool:
-    for f in emb.faces:
-        if f.length > 3 and face_label_pattern(f.labels).kind != "pattern":
-            return False
-        if f.length == 3 and face_label_pattern(f.labels).kind != "triangle":
-            return False
-    return True
 
 
 def _graph_level_filters(g: LabeledGraph, result: dict) -> bool:
@@ -615,8 +410,6 @@ def spherical_rotations(nverts: int, edges):
     """All spherical rotation systems of a connected cubic multigraph,
     up to reflection, as (rotation, faces) pairs with distinct face
     structures.  Sizes here are tiny (at most 10 vertices)."""
-    from .embedding import trace_faces
-
     incident = [[] for _ in range(nverts)]
     for eid, (u, v) in enumerate(edges):
         incident[u].append(eid)
@@ -635,7 +428,7 @@ def spherical_rotations(nverts: int, edges):
         faces = trace_faces(nverts, edges, rotation)
         if len(faces) != target:
             continue
-        key = frozenset(_min_rotation(f) for f in faces)
+        key = frozenset(_canonical_rotation(f) for f in faces)
         if key in seen:
             continue
         seen.add(key)
@@ -663,16 +456,30 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
     try:
         sk = quotient_skeleton(g)
     except QuotientError:
-        # No surviving 0-vertex or triangle: a closed bead chain.  Every
-        # admissible embedding of it has a single internal non-triangular
-        # face, so the necklace exclusion applies to all of them.
-        result["excluded_by"] = ["necklace"]
+        # No surviving 0-vertex or triangle: a closed chain of k beads.  Its
+        # admissible embeddings have 2k triangles and two 3k-gons, either of
+        # which may be outer, so the other is the one internal
+        # non-triangular face; it is a hexagon when k = 2.
         filters["quotient"] = False
+        if apply_exclusions:
+            result["excluded_by"] = [face_count_exclusion(1)]
+            return result
+        k = len(find_beads(g))
+        hexagon = k == 2
+        result["embeddings"] = {
+            "structures": 1,
+            "outer_choices": 2 * k + 2,
+            "passing": 0 if hexagon else 2,
+        }
+        result["excluded_by"] = ["outer_face_nontriangular"]
+        if hexagon:
+            result["excluded_by"].insert(0, "no_internal_hexagon")
+        result["survivor"] = not hexagon
         return result
     filters["quotient"] = True
-    if sk.a == 1:
-        # Three internal faces are required, hence at least two zeros.
-        result["excluded_by"] = ["two_internal_faces"]
+    if sk.a == 1 and apply_exclusions:
+        # Three quotient faces leave two internal ones whatever is outer.
+        result["excluded_by"] = [face_count_exclusion(2)]
         return result
 
     b_actual = sum(b for _, _, b in sk.edges)
@@ -698,6 +505,14 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
         for fid, sides in enumerate(face_sides):
             for e in sides:
                 edge_hosts[e].add(fid)
+
+        def shared(fa, fb):
+            return sum(
+                beads
+                for e, (_, _, beads) in enumerate(sk.edges)
+                if edge_hosts[e] == {fa, fb}
+            )
+
         censuses.append({str(k): v for k, v in q.census.items()})
         outer_choices += n_tri_faces  # triangular fragment faces as outer
         if n_tri_faces:
@@ -711,23 +526,14 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
             if not apply_exclusions:
                 passing += 1
                 continue
-            if len(internal) == 1:
-                excluded_by.add("necklace")
+            shape = face_count_exclusion(len(internal))
+            if shape is not None:
+                excluded_by.add(shape)
                 continue
-            if len(internal) == 2:
-                excluded_by.add("two_internal_faces")
-                continue
-            shared_fired = False
-            for fa, fb in itertools.combinations(internal, 2):
-                shared = sum(
-                    beads
-                    for e, (_, _, beads) in enumerate(sk.edges)
-                    if edge_hosts[e] == {fa, fb}
-                )
-                if shared >= max(thirds[fa], thirds[fb], 3) - 2:
-                    shared_fired = True
-                    break
-            if shared_fired:
+            if any(
+                bead_sharing_excluded(shared(fa, fb), thirds[fa], thirds[fb])
+                for fa, fb in itertools.combinations(internal, 2)
+            ):
                 excluded_by.add("bead_sharing")
                 continue
             mb = min_beads(q, outer_face=i, cap=b_actual)
@@ -740,87 +546,6 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
         "outer_choices": outer_choices,
         "passing": passing,
     }
-    result["survivor"] = passing > 0
-    result["excluded_by"] = sorted(excluded_by)
-    return result
-
-
-def analyze_fragment_direct(g: LabeledGraph, apply_exclusions: bool = True) -> dict:
-    """Reference analyzer enumerating fragment rotation systems directly.
-
-    Exponential in the fragment size; kept as an independent check of the
-    quotient-based analyzer on small folds.
-    """
-    result = _empty_result()
-    if not _graph_level_filters(g, result):
-        return result
-    censuses = result["quotient_censuses"]
-
-    triangles = [frozenset(t) for t in all_triangles(g)]
-    beads = find_beads(g)
-
-    structures = []
-    for state, _faces in _rotation_structures(g):
-        structures.append(_embedding_from_state(g, state))
-    result["embeddings"]["structures"] = len(structures)
-    if not structures:
-        result["excluded_by"] = ["face_patterns"]
-
-    excluded_by = set(result["excluded_by"])
-    passing = 0
-    outer_choices = 0
-    for emb in structures:
-        tri_faces = triangle_faces(emb)
-        if not all(t in tri_faces for t in triangles):
-            excluded_by.add("fragment_triangles_facial")
-            continue
-        try:
-            hosts = _bead_hosts(emb, beads)
-        except StructureError:
-            excluded_by.add("fragment_triangles_facial")
-            continue
-        nontri = [i for i, f in enumerate(emb.faces) if f.length > 3]
-        for i, f in enumerate(emb.faces):
-            outer_choices += 1
-            if f.length == 3:
-                excluded_by.add("outer_face_nontriangular")
-                continue
-            internal = [j for j in nontri if j != i]
-            if any(emb.faces[j].length == 6 for j in internal):
-                excluded_by.add("no_internal_hexagon")
-                continue
-            if not apply_exclusions:
-                passing += 1
-                continue
-            if len(internal) == 1:
-                excluded_by.add("necklace")
-                continue
-            if len(internal) == 2:
-                excluded_by.add("two_internal_faces")
-                continue
-            shared_fired = False
-            for fa, fb in itertools.combinations(internal, 2):
-                shared = sum(1 for hp in hosts if set(hp) == {fa, fb})
-                la = -(-emb.faces[fa].length // 3)
-                lb = -(-emb.faces[fb].length // 3)
-                if shared >= max(la, lb, 3) - 2:
-                    shared_fired = True
-                    break
-            if shared_fired:
-                excluded_by.add("bead_sharing")
-                continue
-            try:
-                q, _ = quotient_graph(PlaneEmbedding(emb.graph, emb.rotation, i))
-            except QuotientError:
-                excluded_by.add("degenerate_quotient")
-                continue
-            censuses.append({str(k): v for k, v in q.census.items()})
-            if min_beads(q, cap=q.total_beads) is None:
-                excluded_by.add("bead_demand")
-                continue
-            passing += 1
-    result["embeddings"]["outer_choices"] = outer_choices
-    result["embeddings"]["passing"] = passing
     result["survivor"] = passing > 0
     result["excluded_by"] = sorted(excluded_by)
     return result
@@ -865,25 +590,13 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
         candidates = []
         survivors = []
         fold_censuses = set()
-        for key in sorted(classes):
-            volt, count = classes[key]
-            g, _ = derive(normalized_assignment(base, h, volt))
-            analysis = analyze_fragment_candidate(g)
-            entry = {
-                "canonical": _digest(key),
-                "fold": h,
-                "assignments": count,
-                "voltage": [list(p) for p in volt],
-                "connectivity": connectivity(g),
-                "filters": analysis["filters"],
-                "excluded_by": analysis["excluded_by"],
-                "embeddings": analysis["embeddings"],
-                "survivor": analysis["survivor"],
-            }
-            for census in analysis["quotient_censuses"]:
+        for entry, g, censuses in _candidates(base, h, classes, True):
+            entry["fold"] = h
+            entry["connectivity"] = connectivity(g)
+            for census in censuses:
                 fold_censuses.add(tuple(sorted(census.items())))
             candidates.append(entry)
-            if analysis["survivor"]:
+            if entry["survivor"]:
                 survivors.append(entry)
                 if h == 6:
                     entry["interior_triangle_check"] = _h6_survivor_check(g)
@@ -906,7 +619,7 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
         "spec": {"mode": "fragments", "h_max": h_max, "budget": budget},
         "folds": folds,
         "survivor_count": survivors_total,
-        "skipped_conditions": list(SKIPPED_INTERIOR_CONDITIONS),
+        "skipped_conditions": list(INTERIOR_CONDITION_KEYS),
         "extra_conditions": list(EXTRA_FRAGMENT_FILTERS),
         "quotient_censuses": all_censuses,
         "timing": {"seconds": time.monotonic() - t0, "workers": workers},
@@ -1092,7 +805,7 @@ def min_beads(
                 )
                 la = len(q.faces[fa]) // 2 + counts[fa]
                 lb = len(q.faces[fb]) // 2 + counts[fb]
-                if shared >= max(la, lb, 3) - 2:
+                if bead_sharing_excluded(shared, la, lb):
                     return False
             return True
 

@@ -776,17 +776,27 @@ class ExclusionVerdict:
         return tuple(out)
 
 
+def face_count_exclusion(internal: int) -> str | None:
+    """The shape exclusion fixed by the number of internal non-triangular
+    faces: one is the necklace shape, two the double-face shape."""
+    return {1: "necklace", 2: "two_internal_faces"}.get(internal)
+
+
+def bead_sharing_excluded(shared: int, m_a: int, m_b: int) -> bool:
+    """True iff two internal faces of lengths 3*m_a and 3*m_b share too many
+    beads: faces of length at most 3m (m >= 3) may not share m - 2."""
+    return shared >= max(m_a, m_b, 3) - 2
+
+
 def check_exclusions(report: StructureReport) -> ExclusionVerdict:
     """Shape-level exclusions on an admissible fragment.
 
-    A fragment with exactly one internal non-triangular face is a
-    necklace shape; with exactly two it is the double-face shape; and two
-    internal faces of length at most 3m (m >= 3) may not share m-2 or
-    more beads.  Any hit disqualifies the fragment.
+    The internal non-triangular faces may not number one or two, and no
+    two of them may share too many beads.  Any hit disqualifies the
+    fragment.
     """
     internal = report.internal_nontriangular
-    necklace = len(internal) == 1
-    two_faces = len(internal) == 2
+    shape = face_count_exclusion(len(internal))
 
     shared_fired = []
     for fa, fb in itertools.combinations(internal, 2):
@@ -797,14 +807,13 @@ def check_exclusions(report: StructureReport) -> ExclusionVerdict:
         )
         la = -(-fa.length // 3)
         lb = -(-fb.length // 3)
-        m = max(la, lb, 3)
-        if shared >= m - 2:
-            shared_fired.append((fa.face_id, fb.face_id, m, shared))
+        if bead_sharing_excluded(shared, la, lb):
+            shared_fired.append((fa.face_id, fb.face_id, max(la, lb, 3), shared))
     return ExclusionVerdict(
-        necklace=necklace,
-        two_internal_faces=two_faces,
+        necklace=shape == "necklace",
+        two_internal_faces=shape == "two_internal_faces",
         bead_sharing=tuple(shared_fired),
-        excluded=necklace or two_faces or bool(shared_fired),
+        excluded=shape is not None or bool(shared_fired),
     )
 
 
@@ -856,21 +865,6 @@ class QuotientGraph:
     def counts(self) -> tuple[int, int, int]:
         """(vertices, edges, faces) -- always (2a, 3a, a+2)."""
         return 2 * self.a, len(self.edges), len(self.faces)
-
-    def canonical_key(self) -> bytes:
-        """Isomorphism key ignoring bead counts (brute force, a <= 4)."""
-        best = None
-        mat = [[0] * self.a for _ in range(self.a)]
-        for u, v, _ in self.edges:
-            mat[u][v - self.a] += 1
-        for pw in itertools.permutations(range(self.a)):
-            for pb in itertools.permutations(range(self.a)):
-                key = tuple(
-                    tuple(mat[pw[i]][pb[j]] for j in range(self.a)) for i in range(self.a)
-                )
-                if best is None or key < best:
-                    best = key
-        return repr(best).encode()
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,45 @@ decided by exhaustive subdivision search, connectivity by exhaustive cut
 enumeration with union-find, and the graph corpus is built by vertex
 extension with canonical dedup.  The reference voltage scan keeps the
 library's per-cover predicates but visits every normalized assignment,
-so it checks the orbit reduction of the library's scan on its own.
+so it checks the orbit reduction of the library's scan on its own.  The
+unnormalized scan checks the spanning-tree normalization, and the direct
+fragment analyzer enumerates the fragment's own rotation systems instead
+of the quotient's, under the library's shape exclusions.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from planecover.covers import derive, is_connected_cover, normalized_assignment
-from planecover.embedding import is_planar
-from planecover.graphs import LabeledGraph, canonical_form
+from planecover.covers import (
+    VoltageAssignment,
+    derive,
+    is_connected_cover,
+    normalized_assignment,
+)
+from planecover.embedding import (
+    PlaneEmbedding,
+    _canonical_rotation,
+    all_triangles,
+    is_planar,
+    triangle_faces,
+)
+from planecover.graphs import LabeledGraph, canonical_form, is_connected, make_base
+from planecover.search import (
+    SearchError,
+    _empty_result,
+    _graph_level_filters,
+    min_beads,
+)
+from planecover.structure import (
+    QuotientError,
+    StructureError,
+    _bead_hosts,
+    bead_sharing_excluded,
+    face_count_exclusion,
+    find_beads,
+    quotient_graph,
+)
 
 
 def _adj_sets(g: LabeledGraph):
@@ -161,3 +190,217 @@ def reference_scan_chunk(base, n: int, firsts, want_connected: bool, want_planar
             entry[1] += 1
             entry[0] = min(entry[0], volt)
     return visited, connected_count, planar_count, classes
+
+
+def enumerate_covers_unnormalized(base_kind: str, n: int, filters=("connected", "planar")) -> dict[bytes, list]:
+    """Full scan over all |S_n|^m assignments, tree edges included.
+
+    Certifies that spanning-tree normalization loses nothing; returns the
+    canonical classes of the survivors.
+    """
+    base = make_base(base_kind)
+    perms = tuple(itertools.permutations(range(n)))
+    classes: dict[bytes, list] = {}
+    for volt in itertools.product(perms, repeat=base.graph.m):
+        g, _ = derive(VoltageAssignment(base, n, volt))
+        if "connected" in filters and not is_connected(g):
+            continue
+        if "planar" in filters and not is_planar(g):
+            continue
+        entry = classes.setdefault(canonical_form(g), [volt, 0])
+        entry[1] += 1
+    return classes
+
+
+def _rotation_structures(g: LabeledGraph):
+    """All spherical face structures of a cubic graph whose faces are all
+    triangles or 0,a,b patterns, enumerated over rotation systems up to
+    reflection.  Yields (state, faces) with faces as dart tuples."""
+    n, m = g.n, g.m
+    nd = 2 * m
+    tail = [0] * nd
+    for e, (u, v) in enumerate(g.edges):
+        tail[2 * e], tail[2 * e + 1] = u, v
+    out_darts = [[] for _ in range(n)]
+    for d in range(nd):
+        out_darts[tail[d]].append(d)
+    if any(len(o) != 3 for o in out_darts):
+        raise SearchError("rotation enumeration expects a cubic graph")
+    zero_tail = [g.labels[tail[d]] == 0 for d in range(nd)]
+
+    # succ[d]: next out-dart after d at its tail; two options per vertex
+    options = []
+    for v in range(n):
+        d0, d1, d2 = out_darts[v]
+        options.append(
+            (
+                ((d0, d1), (d1, d2), (d2, d0)),
+                ((d0, d2), (d2, d1), (d1, d0)),
+            )
+        )
+    succ = [0] * nd
+    for v in range(n):
+        for a, b in options[v][0]:
+            succ[a] = b
+    state = [0] * n
+    visited = [0] * nd
+    stamp = 0
+    euler_target = 2 - n + m
+
+    def evaluate():
+        nonlocal stamp
+        stamp += 1
+        st = stamp
+        faces = []
+        for d0 in range(nd):
+            if visited[d0] == st:
+                continue
+            d = d0
+            length = 0
+            zero_pos = -1
+            while True:
+                visited[d] = st
+                if zero_tail[d]:
+                    if zero_pos < 0:
+                        zero_pos = length
+                    elif (length - zero_pos) % 3:
+                        return None
+                else:
+                    if zero_pos >= 0 and (length - zero_pos) % 3 == 0:
+                        return None
+                    if zero_pos < 0 and length >= 3:
+                        return None
+                length += 1
+                d = succ[d ^ 1]
+                if d == d0:
+                    break
+                if visited[d] == st:
+                    return None
+            if zero_pos < 0:
+                if length != 3:
+                    return None
+            else:
+                if length % 3 or zero_pos >= 3:
+                    return None
+            faces.append(length)
+        if len(faces) != euler_target:
+            return None
+        # re-trace to collect darts (cheap relative to the scan)
+        stamp += 1
+        st = stamp
+        out = []
+        for d0 in range(nd):
+            if visited[d0] == st:
+                continue
+            walk = []
+            d = d0
+            while visited[d] != st:
+                visited[d] = st
+                walk.append(d)
+                d = succ[d ^ 1]
+            out.append(tuple(walk))
+        return out
+
+    seen_structures = set()
+    first = evaluate()
+    if first is not None:
+        seen_structures.add(frozenset(_canonical_rotation(f) for f in first))
+        yield list(state), first
+    for k in range(1, 1 << (n - 1)):
+        v = (k & -k).bit_length()  # Gray-code flip of vertex 1..n-1
+        state[v] ^= 1
+        for a, b in options[v][state[v]]:
+            succ[a] = b
+        faces = evaluate()
+        if faces is not None:
+            key = frozenset(_canonical_rotation(f) for f in faces)
+            if key not in seen_structures:
+                seen_structures.add(key)
+                yield list(state), faces
+
+
+def _embedding_from_state(g: LabeledGraph, state) -> PlaneEmbedding:
+    rot = []
+    for v in range(g.n):
+        eids = list(g.incident_edges[v])
+        if state[v]:
+            eids = [eids[0], eids[2], eids[1]]
+        rot.append(tuple(eids))
+    return PlaneEmbedding(g, tuple(rot), 0)
+
+
+def analyze_fragment_direct(g: LabeledGraph, apply_exclusions: bool = True) -> dict:
+    """Reference for ``search.analyze_fragment_candidate`` that enumerates
+    the fragment's own rotation systems instead of its quotient's.
+
+    Exponential in the fragment size (about a second per fold-5
+    candidate), so it serves only as a check on small folds.
+    """
+    result = _empty_result()
+    if not _graph_level_filters(g, result):
+        return result
+    censuses = result["quotient_censuses"]
+
+    triangles = [frozenset(t) for t in all_triangles(g)]
+    beads = find_beads(g)
+
+    structures = [_embedding_from_state(g, state) for state, _ in _rotation_structures(g)]
+    result["embeddings"]["structures"] = len(structures)
+    if not structures:
+        result["excluded_by"] = ["face_patterns"]
+
+    excluded_by = set(result["excluded_by"])
+    passing = 0
+    outer_choices = 0
+    for emb in structures:
+        tri_faces = triangle_faces(emb)
+        if not all(t in tri_faces for t in triangles):
+            excluded_by.add("fragment_triangles_facial")
+            continue
+        try:
+            hosts = _bead_hosts(emb, beads)
+        except StructureError:
+            excluded_by.add("fragment_triangles_facial")
+            continue
+        nontri = [i for i, f in enumerate(emb.faces) if f.length > 3]
+        for i, f in enumerate(emb.faces):
+            outer_choices += 1
+            if f.length == 3:
+                excluded_by.add("outer_face_nontriangular")
+                continue
+            internal = [j for j in nontri if j != i]
+            if any(emb.faces[j].length == 6 for j in internal):
+                excluded_by.add("no_internal_hexagon")
+                continue
+            if not apply_exclusions:
+                passing += 1
+                continue
+            shape = face_count_exclusion(len(internal))
+            if shape is not None:
+                excluded_by.add(shape)
+                continue
+            if any(
+                bead_sharing_excluded(
+                    sum(1 for hp in hosts if set(hp) == {fa, fb}),
+                    -(-emb.faces[fa].length // 3),
+                    -(-emb.faces[fb].length // 3),
+                )
+                for fa, fb in itertools.combinations(internal, 2)
+            ):
+                excluded_by.add("bead_sharing")
+                continue
+            try:
+                q, _ = quotient_graph(PlaneEmbedding(emb.graph, emb.rotation, i))
+            except QuotientError:
+                excluded_by.add("degenerate_quotient")
+                continue
+            censuses.append({str(k): v for k, v in q.census.items()})
+            if min_beads(q, cap=q.total_beads) is None:
+                excluded_by.add("bead_demand")
+                continue
+            passing += 1
+    result["embeddings"]["outer_choices"] = outer_choices
+    result["embeddings"]["passing"] = passing
+    result["survivor"] = passing > 0
+    result["excluded_by"] = sorted(excluded_by)
+    return result

@@ -16,6 +16,7 @@ from planecover.covers import (
     lift_subgraph,
     normalized_assignment,
     permutation_order,
+    sheets_transitive,
     triangle_net_voltage,
     verify_cover,
     verify_semicover,
@@ -122,6 +123,12 @@ def test_is_connected_cover_matches_components():
             va = VoltageAssignment(K4, n, volt)
             g, _ = derive(va)
             assert is_connected_cover(va) == is_connected(g)
+    # the scan's call form: the cotree voltages of a normalized assignment
+    for n in (1, 2, 3):
+        perms = list(itertools.permutations(range(n)))
+        for volt in itertools.product(perms, repeat=len(K4.cotree_edges)):
+            g, _ = derive(normalized_assignment(K4, n, volt))
+            assert sheets_transitive(volt, n) == is_connected(g)
 
 
 def test_lift_whole_base():

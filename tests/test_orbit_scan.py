@@ -10,14 +10,13 @@ from oracles import reference_scan_chunk
 from planecover import fixtures as fx
 from planecover import io as pio
 from planecover import search
-from planecover.covers import conjugacy_representatives
+from planecover.covers import conjugacy_representatives, sheets_transitive
 from planecover.graphs import make_base
 from planecover.search import (
     OrbitCollision,
     SearchSpec,
     _merge_chunks,
     _scan_chunk,
-    _sheets_transitive,
     enumerate_covers,
     voltage_orbits,
 )
@@ -60,7 +59,7 @@ def test_hall_orbit_sum_identity(n):
     orbits = transitive = weighted = 0
     for volt, _, stab in voltage_orbits(n, conjugacy_representatives(n), 2):
         orbits += 1
-        if _sheets_transitive(volt, n):
+        if sheets_transitive(volt, n):
             transitive += 1
             weighted += math.factorial(n) // stab
     assert (orbits, transitive) == ORBIT_COUNTS[n]
@@ -81,13 +80,20 @@ def test_merge_collision_raises():
         _merge_chunks([chunk, other])
 
 
-# sha256 of io.dumps(certificate without "timing"), as written before the
-# orbit scan replaced the per-assignment scan
+# sha256 of io.dumps(certificate without "timing").  The four spec
+# fixtures were pinned before the orbit scan replaced the per-assignment
+# scan; the structural k4 fold-4 spec pins the candidate entries and the
+# shape exclusions.
 GOLDEN_DIGESTS = {
     "spec-k4-n1": "7d2ce6004bda8aabb36f922b1da7c3ddf297311bf6e4ea4f53966ffc4c99ab76",
     "spec-k4-n2": "81097d957bae172859503817cc7cd980f9a1df7558be25c22ea10c1098d794e7",
     "spec-k1222-n2": "8297e316fa5a1c5a5bf5ca586056efc06244c649245c0d844255fd2df2608e02",
     "spec-k4-h-le-5": "c69f6474d91e1f6d1838093e1f45c7cda95054201c70c983b886b275624fa984",
+    "k4-n4-structural": "2650c7aa525873f8f7d0e346332e53c7cfac099ca4f703960d06af5dbf48bf46",
+}
+
+STRUCTURAL_SPECS = {
+    "k4-n4-structural": SearchSpec("k4", 4, ("connected", "planar", "admissible", "exclusions")),
 }
 
 
@@ -96,17 +102,27 @@ def _cert_digest(cert: dict) -> str:
     return hashlib.sha256(pio.dumps(content).encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("name", ["spec-k4-n1", "spec-k4-n2", "spec-k1222-n2"])
-def test_cover_certificate_golden_digest(name):
+def _spec(name: str) -> SearchSpec:
+    if name in STRUCTURAL_SPECS:
+        return STRUCTURAL_SPECS[name]
     obj = fx.load_fixture_obj(name)
-    spec = SearchSpec(
+    return SearchSpec(
         base=obj["base"],
         n=obj["n"],
         filters=tuple(obj["filters"]),
         dedup=obj["dedup"],
         budget=obj["budget"],
     )
-    assert _cert_digest(enumerate_covers(spec)) == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["spec-k4-n1", "spec-k4-n2", "spec-k1222-n2", "k4-n4-structural"]
+)
+def test_cover_certificate_golden_digest(name):
+    cert = enumerate_covers(_spec(name))
+    assert _cert_digest(cert) == GOLDEN_DIGESTS[name]
+    if name in STRUCTURAL_SPECS:
+        assert (cert["classes"], cert["survivor_count"]) == (286, 0)
 
 
 def test_fragment_certificate_golden_digest(fragment_certificate):

@@ -3,6 +3,7 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from oracles import analyze_fragment_direct, enumerate_covers_unnormalized
 
 from planecover.covers import derive, normalized_assignment
 from planecover.fixtures import double_lens, necklace, nine_face_pair, two_faces
@@ -13,9 +14,7 @@ from planecover.search import (
     SearchSpec,
     _digest,
     analyze_fragment_candidate,
-    analyze_fragment_direct,
     enumerate_covers,
-    enumerate_covers_unnormalized,
     enumerate_quotients,
     estimate_nodes,
     min_beads,
@@ -96,11 +95,14 @@ def test_fragment_analyzers_agree_small_folds():
         assert fast["survivor"] == slow["survivor"]
 
 
-def test_fragment_analyzers_agree_on_fixtures():
-    for g in (necklace(4).graph, nine_face_pair().graph, two_faces().graph):
-        fast = analyze_fragment_candidate(g)
-        slow = analyze_fragment_direct(g)
-        assert fast["survivor"] == slow["survivor"] == False
+@pytest.mark.parametrize("apply_exclusions", [True, False])
+def test_fragment_analyzers_agree_on_fixtures(apply_exclusions):
+    for sc in (necklace(3), necklace(4), nine_face_pair(), two_faces()):
+        fast = analyze_fragment_candidate(sc.graph, apply_exclusions)
+        slow = analyze_fragment_direct(sc.graph, apply_exclusions)
+        assert fast["survivor"] == slow["survivor"]
+        if apply_exclusions:
+            assert not fast["survivor"]
 
 
 def test_necklace_enumerated_then_excluded(fragment_certificate):
@@ -266,7 +268,8 @@ def test_fold_six_fragment_direct_agreement():
     assert analyze_fragment_direct(g)["survivor"]
 
 
-def test_fold_four_analyzers_agree_everywhere():
+@pytest.mark.parametrize("apply_exclusions", [True, False])
+def test_fold_four_analyzers_agree_everywhere(apply_exclusions):
     # exhaustive cross-validation of the quotient-based analyzer against
     # direct rotation enumeration over every fold-4 candidate class
     from planecover.search import _scan
@@ -275,4 +278,19 @@ def test_fold_four_analyzers_agree_everywhere():
     for key in sorted(classes):
         volt, _ = classes[key]
         g, _ = derive(normalized_assignment(K4, 4, volt))
-        assert analyze_fragment_candidate(g)["survivor"] == analyze_fragment_direct(g)["survivor"]
+        fast = analyze_fragment_candidate(g, apply_exclusions)
+        assert fast["survivor"] == analyze_fragment_direct(g, apply_exclusions)["survivor"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_admissible_only_survivors_match_direct_oracle(n):
+    # without the shape exclusions the cover search keeps exactly the
+    # classes the direct analyzer keeps
+    cert = enumerate_covers(SearchSpec(base="k4", n=n, filters=("connected", "planar", "admissible")))
+    want = set()
+    for entry in cert["candidates"]:
+        g, _ = derive(normalized_assignment(K4, n, [tuple(p) for p in entry["voltage"]]))
+        if analyze_fragment_direct(g, apply_exclusions=False)["survivor"]:
+            want.add(entry["canonical"])
+    assert set(cert["survivors"]) == want
+    assert cert["survivor_count"] == len(want)
