@@ -19,11 +19,12 @@ from .bounds import BoundsError, fold_verdict
 from .covers import CoverError, lift_subgraph, verify_cover
 from .covers import derive as derive_cover
 from .embedding import EmbeddingError, PlaneEmbedding, planarity
-from .graphs import GraphError, make_base
+from .graphs import GraphError, canonical_form, make_base
 from .search import (
     BudgetExceeded,
     SearchError,
     SearchSpec,
+    _digest,
     enumerate_covers,
     min_beads,
     search_k4_fragments,
@@ -104,10 +105,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    import hashlib
-
-    from .graphs import canonical_form
-
     vobj = _load_json(args.voltage, args.fixture)
     va = pio.voltage_from_obj(vobj)
     g, proj = derive_cover(va)
@@ -115,7 +112,7 @@ def cmd_derive(args) -> int:
     out = {
         "voltage": vobj,
         "graph": pio.graph_to_obj(g),
-        "canonical": hashlib.sha256(canonical_form(g)).hexdigest()[:16],
+        "canonical": _digest(canonical_form(g)),
         "vertex_map": list(proj.vertex_map),
         "fold": verdict.fold,
         "per_component_folds": list(verdict.per_component_folds),
@@ -168,7 +165,7 @@ def cmd_analyze(args) -> int:
     from .covers import verify_semicover
 
     verdict = verify_semicover(sc)
-    report = admissibility_report(sc, patterns_internal_only=args.internal_only_patterns)
+    report = admissibility_report(sc)
     exclusions = check_exclusions(report)
     out = pio.report_to_obj(report, exclusions)
     out["semicover_valid"] = verdict.ok
@@ -325,11 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="admissibility and exclusion report of a semi-cover")
     sp.add_argument("semicover", nargs="?")
-    sp.add_argument(
-        "--internal-only-patterns",
-        action="store_true",
-        help="skip the label-pattern check on the outer face (exploratory)",
-    )
     common(sp)
     sp.set_defaults(func=cmd_analyze)
 

@@ -10,7 +10,7 @@ non-adjacent pairs.  Covers of the K4 subgraph reuse {0, -1, -2, -3}.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -394,7 +394,8 @@ def _certificate(g: LabeledGraph, colors: list[int]) -> bytes:
 
 
 def canonical_form(g: LabeledGraph) -> bytes:
-    """Canonical byte string: equal iff label-preserving isomorphic.
+    """Canonical byte string: equal iff a label-preserving isomorphism
+    maps one graph onto the other.
 
     Iterated label/degree refinement with full backtracking on the first
     non-singleton cell.  Exponential in the worst case, which is fine at
@@ -431,36 +432,3 @@ def canonical_form(g: LabeledGraph) -> bytes:
     assert best is not None
     return best
 
-
-def isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
-    """Explicit label-preserving isomorphism search (backtracking).
-
-    Independent of canonical_form; used to sanity-check it on small graphs.
-    """
-    if g1.n != g2.n or g1.m != g2.m or Counter(g1.labels) != Counter(g2.labels):
-        return False
-    a1, a2 = _multi_adj(g1), _multi_adj(g2)
-    deg1 = [sum(a1[v].values()) for v in range(g1.n)]
-    deg2 = [sum(a2[v].values()) for v in range(g2.n)]
-    order = sorted(range(g1.n), key=lambda v: (-deg1[v], g1.labels[v]))
-    image: list[int | None] = [None] * g1.n
-    used = [False] * g2.n
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        placed = [u for u in order[:i]]
-        for w in range(g2.n):
-            if used[w] or g2.labels[w] != g1.labels[v] or deg2[w] != deg1[v]:
-                continue
-            if all(a1[v].get(u, 0) == a2[w].get(image[u], 0) for u in placed):
-                image[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                image[v] = None
-                used[w] = False
-        return False
-
-    return extend(0)

@@ -8,9 +8,10 @@ class representatives, and each later one over orbit representatives of
 the stabilizer of the voltages before it.  Both bases have pairwise
 distinct vertex labels, so a label-preserving isomorphism of derived
 graphs fixes every fiber, agrees along the identity tree edges, and is
-one sheet permutation: distinct orbits give non-isomorphic covers, and a
-canonical-form collision between orbits is raised as an error.  Each
-orbit's lift and transitivity test are the ones ``covers`` defines.
+one sheet permutation: distinct orbits give covers in distinct
+isomorphism classes, and a canonical-form collision between orbits is
+raised as an error.  Each orbit's lift and transitivity test are the ones
+``covers`` defines.
 
 The K4-fragment analyzer enumerates plane embeddings on the contracted
 quotient of a candidate, applies every condition an admissible fragment
@@ -44,6 +45,7 @@ from .graphs import (
     canonical_form,
     connectivity,
     find_cycles_covering,
+    is_connected,
     make_base,
 )
 from .structure import (
@@ -180,15 +182,16 @@ def voltage_orbits(n: int, firsts, depth: int):
 
 
 class OrbitCollision(RuntimeError):
-    """Two conjugation orbits gave isomorphic derived graphs, which the
-    orbit argument rules out; the scan stops rather than merge them."""
+    """Two conjugation orbits gave derived graphs with one canonical form,
+    which the orbit argument rules out; the scan stops rather than merge
+    them."""
 
 
 def _add_class(classes: dict, key: bytes, volt, count: int) -> None:
     if key in classes:
         raise OrbitCollision(
             f"voltages {classes[key][0]} and {volt} lie in different "
-            "conjugation orbits but derive isomorphic graphs"
+            "conjugation orbits but derive graphs with one canonical form"
         )
     classes[key] = [volt, count]
 
@@ -373,7 +376,7 @@ def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
 
 
 def _graph_level_filters(g: LabeledGraph, result: dict) -> bool:
-    """Shared graph-level gate; False means already excluded."""
+    """Graph-level gate of the analyzer; False means already excluded."""
     filters = result["filters"]
     filters["not_k4"] = not (g.n == 4 and g.m == 6)
     if not filters["not_k4"]:
@@ -394,16 +397,6 @@ def _graph_level_filters(g: LabeledGraph, result: dict) -> bool:
         result["excluded_by"] = ["negative_lift_triangular"]
         return False
     return True
-
-
-def _empty_result() -> dict:
-    return {
-        "filters": {},
-        "excluded_by": [],
-        "embeddings": {"structures": 0, "outer_choices": 0, "passing": 0},
-        "quotient_censuses": [],
-        "survivor": False,
-    }
 
 
 def spherical_rotations(nverts: int, edges):
@@ -446,7 +439,13 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
     3(k + beads) where 2k is the quotient face length; triangular outer
     choices are excluded wholesale by the boundary condition.
     """
-    result = _empty_result()
+    result = {
+        "filters": {},
+        "excluded_by": [],
+        "embeddings": {"structures": 0, "outer_choices": 0, "passing": 0},
+        "quotient_censuses": [],
+        "survivor": False,
+    }
     if not _graph_level_filters(g, result):
         return result
     filters = result["filters"]
@@ -482,7 +481,8 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
         result["excluded_by"] = [face_count_exclusion(2)]
         return result
 
-    b_actual = sum(b for _, _, b in sk.edges)
+    beads = [b for _, _, b in sk.edges]
+    b_actual = sum(beads)
     simple_edges = tuple((u, v) for u, v, _ in sk.edges)
     n_tri_faces = 2 * len(find_beads(g)) + len(sk.black_triangles)
     passing = 0
@@ -498,21 +498,9 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
             white_vertices=sk.whites,
             black_triangles=sk.black_triangles,
         )
-        face_sides = q.face_edge_sides
-        face_beads = [sum(sk.edges[e][2] for e in sides) for sides in face_sides]
+        face_beads = [sum(beads[e] for e in sides) for sides in q.face_edge_sides]
         thirds = [len(f) // 2 + face_beads[i] for i, f in enumerate(q.faces)]
-        edge_hosts = [set() for _ in sk.edges]
-        for fid, sides in enumerate(face_sides):
-            for e in sides:
-                edge_hosts[e].add(fid)
-
-        def shared(fa, fb):
-            return sum(
-                beads
-                for e, (_, _, beads) in enumerate(sk.edges)
-                if edge_hosts[e] == {fa, fb}
-            )
-
+        edge_faces = _edge_faces(q)
         censuses.append({str(k): v for k, v in q.census.items()})
         outer_choices += n_tri_faces  # triangular fragment faces as outer
         if n_tri_faces:
@@ -531,7 +519,9 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
                 excluded_by.add(shape)
                 continue
             if any(
-                bead_sharing_excluded(shared(fa, fb), thirds[fa], thirds[fb])
+                bead_sharing_excluded(
+                    _shared_beads(edge_faces, beads, fa, fb), thirds[fa], thirds[fb]
+                )
                 for fa, fb in itertools.combinations(internal, 2)
             ):
                 excluded_by.add("bead_sharing")
@@ -679,33 +669,6 @@ def _degree_matrices(a: int):
     yield from rows(tuple([3] * a), a)
 
 
-def _matrix_canonical(mat) -> tuple:
-    a = len(mat)
-    best = None
-    for pr in itertools.permutations(range(a)):
-        for pc in itertools.permutations(range(a)):
-            key = tuple(tuple(mat[pr[i]][pc[j]] for j in range(a)) for i in range(a))
-            if best is None or key < best:
-                best = key
-    return best
-
-
-def _matrix_connected(mat) -> bool:
-    a = len(mat)
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(a):
-            if mat[i][j] and ("b", j) not in seen:
-                seen.add(("b", j))
-                for i2 in range(a):
-                    if mat[i2][j] and i2 not in seen:
-                        seen.add(i2)
-                        stack.append(i2)
-    return len([s for s in seen if not isinstance(s, tuple)]) == a
-
-
 def enumerate_quotients(a_max: int, require_a_ge_2: bool = True) -> list[QuotientGraph]:
     """All connected cubic bipartite plane multigraphs with up to a_max
     0-vertices, one entry per isomorphism class and face census.
@@ -719,20 +682,23 @@ def enumerate_quotients(a_max: int, require_a_ge_2: bool = True) -> list[Quotien
     out = []
     a_min = 1 if not require_a_ge_2 else 2
     for a in range(a_min, a_max + 1):
-        seen_mats = set()
+        # A label-preserving isomorphism of the bicoloured multigraph is a
+        # row and column permutation of its degree matrix.
+        labels = (0,) * a + (-1,) * a
+        seen_classes = set()
         for mat in _degree_matrices(a):
-            if not _matrix_connected(mat):
+            simple_edges = tuple(
+                (i, a + j) for i in range(a) for j in range(a) for _ in range(mat[i][j])
+            )
+            g = LabeledGraph(labels, simple_edges, simple=False)
+            if not is_connected(g):
                 continue
-            key = _matrix_canonical(mat)
-            if key in seen_mats:
+            key = canonical_form(g)
+            if key in seen_classes:
                 continue
-            seen_mats.add(key)
-            edges = []
-            for i in range(a):
-                for j in range(a):
-                    edges.extend([(i, a + j, 0)] * mat[i][j])
+            seen_classes.add(key)
+            edges = tuple((u, v, 0) for u, v in simple_edges)
             seen_census = set()
-            simple_edges = tuple((u, v) for u, v, _ in edges)
             for rotation, faces in spherical_rotations(2 * a, simple_edges):
                 census = tuple(sorted(len(f) for f in faces))
                 if census in seen_census:
@@ -741,12 +707,27 @@ def enumerate_quotients(a_max: int, require_a_ge_2: bool = True) -> list[Quotien
                 out.append(
                     QuotientGraph(
                         a=a,
-                        edges=tuple(edges),
+                        edges=edges,
                         rotation=rotation,
                         outer_face=0,
                     )
                 )
     return out
+
+
+def _edge_faces(q: QuotientGraph) -> list[list[int]]:
+    """The faces along each quotient edge, one entry per side."""
+    out = [[] for _ in q.edges]
+    for fid, sides in enumerate(q.face_edge_sides):
+        for e in sides:
+            out[e].append(fid)
+    return out
+
+
+def _shared_beads(edge_faces, beads, fa: int, fb: int) -> int:
+    """Beads on the edges that separate faces fa and fb."""
+    pair = {fa, fb}
+    return sum(b for e, b in enumerate(beads) if set(edge_faces[e]) == pair)
 
 
 @dataclass(frozen=True)
@@ -770,10 +751,7 @@ def min_beads(
     """
     outer = q.outer_face if outer_face is None else outer_face
     nf = len(q.faces)
-    side_faces = [[] for _ in range(len(q.edges))]
-    for fid, sides in enumerate(q.face_edge_sides):
-        for e in sides:
-            side_faces[e].append(fid)
+    edge_faces = _edge_faces(q)
     demands = []
     for fid, f in enumerate(q.faces):
         L = len(f)
@@ -787,7 +765,6 @@ def min_beads(
     pairs = list(itertools.combinations(short_internal, 2))
 
     ne = len(q.edges)
-    edge_faces = [tuple(side_faces[e]) for e in range(ne)]
 
     def feasible(total: int):
         counts = [0] * nf
@@ -797,17 +774,14 @@ def min_beads(
             return sum(max(0, demands[f] - counts[f]) for f in range(nf))
 
         def pairs_ok():
-            for fa, fb in pairs:
-                shared = sum(
-                    placement[e]
-                    for e in range(ne)
-                    if set(edge_faces[e]) == {fa, fb}
+            return not any(
+                bead_sharing_excluded(
+                    _shared_beads(edge_faces, placement, fa, fb),
+                    len(q.faces[fa]) // 2 + counts[fa],
+                    len(q.faces[fb]) // 2 + counts[fb],
                 )
-                la = len(q.faces[fa]) // 2 + counts[fa]
-                lb = len(q.faces[fb]) // 2 + counts[fb]
-                if bead_sharing_excluded(shared, la, lb):
-                    return False
-            return True
+                for fa, fb in pairs
+            )
 
         def go(e: int, left: int):
             if deficit() > 2 * left:

@@ -12,7 +12,7 @@ fragments to their cubic bipartite quotients.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .covers import SemiCover, label_projection, verify_cover
@@ -25,7 +25,6 @@ from .embedding import (
 from .graphs import (
     K4_LABELS,
     K4NEG,
-    GraphError,
     LabeledGraph,
     canonical_form,
     connectivity,
@@ -175,96 +174,68 @@ def detect_beads(emb: PlaneEmbedding) -> list[Bead]:
     distinct non-triangular faces of the embedding.
     """
     beads = find_beads(emb.graph)
-    nontri = [f for f in emb.faces if f.length > 3]
-    for b in beads:
-        homes = []
-        for v in b.inner:
-            on = [i for i, f in enumerate(nontri) if v in f.vertex_set]
-            if len(on) != 1:
-                raise StructureError(
-                    f"bead inner vertex {v} lies on {len(on)} non-triangular faces"
-                )
-            homes.append(on[0])
-        if homes[0] == homes[1]:
+    for b, (fa, fb) in zip(beads, _bead_hosts(emb, beads)):
+        if fa == fb:
             raise StructureError(
                 f"both inner vertices of bead at zero {b.zero} lie on one face"
             )
     return beads
 
 
-def _chain_maps(g: LabeledGraph, beads: list[Bead]):
-    by_zero = {b.zero: b for b in beads}
-    by_k = {b.kvert: b for b in beads}
-    in_bead: dict[int, Bead] = {}
-    for b in beads:
-        for v in b.vertices:
-            in_bead[v] = b
-    return by_zero, by_k, in_bead
-
-
 def _external_neighbor(g: LabeledGraph, bead: Bead, v: int) -> int:
-    outside = [u for u in g.adj[v] if u not in bead.vertices]
+    inside = bead.vertices
+    outside = [u for u in g.adj[v] if u not in inside]
     if len(outside) != 1:
         raise StructureError(f"bead corner {v} has {len(outside)} external edges")
     return outside[0]
 
 
-def detect_strings(emb: PlaneEmbedding) -> list[StringDesc]:
-    """Maximal strings of an embedded fragment (empty for a necklace)."""
-    g = emb.graph
-    beads = find_beads(g)
-    by_zero, by_k, _ = _chain_maps(g, beads)
-    strings = []
+def _open_strings(g: LabeledGraph, beads) -> list[tuple[tuple[Bead, ...], int, int]]:
+    """Maximal open chains of beads, as (beads from the black end, the
+    external -k vertex below the first bead, the external 0 above the
+    last).  Beads on a closed chain belong to none."""
+    by_zero = {b.zero: b for b in beads}
+    kverts = {b.kvert for b in beads}
+    out = []
     for b in beads:
-        prev = _external_neighbor(g, b, b.zero)
-        if prev in by_k:
+        below = _external_neighbor(g, b, b.zero)
+        if below in kverts:
             continue  # not the first bead of a chain
         chain = [b]
-        cur = b
-        while True:
-            nxt = _external_neighbor(g, cur, cur.kvert)
-            if nxt in by_zero:
-                cur = by_zero[nxt]
-                chain.append(cur)
-            else:
-                break
-        strings.append(
-            StringDesc(
-                beads=tuple(chain),
-                type_label=b.type_label,
-                neg_terminal=(chain[0].zero, prev),
-                zero_terminal=(chain[-1].kvert, nxt),
-            )
+        above = _external_neighbor(g, b, b.kvert)
+        while above in by_zero:
+            chain.append(by_zero[above])
+            above = _external_neighbor(g, chain[-1], chain[-1].kvert)
+        out.append((tuple(chain), below, above))
+    return out
+
+
+def detect_strings(emb: PlaneEmbedding) -> list[StringDesc]:
+    """Maximal strings of an embedded fragment (empty for a necklace)."""
+    strings = [
+        StringDesc(
+            beads=chain,
+            type_label=chain[0].type_label,
+            neg_terminal=(chain[0].zero, below),
+            zero_terminal=(chain[-1].kvert, above),
         )
+        for chain, below, above in _open_strings(emb.graph, find_beads(emb.graph))
+    ]
     return sorted(strings, key=lambda s: s.beads[0].zero)
 
 
 def is_necklace(emb: PlaneEmbedding) -> bool:
-    """True iff the whole fragment is one cyclic chain of beads."""
+    """True iff the whole fragment is one cyclic chain of beads.
+
+    Once every vertex lies on a bead and no chain is open, each bead's 0
+    is joined to the -k vertex of another, so the beads form closed
+    chains; they form one exactly when the fragment is connected.
+    """
     g = emb.graph
     beads = find_beads(g)
-    if not beads:
+    if not beads or set().union(*(b.vertices for b in beads)) != set(range(g.n)):
         return False
-    covered = set()
-    for b in beads:
-        covered |= b.vertices
-    if covered != set(range(g.n)):
-        return False
-    by_zero, by_k, _ = _chain_maps(g, beads)
-    start = beads[0]
-    cur = start
-    seen = 0
-    while True:
-        nxt = _external_neighbor(g, cur, cur.kvert)
-        if nxt not in by_zero:
-            return False
-        cur = by_zero[nxt]
-        seen += 1
-        if cur is start:
-            break
-        if seen > len(beads):
-            return False
-    return seen == len(beads)
+    return not _open_strings(g, beads) and is_connected(g)
 
 
 # ---------------------------------------------------------------------------
@@ -641,11 +612,7 @@ def _bead_hosts(h_emb: PlaneEmbedding, beads) -> list[tuple[int, int]]:
     return hosts
 
 
-def admissibility_report(
-    sc: SemiCover,
-    fragment: LabeledGraph | None = None,
-    patterns_internal_only: bool = False,
-) -> StructureReport:
+def admissibility_report(sc: SemiCover, fragment: LabeledGraph | None = None) -> StructureReport:
     """Evaluate the admissibility conditions of a semi-cover's fragment.
 
     The fragment is the subgraph on K4-labelled vertices; passing one in
@@ -718,9 +685,8 @@ def admissibility_report(
         internal = i != ref.h_outer
         pattern = face_label_pattern(f.labels)
         tris = len(ref.triangles_in_face.get(i, ()))
-        if f.length > 3:
-            if (internal or not patterns_internal_only) and pattern.kind != "pattern":
-                patterns_ok = False
+        if f.length > 3 and pattern.kind != "pattern":
+            patterns_ok = False
         if internal and f.length == 6:
             hexagon_ok = False
         if internal and f.length > 3 and f.length % 3 == 0:
@@ -891,8 +857,7 @@ def quotient_skeleton(h: LabeledGraph) -> QuotientSkeleton:
         if comp.kind != "cycle" or comp.length != 3:
             raise QuotientError("a (-1,-2,-3) lift component is not a triangle")
     beads = find_beads(h)
-    by_zero, by_k, in_bead = _chain_maps(h, beads)
-    bead_vertices = set(in_bead)
+    bead_vertices = set().union(*(b.vertices for b in beads))
 
     whites = [v for v in range(h.n) if h.labels[v] == 0 and v not in bead_vertices]
     neg_tris = [
@@ -911,24 +876,22 @@ def quotient_skeleton(h: LabeledGraph) -> QuotientSkeleton:
         raise QuotientError(f"white/black mismatch: {a} zeros vs {len(neg_tris)} triangles")
     white_index = {v: i for i, v in enumerate(whites)}
 
+    # A white reaches a triangle corner directly, or through the string
+    # whose top bead's -k vertex it is joined to.
+    corner_of = {v: (v, 0) for v in black_of}
+    for chain, below, _ in _open_strings(h, beads):
+        corner_of[chain[-1].kvert] = (below, len(chain))
     q_edges = []
     white_neighbor = []
     black_corner = []
     for z in whites:
         for w in h.adj[z]:
-            count = 0
-            cur = w
-            prev = z
-            while cur not in black_of:
-                bead = by_k.get(cur)
-                if bead is None or prev not in h.adj[cur]:
-                    raise QuotientError(f"string tracing failed at vertex {cur}")
-                count += 1
-                nxt = _external_neighbor(h, bead, bead.zero)
-                prev, cur = bead.zero, nxt
-            q_edges.append((white_index[z], a + black_of[cur], count))
+            corner, count = corner_of.get(w, (w, 0))
+            if corner not in black_of:
+                raise QuotientError(f"string tracing failed at vertex {corner}")
+            q_edges.append((white_index[z], a + black_of[corner], count))
             white_neighbor.append(w)
-            black_corner.append(cur)
+            black_corner.append(corner)
     return QuotientSkeleton(
         a=a,
         edges=tuple(q_edges),
@@ -998,7 +961,6 @@ def quotient_graph(h_emb: PlaneEmbedding) -> tuple[QuotientGraph, dict[int, int]
 
     # Identify quotient faces with fragment faces through the white darts
     # and fix the outer face accordingly.
-    q_simple_edges = tuple((u, v) for u, v, _ in q.edges)
     q_dart_face = {}
     for i, f in enumerate(q.faces):
         for d in f:
@@ -1025,12 +987,4 @@ def quotient_graph(h_emb: PlaneEmbedding) -> tuple[QuotientGraph, dict[int, int]
             raise QuotientError("quotient face census does not match the fragment")
     if h_emb.outer_face not in face_map:
         raise QuotientError("outer face of the fragment vanished in the quotient")
-    q = QuotientGraph(
-        a=q.a,
-        edges=q.edges,
-        rotation=q.rotation,
-        outer_face=face_map[h_emb.outer_face],
-        white_vertices=q.white_vertices,
-        black_triangles=q.black_triangles,
-    )
-    return q, face_map
+    return replace(q, outer_face=face_map[h_emb.outer_face]), face_map

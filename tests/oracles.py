@@ -8,12 +8,16 @@ library's per-cover predicates but visits every normalized assignment,
 so it checks the orbit reduction of the library's scan on its own.  The
 unnormalized scan checks the spanning-tree normalization, and the direct
 fragment analyzer enumerates the fragment's own rotation systems instead
-of the quotient's, under the library's shape exclusions.
+of the quotient's, behind its own graph-level gate and under the
+library's shape exclusions.  Isomorphism is checked by explicit
+backtracking and, for quotient degree matrices, by trying every row and
+column permutation.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from planecover.covers import (
     VoltageAssignment,
@@ -29,12 +33,7 @@ from planecover.embedding import (
     triangle_faces,
 )
 from planecover.graphs import LabeledGraph, canonical_form, is_connected, make_base
-from planecover.search import (
-    SearchError,
-    _empty_result,
-    _graph_level_filters,
-    min_beads,
-)
+from planecover.search import SearchError, min_beads
 from planecover.structure import (
     QuotientError,
     StructureError,
@@ -329,6 +328,32 @@ def _embedding_from_state(g: LabeledGraph, state) -> PlaneEmbedding:
     return PlaneEmbedding(g, tuple(rot), 0)
 
 
+def _negative_edges_form_triangles(g: LabeledGraph) -> bool:
+    """The edges joining two distinct negative labels form vertex-disjoint
+    triangles: each of their ends meets exactly two, whose far ends are
+    adjacent."""
+    nbrs: dict[int, list[int]] = {}
+    for u, v in g.edges:
+        lu, lv = g.labels[u], g.labels[v]
+        if lu < 0 and lv < 0 and lu != lv:
+            nbrs.setdefault(u, []).append(v)
+            nbrs.setdefault(v, []).append(u)
+    return all(
+        len(ns) == 2 and ns[0] != ns[1] and ns[1] in nbrs[ns[0]] for ns in nbrs.values()
+    )
+
+
+def _gate_failure(g: LabeledGraph) -> str | None:
+    """The first graph-level condition the fragment fails, if any."""
+    if g.n == 4 and g.m == 6:
+        return "not_k4"
+    if connectivity_by_cut_search(g) < 2:
+        return "two_connected"
+    if not _negative_edges_form_triangles(g):
+        return "negative_lift_triangular"
+    return None
+
+
 def analyze_fragment_direct(g: LabeledGraph, apply_exclusions: bool = True) -> dict:
     """Reference for ``search.analyze_fragment_candidate`` that enumerates
     the fragment's own rotation systems instead of its quotient's.
@@ -336,8 +361,15 @@ def analyze_fragment_direct(g: LabeledGraph, apply_exclusions: bool = True) -> d
     Exponential in the fragment size (about a second per fold-5
     candidate), so it serves only as a check on small folds.
     """
-    result = _empty_result()
-    if not _graph_level_filters(g, result):
+    result = {
+        "excluded_by": [],
+        "embeddings": {"structures": 0, "outer_choices": 0, "passing": 0},
+        "quotient_censuses": [],
+        "survivor": False,
+    }
+    gate = _gate_failure(g)
+    if gate is not None:
+        result["excluded_by"] = [gate]
         return result
     censuses = result["quotient_censuses"]
 
@@ -404,3 +436,51 @@ def analyze_fragment_direct(g: LabeledGraph, apply_exclusions: bool = True) -> d
     result["survivor"] = passing > 0
     result["excluded_by"] = sorted(excluded_by)
     return result
+
+
+def isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
+    """Explicit label-preserving isomorphism search (backtracking), with
+    edge multiplicities; independent of ``canonical_form``."""
+    if g1.n != g2.n or g1.m != g2.m or Counter(g1.labels) != Counter(g2.labels):
+        return False
+    m1 = Counter(g1.edges)
+    m2 = Counter(g2.edges)
+
+    def mult(m, u, v):
+        return m[(u, v) if u < v else (v, u)]
+
+    deg1 = [len(a) for a in g1.adj]
+    deg2 = [len(a) for a in g2.adj]
+    order = sorted(range(g1.n), key=lambda v: (-deg1[v], g1.labels[v]))
+    image: list[int | None] = [None] * g1.n
+    used = [False] * g2.n
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in range(g2.n):
+            if used[w] or g2.labels[w] != g1.labels[v] or deg2[w] != deg1[v]:
+                continue
+            if all(mult(m1, v, u) == mult(m2, w, image[u]) for u in order[:i]):
+                image[v] = w
+                used[w] = True
+                if extend(i + 1):
+                    return True
+                image[v] = None
+                used[w] = False
+        return False
+
+    return extend(0)
+
+
+def matrix_canonical(mat) -> tuple:
+    """Least image of a square matrix under all row and column
+    permutations: equal iff the bicoloured multigraphs with these degree
+    matrices are isomorphic by a colour-preserving map."""
+    a = len(mat)
+    return min(
+        tuple(tuple(mat[pr[i]][pc[j]] for j in range(a)) for i in range(a))
+        for pr in itertools.permutations(range(a))
+        for pc in itertools.permutations(range(a))
+    )

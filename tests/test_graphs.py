@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import connectivity_by_cut_search
+from oracles import connectivity_by_cut_search, isomorphic
 
 from planecover.covers import derive, normalized_assignment
 from planecover.graphs import (
@@ -12,7 +12,6 @@ from planecover.graphs import (
     connectivity,
     find_cycles_covering,
     is_connected,
-    isomorphic,
     labels_adjacent,
     make_base,
 )
@@ -121,6 +120,32 @@ def test_canonical_agrees_with_explicit_iso_search():
             g3 = LabeledGraph(labels, edges[1:])
             same = canonical_form(g1) == canonical_form(g3)
             assert same == isomorphic(g1, g3)
+    # multigraphs: parallel edges of multiplicity up to three, as in the
+    # quotient universe
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        labels = tuple(rng.choice((0, -1)) for _ in range(n))
+        edges = tuple(
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            for _ in range(rng.choice((0, 0, 1, 2, 3)))
+        )
+        g1 = LabeledGraph(labels, edges, simple=False)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g2 = g1.relabel_vertices(perm)
+        assert canonical_form(g1) == canonical_form(g2)
+        assert isomorphic(g1, g2)
+        if edges:
+            # drop one parallel copy, or move it onto another pair
+            i = rng.randrange(len(edges))
+            g3 = LabeledGraph(labels, edges[:i] + edges[i + 1 :], simple=False)
+            u, v = rng.sample(range(n), 2)
+            g4 = LabeledGraph(labels, edges[:i] + edges[i + 1 :] + ((u, v),), simple=False)
+            for g in (g3, g4):
+                same = canonical_form(g1) == canonical_form(g)
+                assert same == isomorphic(g1, g)
 
 
 def test_find_cycles_covering_identity():

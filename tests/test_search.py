@@ -1,17 +1,26 @@
+import hashlib
 import itertools
 import json
 from types import SimpleNamespace
 
 import pytest
-from oracles import analyze_fragment_direct, enumerate_covers_unnormalized
+from oracles import (
+    _gate_failure,
+    analyze_fragment_direct,
+    connectivity_by_cut_search,
+    enumerate_covers_unnormalized,
+    matrix_canonical,
+)
 
+from planecover import io as pio
 from planecover.covers import derive, normalized_assignment
 from planecover.fixtures import double_lens, necklace, nine_face_pair, two_faces
-from planecover.graphs import canonical_form, make_base
+from planecover.graphs import LabeledGraph, canonical_form, make_base
 from planecover.search import (
     BudgetExceeded,
     SearchError,
     SearchSpec,
+    _degree_matrices,
     _digest,
     analyze_fragment_candidate,
     enumerate_covers,
@@ -157,6 +166,42 @@ def test_enumerate_quotients_budget():
         enumerate_quotients(5)
 
 
+def _bicoloured(mat) -> LabeledGraph:
+    """The cubic bipartite multigraph with degree matrix ``mat``: whites
+    labelled 0, blacks labelled -1."""
+    a = len(mat)
+    edges = tuple((i, a + j) for i in range(a) for j in range(a) for _ in range(mat[i][j]))
+    return LabeledGraph((0,) * a + (-1,) * a, edges, simple=False)
+
+
+#: a -> (connected degree matrices, isomorphism classes among them)
+QUOTIENT_CLASSES = {1: (1, 1), 2: (2, 1), 3: (31, 3), 4: (1272, 6)}
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_quotient_classes_match_matrix_oracle(a):
+    # the quotient dedup keys by canonical_form; the oracle by the least
+    # row-and-column permutation of the degree matrix
+    mats = [m for m in _degree_matrices(a) if connectivity_by_cut_search(_bicoloured(m))]
+    pairs = {(matrix_canonical(m), canonical_form(_bicoloured(m))) for m in mats}
+    by_oracle = {p[0] for p in pairs}
+    by_form = {p[1] for p in pairs}
+    assert len(pairs) == len(by_oracle) == len(by_form)
+    assert (len(mats), len(by_oracle)) == QUOTIENT_CLASSES[a]
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((4,), "94aa1a40721580c2193a49cf440c7f10565219c7f58d867eb36ea172e84d1e9d"),
+        ((1, False), "690b7cca09451a933ea24a404a493ddd207a88e8345c3d300ad43a0f6fa340be"),
+    ],
+)
+def test_quotient_universe_golden_digest(args, digest):
+    blob = "".join(pio.dumps(pio.quotient_to_obj(q)) for q in enumerate_quotients(*args))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
 # -- bead demands ----------------------------------------------------------------
 
 
@@ -280,6 +325,25 @@ def test_fold_four_analyzers_agree_everywhere(apply_exclusions):
         g, _ = derive(normalized_assignment(K4, 4, volt))
         fast = analyze_fragment_candidate(g, apply_exclusions)
         assert fast["survivor"] == analyze_fragment_direct(g, apply_exclusions)["survivor"]
+
+
+def test_direct_oracle_gate_matches_library_gate():
+    # the direct analyzer runs its own not-K4, cut-search and negative
+    # triangle tests; they must reject exactly what the library's gate does
+    from planecover.search import _graph_level_filters, _scan
+
+    path = LabeledGraph((0, -1, -2, -3, 0), ((0, 1), (1, 2), (2, 3), (3, 4)))
+    graphs = [path]
+    for n in (1, 2, 3, 4):
+        _, _, _, classes = _scan(K4, n, True, True)
+        graphs += [derive(normalized_assignment(K4, n, v))[0] for v, _ in classes.values()]
+    seen = set()
+    for g in graphs:
+        result = {"filters": {}}
+        want = None if _graph_level_filters(g, result) else result["excluded_by"][0]
+        assert _gate_failure(g) == want
+        seen.add(want)
+    assert seen == {None, "not_k4", "two_connected", "negative_lift_triangular"}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -111,6 +112,18 @@ def test_necklace_detection():
     sc = necklace(4)
     assert is_necklace(sc.embedding)
     assert detect_strings(sc.embedding) == []
+
+
+def test_necklace_is_one_closed_chain():
+    # two disjoint rings of beads have no open string but are not one necklace
+    g = necklace(3).graph
+    shifted = tuple((u + g.n, v + g.n) for u, v in g.edges)
+    twice = SimpleNamespace(graph=LabeledGraph(g.labels * 2, g.edges + shifted))
+    assert detect_strings(twice) == []
+    assert not is_necklace(twice)
+    # a lone bead has no external edges at all
+    with pytest.raises(StructureError):
+        is_necklace(single_bead().embedding)
 
 
 def test_detection_invariant_under_relabeling():
