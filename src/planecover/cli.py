@@ -11,13 +11,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fixtures as fx
 from . import io as pio
 from .bounds import BoundsError, fold_verdict
-from .covers import CoverError, lift_subgraph, verify_cover
-from .covers import derive as derive_cover
+from .covers import (
+    CoverError,
+    CoverProjection,
+    derive,
+    lift_subgraph,
+    normalized_assignment,
+    verify_cover,
+    verify_semicover,
+)
 from .embedding import EmbeddingError, PlaneEmbedding, planarity
 from .graphs import GraphError, canonical_form, make_base
 from .search import (
@@ -28,6 +36,7 @@ from .search import (
     enumerate_covers,
     min_beads,
     search_k4_fragments,
+    spec_int,
 )
 from .structure import (
     QuotientError,
@@ -65,8 +74,7 @@ def _load_json(path: str | None, fixture: str | None, fixture_suffix: str = ""):
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def _write_out(args, obj) -> None:
-    text = pio.dumps(obj)
+def _write_out(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -107,7 +115,7 @@ def cmd_verify(args) -> int:
 def cmd_derive(args) -> int:
     vobj = _load_json(args.voltage, args.fixture)
     va = pio.voltage_from_obj(vobj)
-    g, proj = derive_cover(va)
+    g, proj = derive(va)
     verdict = verify_cover(g, va.base, proj.vertex_map)
     out = {
         "voltage": vobj,
@@ -118,7 +126,7 @@ def cmd_derive(args) -> int:
         "per_component_folds": list(verdict.per_component_folds),
         "valid": verdict.ok,
     }
-    _write_out(args, out)
+    _write_out(args, pio.dumps(out))
     print(f"derived {g.n} vertices, {g.m} edges; verification: {verdict.ok}", file=sys.stderr)
     return EXIT_OK if verdict.ok else EXIT_PREDICATE
 
@@ -129,11 +137,12 @@ def cmd_lift(args) -> int:
     g = pio.graph_from_obj(gobj)
     vmap = pio.vertex_map_from_obj(mobj)
     base = make_base(args.base)
-    labels = [int(x) for x in args.labels.split(",")]
-    from .covers import CoverProjection
-
+    try:
+        labels = [int(x) for x in args.labels.split(",")]
+    except ValueError as exc:
+        raise InputError(f"--labels must be comma-separated integers: {args.labels!r}") from exc
     lifted, _ = lift_subgraph(CoverProjection(g, base, vmap), labels)
-    _write_out(args, pio.graph_to_obj(lifted))
+    _write_out(args, pio.dumps(pio.graph_to_obj(lifted)))
     print(f"lift has {lifted.n} vertices, {lifted.m} edges", file=sys.stderr)
     return EXIT_OK
 
@@ -143,18 +152,16 @@ def cmd_embed(args) -> int:
     g = pio.graph_from_obj(gobj)
     result = planarity(g)
     if isinstance(result, PlaneEmbedding):
-        _write_out(args, pio.embedding_to_obj(result))
+        _write_out(args, pio.dumps(pio.embedding_to_obj(result)))
         print(f"planar: {len(result.faces)} faces", file=sys.stderr)
         return EXIT_OK
-    _write_out(
-        args,
-        {
-            "non_planar": True,
-            "witness_kind": result.kind,
-            "witness_edges": [list(e) for e in result.edges],
-            "branch_vertices": list(result.branch_vertices),
-        },
-    )
+    witness = {
+        "non_planar": True,
+        "witness_kind": result.kind,
+        "witness_edges": [list(e) for e in result.edges],
+        "branch_vertices": list(result.branch_vertices),
+    }
+    _write_out(args, pio.dumps(witness))
     print(f"non-planar: contains a {result.kind} subdivision", file=sys.stderr)
     return EXIT_PREDICATE
 
@@ -162,8 +169,6 @@ def cmd_embed(args) -> int:
 def cmd_analyze(args) -> int:
     obj = _load_json(args.semicover, args.fixture)
     sc = pio.semicover_from_obj(obj)
-    from .covers import verify_semicover
-
     verdict = verify_semicover(sc)
     report = admissibility_report(sc)
     exclusions = check_exclusions(report)
@@ -176,7 +181,7 @@ def cmd_analyze(args) -> int:
         out["quotient_census"] = {str(k): v for k, v in q.census.items()}
     except (QuotientError, StructureError):
         out["quotient_census"] = None
-    _write_out(args, out)
+    _write_out(args, pio.dumps(out))
     failed = [k for k, v in report.conditions.items() if v is False]
     print(
         f"semicover valid: {verdict.ok}; conditions failed: {failed or 'none'}; "
@@ -193,7 +198,7 @@ def cmd_quotient(args) -> int:
     sc = pio.semicover_from_obj(obj)
     ref = refine_faces(sc)
     q, _ = quotient_graph(ref.h_embedding)
-    _write_out(args, pio.quotient_to_obj(q))
+    _write_out(args, pio.dumps(pio.quotient_to_obj(q)))
     mb = min_beads(q)
     print(
         f"quotient: a={q.a}, census {q.census}, beads {q.total_beads}, "
@@ -202,48 +207,38 @@ def cmd_quotient(args) -> int:
     return EXIT_OK
 
 
-def _dump_survivor_dots(args, cert, fold_key=None) -> None:
+def _dump_survivor_dots(args, cert) -> None:
     if not args.dot_dir:
         return
-    import os
-
-    from .covers import normalized_assignment
-    from .covers import derive as derive_cover_fn
-    from .graphs import make_base as mk
-
     os.makedirs(args.dot_dir, exist_ok=True)
     folds = cert["folds"] if "folds" in cert else [cert]
     for fold in folds:
-        base = mk("k4" if "fold" in fold else cert["spec"].get("base", "k4"))
+        base = make_base("k4" if "fold" in fold else cert["spec"].get("base", "k4"))
         n = fold.get("fold", cert["spec"].get("n"))
         for entry in fold["candidates"]:
             if not entry["survivor"]:
                 continue
             volt = [tuple(p) for p in entry["voltage"]]
-            g, _ = derive_cover_fn(normalized_assignment(base, n, volt))
+            g, _ = derive(normalized_assignment(base, n, volt))
             path = os.path.join(args.dot_dir, f"survivor-{n}-{entry['canonical']}.dot")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(pio.graph_to_dot(g))
 
 
 def cmd_search(args) -> int:
-    obj = _load_json(args.spec, args.fixture, "")
+    obj = _load_json(args.spec, args.fixture)
     _check_writable(args.out)
+    budget = spec_int(obj, "budget", 10**9)  # also rejects a spec that is not an object
+    if args.budget is not None:
+        budget = args.budget
     mode = obj.get("mode", "covers")
-    budget = args.budget if args.budget is not None else obj.get("budget", 10**9)
     progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
     if mode == "covers":
-        filters = tuple(args.filters.split(",")) if args.filters else tuple(obj.get("filters", ["connected", "planar"]))
-        spec = SearchSpec(
-            base=obj["base"],
-            n=obj["n"],
-            filters=filters,
-            dedup=obj.get("dedup", True),
-            budget=budget,
-        )
+        filters = args.filters.split(",") if args.filters else None
+        spec = SearchSpec.from_obj(obj, filters, budget)
         progress(f"scanning base {spec.base} at fold {spec.n} ...")
         cert = enumerate_covers(spec, workers=args.workers)
-        _write_out(args, cert)
+        _write_out(args, pio.dumps(cert))
         _dump_survivor_dots(args, cert)
         print(
             f"visited {cert['visited']} assignments; "
@@ -252,9 +247,9 @@ def cmd_search(args) -> int:
         return EXIT_OK
     if mode == "fragments":
         cert = search_k4_fragments(
-            obj["h_max"], budget=budget, workers=args.workers, progress=progress
+            spec_int(obj, "h_max"), budget=budget, workers=args.workers, progress=progress
         )
-        _write_out(args, cert)
+        _write_out(args, pio.dumps(cert))
         _dump_survivor_dots(args, cert)
         per_fold = ", ".join(
             f"fold {f['fold']}: {len(f['survivors'])}" for f in cert["folds"]
@@ -266,20 +261,14 @@ def cmd_search(args) -> int:
 
 def cmd_bounds(args) -> int:
     verdict = fold_verdict(args.n)
-    _write_out(args, verdict.to_obj())
+    _write_out(args, pio.dumps(verdict.to_obj()))
     print("contradiction" if verdict.contradiction else "no contradiction")
     return EXIT_OK
 
 
 def cmd_export_dot(args) -> int:
     gobj = _load_json(args.graph, args.fixture, ".graph")
-    g = pio.graph_from_obj(gobj)
-    text = pio.graph_to_dot(g)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args, pio.graph_to_dot(pio.graph_from_obj(gobj)))
     return EXIT_OK
 
 

@@ -13,12 +13,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 
 from .embedding import PlaneEmbedding
 from .graphs import (
     BaseGraph,
-    GraphError,
     LabeledGraph,
     connected_components,
     is_connected,
@@ -180,11 +178,6 @@ class VoltageAssignment:
             if tuple(sorted(p)) != ident:
                 raise CoverError(f"{p!r} is not a permutation of 0..{self.n - 1}")
 
-    @property
-    def normalized(self) -> bool:
-        ident = tuple(range(self.n))
-        return all(self.perms[e] == ident for e in self.base.spanning_tree_edges)
-
 
 def identity_assignment(base: BaseGraph, n: int) -> VoltageAssignment:
     ident = tuple(range(n))
@@ -295,38 +288,6 @@ def is_connected_cover(v: VoltageAssignment) -> bool:
     """True iff the fundamental-cycle voltages act transitively on the
     sheets, that is, iff the derived graph is connected."""
     return sheets_transitive(cycle_net_voltages(v), v.n)
-
-
-def triangle_net_voltage(v: VoltageAssignment, triangle_labels) -> tuple[int, ...]:
-    """Net voltage around a base triangle, walked in sorted-vertex order."""
-    base = v.base
-    g = base.graph
-    verts = sorted(base.label_to_vertex[lab] for lab in triangle_labels)
-    ident = tuple(range(v.n))
-    net = ident
-    cyc = [verts[0], verts[1], verts[2], verts[0]]
-    eidx = {e: i for i, e in enumerate(g.edges)}
-    for a, b in zip(cyc, cyc[1:]):
-        eid = eidx[(a, b) if a < b else (b, a)]
-        step = v.perms[eid] if a < b else _invert(v.perms[eid])
-        net = _compose(step, net)
-    return net
-
-
-def permutation_order(p) -> int:
-    seen = [False] * len(p)
-    order = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        order = lcm(order, length)
-    return order
 
 
 def lift_subgraph(proj: CoverProjection, sub_labels, sub_edges=None) -> tuple[LabeledGraph, dict[int, int]]:

@@ -35,11 +35,9 @@ def trace_faces(n_vertices: int, edges, rotation) -> list[tuple[int, ...]]:
     reverse.  The successor of a dart d is the next dart out of head(d),
     in rotation order, after the reversal of d.  Works for multigraphs.
     """
+    if len(rotation) != n_vertices:
+        raise EmbeddingError(f"rotation has {len(rotation)} entries for {n_vertices} vertices")
     m = len(edges)
-    head = [0] * (2 * m)
-    for e, (u, v) in enumerate(edges):
-        head[2 * e] = v
-        head[2 * e + 1] = u
     succ = [-1] * (2 * m)  # next out-dart in the rotation at its tail
     for v in range(n_vertices):
         rot = rotation[v]

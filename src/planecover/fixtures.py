@@ -14,7 +14,7 @@ import json
 import sys
 from importlib import resources
 
-from .covers import SemiCover, label_projection, verify_cover
+from .covers import SemiCover, derive, label_projection, normalized_assignment, verify_cover
 from .embedding import PlaneEmbedding, planarity, reembed_with_outer
 from .graphs import K4NEG, LabeledGraph, make_base
 from . import io as pio
@@ -301,8 +301,6 @@ def double_lens() -> QuotientGraph:
 
 
 def _k4_double_cover():
-    from .covers import derive, normalized_assignment
-
     va = normalized_assignment(_K4, 2, [(1, 0), (1, 0), (1, 0)])
     return derive(va)
 
@@ -372,41 +370,22 @@ def fixture_objects() -> dict[str, dict]:
     return out
 
 
-FIXTURE_NAMES = (
-    "necklace4",
-    "necklace3",
-    "two_faces",
-    "nine_face_pair",
-    "fold_six_fragment",
-    "hexagon_cover",
-    "single_bead",
-    "hub_violation",
-    "trapezium_face",
-    "two_trapezia",
-    "crowded_face",
-    "support_case1",
-    "support_case2",
-    "support_case3",
-    "double_lens",
-    "k1222-identity.graph",
-    "k1222-identity.map",
-    "k4-double.graph",
-    "k4-double.map",
-    "k4-double.broken-map",
-    "spec-k1222-n2",
-    "spec-k4-n1",
-    "spec-k4-n2",
-    "spec-k4-h-le-5",
-)
+_FIXTURE_DIR = resources.files("planecover") / "fixtures"
+
+
+def fixture_names() -> list[str]:
+    """Names of the bundled golden files, sorted."""
+    return sorted(p.name.removesuffix(".json") for p in _FIXTURE_DIR.iterdir() if p.name.endswith(".json"))
 
 
 def fixture_path(name: str):
-    return resources.files("planecover") / "fixtures" / f"{name}.json"
+    return _FIXTURE_DIR / f"{name}.json"
 
 
 def load_fixture_obj(name: str) -> dict:
-    if name not in FIXTURE_NAMES:
-        raise KeyError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+    names = fixture_names()
+    if name not in names:
+        raise KeyError(f"unknown fixture {name!r}; known: {', '.join(names)}")
     with fixture_path(name).open("r", encoding="utf-8") as fh:
         return json.load(fh)
 

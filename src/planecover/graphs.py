@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 ALPHABET = (0, 1, -1, 2, -2, 3, -3)
-NEGATIVE_LABELS = (-1, -2, -3)
 K4_LABELS = (0, -1, -2, -3)
-OCTAHEDRAL_LABELS = (1, -1, 2, -2, 3, -3)
 
 _ALPHABET_SET = frozenset(ALPHABET)
 
@@ -98,13 +96,20 @@ class LabeledGraph:
     @cached_property
     def vertex_connectivity(self) -> int:
         """Vertex connectivity capped at 3; see :func:`connectivity`."""
-        return _vertex_connectivity(self)
+        if self.n < 2:
+            raise GraphError("connectivity needs at least 2 vertices")
+        if not is_connected(self):
+            return 0
+        for k in (1, 2):
+            if self.n - k < 2:
+                break
+            for cut in itertools.combinations(range(self.n), k):
+                if not _connected_after_removal(self, frozenset(cut)):
+                    return k
+        return min(3, self.n - 1)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def label_of(self, v: int) -> int:
-        return self.labels[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edge_set
@@ -113,13 +118,8 @@ class LabeledGraph:
         """Every edge joins vertices whose labels are adjacent in the base."""
         return all(labels_adjacent(self.labels[u], self.labels[v]) for u, v in self.edges)
 
-    def vertices_with_label(self, label: int) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.labels[v] == label)
-
-    def relabel_vertices(self, perm: dict[int, int] | list[int]) -> "LabeledGraph":
+    def relabel_vertices(self, perm: list[int]) -> "LabeledGraph":
         """Image under a vertex renumbering (perm maps old id to new id)."""
-        if isinstance(perm, dict):
-            perm = [perm[v] for v in range(self.n)]
         labels = [0] * self.n
         for v in range(self.n):
             labels[perm[v]] = self.labels[v]
@@ -195,20 +195,6 @@ def connectivity(g: LabeledGraph) -> int:
     computed once per graph and cached on it.
     """
     return g.vertex_connectivity
-
-
-def _vertex_connectivity(g: LabeledGraph) -> int:
-    if g.n < 2:
-        raise GraphError("connectivity needs at least 2 vertices")
-    if not is_connected(g):
-        return 0
-    for k in (1, 2):
-        if g.n - k < 2:
-            break
-        for cut in itertools.combinations(range(g.n), k):
-            if not _connected_after_removal(g, frozenset(cut)):
-                return k
-    return min(3, g.n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,8 @@ def graph_from_obj(obj: dict) -> LabeledGraph:
         for v in verts:
             labels[v["id"]] = v["label"]
         edges = [tuple(e) for e in obj["edges"]]
+        if not all(len(e) == 2 and all(type(x) is int for x in e) for e in edges):
+            raise FormatError("every edge must be a pair of integer vertex ids")
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad graph object: {exc}") from exc
     simple = len(set(tuple(sorted(e)) for e in edges)) == len(edges)
@@ -81,17 +83,6 @@ def semicover_from_obj(obj: dict) -> SemiCover:
         raise FormatError(f"bad semicover object: {exc}") from exc
     vmap = tuple(obj["vertex_map"]) if "vertex_map" in obj else None
     return SemiCover(emb, base, vmap)
-
-
-def voltage_to_obj(v: VoltageAssignment) -> dict:
-    return {
-        "base": v.base.kind,
-        "n": v.n,
-        "edges": [
-            {"from": u, "to": w, "perm": list(v.perms[i])}
-            for i, (u, w) in enumerate(v.base.graph.edges)
-        ],
-    }
 
 
 def voltage_from_obj(obj: dict) -> VoltageAssignment:

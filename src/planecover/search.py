@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import networkx as nx
 
@@ -37,7 +37,7 @@ from .covers import (
     normalized_assignment,
     sheets_transitive,
 )
-from .embedding import PlaneEmbedding, _canonical_rotation, planarity, trace_faces
+from .embedding import PlaneEmbedding, planarity, trace_faces
 from .graphs import (
     K4NEG,
     BaseGraph,
@@ -99,6 +99,21 @@ class SearchSpec:
         if set(self.filters) & {"admissible", "exclusions"} and self.base != K4NEG:
             raise SearchError("structural filters require the k4 base")
 
+    @classmethod
+    def from_obj(cls, obj, filters=None, budget: int | None = None) -> SearchSpec:
+        """Parse a covers-mode spec object; ``filters`` and ``budget``
+        replace the object's own when given."""
+        n = spec_int(obj, "n")
+        if not isinstance(obj.get("base"), str):
+            raise SearchError("search spec lacks a 'base' name")
+        return cls(
+            base=obj["base"],
+            n=n,
+            filters=tuple(filters or obj.get("filters", ("connected", "planar"))),
+            dedup=obj.get("dedup", True),
+            budget=spec_int(obj, "budget", 10**9) if budget is None else budget,
+        )
+
     def to_obj(self) -> dict:
         return {
             "mode": "covers",
@@ -108,6 +123,19 @@ class SearchSpec:
             "dedup": self.dedup,
             "budget": self.budget,
         }
+
+
+def spec_int(obj, key: str, default: int | None = None) -> int:
+    """An integer field of a search spec object; SearchError when the spec
+    is not an object or the field is missing or not an integer."""
+    if not isinstance(obj, dict):
+        raise SearchError(f"a search spec is a JSON object, not {type(obj).__name__}")
+    value = obj.get(key, default)
+    if value is None:
+        raise SearchError(f"search spec lacks {key!r}")
+    if type(value) is not int:
+        raise SearchError(f"search spec field {key!r} must be an integer, not {value!r}")
+    return value
 
 
 def estimate_nodes(base: BaseGraph, n: int) -> int:
@@ -401,8 +429,9 @@ def _graph_level_filters(g: LabeledGraph, result: dict) -> bool:
 
 def spherical_rotations(nverts: int, edges):
     """All spherical rotation systems of a connected cubic multigraph,
-    up to reflection, as (rotation, faces) pairs with distinct face
-    structures.  Sizes here are tiny (at most 10 vertices)."""
+    up to reflection, as (rotation, faces) pairs.  The faces determine the
+    rotation, so distinct rotations give distinct face structures.  Sizes
+    here are tiny (at most 10 vertices)."""
     incident = [[] for _ in range(nverts)]
     for eid, (u, v) in enumerate(edges):
         incident[u].append(eid)
@@ -410,7 +439,6 @@ def spherical_rotations(nverts: int, edges):
     if any(len(i) != 3 for i in incident):
         raise SearchError("rotation enumeration expects a cubic multigraph")
     target = 2 - nverts + len(edges)
-    seen = set()
     for mask in range(1 << (nverts - 1)):
         rotation = []
         for v in range(nverts):
@@ -419,13 +447,8 @@ def spherical_rotations(nverts: int, edges):
                 ids = [ids[0], ids[2], ids[1]]
             rotation.append(tuple(ids))
         faces = trace_faces(nverts, edges, rotation)
-        if len(faces) != target:
-            continue
-        key = frozenset(_canonical_rotation(f) for f in faces)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield tuple(rotation), faces
+        if len(faces) == target:
+            yield tuple(rotation), faces
 
 
 def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -> dict:
@@ -478,6 +501,8 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
     filters["quotient"] = True
     if sk.a == 1 and apply_exclusions:
         # Three quotient faces leave two internal ones whatever is outer.
+        # From a = 2 on, a + 2 faces leave at least three internal ones,
+        # which no face-count exclusion covers.
         result["excluded_by"] = [face_count_exclusion(2)]
         return result
 
@@ -490,14 +515,7 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
     structures = 0
     for rotation, faces in spherical_rotations(2 * sk.a, simple_edges):
         structures += 1
-        q = QuotientGraph(
-            a=sk.a,
-            edges=sk.edges,
-            rotation=rotation,
-            outer_face=0,
-            white_vertices=sk.whites,
-            black_triangles=sk.black_triangles,
-        )
+        q = QuotientGraph(a=sk.a, edges=sk.edges, rotation=rotation, outer_face=0)
         face_beads = [sum(beads[e] for e in sides) for sides in q.face_edge_sides]
         thirds = [len(f) // 2 + face_beads[i] for i, f in enumerate(q.faces)]
         edge_faces = _edge_faces(q)
@@ -513,10 +531,6 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
                 continue
             if not apply_exclusions:
                 passing += 1
-                continue
-            shape = face_count_exclusion(len(internal))
-            if shape is not None:
-                excluded_by.add(shape)
                 continue
             if any(
                 bead_sharing_excluded(
@@ -637,12 +651,6 @@ def _h6_survivor_check(g: LabeledGraph) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def quotient_with_outer(q: QuotientGraph, face_id: int) -> QuotientGraph:
-    if not (0 <= face_id < len(q.faces)):
-        raise SearchError(f"quotient has no face {face_id}")
-    return replace(q, outer_face=face_id)
-
-
 def _degree_matrices(a: int):
     """All a-by-a nonnegative matrices with row and column sums 3."""
 
@@ -734,7 +742,6 @@ def _shared_beads(edge_faces, beads, fa: int, fb: int) -> int:
 class MinBeadsResult:
     total: int
     placement: tuple[int, ...]
-    checked_pairs: tuple[tuple[int, int], ...]
 
 
 def min_beads(
@@ -808,7 +815,7 @@ def min_beads(
     for total in range(hard_cap + 1):
         got = feasible(total)
         if got is not None:
-            return MinBeadsResult(total, got, tuple(pairs))
+            return MinBeadsResult(total, got)
     if cap is not None:
         return None
     raise SearchError("bead demand search exceeded its cap; malformed quotient")

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .covers import SemiCover, label_projection, verify_cover
+from .covers import CoverError, SemiCover, label_projection, verify_cover
 from .embedding import (
     PlaneEmbedding,
     all_triangles,
@@ -127,7 +127,6 @@ class StringDesc:
     type_label: int
     neg_terminal: tuple[int, int]  # (first bead zero, external -k vertex)
     zero_terminal: tuple[int, int]  # (last bead kvert, external 0 vertex)
-    maximal: bool = True
 
     @cached_property
     def vertex_set(self) -> frozenset[int]:
@@ -304,7 +303,6 @@ class FaceRefinement:
     h_embedding: PlaneEmbedding
     h_vmap: dict[int, int]  # ambient vertex id -> fragment vertex id
     h_outer: int  # fragment face id containing the ambient outer face
-    group_of_ambient_face: tuple[int, ...]  # ambient face id -> fragment face id
     triangles_in_face: dict[int, tuple[tuple[int, int, int], ...]]  # fragment face -> (1,2,3) triangles
 
 
@@ -376,7 +374,6 @@ def refine_faces(sc: SemiCover) -> FaceRefinement:
         h_embedding=h_emb,
         h_vmap=vmap,
         h_outer=h_outer,
-        group_of_ambient_face=tuple(group),
         triangles_in_face={k: tuple(v) for k, v in tri_in_face.items()},
     )
 
@@ -415,23 +412,15 @@ def triangles_supported_on_string(
     -k-terminal; a triangle is supported when all its attachment vertices
     lie on the string, and supported triangles are ordered by attachment
     interval nesting, with minimal ones classified into the three possible
-    local configurations.
+    local configurations.  The string is given in fragment vertex ids, as
+    :func:`detect_strings` returns it on the fragment embedding.
     """
     g = sc.graph
     ref = refinement or refine_faces(sc)
     h_to_ambient = {sub: amb for amb, sub in ref.h_vmap.items()}
-
-    spine_sub = string.path_from_zero_end()
-    # The string description lives on the fragment; translate to ambient ids
-    # when it was built from the fragment embedding.
-    if all(v in h_to_ambient for v in spine_sub):
-        spine = tuple(h_to_ambient[v] for v in spine_sub)
-        string_vertices = {h_to_ambient[v] for v in string.vertex_set}
-        inner_pairs = [tuple(h_to_ambient[x] for x in b.inner) for b in string.beads]
-    else:
-        spine = spine_sub
-        string_vertices = set(string.vertex_set)
-        inner_pairs = [b.inner for b in string.beads]
+    spine = tuple(h_to_ambient[v] for v in string.path_from_zero_end())
+    string_vertices = {h_to_ambient[v] for v in string.vertex_set}
+    inner_pairs = [tuple(h_to_ambient[x] for x in b.inner) for b in string.beads]
 
     face_walk = ref.h_embedding.faces[face_id]
     face_vs_ambient = {h_to_ambient[v] for v in face_walk.vertex_set}
@@ -485,8 +474,8 @@ def triangles_supported_on_string(
                 attachments=tuple(attach),
                 on_string=on_string,
                 span=span,
-                bottom_label=g.labels[min((u for u in attach if u in pos_index), key=lambda u: pos_index[u])] if any(u in pos_index for u in attach) else None,
-                top_label=g.labels[max((u for u in attach if u in pos_index), key=lambda u: pos_index[u])] if any(u in pos_index for u in attach) else None,
+                bottom_label=None if span is None else g.labels[positions[span[0]]],
+                top_label=None if span is None else g.labels[positions[span[1]]],
                 minimal=minimal,
                 configuration=config,
             )
@@ -593,9 +582,6 @@ class StructureReport:
     def internal_nontriangular(self) -> tuple[FaceRecord, ...]:
         return tuple(f for f in self.faces if f.internal and f.length > 3)
 
-    def passed(self, skip=()) -> bool:
-        return all(v for k, v in self.conditions.items() if v is not None and k not in skip)
-
 
 def _bead_hosts(h_emb: PlaneEmbedding, beads) -> list[tuple[int, int]]:
     """For each bead, the two faces its inner vertices lie on."""
@@ -638,7 +624,7 @@ def admissibility_report(sc: SemiCover, fragment: LabeledGraph | None = None) ->
     if verdict_a:
         try:
             verdict_a = verify_cover(h, k4, label_projection(h, k4).vertex_map).ok
-        except Exception:
+        except CoverError:
             verdict_a = False
     conditions["lift_cover"] = verdict_a and boundary_in_h and outer_walk.is_simple_cycle()
 
@@ -801,8 +787,6 @@ class QuotientGraph:
     edges: tuple[tuple[int, int, int], ...]  # (white, black, beads)
     rotation: tuple[tuple[int, ...], ...]
     outer_face: int
-    white_vertices: tuple[int, ...] = ()  # provenance in the fragment, if any
-    black_triangles: tuple[tuple[int, int, int], ...] = ()
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -950,14 +934,7 @@ def quotient_graph(h_emb: PlaneEmbedding) -> tuple[QuotientGraph, dict[int, int]
         tri_face = next(f for f in h_emb.faces if f.length == 3 and f.vertex_set == frozenset(t))
         rotation[a + bi] = tuple(corner_qedge[v] for v in reversed(tri_face.vertices))
 
-    q = QuotientGraph(
-        a=a,
-        edges=tuple(q_edges),
-        rotation=tuple(rotation),
-        outer_face=0,
-        white_vertices=tuple(whites),
-        black_triangles=tuple(neg_tris),
-    )
+    q = QuotientGraph(a=a, edges=tuple(q_edges), rotation=tuple(rotation), outer_face=0)
 
     # Identify quotient faces with fragment faces through the white darts
     # and fix the outer face accordingly.

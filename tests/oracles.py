@@ -11,12 +11,15 @@ fragment analyzer enumerates the fragment's own rotation systems instead
 of the quotient's, behind its own graph-level gate and under the
 library's shape exclusions.  Isomorphism is checked by explicit
 backtracking and, for quotient degree matrices, by trying every row and
-column permutation.
+column permutation.  The net voltage around a base triangle is composed
+edge by edge, so its cycle lengths check the lift lengths that
+``find_cycles_covering`` reports.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 from planecover.covers import (
@@ -209,6 +212,36 @@ def enumerate_covers_unnormalized(base_kind: str, n: int, filters=("connected", 
         entry = classes.setdefault(canonical_form(g), [volt, 0])
         entry[1] += 1
     return classes
+
+
+def triangle_net_voltage(v: VoltageAssignment, triangle_labels) -> tuple[int, ...]:
+    """Net voltage around a base triangle a < b < c (vertex ids), walked
+    a -> b -> c -> a: the sheet that sheet i returns to."""
+    base = v.base
+    a, b, c = sorted(base.label_to_vertex[lab] for lab in triangle_labels)
+    edge_id = {e: i for i, e in enumerate(base.graph.edges)}
+    ab, bc, ac = (v.perms[edge_id[e]] for e in ((a, b), (b, c), (a, c)))
+    return tuple(ac.index(bc[ab[i]]) for i in range(v.n))
+
+
+def orbit_sizes(p) -> list[int]:
+    """Sorted cycle lengths of a permutation."""
+    seen = [False] * len(p)
+    out = []
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        k, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            k += 1
+        out.append(k)
+    return sorted(out)
+
+
+def permutation_order(p) -> int:
+    return math.lcm(*orbit_sizes(p))
 
 
 def _rotation_structures(g: LabeledGraph):

@@ -16,8 +16,10 @@ import pytest
 
 from oracles import (
     connectivity_by_cut_search,
+    orbit_sizes,
     planar_by_subdivision_search,
     random_graph,
+    triangle_net_voltage,
 )
 
 from planecover.bounds import check_face_census_identity, fold_verdict
@@ -129,22 +131,6 @@ def test_criterion_7_oracle_equivalence(connected_corpus):
 
 
 def test_criterion_8_voltage_round_trip():
-    def orbit_sizes(perm):
-        seen = [False] * len(perm)
-        out = []
-        for i in range(len(perm)):
-            if seen[i]:
-                continue
-            k, j = 0, i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                k += 1
-            out.append(k)
-        return sorted(out)
-
-    from planecover.covers import triangle_net_voltage
-
     total = 0
     for n in (2, 3):
         perms = list(itertools.permutations(range(n)))

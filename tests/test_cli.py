@@ -190,3 +190,37 @@ def test_trapezium_face_quotient_failure_is_handled(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert "joined to no 0-vertex" in captured.err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{}, {"mode": "covers"}, {"mode": "fragments"}, {"mode": "covers", "base": "k4", "n": "x"}, [1, 2]],
+    ids=["empty", "covers-without-base", "fragments-without-h-max", "n-not-an-integer", "not-an-object"],
+)
+def test_search_malformed_spec_exits_three(tmp_path, capsys, spec):
+    rc = main(["search", _write(tmp_path, "spec.json", spec)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "error: " in err and "Traceback" not in err
+
+
+def test_embed_malformed_edge_exits_three(tmp_path, capsys):
+    obj = fx.load_fixture_obj("k4-double.graph")
+    obj["edges"].append([0])
+    rc = main(["embed", _write(tmp_path, "g.json", obj)])
+    assert rc == 3
+    assert "input error: " in capsys.readouterr().err
+
+
+def test_analyze_short_rotation_exits_three(tmp_path, capsys):
+    obj = fx.load_fixture_obj("two_faces")
+    obj["embedding"]["rotation"].pop()
+    rc = main(["analyze", _write(tmp_path, "sc.json", obj)])
+    assert rc == 3
+    assert "rotation has" in capsys.readouterr().err
+
+
+def test_lift_non_integer_label_exits_three(capsys):
+    rc = main(["lift", "--fixture", "k4-double", "--base", "k4", "--labels", "0,x"])
+    assert rc == 3
+    assert "--labels" in capsys.readouterr().err

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from oracles import orbit_sizes, permutation_order, triangle_net_voltage
+
 from planecover.covers import (
     CoverError,
     CoverProjection,
@@ -15,9 +17,7 @@ from planecover.covers import (
     label_projection,
     lift_subgraph,
     normalized_assignment,
-    permutation_order,
     sheets_transitive,
-    triangle_net_voltage,
     verify_cover,
     verify_semicover,
 )
@@ -166,21 +166,6 @@ def test_lift_rejects_outside_subgraph():
         lift_subgraph(proj, (0, -1), [(0, -3)])
 
 
-def _orbit_sizes(p):
-    seen = [False] * len(p)
-    out = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        k, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            k += 1
-        out.append(k)
-    return sorted(out)
-
-
 def test_lift_cycle_lengths_match_net_voltage_orbits():
     # each lift component wraps around one orbit of the net voltage, so
     # its length is the base length times that orbit's size; for a cyclic
@@ -195,7 +180,7 @@ def test_lift_cycle_lengths_match_net_voltage_orbits():
                 comps = find_cycles_covering(g, t, K4)
                 assert all(c.kind == "cycle" for c in comps)
                 lengths = sorted(c.length for c in comps)
-                assert lengths == [3 * k for k in _orbit_sizes(net)]
+                assert lengths == [3 * k for k in orbit_sizes(net)]
                 assert sum(lengths) == 3 * n
                 order = permutation_order(net)
                 assert all(length % 3 == 0 and (length // 3) <= order for length in lengths)

@@ -9,14 +9,14 @@ from planecover.covers import verify_semicover
 
 def test_goldens_match_constructors():
     objs = fx.fixture_objects()
-    assert set(objs) == set(fx.FIXTURE_NAMES)
+    assert set(objs) == set(fx.fixture_names())
     for name, obj in objs.items():
         golden = fx.load_fixture_obj(name)
         assert golden == obj, f"golden {name} is stale; regenerate via python -m planecover.fixtures regen"
 
 
 def test_goldens_round_trip_bytes():
-    for name in fx.FIXTURE_NAMES:
+    for name in fx.fixture_names():
         path = fx.fixture_path(name)
         text = path.read_text(encoding="utf-8")
         assert pio.dumps(json.loads(text)) == text

@@ -105,14 +105,7 @@ def _cert_digest(cert: dict) -> str:
 def _spec(name: str) -> SearchSpec:
     if name in STRUCTURAL_SPECS:
         return STRUCTURAL_SPECS[name]
-    obj = fx.load_fixture_obj(name)
-    return SearchSpec(
-        base=obj["base"],
-        n=obj["n"],
-        filters=tuple(obj["filters"]),
-        dedup=obj["dedup"],
-        budget=obj["budget"],
-    )
+    return SearchSpec.from_obj(fx.load_fixture_obj(name))
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,6 @@ from planecover.search import (
     enumerate_quotients,
     estimate_nodes,
     min_beads,
-    quotient_with_outer,
     search_k4_fragments,
 )
 from planecover.bounds import check_face_census_identity
@@ -223,7 +222,7 @@ def test_a4_no_lenses_needs_three():
     for q in enumerate_quotients(4):
         if q.a == 4 and q.census.get(2, 0) == 0:
             for fid in range(len(q.faces)):
-                assert min_beads(quotient_with_outer(q, fid)).total >= 3
+                assert min_beads(q, outer_face=fid).total >= 3
 
 
 def test_no_demands_no_beads():

@@ -104,7 +104,7 @@ def test_strings_two_faces():
     strings = detect_strings(ref.h_embedding)
     assert len(strings) == 3
     assert sorted(s.type_label for s in strings) == [-3, -2, -1]
-    assert all(len(s.beads) == 1 and s.maximal for s in strings)
+    assert all(len(s.beads) == 1 for s in strings)
     assert not is_necklace(ref.h_embedding)
 
 
@@ -251,6 +251,13 @@ def test_two_faces_exclusion():
     exc = check_exclusions(rep)
     assert exc.two_internal_faces
     assert len(rep.internal_nontriangular) == 2
+
+
+def test_fragment_missing_a_base_label_is_no_cover():
+    # the K4 part (0, -1, -2) misses -3, so its projection is not onto K4
+    g = LabeledGraph((0, -1, -2, 1), ((0, 1), (0, 2), (1, 2), (0, 3), (2, 3)))
+    rep = admissibility_report(SemiCover(planarity(g), make_base("k1222")))
+    assert rep.conditions["lift_cover"] is False
 
 
 def test_wrong_fragment_rejected():
