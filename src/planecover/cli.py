@@ -227,15 +227,20 @@ def _dump_survivor_dots(args, cert) -> None:
 
 def cmd_search(args) -> int:
     obj = _load_json(args.spec, args.fixture)
-    _check_writable(args.out)
     budget = spec_int(obj, "budget", 10**9)  # also rejects a spec that is not an object
     if args.budget is not None:
         budget = args.budget
     mode = obj.get("mode", "covers")
-    progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
     if mode == "covers":
         filters = args.filters.split(",") if args.filters else None
         spec = SearchSpec.from_obj(obj, filters, budget)
+    elif mode == "fragments":
+        h_max = spec_int(obj, "h_max")
+    else:
+        raise InputError(f"unknown search mode {mode!r}")
+    _check_writable(args.out)  # after the spec is parsed: a rejected one leaves no file
+    progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
+    if mode == "covers":
         progress(f"scanning base {spec.base} at fold {spec.n} ...")
         cert = enumerate_covers(spec, workers=args.workers)
         _write_out(args, pio.dumps(cert))
@@ -245,18 +250,12 @@ def cmd_search(args) -> int:
             f"{cert['survivor_count']} survivors"
         )
         return EXIT_OK
-    if mode == "fragments":
-        cert = search_k4_fragments(
-            spec_int(obj, "h_max"), budget=budget, workers=args.workers, progress=progress
-        )
-        _write_out(args, pio.dumps(cert))
-        _dump_survivor_dots(args, cert)
-        per_fold = ", ".join(
-            f"fold {f['fold']}: {len(f['survivors'])}" for f in cert["folds"]
-        )
-        print(f"survivors per fold: {per_fold}")
-        return EXIT_OK
-    raise InputError(f"unknown search mode {mode!r}")
+    cert = search_k4_fragments(h_max, budget=budget, workers=args.workers, progress=progress)
+    _write_out(args, pio.dumps(cert))
+    _dump_survivor_dots(args, cert)
+    per_fold = ", ".join(f"fold {f['fold']}: {len(f['survivors'])}" for f in cert["folds"])
+    print(f"survivors per fold: {per_fold}")
+    return EXIT_OK
 
 
 def cmd_bounds(args) -> int:

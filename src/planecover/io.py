@@ -65,6 +65,10 @@ def embedding_from_obj(obj: dict) -> PlaneEmbedding:
         outer = obj.get("outer_face", None)
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad embedding object: {exc}") from exc
+    if not all(type(e) is int and 0 <= e < g.m for r in rotation for e in r):
+        raise FormatError("every rotation entry must be an edge id 0..m-1")
+    if outer is not None and type(outer) is not int:
+        raise FormatError(f"outer_face must be an integer face id, not {outer!r}")
     return make_embedding(g, rotation, outer)
 
 
@@ -79,9 +83,9 @@ def semicover_from_obj(obj: dict) -> SemiCover:
     try:
         base = make_base(obj["base"])
         emb = embedding_from_obj(obj["embedding"])
-    except (KeyError, GraphError) as exc:
+        vmap = tuple(obj["vertex_map"]) if "vertex_map" in obj else None
+    except (KeyError, TypeError, GraphError) as exc:
         raise FormatError(f"bad semicover object: {exc}") from exc
-    vmap = tuple(obj["vertex_map"]) if "vertex_map" in obj else None
     return SemiCover(emb, base, vmap)
 
 
@@ -90,7 +94,7 @@ def voltage_from_obj(obj: dict) -> VoltageAssignment:
         base = make_base(obj["base"])
         n = int(obj["n"])
         given = {(e["from"], e["to"]): tuple(e["perm"]) for e in obj["edges"]}
-    except (KeyError, TypeError, GraphError) as exc:
+    except (KeyError, TypeError, ValueError, GraphError) as exc:
         raise FormatError(f"bad voltage object: {exc}") from exc
     perms = []
     ident = tuple(range(n))

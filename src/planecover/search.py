@@ -106,10 +106,13 @@ class SearchSpec:
         n = spec_int(obj, "n")
         if not isinstance(obj.get("base"), str):
             raise SearchError("search spec lacks a 'base' name")
+        filters = filters or obj.get("filters", ("connected", "planar"))
+        if not isinstance(filters, (list, tuple)):
+            raise SearchError(f"search spec field 'filters' must be a list, not {filters!r}")
         return cls(
             base=obj["base"],
             n=n,
-            filters=tuple(filters or obj.get("filters", ("connected", "planar"))),
+            filters=tuple(filters),
             dedup=obj.get("dedup", True),
             budget=spec_int(obj, "budget", 10**9) if budget is None else budget,
         )
@@ -755,65 +758,65 @@ def min_beads(
     internal short faces may share beads up to the forbidden threshold.
     With a cap, returns None when no placement of at most that many beads
     works; without one, a placement always exists.
+
+    For each total from 0 up, beads are placed edge by edge in edge order,
+    fewest first.  The deficit (unmet demand summed over faces) is kept up
+    to date as the counts change.  A branch is cut when the deficit
+    exceeds twice the beads left, when a face whose last edge was just
+    placed falls short of its demand, or when a short internal pair whose
+    faces are now both closed shares too many beads.  A closed face's
+    count and the beads it shares are final, so every cut branch holds no
+    valid placement, and the first placement found is the one an
+    unpruned search that checks only at the leaves finds.
     """
     outer = q.outer_face if outer_face is None else outer_face
-    nf = len(q.faces)
+    faces = q.faces
     edge_faces = _edge_faces(q)
-    demands = []
-    for fid, f in enumerate(q.faces):
-        L = len(f)
-        if fid == outer:
-            demands.append(1 if L == 2 else 0)
-        else:
-            demands.append(2 if L == 2 else (1 if L == 4 else 0))
-    short_internal = [
-        fid for fid, f in enumerate(q.faces) if fid != outer and len(f) in (2, 4)
+    demands = [
+        (1 if len(f) == 2 else 0) if fid == outer else {2: 2, 4: 1}.get(len(f), 0)
+        for fid, f in enumerate(faces)
     ]
-    pairs = list(itertools.combinations(short_internal, 2))
+    last_edge = {f: e for e, fs in enumerate(edge_faces) for f in fs}
+    closing = [[f for f, last in last_edge.items() if last == e] for e in range(len(q.edges))]
+    closing_pairs = [[] for _ in q.edges]
+    short_internal = [fid for fid, f in enumerate(faces) if fid != outer and len(f) in (2, 4)]
+    for fa, fb in itertools.combinations(short_internal, 2):
+        closing_pairs[max(last_edge[fa], last_edge[fb])].append((fa, fb))
+    counts = [0] * len(faces)
+    placement = [0] * len(q.edges)
 
-    ne = len(q.edges)
-
-    def feasible(total: int):
-        counts = [0] * nf
-        placement = [0] * ne
-
-        def deficit():
-            return sum(max(0, demands[f] - counts[f]) for f in range(nf))
-
-        def pairs_ok():
-            return not any(
-                bead_sharing_excluded(
-                    _shared_beads(edge_faces, placement, fa, fb),
-                    len(q.faces[fa]) // 2 + counts[fa],
-                    len(q.faces[fb]) // 2 + counts[fb],
-                )
-                for fa, fb in pairs
+    def closed_ok(e: int) -> bool:
+        return all(counts[f] >= demands[f] for f in closing[e]) and not any(
+            bead_sharing_excluded(
+                _shared_beads(edge_faces, placement, fa, fb),
+                len(faces[fa]) // 2 + counts[fa],
+                len(faces[fb]) // 2 + counts[fb],
             )
+            for fa, fb in closing_pairs[e]
+        )
 
-        def go(e: int, left: int):
-            if deficit() > 2 * left:
-                return None
-            if e == ne:
-                if left == 0 and deficit() == 0 and pairs_ok():
-                    return tuple(placement)
-                return None
-            for b in range(left + 1):
-                placement[e] = b
-                for f in edge_faces[e]:
-                    counts[f] += b
-                got = go(e + 1, left - b)
-                for f in edge_faces[e]:
-                    counts[f] -= b
-                placement[e] = 0
-                if got is not None:
-                    return got
+    def go(e: int, left: int, deficit: int):
+        if deficit > 2 * left:
             return None
-
-        return go(0, total)
+        if e == len(q.edges):
+            return tuple(placement) if left == 0 else None
+        for b in range(left + 1):
+            placement[e] = b
+            d = deficit
+            for f in edge_faces[e]:
+                d -= min(b, max(0, demands[f] - counts[f]))
+                counts[f] += b
+            got = go(e + 1, left - b, d) if closed_ok(e) else None
+            for f in edge_faces[e]:
+                counts[f] -= b
+            placement[e] = 0
+            if got is not None:
+                return got
+        return None
 
     hard_cap = 3 * q.a + 6 if cap is None else cap
     for total in range(hard_cap + 1):
-        got = feasible(total)
+        got = go(0, total, sum(demands))
         if got is not None:
             return MinBeadsResult(total, got)
     if cap is not None:

@@ -13,7 +13,9 @@ library's shape exclusions.  Isomorphism is checked by explicit
 backtracking and, for quotient degree matrices, by trying every row and
 column permutation.  The net voltage around a base triangle is composed
 edge by edge, so its cycle lengths check the lift lengths that
-``find_cycles_covering`` reports.
+``find_cycles_covering`` reports.  The reference bead-demand search is
+the unpruned placement search that ``min_beads`` replaced: it checks the
+face demands and the bead-sharing pairs only at the leaves.
 """
 
 from __future__ import annotations
@@ -36,9 +38,16 @@ from planecover.embedding import (
     triangle_faces,
 )
 from planecover.graphs import LabeledGraph, canonical_form, is_connected, make_base
-from planecover.search import SearchError, min_beads
+from planecover.search import (
+    MinBeadsResult,
+    SearchError,
+    _edge_faces,
+    _shared_beads,
+    min_beads,
+)
 from planecover.structure import (
     QuotientError,
+    QuotientGraph,
     StructureError,
     _bead_hosts,
     bead_sharing_excluded,
@@ -517,3 +526,82 @@ def matrix_canonical(mat) -> tuple:
         for pr in itertools.permutations(range(a))
         for pc in itertools.permutations(range(a))
     )
+
+
+def reference_min_beads(
+    q: QuotientGraph, outer_face: int | None = None, cap: int | None = None
+) -> MinBeadsResult | None:
+    """The bead-demand search as first written: every node recomputes the
+    deficit over all faces, and the bead-sharing pairs are checked only at
+    the leaves.  ``min_beads`` must return exactly what this returns.
+
+    Internal 2-faces need two beads and internal 4-faces one (their
+    fragment faces must reach length nine); an outer 2-face needs one; a
+    bead counts toward the two faces flanking its edge; and no two
+    internal short faces may share beads up to the forbidden threshold.
+    With a cap, returns None when no placement of at most that many beads
+    works; without one, a placement always exists.
+    """
+    outer = q.outer_face if outer_face is None else outer_face
+    nf = len(q.faces)
+    edge_faces = _edge_faces(q)
+    demands = []
+    for fid, f in enumerate(q.faces):
+        L = len(f)
+        if fid == outer:
+            demands.append(1 if L == 2 else 0)
+        else:
+            demands.append(2 if L == 2 else (1 if L == 4 else 0))
+    short_internal = [
+        fid for fid, f in enumerate(q.faces) if fid != outer and len(f) in (2, 4)
+    ]
+    pairs = list(itertools.combinations(short_internal, 2))
+
+    ne = len(q.edges)
+
+    def feasible(total: int):
+        counts = [0] * nf
+        placement = [0] * ne
+
+        def deficit():
+            return sum(max(0, demands[f] - counts[f]) for f in range(nf))
+
+        def pairs_ok():
+            return not any(
+                bead_sharing_excluded(
+                    _shared_beads(edge_faces, placement, fa, fb),
+                    len(q.faces[fa]) // 2 + counts[fa],
+                    len(q.faces[fb]) // 2 + counts[fb],
+                )
+                for fa, fb in pairs
+            )
+
+        def go(e: int, left: int):
+            if deficit() > 2 * left:
+                return None
+            if e == ne:
+                if left == 0 and deficit() == 0 and pairs_ok():
+                    return tuple(placement)
+                return None
+            for b in range(left + 1):
+                placement[e] = b
+                for f in edge_faces[e]:
+                    counts[f] += b
+                got = go(e + 1, left - b)
+                for f in edge_faces[e]:
+                    counts[f] -= b
+                placement[e] = 0
+                if got is not None:
+                    return got
+            return None
+
+        return go(0, total)
+
+    hard_cap = 3 * q.a + 6 if cap is None else cap
+    for total in range(hard_cap + 1):
+        got = feasible(total)
+        if got is not None:
+            return MinBeadsResult(total, got)
+    if cap is not None:
+        return None
+    raise SearchError("bead demand search exceeded its cap; malformed quotient")

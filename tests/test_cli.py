@@ -224,3 +224,50 @@ def test_lift_non_integer_label_exits_three(capsys):
     rc = main(["lift", "--fixture", "k4-double", "--base", "k4", "--labels", "0,x"])
     assert rc == 3
     assert "--labels" in capsys.readouterr().err
+
+
+def _two_faces_with(**embedding):
+    obj = fx.load_fixture_obj("two_faces")
+    obj["embedding"].update(embedding)
+    return obj
+
+
+def _rotation_with_first_entry(entry):
+    rotation = fx.load_fixture_obj("two_faces")["embedding"]["rotation"]
+    rotation[0][0] = entry
+    return _two_faces_with(rotation=rotation)
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("analyze", _two_faces_with(outer_face="x")),
+        ("analyze", _rotation_with_first_entry(99)),
+        ("analyze", _rotation_with_first_entry("a")),
+        ("analyze", [1, 2]),
+        ("quotient", [1, 2]),
+        ("derive", {"base": "k4", "n": "x", "edges": []}),
+        ("search", {"mode": "covers", "base": "k4", "n": 2, "filters": 5}),
+    ],
+    ids=[
+        "analyze-outer-face-not-an-integer",
+        "analyze-rotation-edge-out-of-range",
+        "analyze-rotation-entry-not-an-integer",
+        "analyze-not-an-object",
+        "quotient-not-an-object",
+        "derive-n-not-an-integer",
+        "search-filters-not-a-list",
+    ],
+)
+def test_malformed_input_exits_three(tmp_path, capsys, command, obj):
+    rc = main([command, _write(tmp_path, "input.json", obj)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "error: " in err and "Traceback" not in err
+
+
+def test_search_rejected_spec_leaves_no_output_file(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    rc = main(["search", _write(tmp_path, "spec.json", {"mode": "covers"}), "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()

@@ -1,17 +1,22 @@
+import functools
 import hashlib
 import itertools
 import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     _gate_failure,
     analyze_fragment_direct,
     connectivity_by_cut_search,
     enumerate_covers_unnormalized,
     matrix_canonical,
+    reference_min_beads,
 )
 
+from planecover import fixtures as fx
 from planecover import io as pio
 from planecover.covers import derive, normalized_assignment
 from planecover.fixtures import double_lens, necklace, nine_face_pair, two_faces
@@ -30,6 +35,7 @@ from planecover.search import (
     search_k4_fragments,
 )
 from planecover.bounds import check_face_census_identity
+from planecover.structure import QuotientError, StructureError, quotient_graph, refine_faces
 
 K4 = make_base("k4")
 
@@ -237,12 +243,91 @@ def test_no_demands_no_beads():
 
 
 def test_nine_face_pair_fails_bead_demand():
-    from planecover.structure import quotient_graph, refine_faces
-
     q, _ = quotient_graph(refine_faces(nine_face_pair()).h_embedding)
     assert q.total_beads == 3
     assert min_beads(q).total == 4
     assert min_beads(q, cap=q.total_beads) is None
+
+
+@functools.cache
+def _quotient_outer_pairs(*args) -> list:
+    return [(q, f) for q in enumerate_quotients(*args) for f in range(len(q.faces))]
+
+
+def _fixture_quotients():
+    for name in fx.fixture_names():
+        obj = fx.load_fixture_obj(name)
+        if "embedding" not in obj:
+            continue
+        try:
+            q, _ = quotient_graph(refine_faces(pio.semicover_from_obj(obj)).h_embedding)
+        except (QuotientError, StructureError):
+            continue
+        yield q
+
+
+def _reference_cases():
+    caps = (None, *range(9))
+    for q, f in _quotient_outer_pairs(4) + _quotient_outer_pairs(3, False):
+        yield from ((q, f, cap) for cap in caps)
+    yield from ((double_lens(), None, cap) for cap in caps)
+    for q in _fixture_quotients():
+        yield from ((q, None, cap) for cap in (None, 0, 1, 2, 3, q.total_beads))
+
+
+def test_min_beads_matches_reference():
+    # the pruned search must find the placement the unpruned one finds first
+    cases = list(_reference_cases())
+    mismatches = [c for c in cases if min_beads(*c) != reference_min_beads(*c)]
+    assert len(cases) > 700
+    assert not mismatches, f"{len(mismatches)} mismatches, first {mismatches[0]}"
+
+
+def test_min_beads_placements_golden_digest():
+    rows = [[mb.total, list(mb.placement)] for q, f in _quotient_outer_pairs(4) for mb in [min_beads(q, f)]]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "039759b9bdbe7f50168a15327a7b78ffb1513a0f0fc1a0cc55131f1b768e3485"
+
+
+def _placement_violations(q, outer: int, placement) -> list:
+    """Face demands and bead-sharing pairs that a placement breaks,
+    recomputed from the quotient's face walks alone."""
+    sides = q.face_edge_sides
+    owners = [sorted(f for f, s in enumerate(sides) for x in s if x == e) for e in range(len(q.edges))]
+    beads = [sum(placement[e] for e in s) for s in sides]
+    out = []
+    for f, s in enumerate(sides):
+        need = (1 if len(s) == 2 else 0) if f == outer else {2: 2, 4: 1}.get(len(s), 0)
+        if beads[f] < need:
+            out.append(("demand", f))
+    short = [f for f, s in enumerate(sides) if f != outer and len(s) in (2, 4)]
+    for fa, fb in itertools.combinations(short, 2):
+        shared = sum(b for e, b in enumerate(placement) if owners[e] == [fa, fb])
+        # fragment faces of length 3m (m = half the quotient length plus
+        # the beads on it) may not share m - 2 beads, and never one when m <= 3
+        m = max(len(sides[fa]) // 2 + beads[fa], len(sides[fb]) // 2 + beads[fb], 3)
+        if shared >= m - 2:
+            out.append(("sharing", fa, fb))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_min_beads_cap_and_placement_properties(data):
+    q, outer = data.draw(st.sampled_from(_quotient_outer_pairs(4)), label="quotient, outer face")
+    cap = data.draw(st.integers(0, 10), label="cap")
+    best = min_beads(q, outer)
+    capped = min_beads(q, outer, cap=cap)
+    assert (capped is None) == (cap < best.total)
+    if capped is not None:
+        assert capped == best
+    assert sum(best.placement) == best.total and min(best.placement) >= 0
+    assert _placement_violations(q, outer, best.placement) == []
+    # the total is least: taking any one bead away breaks a demand or a pair
+    for e in (e for e, b in enumerate(best.placement) if b):
+        fewer = list(best.placement)
+        fewer[e] -= 1
+        assert _placement_violations(q, outer, fewer)
 
 
 def test_structural_filters_via_cover_search():
