@@ -83,13 +83,18 @@ def _write_out(args, text: str) -> None:
 
 
 def _check_writable(path: str | None) -> None:
+    """Fail early on an output path that cannot be written; a file the
+    probe creates is removed again, so a refused search leaves none."""
     if not path:
         return
+    existed = os.path.exists(path)
     try:
         with open(path, "a", encoding="utf-8"):
             pass
     except OSError as exc:
         raise InputError(f"output path not writable: {exc}") from exc
+    if not existed:
+        os.remove(path)
 
 
 def cmd_verify(args) -> int:
@@ -238,7 +243,7 @@ def cmd_search(args) -> int:
         h_max = spec_int(obj, "h_max")
     else:
         raise InputError(f"unknown search mode {mode!r}")
-    _check_writable(args.out)  # after the spec is parsed: a rejected one leaves no file
+    _check_writable(args.out)
     progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
     if mode == "covers":
         progress(f"scanning base {spec.base} at fold {spec.n} ...")

@@ -215,16 +215,40 @@ class KuratowskiWitness:
     branch_vertices: tuple[int, ...]
 
 
-def _to_nx(g: LabeledGraph) -> nx.Graph:
+def _to_nx(nverts: int, edges) -> nx.Graph:
     G = nx.Graph()
-    G.add_nodes_from(range(g.n))
-    G.add_edges_from(g.edges)
+    G.add_nodes_from(range(nverts))
+    G.add_edges_from(edges)
     return G
 
 
-def is_planar(g: LabeledGraph) -> bool:
-    ok, _ = nx.check_planarity(_to_nx(g), counterexample=False)
+def planar_edges(nverts: int, edges) -> bool:
+    """Planarity of the graph on vertices 0..nverts-1 spanned by a
+    loop-free edge list (repeated edges do not change the verdict).
+
+    A simple planar graph with V >= 3 has at most 3V - 6 edges, and one
+    with exactly 3V - 6 is a triangulation: for V >= 4 every edge then
+    lies on two facial triangles with distinct third vertices, so its
+    endpoints have two common neighbours.  Graphs failing either count are
+    rejected before the LR test runs.
+    """
+    adj = [0] * nverts
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    m = sum(a.bit_count() for a in adj) // 2
+    if nverts >= 3 and m > 3 * nverts - 6:
+        return False
+    if nverts >= 4 and m == 3 * nverts - 6 and any(
+        (adj[u] & adj[v]).bit_count() < 2 for u, v in edges
+    ):
+        return False
+    ok, _ = nx.check_planarity(_to_nx(nverts, edges), counterexample=False)
     return ok
+
+
+def is_planar(g: LabeledGraph) -> bool:
+    return planar_edges(g.n, g.edges)
 
 
 def validate_kuratowski(g: LabeledGraph, edges) -> KuratowskiWitness:
@@ -289,7 +313,7 @@ def planarity(g: LabeledGraph) -> PlaneEmbedding | KuratowskiWitness:
         raise GraphError("planarity operates on simple graphs")
     if g.n == 0 or not is_connected(g):
         raise GraphError("planarity requires a connected input")
-    G = _to_nx(g)
+    G = _to_nx(g.n, g.edges)
     ok, cert = nx.check_planarity(G, counterexample=False)
     if ok:
         data = cert.get_data()

@@ -39,6 +39,8 @@ def graph_from_obj(obj: dict) -> LabeledGraph:
         labels = [0] * len(ids)
         for v in verts:
             labels[v["id"]] = v["label"]
+        if not all(type(x) is int for x in labels):
+            raise FormatError("every vertex label must be an integer")
         edges = [tuple(e) for e in obj["edges"]]
         if not all(len(e) == 2 and all(type(x) is int for x in e) for e in edges):
             raise FormatError("every edge must be a pair of integer vertex ids")

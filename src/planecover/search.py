@@ -28,8 +28,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .covers import (
     conjugacy_representatives,
     derive,
@@ -37,7 +35,7 @@ from .covers import (
     normalized_assignment,
     sheets_transitive,
 )
-from .embedding import PlaneEmbedding, planarity, trace_faces
+from .embedding import PlaneEmbedding, planar_edges, planarity, trace_faces
 from .graphs import (
     K4NEG,
     BaseGraph,
@@ -144,6 +142,18 @@ def spec_int(obj, key: str, default: int | None = None) -> int:
 def estimate_nodes(base: BaseGraph, n: int) -> int:
     """Pre-pruning size of the normalized voltage space."""
     return math.factorial(n) ** len(base.cotree_edges)
+
+
+def _approx(count: int) -> str:
+    """A positive count to three significant digits.  ``math.log10``
+    takes integers of any size, where a float conversion overflows."""
+    if count < 10**15:
+        return f"{count:.3g}"
+    exponent, fraction = divmod(math.log10(count), 1)
+    mantissa = round(10**fraction, 2)
+    if mantissa >= 10:
+        exponent, mantissa = exponent + 1, mantissa / 10
+    return f"{mantissa:.2f}e+{int(exponent)}"
 
 
 def _digest(cert_bytes: bytes) -> str:
@@ -254,11 +264,8 @@ def _scan_chunk(base: BaseGraph, n: int, firsts, want_connected, want_planar):
         for eid, p in zip(cotree, volt):
             perms[eid] = p
         edges = derived_edges(base.graph, n, perms)
-        if want_planar:
-            G = nx.Graph(edges)
-            ok, _ = nx.check_planarity(G, counterexample=False)
-            if not ok:
-                continue
+        if want_planar and not planar_edges(len(labels), edges):
+            continue
         planar_count += weight
         key = canonical_form(LabeledGraph(labels, tuple(edges)))
         _add_class(classes, key, volt, weight)
@@ -340,7 +347,7 @@ def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
     if estimate > spec.budget:
         raise BudgetExceeded(
             f"voltage space for base {spec.base!r} at fold {spec.n} has about "
-            f"{estimate:.3g} assignments, beyond the budget {spec.budget:.3g}",
+            f"{_approx(estimate)} assignments, beyond the budget {_approx(spec.budget)}",
             estimate,
         )
     t0 = time.monotonic()
@@ -584,7 +591,7 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
         estimate = estimate_nodes(base, h)
         if estimate > budget:
             raise BudgetExceeded(
-                f"fold {h} needs about {estimate:.3g} assignments, beyond {budget:.3g}",
+                f"fold {h} needs about {_approx(estimate)} assignments, beyond {_approx(budget)}",
                 estimate,
             )
         if progress is not None:

@@ -4,8 +4,10 @@ These deliberately avoid the library's own algorithms: planarity is
 decided by exhaustive subdivision search, connectivity by exhaustive cut
 enumeration with union-find, and the graph corpus is built by vertex
 extension with canonical dedup.  The reference voltage scan keeps the
-library's per-cover predicates but visits every normalized assignment,
-so it checks the orbit reduction of the library's scan on its own.  The
+library's transitivity and canonical-form predicates but visits every
+normalized assignment, so it checks the orbit reduction of the library's
+scan on its own; it and the unnormalized scan decide planarity by the
+bare networkx LR test, without the library's edge-count pre-check.  The
 unnormalized scan checks the spanning-tree normalization, and the direct
 fragment analyzer enumerates the fragment's own rotation systems instead
 of the quotient's, behind its own graph-level gate and under the
@@ -24,6 +26,8 @@ import itertools
 import math
 from collections import Counter
 
+import networkx as nx
+
 from planecover.covers import (
     VoltageAssignment,
     derive,
@@ -34,7 +38,6 @@ from planecover.embedding import (
     PlaneEmbedding,
     _canonical_rotation,
     all_triangles,
-    is_planar,
     triangle_faces,
 )
 from planecover.graphs import LabeledGraph, canonical_form, is_connected, make_base
@@ -174,6 +177,14 @@ def random_graph(rng, n: int, p: float) -> LabeledGraph:
     return LabeledGraph((0,) * n, tuple(edges))
 
 
+def lr_planar(g: LabeledGraph) -> bool:
+    """Bare networkx LR test, without the library's edge-count pre-checks."""
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    return nx.check_planarity(G, counterexample=False)[0]
+
+
 def reference_scan_chunk(base, n: int, firsts, want_connected: bool, want_planar: bool):
     """Brute-force normalized voltage scan: every cotree tuple whose first
     voltage is in ``firsts``, one transitivity, planarity and canonical-form
@@ -194,7 +205,7 @@ def reference_scan_chunk(base, n: int, firsts, want_connected: bool, want_planar
                 continue
             connected_count += 1
             g, _ = derive(va)
-            if want_planar and not is_planar(g):
+            if want_planar and not lr_planar(g):
                 continue
             planar_count += 1
             entry = classes.setdefault(canonical_form(g), [volt, 0])
@@ -216,7 +227,7 @@ def enumerate_covers_unnormalized(base_kind: str, n: int, filters=("connected", 
         g, _ = derive(VoltageAssignment(base, n, volt))
         if "connected" in filters and not is_connected(g):
             continue
-        if "planar" in filters and not is_planar(g):
+        if "planar" in filters and not lr_planar(g):
             continue
         entry = classes.setdefault(canonical_form(g), [volt, 0])
         entry[1] += 1

@@ -232,6 +232,12 @@ def _two_faces_with(**embedding):
     return obj
 
 
+def _two_faces_with_first_label(label):
+    obj = fx.load_fixture_obj("two_faces")
+    obj["embedding"]["vertices"][0]["label"] = label
+    return obj
+
+
 def _rotation_with_first_entry(entry):
     rotation = fx.load_fixture_obj("two_faces")["embedding"]["rotation"]
     rotation[0][0] = entry
@@ -248,6 +254,10 @@ def _rotation_with_first_entry(entry):
         ("quotient", [1, 2]),
         ("derive", {"base": "k4", "n": "x", "edges": []}),
         ("search", {"mode": "covers", "base": "k4", "n": 2, "filters": 5}),
+        ("analyze", _two_faces_with_first_label([])),
+        ("analyze", _two_faces_with_first_label({})),
+        ("quotient", _two_faces_with_first_label([])),
+        ("quotient", _two_faces_with_first_label({})),
     ],
     ids=[
         "analyze-outer-face-not-an-integer",
@@ -257,6 +267,10 @@ def _rotation_with_first_entry(entry):
         "quotient-not-an-object",
         "derive-n-not-an-integer",
         "search-filters-not-a-list",
+        "analyze-label-a-list",
+        "analyze-label-an-object",
+        "quotient-label-a-list",
+        "quotient-label-an-object",
     ],
 )
 def test_malformed_input_exits_three(tmp_path, capsys, command, obj):
@@ -268,6 +282,28 @@ def test_malformed_input_exits_three(tmp_path, capsys, command, obj):
 
 def test_search_rejected_spec_leaves_no_output_file(tmp_path, capsys):
     out = tmp_path / "cert.json"
-    rc = main(["search", _write(tmp_path, "spec.json", {"mode": "covers"}), "--out", str(out)])
-    assert rc == 3
-    assert not out.exists()
+    for spec, code in [
+        ({"mode": "covers"}, 3),  # malformed
+        ({"mode": "covers", "base": "k1222", "n": 4}, 2),  # over budget
+        ({"mode": "fragments", "h_max": 9}, 3),  # beyond the fragment folds
+    ]:
+        rc = main(["search", _write(tmp_path, "spec.json", spec), "--out", str(out)])
+        assert rc == code
+        assert not out.exists()
+
+
+def test_search_refusal_keeps_an_existing_output_file(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    out.write_text("kept", encoding="utf-8")
+    spec = {"mode": "covers", "base": "k1222", "n": 4}
+    assert main(["search", _write(tmp_path, "spec.json", spec), "--out", str(out)]) == 2
+    assert out.read_text(encoding="utf-8") == "kept"
+
+
+def test_search_huge_fold_is_a_budget_refusal(tmp_path, capsys):
+    # (99!)^3 assignments: far beyond any float
+    spec = _write(tmp_path, "spec.json", {"mode": "covers", "base": "k4", "n": 99})
+    rc = main(["search", spec])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "budget refused" in err and "e+467" in err and "Traceback" not in err

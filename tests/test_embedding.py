@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from oracles import lr_planar, planar_by_subdivision_search
 
+from planecover import embedding
 from planecover.covers import derive, normalized_assignment
 from planecover.embedding import (
     EmbeddingError,
@@ -12,6 +14,7 @@ from planecover.embedding import (
     fold_from_single_long_face,
     is_peripheral,
     make_embedding,
+    planar_edges,
     planarity,
     reembed_with_outer,
     validate_kuratowski,
@@ -187,9 +190,89 @@ def test_fold_formula_euler_consistency():
 
 
 def test_k1222_witness_cross_checked_by_subdivision_oracle():
-    from oracles import planar_by_subdivision_search
-
     g = make_base("k1222").graph
     assert not planar_by_subdivision_search(g)
     w = planarity(g)
     assert isinstance(w, KuratowskiWitness)
+
+
+def _random_triangulation(rng, nverts):
+    """Edges of a random triangulation: stacked insertions into random
+    faces from a triangle, then random edge flips."""
+    faces = [(0, 1, 2), (0, 1, 2)]
+    for v in range(3, nverts):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    edges = {tuple(sorted(p)) for f in faces for p in itertools.combinations(f, 2)}
+    for _ in range(3 * nverts):
+        u, v = rng.choice(sorted(edges))
+        i, j = [k for k, f in enumerate(faces) if u in f and v in f]
+        (a,) = set(faces[i]) - {u, v}
+        (b,) = set(faces[j]) - {u, v}
+        if tuple(sorted((a, b))) in edges:
+            continue
+        edges.remove((u, v))
+        edges.add(tuple(sorted((a, b))))
+        faces[i], faces[j] = (a, b, u), (a, b, v)
+    assert len(edges) == 3 * nverts - 6
+    return sorted(edges)
+
+
+def test_planar_edges_accepts_random_triangulations():
+    rng = random.Random(7)
+    for nverts in range(4, 21):
+        for _ in range(20):
+            edges = _random_triangulation(rng, nverts)
+            assert planar_edges(nverts, edges)
+            assert planar_edges(nverts, edges + edges[:3])  # repeated edges
+            assert lr_planar(LabeledGraph((0,) * nverts, tuple(edges)))
+
+
+def _graphs_at_euler_bound(rng, nverts):
+    """Simple graphs with exactly 3V - 6 edges: a random triangulation
+    after k random edge swaps (k = 0..3), and a uniform random graph."""
+    pairs = list(itertools.combinations(range(nverts), 2))
+    for k in range(4):
+        edges = set(_random_triangulation(rng, nverts))
+        for _ in range(k):
+            edges.remove(rng.choice(sorted(edges)))
+            edges.add(rng.choice([p for p in pairs if p not in edges]))
+        yield LabeledGraph((0,) * nverts, tuple(edges))
+    yield LabeledGraph((0,) * nverts, tuple(rng.sample(pairs, 3 * nverts - 6)))
+
+
+def test_planar_edges_at_euler_bound_matches_lr_and_subdivision_search():
+    rng = random.Random(11)
+    verdicts = []
+    for nverts in range(4, 16):
+        for _ in range(40 if nverts <= 8 else 15):
+            for g in _graphs_at_euler_bound(rng, nverts):
+                assert g.m == 3 * nverts - 6
+                got = planar_edges(g.n, g.edges)
+                assert got == lr_planar(g)
+                if nverts <= 8:
+                    assert got == planar_by_subdivision_search(g)
+                verdicts.append(got)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
+def test_planar_edges_below_four_vertices_and_above_the_bound():
+    assert planar_edges(0, [])
+    assert planar_edges(3, [(0, 1), (1, 2), (0, 2)])
+    k5 = list(itertools.combinations(range(5), 2))
+    assert not planar_edges(5, k5)
+    assert planar_edges(5, k5[1:])  # K5 minus an edge: a triangulation
+
+
+def test_planar_edges_skips_lr_at_and_above_the_bound(monkeypatch):
+    # K5 plus a vertex on two of its vertices: 12 = 3V - 6 edges, and the
+    # endpoints of edge (0, 5) share one neighbour
+    edges = list(itertools.combinations(range(5), 2)) + [(0, 5), (1, 5)]
+    assert not lr_planar(LabeledGraph((0,) * 6, tuple(edges)))
+
+    def no_lr(*args, **kwargs):
+        raise AssertionError("the LR test ran")
+
+    monkeypatch.setattr(embedding.nx, "check_planarity", no_lr)
+    assert not planar_edges(6, edges)
+    assert not planar_edges(5, list(itertools.combinations(range(5), 2)))  # K5: 10 > 9

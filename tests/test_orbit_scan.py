@@ -7,9 +7,9 @@ import math
 import pytest
 from oracles import reference_scan_chunk
 
+from planecover import embedding, search
 from planecover import fixtures as fx
 from planecover import io as pio
-from planecover import search
 from planecover.covers import conjugacy_representatives, sheets_transitive
 from planecover.graphs import make_base
 from planecover.search import (
@@ -38,8 +38,28 @@ def test_orbit_scan_matches_brute_force_k4(n, filters):
 
 
 def test_orbit_scan_matches_brute_force_k1222_n2():
+    # the oracle scan decides planarity by the bare LR test, so this also
+    # checks the triangulation pre-check on every connected fold-2 cover
     got, want = _both_scans("k1222", 2, ("connected", "planar"))
     assert got == want
+    visited, connected, planar, classes = got
+    assert (visited, connected, planar, len(classes)) == (4096, 4095, 0, 0)
+
+
+def test_k1222_n2_scan_leaves_four_covers_to_the_lr_test(monkeypatch):
+    # every connected fold-2 cover has 14 vertices and 36 = 3V - 6 edges,
+    # so the triangulation pre-check decides all but four of them
+    lr = embedding.nx.check_planarity
+    calls = []
+
+    def counted(G, **kwargs):
+        calls.append(G)
+        return lr(G, **kwargs)
+
+    monkeypatch.setattr(embedding.nx, "check_planarity", counted)
+    got = _scan_chunk(make_base("k1222"), 2, conjugacy_representatives(2), True, True)
+    assert got[2] == 0
+    assert len(calls) == 4
 
 
 @pytest.mark.slow
