@@ -256,7 +256,7 @@ def test_planar_edges_at_euler_bound_matches_lr_and_subdivision_search():
     assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
-def test_planar_edges_below_four_vertices_and_above_the_bound():
+def test_planar_edges_small_graphs_and_k5():
     assert planar_edges(0, [])
     assert planar_edges(3, [(0, 1), (1, 2), (0, 2)])
     k5 = list(itertools.combinations(range(5), 2))
