@@ -212,15 +212,21 @@ def cmd_quotient(args) -> int:
     return EXIT_OK
 
 
-def _dump_survivor_dots(args, cert) -> None:
+def _fold_records(cert) -> list:
+    """(base kind, fold, fold record) for each fold of a certificate; a
+    covers certificate is itself the record of its one fold."""
+    if "folds" in cert:
+        return [("k4", f["fold"], f) for f in cert["folds"]]
+    return [(cert["spec"]["base"], cert["spec"]["n"], cert)]
+
+
+def _dump_survivor_dots(args, folds) -> None:
     if not args.dot_dir:
         return
     os.makedirs(args.dot_dir, exist_ok=True)
-    folds = cert["folds"] if "folds" in cert else [cert]
-    for fold in folds:
-        base = make_base("k4" if "fold" in fold else cert["spec"].get("base", "k4"))
-        n = fold.get("fold", cert["spec"].get("n"))
-        for entry in fold["candidates"]:
+    for kind, n, record in folds:
+        base = make_base(kind)
+        for entry in record["candidates"]:
             if not entry["survivor"]:
                 continue
             volt = [tuple(p) for p in entry["voltage"]]
@@ -244,22 +250,21 @@ def cmd_search(args) -> int:
     else:
         raise InputError(f"unknown search mode {mode!r}")
     _check_writable(args.out)
-    progress = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
     if mode == "covers":
-        progress(f"scanning base {spec.base} at fold {spec.n} ...")
+        print(f"scanning base {spec.base} at fold {spec.n} ...", file=sys.stderr)
         cert = enumerate_covers(spec, workers=args.workers)
-        _write_out(args, pio.dumps(cert))
-        _dump_survivor_dots(args, cert)
-        print(
-            f"visited {cert['visited']} assignments; "
-            f"{cert['survivor_count']} survivors"
+    else:
+        cert = search_k4_fragments(
+            h_max, budget=budget, workers=args.workers,
+            progress=lambda msg: print(msg, file=sys.stderr),
         )
-        return EXIT_OK
-    cert = search_k4_fragments(h_max, budget=budget, workers=args.workers, progress=progress)
     _write_out(args, pio.dumps(cert))
-    _dump_survivor_dots(args, cert)
-    per_fold = ", ".join(f"fold {f['fold']}: {len(f['survivors'])}" for f in cert["folds"])
-    print(f"survivors per fold: {per_fold}")
+    folds = _fold_records(cert)
+    _dump_survivor_dots(args, folds)
+    print("; ".join(
+        f"fold {n}: {record['visited']} visited, {len(record['survivors'])} survivors"
+        for _, n, record in folds
+    ))
     return EXIT_OK
 
 

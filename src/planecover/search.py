@@ -17,8 +17,11 @@ The K4-fragment analyzer enumerates plane embeddings on the contracted
 quotient of a candidate, applies every condition an admissible fragment
 must satisfy and, unless told otherwise, the shape exclusions that
 ``structure`` defines and the bead-demand feasibility of the quotient.
-``enumerate_covers`` and ``search_k4_fragments`` build their certificate
-entries through the same routine.
+
+One routine scans a fold: the budget check, the orbit scan and the
+certificate entries.  ``enumerate_covers`` runs it once; the fragment
+search ``search_k4_fragments`` is the structural covers search of K4
+(all of ``COVER_FILTERS``) run fold by fold.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 from .covers import (
@@ -59,6 +63,7 @@ from .structure import (
 FORMAT_VERSION = 1
 
 COVER_FILTERS = ("connected", "planar", "admissible", "exclusions")
+_STRUCTURAL = frozenset({"admissible", "exclusions"})
 
 #: Extra fragment-level conditions the bare search applies beyond the
 #: face-census exclusions.  Each is a restriction of an interior condition
@@ -71,9 +76,7 @@ EXTRA_FRAGMENT_FILTERS = (
 
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, message, estimate):
-        super().__init__(message)
-        self.estimate = estimate
+    """A fold's voltage space is larger than the search budget."""
 
 
 class SearchError(ValueError):
@@ -91,10 +94,12 @@ class SearchSpec:
     def __post_init__(self):
         if self.n < 1:
             raise SearchError("fold must be at least 1")
+        if type(self.dedup) is not bool:
+            raise SearchError(f"search spec field 'dedup' must be true or false, not {self.dedup!r}")
         bad = [f for f in self.filters if f not in COVER_FILTERS]
         if bad:
             raise SearchError(f"unknown filters: {bad}")
-        if set(self.filters) & {"admissible", "exclusions"} and self.base != K4NEG:
+        if _STRUCTURAL.intersection(self.filters) and self.base != K4NEG:
             raise SearchError("structural filters require the k4 base")
 
     @classmethod
@@ -144,12 +149,10 @@ def estimate_nodes(base: BaseGraph, n: int) -> int:
     return math.factorial(n) ** len(base.cotree_edges)
 
 
-def _approx(count: int) -> str:
-    """A positive count to three significant digits.  ``math.log10``
-    takes integers of any size, where a float conversion overflows."""
-    if count < 10**15:
-        return f"{count:.3g}"
-    exponent, fraction = divmod(math.log10(count), 1)
+def _approx(log10_count: float) -> str:
+    """The count with the given base-10 logarithm, to three significant
+    digits; the count itself is never formed."""
+    exponent, fraction = divmod(log10_count, 1)
     mantissa = round(10**fraction, 2)
     if mantissa >= 10:
         exponent, mantissa = exponent + 1, mantissa / 10
@@ -300,17 +303,37 @@ def _scan(base: BaseGraph, n: int, want_connected: bool, want_planar: bool, work
 
 
 # ---------------------------------------------------------------------------
-# Certificate entries
+# One fold: budget, scan and certificate entries
 # ---------------------------------------------------------------------------
 
 
-def _candidates(base: BaseGraph, n: int, classes: dict, apply_exclusions: bool | None):
-    """Certificate entries of the scanned classes, in canonical order.
+def _scan_fold(base: BaseGraph, n: int, filters, budget: int, workers: int = 1):
+    """Scan fold ``n`` of ``base`` under ``filters`` and build its entries.
 
-    With ``apply_exclusions`` not None, the derived graph of each class
-    runs through the fragment analyzer, whose verdict fills the entry.
-    Yields (entry, derived graph or None, quotient censuses).
+    The fold is refused when its (n!)^k normalized assignments exceed
+    ``budget``; k·log(n!) is compared with log(budget) first, so a fold far
+    beyond the budget is refused without computing (n!)^k.  With a
+    structural filter the derived graph of each class runs through the
+    fragment analyzer, whose verdict fills the entry.  Returns the fold
+    record (counts, entries in canonical order, survivor digests) and, per
+    entry, its derived graph (None without a structural filter) and
+    quotient censuses.
     """
+    log_estimate = len(base.cotree_edges) * math.lgamma(n + 1)
+    estimate = None
+    if budget >= 1 and log_estimate <= math.log(budget) + 1e-9:
+        estimate = estimate_nodes(base, n)
+    if estimate is None or estimate > budget:
+        raise BudgetExceeded(
+            f"voltage space for base {base.kind!r} at fold {n} has about "
+            f"{_approx(log_estimate / math.log(10))} assignments, beyond the budget {budget}"
+        )
+    visited, connected, planar, classes = _scan(
+        base, n, "connected" in filters, "planar" in filters, workers
+    )
+    structural = bool(_STRUCTURAL.intersection(filters))
+    candidates = []
+    derived = []
     for key in sorted(classes):
         volt, count = classes[key]
         entry = {
@@ -321,12 +344,23 @@ def _candidates(base: BaseGraph, n: int, classes: dict, apply_exclusions: bool |
             "survivor": True,
         }
         g, censuses = None, []
-        if apply_exclusions is not None:
+        if structural:
             g, _ = derive(normalized_assignment(base, n, volt))
-            analysis = analyze_fragment_candidate(g, apply_exclusions)
+            analysis = analyze_fragment_candidate(g, "exclusions" in filters)
             censuses = analysis.pop("quotient_censuses")
             entry.update(analysis)
-        yield entry, g, censuses
+        candidates.append(entry)
+        derived.append((g, censuses))
+    record = {
+        "visited": visited,
+        "pre_prune_estimate": estimate,
+        "connected": connected,
+        "planar": planar,
+        "classes": len(classes),
+        "candidates": candidates,
+        "survivors": [e["canonical"] for e in candidates if e["survivor"]],
+    }
+    return record, derived
 
 
 # ---------------------------------------------------------------------------
@@ -340,47 +374,23 @@ def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
     Returns the certificate as a plain JSON-ready dict; the "timing"
     entry is a sidecar excluded from byte-for-byte comparisons.
     """
-    import time
-
-    base = make_base(spec.base)
-    estimate = estimate_nodes(base, spec.n)
-    if estimate > spec.budget:
-        raise BudgetExceeded(
-            f"voltage space for base {spec.base!r} at fold {spec.n} has about "
-            f"{_approx(estimate)} assignments, beyond the budget {_approx(spec.budget)}",
-            estimate,
-        )
     t0 = time.monotonic()
-    want_connected = "connected" in spec.filters
-    want_planar = "planar" in spec.filters
-    visited, connected, planar, classes = _scan(base, spec.n, want_connected, want_planar, workers)
-
-    structural = set(spec.filters) & {"admissible", "exclusions"}
+    record, derived = _scan_fold(make_base(spec.base), spec.n, spec.filters, spec.budget, workers)
+    structural = bool(_STRUCTURAL.intersection(spec.filters))
     scan_filters = {f: True for f in ("connected", "planar") if f in spec.filters}
-    candidates = []
-    survivors = []
-    quotient_censuses = []
-    for entry, _, censuses in _candidates(
-        base, spec.n, classes, ("exclusions" in spec.filters) if structural else None
-    ):
+    for entry in record["candidates"]:
         entry["filters"].update(scan_filters)
-        quotient_censuses.extend(censuses)
-        candidates.append(entry)
-        if entry["survivor"]:
-            survivors.append(entry)
-
     if not spec.dedup and not structural:
-        # survivors are assignments, not classes
-        survivor_count = sum(e["assignments"] for e in survivors)
+        # every class survives, and survivors count as assignments
+        survivor_count = sum(e["assignments"] for e in record["candidates"])
     else:
-        survivor_count = len(survivors)
+        survivor_count = len(record["survivors"])
 
     alarms = []
     if (
         spec.base == "k1222"
-        and want_planar
-        and want_connected
-        and survivors
+        and {"connected", "planar"} <= set(spec.filters)
+        and record["survivors"]
         and spec.n % 2 == 1
     ):
         alarms.append(
@@ -388,24 +398,17 @@ def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
             "this contradicts the even-fold law and demands investigation"
         )
 
-    cert = {
+    return {
         "format_version": FORMAT_VERSION,
         "spec": spec.to_obj(),
-        "visited": visited,
-        "pre_prune_estimate": estimate,
-        "connected": connected,
-        "planar": planar,
-        "classes": len(classes),
-        "candidates": candidates,
-        "survivors": [e["canonical"] for e in survivors],
+        **record,
         "survivor_count": survivor_count,
         "alarms": alarms,
         "skipped_conditions": list(INTERIOR_CONDITION_KEYS) if structural else [],
         "extra_conditions": list(EXTRA_FRAGMENT_FILTERS) if structural else [],
-        "quotient_censuses": quotient_censuses,
+        "quotient_censuses": [c for _, censuses in derived for c in censuses],
         "timing": {"seconds": time.monotonic() - t0, "workers": workers},
     }
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -573,66 +576,41 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
 def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progress=None) -> dict:
     """Enumerate admissible K4-cover fragments for every fold up to h_max.
 
-    For each fold, connected planar covers of K4 are generated from
-    normalized voltage assignments, one per conjugation orbit, and pushed
-    through the bare-fragment conditions over all their plane embeddings
-    and outer-face choices.
+    Each fold is the structural covers search of K4 at that fold: the
+    connected planar covers, one per conjugation orbit, pushed through the
+    bare-fragment conditions over all their plane embeddings and
+    outer-face choices.  Entries gain their fold and vertex connectivity,
+    and the quotient censuses are merged per fold.
     """
-    import time
-
-    if h_max > 6:
-        raise SearchError("fragment search is budgeted for folds up to 6")
-    base = make_base(K4NEG)
+    if not 1 <= h_max <= 6:
+        raise SearchError("fragment search covers folds 1 to 6")
     t0 = time.monotonic()
+    base = make_base(K4NEG)
     folds = []
     all_censuses = []
-    survivors_total = 0
     for h in range(1, h_max + 1):
-        estimate = estimate_nodes(base, h)
-        if estimate > budget:
-            raise BudgetExceeded(
-                f"fold {h} needs about {_approx(estimate)} assignments, beyond {_approx(budget)}",
-                estimate,
-            )
         if progress is not None:
-            progress(f"fold {h}: scanning {estimate} pre-prune assignments ...")
-        visited, connected, planar, classes = _scan(base, h, True, True, workers)
-        if progress is not None:
-            progress(
-                f"fold {h}: {visited} visited, {planar} planar, {len(classes)} classes"
-            )
-        candidates = []
-        survivors = []
+            progress(f"fold {h}: scanning ...")
+        record, derived = _scan_fold(base, h, COVER_FILTERS, budget, workers)
         fold_censuses = set()
-        for entry, g, censuses in _candidates(base, h, classes, True):
+        for entry, (g, censuses) in zip(record["candidates"], derived):
             entry["fold"] = h
             entry["connectivity"] = connectivity(g)
-            for census in censuses:
-                fold_censuses.add(tuple(sorted(census.items())))
-            candidates.append(entry)
-            if entry["survivor"]:
-                survivors.append(entry)
-                if h == 6:
-                    entry["interior_triangle_check"] = _h6_survivor_check(g)
-        survivors_total += len(survivors)
+            fold_censuses.update(tuple(sorted(c.items())) for c in censuses)
+            if h == 6 and entry["survivor"]:
+                entry["interior_triangle_check"] = _h6_survivor_check(g)
         all_censuses.extend(dict(items) for items in sorted(fold_censuses))
-        folds.append(
-            {
-                "fold": h,
-                "visited": visited,
-                "pre_prune_estimate": estimate,
-                "connected": connected,
-                "planar": planar,
-                "classes": len(classes),
-                "candidates": candidates,
-                "survivors": [e["canonical"] for e in survivors],
-            }
-        )
+        folds.append({"fold": h, **record})
+        if progress is not None:
+            progress(
+                f"fold {h}: {record['visited']} visited, {record['planar']} planar, "
+                f"{record['classes']} classes, {len(record['survivors'])} survivors"
+            )
     return {
         "format_version": FORMAT_VERSION,
         "spec": {"mode": "fragments", "h_max": h_max, "budget": budget},
         "folds": folds,
-        "survivor_count": survivors_total,
+        "survivor_count": sum(len(f["survivors"]) for f in folds),
         "skipped_conditions": list(INTERIOR_CONDITION_KEYS),
         "extra_conditions": list(EXTRA_FRAGMENT_FILTERS),
         "quotient_censuses": all_censuses,

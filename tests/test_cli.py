@@ -194,8 +194,26 @@ def test_trapezium_face_quotient_failure_is_handled(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "spec",
-    [{}, {"mode": "covers"}, {"mode": "fragments"}, {"mode": "covers", "base": "k4", "n": "x"}, [1, 2]],
-    ids=["empty", "covers-without-base", "fragments-without-h-max", "n-not-an-integer", "not-an-object"],
+    [
+        {},
+        {"mode": "covers"},
+        {"mode": "fragments"},
+        {"mode": "covers", "base": "k4", "n": "x"},
+        [1, 2],
+        {"mode": "covers", "base": "k4", "n": 2, "dedup": "x"},
+        {"mode": "fragments", "h_max": 0},
+        {"mode": "fragments", "h_max": -3},
+    ],
+    ids=[
+        "empty",
+        "covers-without-base",
+        "fragments-without-h-max",
+        "n-not-an-integer",
+        "not-an-object",
+        "dedup-not-a-bool",
+        "h-max-zero",
+        "h-max-negative",
+    ],
 )
 def test_search_malformed_spec_exits_three(tmp_path, capsys, spec):
     rc = main(["search", _write(tmp_path, "spec.json", spec)])

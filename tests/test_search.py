@@ -18,10 +18,12 @@ from oracles import (
 
 from planecover import fixtures as fx
 from planecover import io as pio
+from planecover import search
 from planecover.covers import derive, normalized_assignment
 from planecover.fixtures import double_lens, necklace, nine_face_pair, two_faces
 from planecover.graphs import LabeledGraph, canonical_form, make_base
 from planecover.search import (
+    COVER_FILTERS,
     BudgetExceeded,
     SearchError,
     SearchSpec,
@@ -89,6 +91,46 @@ def test_budget_refusal():
     assert estimate_nodes(make_base("k1222"), 4) > 10**9
     with pytest.raises(BudgetExceeded):
         enumerate_covers(SearchSpec(base="k1222", n=4))
+
+
+def test_budget_gate_compares_the_exact_count_at_the_boundary():
+    # (3!)^3 = 216 normalized assignments at k4 fold 3
+    assert enumerate_covers(SearchSpec("k4", 3, budget=216))["pre_prune_estimate"] == 216
+    for budget in (215, 0, -1):
+        with pytest.raises(BudgetExceeded):
+            enumerate_covers(SearchSpec("k4", 3, budget=budget))
+
+
+def test_budget_refusal_of_a_huge_fold_skips_the_exact_count(monkeypatch):
+    # (100000!)^3 has 1.4 million digits; the refusal must come from its
+    # logarithm alone
+    exact = search.estimate_nodes
+
+    def small_only(base, n):
+        assert n <= 10, "exact estimate computed for a fold far beyond the budget"
+        return exact(base, n)
+
+    monkeypatch.setattr(search, "estimate_nodes", small_only)
+    with pytest.raises(BudgetExceeded, match=r"about 2\.25e\+1369720 assignments"):
+        enumerate_covers(SearchSpec("k4", 100000))
+    assert enumerate_covers(SearchSpec("k4", 2))["pre_prune_estimate"] == 8
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_fragment_fold_is_the_structural_covers_search(fragment_certificate, h):
+    # a fragment fold record is the structural k4 covers certificate at
+    # that fold, its entries adding the fold and the vertex connectivity
+    fold = fragment_certificate["folds"][h - 1]
+    cert = enumerate_covers(SearchSpec("k4", h, COVER_FILTERS))
+    for key in ("visited", "pre_prune_estimate", "connected", "planar", "classes", "survivors"):
+        assert fold[key] == cert[key], key
+    assert len(fold["candidates"]) == len(cert["candidates"])
+    for frag, cover in zip(fold["candidates"], cert["candidates"]):
+        frag = {k: v for k, v in frag.items() if k not in ("fold", "connectivity")}
+        cover = dict(cover, filters={
+            k: v for k, v in cover["filters"].items() if k not in ("connected", "planar")
+        })
+        assert frag == cover
 
 
 def test_structural_filters_require_k4():
