@@ -183,21 +183,13 @@ class PlaneEmbedding:
 
 
 def make_embedding(graph: LabeledGraph, rotation, outer_face: int | None = None) -> PlaneEmbedding:
-    """Build and validate an embedding; default outer face is the
-    lexicographically least face walk."""
-    emb = PlaneEmbedding(graph, tuple(tuple(r) for r in rotation), 0)
-    if outer_face is None:
-        keys = [f.sort_key() for f in emb.faces]
-        outer_face = min(range(len(keys)), key=lambda i: keys[i])
-    if outer_face == 0:
-        return emb
-    return PlaneEmbedding(graph, emb.rotation, outer_face)
+    """Build and validate an embedding; the default outer face is face 0,
+    the lexicographically least face walk."""
+    return PlaneEmbedding(graph, tuple(tuple(r) for r in rotation), outer_face or 0)
 
 
 def reembed_with_outer(emb: PlaneEmbedding, face_id: int) -> PlaneEmbedding:
     """Same rotation system with the outer face reassigned."""
-    if not (0 <= face_id < len(emb.faces)):
-        raise EmbeddingError(f"unknown face id {face_id}")
     return PlaneEmbedding(emb.graph, emb.rotation, face_id)
 
 
@@ -396,16 +388,15 @@ def cover_face_conditions(emb: PlaneEmbedding, base: BaseGraph, fold: int) -> Fa
         raise GraphError("embedded graph is not label-consistent")
     tri_faces = triangle_faces(emb)
     short_viol = []
-    for t in base.triangles:
-        for comp in find_cycles_covering(g, t, base):
-            if comp.kind == "cycle" and comp.length == 3:
-                if frozenset(comp.vertices) not in tri_faces:
-                    short_viol.append(comp.vertices)
     long_lift_cycles = set()
     for t in base.triangles:
         for comp in find_cycles_covering(g, t, base):
-            if comp.kind == "cycle" and comp.length > 3:
+            if comp.kind != "cycle":
+                continue
+            if comp.length > 3:
                 long_lift_cycles.add(frozenset(comp.edges))
+            elif comp.length == 3 and frozenset(comp.vertices) not in tri_faces:
+                short_viol.append(comp.vertices)
     long_viol = [
         i
         for i, f in enumerate(emb.faces)

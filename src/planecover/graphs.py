@@ -5,6 +5,8 @@ fragments, quotients) carries a label per vertex drawn from the seven
 symbols 0, +-1, +-2, +-3.  The apex vertex of K(1,2,2,2) is labelled 0;
 the six octahedron vertices are labelled so that i and -i are the unique
 non-adjacent pairs.  Covers of the K4 subgraph reuse {0, -1, -2, -3}.
+Every connectivity question goes through one component search,
+``_component``; the two base graphs are built once per process.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 ALPHABET = (0, 1, -1, 2, -2, 3, -3)
 K4_LABELS = (0, -1, -2, -3)
@@ -104,7 +106,8 @@ class LabeledGraph:
             if self.n - k < 2:
                 break
             for cut in itertools.combinations(range(self.n), k):
-                if not _connected_after_removal(self, frozenset(cut)):
+                start = next(v for v in range(self.n) if v not in cut)
+                if len(_component(self, start, cut)) < self.n - k:
                     return k
         return min(3, self.n - 1)
 
@@ -134,57 +137,37 @@ class LabeledGraph:
         return LabeledGraph(tuple(self.labels[v] for v in keep), tuple(edges), self.simple), new_id
 
 
-def is_connected(g: LabeledGraph) -> bool:
-    if g.n == 0:
-        return False
+def _component(g: LabeledGraph, start: int, removed=()) -> list[int]:
+    """Vertices reachable from ``start`` in g minus ``removed``, in
+    discovery order: the one component search of the package."""
     seen = bytearray(g.n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
+    for v in (start, *removed):
+        seen[v] = 1
+    comp = [start]
+    stack = [start]
     adj = g.adj
     while stack:
-        u = stack.pop()
-        for v in adj[u]:
+        for v in adj[stack.pop()]:
             if not seen[v]:
                 seen[v] = 1
-                count += 1
+                comp.append(v)
                 stack.append(v)
-    return count == g.n
+    return comp
+
+
+def is_connected(g: LabeledGraph) -> bool:
+    return g.n > 0 and len(_component(g, 0)) == g.n
 
 
 def connected_components(g: LabeledGraph) -> list[list[int]]:
-    seen = bytearray(g.n)
+    """Vertex-sorted components, ordered by their least vertex."""
+    seen: set[int] = set()
     comps = []
     for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = 1
-        comp = [s]
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
+        if s not in seen:
+            comps.append(sorted(_component(g, s)))
+            seen.update(comps[-1])
     return comps
-
-
-def _connected_after_removal(g: LabeledGraph, removed: frozenset[int]) -> bool:
-    remaining = [v for v in range(g.n) if v not in removed]
-    if len(remaining) <= 1:
-        return True
-    seen = {remaining[0]}
-    stack = [remaining[0]]
-    while stack:
-        u = stack.pop()
-        for v in g.adj[u]:
-            if v not in removed and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(remaining)
 
 
 def connectivity(g: LabeledGraph) -> int:
@@ -261,8 +244,10 @@ class BaseGraph:
         return tuple(t for t in self.triangles if 0 not in t)
 
 
+@cache
 def make_base(kind: str) -> BaseGraph:
-    """The canonical base graph of the given kind ('k1222' or 'k4')."""
+    """The canonical base graph of the given kind ('k1222' or 'k4'), built
+    once per process."""
     if kind not in _BASE_LABELS:
         raise GraphError(f"unknown base kind {kind!r}")
     labels = _BASE_LABELS[kind]
@@ -310,30 +295,19 @@ def find_cycles_covering(g: LabeledGraph, base_cycle, base: BaseGraph | None = N
     base = base or make_base(K1222)
     t = base_triangle(base, base_cycle)
     pairs = {frozenset(p) for p in itertools.combinations(t, 2)}
-    sub_edges = [
-        (u, v) for u, v in g.edges if frozenset((g.labels[u], g.labels[v])) in pairs
-    ]
-    adj: dict[int, list[int]] = {}
-    for u, v in sub_edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen: set[int] = set()
+    lifted = LabeledGraph(
+        g.labels,
+        tuple(e for e in g.edges if frozenset((g.labels[e[0]], g.labels[e[1]])) in pairs),
+        simple=False,
+    )
     comps = []
-    for s in sorted(adj):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        edges = tuple(e for e in sub_edges if e[0] in comp)
-        kind = "cycle" if all(len(adj[v]) == 2 for v in comp) and len(edges) == len(comp) else "path"
-        comps.append(CycleComponent(tuple(sorted(comp)), edges, kind))
+    for comp in connected_components(lifted):
+        if len(comp) == 1:
+            continue  # no lifted edge at this vertex
+        members = set(comp)
+        edges = tuple(e for e in lifted.edges if e[0] in members)
+        cycle = len(edges) == len(comp) and all(lifted.degree(v) == 2 for v in comp)
+        comps.append(CycleComponent(tuple(comp), edges, "cycle" if cycle else "path"))
     return comps
 
 

@@ -92,17 +92,24 @@ def semicover_from_obj(obj: dict) -> SemiCover:
 
 
 def voltage_from_obj(obj: dict) -> VoltageAssignment:
+    """Voltage assignment from JSON: each entry names a base edge, lower id
+    first, at most once; the edges left out carry the identity."""
     try:
         base = make_base(obj["base"])
         n = int(obj["n"])
-        given = {(e["from"], e["to"]): tuple(e["perm"]) for e in obj["edges"]}
+        perms = dict.fromkeys(base.graph.edges, tuple(range(n)))
+        given = {}
+        for e in obj["edges"]:
+            edge = (e["from"], e["to"])
+            if edge not in perms:
+                raise ValueError(f"{list(edge)} is not a base edge from the lower to the higher id")
+            if edge in given:
+                raise ValueError(f"edge {list(edge)} is given twice")
+            given[edge] = tuple(e["perm"])
     except (KeyError, TypeError, ValueError, GraphError) as exc:
         raise FormatError(f"bad voltage object: {exc}") from exc
-    perms = []
-    ident = tuple(range(n))
-    for u, w in base.graph.edges:
-        perms.append(given.get((u, w), ident))
-    return VoltageAssignment(base, n, tuple(perms))
+    perms.update(given)
+    return VoltageAssignment(base, n, tuple(perms.values()))
 
 
 def vertex_map_to_obj(vmap) -> dict:

@@ -46,7 +46,6 @@ from .graphs import (
     LabeledGraph,
     canonical_form,
     connectivity,
-    find_cycles_covering,
     is_connected,
     make_base,
 )
@@ -56,7 +55,7 @@ from .structure import (
     QuotientGraph,
     bead_sharing_excluded,
     face_count_exclusion,
-    find_beads,
+    negative_lift_triangular,
     quotient_skeleton,
 )
 
@@ -416,27 +415,22 @@ def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 
 
+#: The analyzer's graph-level gate, in order: (filter key, predicate).
+_GATES = (
+    ("not_k4", lambda g: not (g.n == 4 and g.m == 6)),
+    ("two_connected", lambda g: connectivity(g) >= 2),
+    ("negative_lift_triangular", negative_lift_triangular),
+)
+
+
 def _graph_level_filters(g: LabeledGraph, result: dict) -> bool:
-    """Graph-level gate of the analyzer; False means already excluded."""
-    filters = result["filters"]
-    filters["not_k4"] = not (g.n == 4 and g.m == 6)
-    if not filters["not_k4"]:
-        result["excluded_by"] = ["not_k4"]
-        return False
-    kappa = connectivity(g)
-    filters["two_connected"] = kappa >= 2
-    if kappa < 2:
-        result["excluded_by"] = ["two_connected"]
-        return False
-    k4 = make_base(K4NEG)
-    neg_ok = all(
-        comp.kind == "cycle" and comp.length == 3
-        for comp in find_cycles_covering(g, (-1, -2, -3), k4)
-    )
-    filters["negative_lift_triangular"] = neg_ok
-    if not neg_ok:
-        result["excluded_by"] = ["negative_lift_triangular"]
-        return False
+    """Graph-level gate of the analyzer; False means already excluded.
+    Filter keys are recorded up to and including the first that fails."""
+    for key, holds in _GATES:
+        result["filters"][key] = ok = holds(g)
+        if not ok:
+            result["excluded_by"] = [key]
+            return False
     return True
 
 
@@ -499,7 +493,7 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
         if apply_exclusions:
             result["excluded_by"] = [face_count_exclusion(1)]
             return result
-        k = len(find_beads(g))
+        k = g.n // 4  # the chain's k beads cover all 4k vertices
         hexagon = k == 2
         result["embeddings"] = {
             "structures": 1,
@@ -522,7 +516,7 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
     beads = [b for _, _, b in sk.edges]
     b_actual = sum(beads)
     simple_edges = tuple((u, v) for u, v, _ in sk.edges)
-    n_tri_faces = 2 * len(find_beads(g)) + len(sk.black_triangles)
+    n_tri_faces = 2 * len(sk.beads) + len(sk.black_triangles)
     passing = 0
     outer_choices = 0
     structures = 0

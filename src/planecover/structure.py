@@ -827,19 +827,24 @@ class QuotientSkeleton:
     black_triangles: tuple[tuple[int, int, int], ...]
     white_neighbor: tuple[int, ...]  # per edge: the white end's fragment neighbor
     black_corner: tuple[int, ...]  # per edge: the triangle corner it reaches
+    beads: tuple[Bead, ...]  # every bead of the fragment, as find_beads lists them
+
+
+def negative_lift_triangular(h: LabeledGraph) -> bool:
+    """True iff every component of the (-1,-2,-3) lift is a triangle."""
+    return all(
+        comp.kind == "cycle" and comp.length == 3
+        for comp in find_cycles_covering(h, (-1, -2, -3), make_base(K4NEG))
+    )
 
 
 def quotient_skeleton(h: LabeledGraph) -> QuotientSkeleton:
     """Contract (-1,-2,-3) triangles and replace bead strings by edges.
 
-    Requires every (-1,-2,-3) lift component to be a triangle and at
-    least one surviving 0-vertex and one non-bead triangle (a closed bead
-    chain has neither and is rejected).
+    Precondition: ``negative_lift_triangular(h)``, which callers test and
+    this does not.  Requires at least one surviving 0-vertex and one
+    non-bead triangle (a closed bead chain has neither and is rejected).
     """
-    k4 = make_base(K4NEG)
-    for comp in find_cycles_covering(h, (-1, -2, -3), k4):
-        if comp.kind != "cycle" or comp.length != 3:
-            raise QuotientError("a (-1,-2,-3) lift component is not a triangle")
     beads = find_beads(h)
     bead_vertices = set().union(*(b.vertices for b in beads))
 
@@ -883,22 +888,24 @@ def quotient_skeleton(h: LabeledGraph) -> QuotientSkeleton:
         black_triangles=tuple(neg_tris),
         white_neighbor=tuple(white_neighbor),
         black_corner=tuple(black_corner),
+        beads=tuple(beads),
     )
 
 
 def quotient_graph(h_emb: PlaneEmbedding) -> tuple[QuotientGraph, dict[int, int]]:
     """Quotient of an embedded fragment, with the inherited embedding.
 
-    Beyond the skeleton requirements, every contracted triangle must be a
-    face.  Returns the quotient and the map from fragment face ids to
-    quotient face ids.
+    The (-1,-2,-3) lift must split into triangles (tested here, the
+    skeleton's precondition), and beyond the skeleton requirements every
+    contracted triangle must be a face.  Returns the quotient and the map
+    from fragment face ids to quotient face ids.
     """
     h = h_emb.graph
+    if not negative_lift_triangular(h):
+        raise QuotientError("a (-1,-2,-3) lift component is not a triangle")
     sk = quotient_skeleton(h)
     a = sk.a
     whites, neg_tris, q_edges = sk.whites, sk.black_triangles, sk.edges
-    white_index = {v: i for i, v in enumerate(whites)}
-    beads = find_beads(h)
 
     facial = triangle_faces(h_emb)
     for t in neg_tris:
@@ -917,13 +924,13 @@ def quotient_graph(h_emb: PlaneEmbedding) -> tuple[QuotientGraph, dict[int, int]
     # corners' external edges in reverse facial order.
     qedge_of_white_dart = {d: qid for qid, d in enumerate(white_dart)}
     rotation: list[tuple[int, ...]] = [()] * (2 * a)
-    for z in whites:
+    for wi, z in enumerate(whites):
         order = []
         for eid in h_emb.rotation[z]:
             u, v = h.edges[eid]
             d = 2 * eid if u == z else 2 * eid + 1
             order.append(qedge_of_white_dart[d])
-        rotation[white_index[z]] = tuple(order)
+        rotation[wi] = tuple(order)
     corner_qedge = {corner: qid for qid, corner in enumerate(sk.black_corner)}
     for bi, t in enumerate(neg_tris):
         stranded = [v for v in t if v not in corner_qedge]
@@ -953,7 +960,7 @@ def quotient_graph(h_emb: PlaneEmbedding) -> tuple[QuotientGraph, dict[int, int]
                 raise QuotientError("face correspondence is inconsistent")
     # Cross-check lengths: a fragment 3l-face with beta beads maps to a
     # quotient 2(l - beta)-face.
-    bead_hosts = _bead_hosts(h_emb, beads)
+    bead_hosts = _bead_hosts(h_emb, sk.beads)
     beads_on = {i: 0 for i in range(len(h_emb.faces))}
     for hosts in bead_hosts:
         for fid in set(hosts):

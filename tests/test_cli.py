@@ -262,6 +262,10 @@ def _rotation_with_first_entry(entry):
     return _two_faces_with(rotation=rotation)
 
 
+def _k4_double_cover_with(*edges):
+    return {"base": "k4", "n": 2, "edges": list(edges)}
+
+
 @pytest.mark.parametrize(
     "command, obj",
     [
@@ -276,6 +280,11 @@ def _rotation_with_first_entry(entry):
         ("analyze", _two_faces_with_first_label({})),
         ("quotient", _two_faces_with_first_label([])),
         ("quotient", _two_faces_with_first_label({})),
+        ("derive", _k4_double_cover_with({"from": 3, "to": 0, "perm": [1, 0]})),
+        ("derive", _k4_double_cover_with({"from": 0, "to": 9, "perm": [1, 0]})),
+        ("derive", _k4_double_cover_with(
+            {"from": 1, "to": 2, "perm": [1, 0]}, {"from": 1, "to": 2, "perm": [0, 1]}
+        )),
     ],
     ids=[
         "analyze-outer-face-not-an-integer",
@@ -289,6 +298,9 @@ def _rotation_with_first_entry(entry):
         "analyze-label-an-object",
         "quotient-label-a-list",
         "quotient-label-an-object",
+        "derive-edge-against-the-base-orientation",
+        "derive-edge-not-in-the-base",
+        "derive-edge-given-twice",
     ],
 )
 def test_malformed_input_exits_three(tmp_path, capsys, command, obj):

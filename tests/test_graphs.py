@@ -1,6 +1,9 @@
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import connectivity_by_cut_search, isomorphic
 
@@ -9,6 +12,7 @@ from planecover.graphs import (
     GraphError,
     LabeledGraph,
     canonical_form,
+    connected_components,
     connectivity,
     find_cycles_covering,
     is_connected,
@@ -67,6 +71,25 @@ def test_connectivity_examples():
     assert connectivity(cube) == connectivity_by_cut_search(cube)
     with pytest.raises(GraphError):
         connectivity(LabeledGraph((0,), ()))
+
+
+@st.composite
+def _small_multigraphs(draw):
+    n = draw(st.integers(2, 9))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return LabeledGraph((0,) * n, tuple(draw(st.lists(pairs, max_size=3 * n))), simple=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_small_multigraphs())
+def test_component_search_agrees_with_networkx(g):
+    # is_connected, connected_components and the capped connectivity share
+    # one component search; disconnected and parallel-edge graphs included
+    G = nx.Graph(g.edges)
+    G.add_nodes_from(range(g.n))
+    assert is_connected(g) == nx.is_connected(G)
+    assert connected_components(g) == sorted(sorted(c) for c in nx.connected_components(G))
+    assert connectivity(g) == min(3, nx.node_connectivity(G))
 
 
 def test_canonical_form_isomorphic_copies():

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -114,6 +115,27 @@ def test_budget_refusal_of_a_huge_fold_skips_the_exact_count(monkeypatch):
     with pytest.raises(BudgetExceeded, match=r"about 2\.25e\+1369720 assignments"):
         enumerate_covers(SearchSpec("k4", 100000))
     assert enumerate_covers(SearchSpec("k4", 2))["pre_prune_estimate"] == 8
+
+
+def test_fragment_search_computes_each_fragment_fact_once(monkeypatch):
+    # the (-1,-2,-3) lift and the bead search run at most once per
+    # candidate: the analyzer's gate and the quotient skeleton share them
+    from planecover import structure
+
+    calls = {"find_cycles_covering": Counter(), "find_beads": Counter()}
+    for module in (search, structure):
+        for name, counter in calls.items():
+            if hasattr(module, name):
+                def counted(g, *args, _f=getattr(module, name), _c=counter):
+                    _c[g] += 1
+                    return _f(g, *args)
+
+                monkeypatch.setattr(module, name, counted)
+    cert = search_k4_fragments(3)
+    candidates = sum(len(fold["candidates"]) for fold in cert["folds"])
+    for name, counter in calls.items():
+        assert counter and max(counter.values()) == 1, name
+        assert sum(counter.values()) <= candidates, name
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4])
