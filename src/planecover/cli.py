@@ -182,7 +182,7 @@ def cmd_analyze(args) -> int:
     if verdict.violation is not None:
         out["semicover_violation"] = str(verdict.violation)
     try:
-        q, _ = quotient_graph(refine_faces(sc).h_embedding)
+        q, _ = quotient_graph(refine_faces(sc).h_embedding, report.beads)
         out["quotient_census"] = {str(k): v for k, v in q.census.items()}
     except (QuotientError, StructureError):
         out["quotient_census"] = None

@@ -13,8 +13,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-import networkx as nx
-
 from .graphs import (
     BaseGraph,
     GraphError,
@@ -207,22 +205,164 @@ class KuratowskiWitness:
     branch_vertices: tuple[int, ...]
 
 
-def _to_nx(nverts: int, edges) -> nx.Graph:
-    G = nx.Graph()
-    G.add_nodes_from(range(nverts))
-    G.add_edges_from(edges)
-    return G
+def _lr_planar(adj: list[int]) -> bool:
+    """Brandes' left-right planarity test ("The Left-Right Planarity
+    Test", 2009), verdict only, on bitmask adjacency rows.
+
+    An iterative orientation DFS directs tree edges away from the roots
+    and back edges towards them, with lowpoints and nesting depths; an
+    iterative testing DFS takes out-edges by nesting depth and keeps a
+    stack of conflict pairs [left low, left high, right low, right high]
+    of return-edge ids (-1: empty).  ``ref`` links each interval from its
+    high end down to its low end, with a spare last slot for the writes
+    made through a -1; the links Brandes adds only to orient the
+    embedding, from edges that have left every interval, are left out.
+    """
+    n = len(adj)
+    height, parent = [-1] * n, [-1] * n  # parent: the tree edge into a vertex
+    out: list[list[int]] = [[] for _ in range(n)]
+    tail, head, low, low2, nest = [], [], [], [], []
+    roots = []
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        roots.append(root)
+        stack = [[root, adj[root]]]
+        while stack:
+            top = stack[-1]
+            v, rest = top
+            if rest:
+                bit = rest & -rest
+                top[1] = rest ^ bit
+                w = bit.bit_length() - 1
+                hv, hw = height[v], height[w]
+                if hw >= 0 and (hw >= hv or tail[parent[v]] == w):
+                    continue  # oriented already, from w or as v's parent edge
+                e = len(head)
+                tail.append(v)
+                head.append(w)
+                out[v].append(e)
+                low.append(hv if hw < 0 else hw)
+                low2.append(hv)
+                nest.append(0)
+                if hw < 0:
+                    parent[w], height[w] = e, hv + 1
+                    stack.append([w, adj[w]])
+                    continue
+            else:
+                stack.pop()
+                e = parent[v]
+                if e < 0:
+                    continue
+                v = tail[e]
+            # e = (v, w) is done: its nesting depth, then v's parent edge's lowpoints
+            nest[e] = 2 * low[e] + (low2[e] < height[v])
+            p = parent[v]
+            if p < 0:
+                continue
+            if low[e] < low[p]:
+                low2[p], low[p] = min(low[p], low2[e]), low[e]
+            elif low[e] > low[p]:
+                low2[p] = min(low2[p], low[e])
+            else:
+                low2[p] = min(low2[p], low2[e])
+
+    m = len(head)
+    ref, bottom = [-1] * (m + 1), [None] * m
+    S: list[list[int]] = []
+
+    def conflicting(high: int, e: int) -> bool:
+        return high >= 0 and low[high] > low[e]
+
+    def add_constraints(ei: int, e: int) -> bool:
+        P = [-1, -1, -1, -1]
+        while True:  # merge the return edges of ei into P's right interval
+            Q = S.pop()
+            if Q[0] >= 0 or Q[1] >= 0:
+                Q[:2], Q[2:] = Q[2:], Q[:2]
+                if Q[0] >= 0 or Q[1] >= 0:
+                    return False
+            if low[Q[2]] > low[e]:  # else aligned with e's lowest return edge: dropped
+                if P[2] < 0 and P[3] < 0:
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            if (S[-1] if S else None) is bottom[ei]:
+                break
+        while S and (conflicting(S[-1][1], ei) or conflicting(S[-1][3], ei)):
+            Q = S.pop()  # conflicting return edges of earlier siblings: into P's left
+            if conflicting(Q[3], ei):
+                Q[:2], Q[2:] = Q[2:], Q[:2]
+                if conflicting(Q[3], ei):
+                    return False
+            ref[P[2]] = Q[3]
+            if Q[2] >= 0:
+                P[2] = Q[2]
+            if P[0] < 0 and P[1] < 0:
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P != [-1, -1, -1, -1]:
+            S.append(P)
+        return True
+
+    def remove_back_edges(u: int) -> None:
+        while S:  # drop the pairs whose lowest return edge ends at u
+            P = S[-1]
+            lows = [low[x] for x in (P[0], P[2]) if x >= 0]
+            if min(lows) != height[u]:
+                break
+            S.pop()
+        if S:  # trim the next pair's intervals
+            P = S[-1]
+            for hi in (1, 3):
+                while P[hi] >= 0 and head[P[hi]] == u:
+                    P[hi] = ref[P[hi]]
+                if P[hi] < 0:
+                    P[hi - 1] = -1
+
+    for edges in out:
+        edges.sort(key=nest.__getitem__)
+    pos = [0] * n
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            i = pos[v]
+            if i < len(out[v]):
+                ei = out[v][i]
+                bottom[ei] = S[-1] if S else None
+                if parent[head[ei]] == ei:
+                    stack.append(head[ei])  # ei is integrated once its head is done
+                    continue
+                S.append([-1, -1, ei, ei])
+            else:
+                stack.pop()
+                ei = parent[v]
+                if ei < 0:
+                    continue
+                v = tail[ei]
+                remove_back_edges(v)
+                i = pos[v]
+            if i > 0 and low[ei] < height[v] and not add_constraints(ei, parent[v]):
+                return False  # ei has a return edge below v that fits no side
+            pos[v] = i + 1
+    return True
 
 
 def planar_edges(nverts: int, edges) -> bool:
     """Planarity of the graph on vertices 0..nverts-1 spanned by a
-    loop-free edge list (repeated edges do not change the verdict).
+    loop-free edge list (repeated edges do not change the verdict): the
+    package's one planarity decision.
 
     A simple planar graph with V >= 3 has at most 3V - 6 edges, and one
     with exactly 3V - 6 is a triangulation: for V >= 4 every edge then
     lies on two facial triangles with distinct third vertices, so its
     endpoints have two common neighbours.  Graphs failing either count are
-    rejected before the LR test runs.
+    rejected before the left-right test runs.
     """
     adj = [0] * nverts
     for u, v in edges:
@@ -235,8 +375,7 @@ def planar_edges(nverts: int, edges) -> bool:
         (adj[u] & adj[v]).bit_count() < 2 for u, v in edges
     ):
         return False
-    ok, _ = nx.check_planarity(_to_nx(nverts, edges), counterexample=False)
-    return ok
+    return _lr_planar(adj)
 
 
 def is_planar(g: LabeledGraph) -> bool:
@@ -300,21 +439,32 @@ def validate_kuratowski(g: LabeledGraph, edges) -> KuratowskiWitness:
 
 
 def planarity(g: LabeledGraph) -> PlaneEmbedding | KuratowskiWitness:
-    """Decide planarity; return an embedding or a verified witness."""
+    """Decide planarity by :func:`planar_edges`; return an embedding or a
+    verified witness, both built by networkx.  networkx's verdict must
+    agree, or EmbeddingError is raised."""
     if not g.simple:
         raise GraphError("planarity operates on simple graphs")
     if g.n == 0 or not is_connected(g):
         raise GraphError("planarity requires a connected input")
-    G = _to_nx(g.n, g.edges)
-    ok, cert = nx.check_planarity(G, counterexample=False)
-    if ok:
+    import networkx as nx  # builds the embedding or the witness only
+
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    if planar_edges(g.n, g.edges):
+        ok, cert = nx.check_planarity(G, counterexample=False)
+        if not ok:
+            raise EmbeddingError("networkx finds no embedding of a graph decided planar")
         data = cert.get_data()
         edge_id = {e: i for i, e in enumerate(g.edges)}
         rotation = []
         for v in range(g.n):
             rotation.append(tuple(edge_id[(v, u) if v < u else (u, v)] for u in data[v]))
         return make_embedding(g, rotation)
-    sub = nx.algorithms.planarity.get_counterexample(G)
+    try:
+        sub = nx.algorithms.planarity.get_counterexample(G)
+    except nx.NetworkXException as exc:
+        raise EmbeddingError("networkx embeds a graph decided non-planar") from exc
     return validate_kuratowski(g, list(sub.edges()))
 
 

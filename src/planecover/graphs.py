@@ -5,8 +5,10 @@ fragments, quotients) carries a label per vertex drawn from the seven
 symbols 0, +-1, +-2, +-3.  The apex vertex of K(1,2,2,2) is labelled 0;
 the six octahedron vertices are labelled so that i and -i are the unique
 non-adjacent pairs.  Covers of the K4 subgraph reuse {0, -1, -2, -3}.
-Every connectivity question goes through one component search,
-``_component``; the two base graphs are built once per process.
+Connectedness and components go through one component search,
+``_component``, and the capped vertex connectivity through one cut-vertex
+search, ``_has_cut_vertex``; the two base graphs are built once per
+process.
 """
 
 from __future__ import annotations
@@ -102,13 +104,10 @@ class LabeledGraph:
             raise GraphError("connectivity needs at least 2 vertices")
         if not is_connected(self):
             return 0
-        for k in (1, 2):
-            if self.n - k < 2:
-                break
-            for cut in itertools.combinations(range(self.n), k):
-                start = next(v for v in range(self.n) if v not in cut)
-                if len(_component(self, start, cut)) < self.n - k:
-                    return k
+        if self.n >= 3 and _has_cut_vertex(self):
+            return 1
+        if self.n >= 4 and any(_has_cut_vertex(self, v) for v in range(self.n)):
+            return 2
         return min(3, self.n - 1)
 
     def degree(self, v: int) -> int:
@@ -137,12 +136,11 @@ class LabeledGraph:
         return LabeledGraph(tuple(self.labels[v] for v in keep), tuple(edges), self.simple), new_id
 
 
-def _component(g: LabeledGraph, start: int, removed=()) -> list[int]:
-    """Vertices reachable from ``start`` in g minus ``removed``, in
-    discovery order: the one component search of the package."""
+def _component(g: LabeledGraph, start: int) -> list[int]:
+    """Vertices reachable from ``start``, in discovery order: the one
+    component search of the package."""
     seen = bytearray(g.n)
-    for v in (start, *removed):
-        seen[v] = 1
+    seen[start] = 1
     comp = [start]
     stack = [start]
     adj = g.adj
@@ -153,6 +151,46 @@ def _component(g: LabeledGraph, start: int, removed=()) -> list[int]:
                 comp.append(v)
                 stack.append(v)
     return comp
+
+
+def _has_cut_vertex(g: LabeledGraph, removed: int = -1) -> bool:
+    """Whether g minus the vertex ``removed`` (none if -1), assumed
+    connected, has a cut vertex: one iterative lowpoint DFS.
+
+    A non-root vertex p is a cut vertex when some DFS child's subtree has
+    no edge to a proper ancestor of p (low[child] >= disc[p]); the root is
+    one when it has two DFS children.  Edges back to the parent, parallel
+    ones included, only lower low[child] to disc[p], which leaves that
+    test unchanged, so they need no special case.
+    """
+    adj = g.adj
+    disc = [-1] * g.n
+    low = [0] * g.n
+    root = 1 if removed == 0 else 0
+    disc[root] = low[root] = t = 1
+    root_children = 0
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        v, nbrs = stack[-1]
+        for w in nbrs:
+            if w == removed:
+                continue
+            if disc[w] < 0:
+                t += 1
+                disc[w] = low[w] = t
+                stack.append((w, iter(adj[w])))
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                low[p] = min(low[p], low[v])
+                if p == root:
+                    root_children += 1
+                elif low[v] >= disc[p]:
+                    return True
+    return root_children > 1
 
 
 def is_connected(g: LabeledGraph) -> bool:
@@ -171,7 +209,8 @@ def connected_components(g: LabeledGraph) -> list[list[int]]:
 
 
 def connectivity(g: LabeledGraph) -> int:
-    """Vertex connectivity capped at 3, by exhaustive small-cut search.
+    """Vertex connectivity capped at 3: 1 if g has a cut vertex, 2 if some
+    g - v has one.
 
     Nothing downstream distinguishes connectivities above 3, so the search
     stops there instead of pulling in max-flow machinery.  The value is

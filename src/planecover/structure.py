@@ -209,8 +209,11 @@ def _open_strings(g: LabeledGraph, beads) -> list[tuple[tuple[Bead, ...], int, i
     return out
 
 
-def detect_strings(emb: PlaneEmbedding) -> list[StringDesc]:
-    """Maximal strings of an embedded fragment (empty for a necklace)."""
+def detect_strings(emb: PlaneEmbedding, beads=None) -> list[StringDesc]:
+    """Maximal strings of an embedded fragment (empty for a necklace);
+    ``beads``, when given, is the fragment's ``find_beads`` list."""
+    if beads is None:
+        beads = find_beads(emb.graph)
     strings = [
         StringDesc(
             beads=chain,
@@ -218,20 +221,22 @@ def detect_strings(emb: PlaneEmbedding) -> list[StringDesc]:
             neg_terminal=(chain[0].zero, below),
             zero_terminal=(chain[-1].kvert, above),
         )
-        for chain, below, above in _open_strings(emb.graph, find_beads(emb.graph))
+        for chain, below, above in _open_strings(emb.graph, beads)
     ]
     return sorted(strings, key=lambda s: s.beads[0].zero)
 
 
-def is_necklace(emb: PlaneEmbedding) -> bool:
-    """True iff the whole fragment is one cyclic chain of beads.
+def is_necklace(emb: PlaneEmbedding, beads=None) -> bool:
+    """True iff the whole fragment is one cyclic chain of beads;
+    ``beads``, when given, is the fragment's ``find_beads`` list.
 
     Once every vertex lies on a bead and no chain is open, each bead's 0
     is joined to the -k vertex of another, so the beads form closed
     chains; they form one exactly when the fragment is connected.
     """
     g = emb.graph
-    beads = find_beads(g)
+    if beads is None:
+        beads = find_beads(g)
     if not beads or set().union(*(b.vertices for b in beads)) != set(range(g.n)):
         return False
     return not _open_strings(g, beads) and is_connected(g)
@@ -693,12 +698,12 @@ def admissibility_report(sc: SemiCover, fragment: LabeledGraph | None = None) ->
     conditions["no_internal_hexagon"] = hexagon_ok
     conditions["triangle_capacity"] = capacity_ok
 
-    strings = detect_strings(h_emb)
+    strings = detect_strings(h_emb, beads)
     return StructureReport(
         faces=tuple(face_records),
         beads=tuple(beads),
         strings=tuple(strings),
-        necklace=is_necklace(h_emb),
+        necklace=is_necklace(h_emb, beads),
         bead_faces=tuple(bead_hosts),
         conditions=conditions,
         h_outer=ref.h_outer,
@@ -838,14 +843,16 @@ def negative_lift_triangular(h: LabeledGraph) -> bool:
     )
 
 
-def quotient_skeleton(h: LabeledGraph) -> QuotientSkeleton:
+def quotient_skeleton(h: LabeledGraph, beads=None) -> QuotientSkeleton:
     """Contract (-1,-2,-3) triangles and replace bead strings by edges.
 
     Precondition: ``negative_lift_triangular(h)``, which callers test and
     this does not.  Requires at least one surviving 0-vertex and one
     non-bead triangle (a closed bead chain has neither and is rejected).
+    ``beads``, when given, is the fragment's ``find_beads`` list.
     """
-    beads = find_beads(h)
+    if beads is None:
+        beads = find_beads(h)
     bead_vertices = set().union(*(b.vertices for b in beads))
 
     whites = [v for v in range(h.n) if h.labels[v] == 0 and v not in bead_vertices]
@@ -892,18 +899,19 @@ def quotient_skeleton(h: LabeledGraph) -> QuotientSkeleton:
     )
 
 
-def quotient_graph(h_emb: PlaneEmbedding) -> tuple[QuotientGraph, dict[int, int]]:
+def quotient_graph(h_emb: PlaneEmbedding, beads=None) -> tuple[QuotientGraph, dict[int, int]]:
     """Quotient of an embedded fragment, with the inherited embedding.
 
     The (-1,-2,-3) lift must split into triangles (tested here, the
     skeleton's precondition), and beyond the skeleton requirements every
     contracted triangle must be a face.  Returns the quotient and the map
-    from fragment face ids to quotient face ids.
+    from fragment face ids to quotient face ids.  ``beads``, when given,
+    is the fragment's ``find_beads`` list.
     """
     h = h_emb.graph
     if not negative_lift_triangular(h):
         raise QuotientError("a (-1,-2,-3) lift component is not a triangle")
-    sk = quotient_skeleton(h)
+    sk = quotient_skeleton(h, beads)
     a = sk.a
     whites, neg_tris, q_edges = sk.whites, sk.black_triangles, sk.edges
 

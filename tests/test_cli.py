@@ -79,6 +79,31 @@ def test_analyze_necklace_reports_exclusion(tmp_path, capsys):
     assert "necklace" in capsys.readouterr().out
 
 
+SEMICOVER_FIXTURES = (
+    "necklace4", "necklace3", "two_faces", "nine_face_pair", "fold_six_fragment",
+    "hexagon_cover", "single_bead", "hub_violation", "two_trapezia", "crowded_face",
+    "support_case1", "support_case2", "support_case3", "trapezium_face",
+)
+
+
+@pytest.mark.parametrize("name", SEMICOVER_FIXTURES)
+def test_analyze_runs_one_bead_search(monkeypatch, tmp_path, capsys, name):
+    # the report's beads feed its strings, its necklace test and the
+    # quotient census
+    from planecover import structure
+
+    calls = []
+    find_beads = structure.find_beads
+
+    def counted(g):
+        calls.append(g)
+        return find_beads(g)
+
+    monkeypatch.setattr(structure, "find_beads", counted)
+    main(["analyze", "--fixture", name, "--out", str(tmp_path / "report.json")])
+    assert len(calls) == 1
+
+
 def test_analyze_invalid_semicover_exits_one(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["analyze", "--fixture", "hub_violation", "--out", str(out)])

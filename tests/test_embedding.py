@@ -273,6 +273,6 @@ def test_planar_edges_skips_lr_at_and_above_the_bound(monkeypatch):
     def no_lr(*args, **kwargs):
         raise AssertionError("the LR test ran")
 
-    monkeypatch.setattr(embedding.nx, "check_planarity", no_lr)
+    monkeypatch.setattr(embedding, "_lr_planar", no_lr)
     assert not planar_edges(6, edges)
     assert not planar_edges(5, list(itertools.combinations(range(5), 2)))  # K5: 10 > 9

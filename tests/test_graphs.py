@@ -83,13 +83,42 @@ def _small_multigraphs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_small_multigraphs())
 def test_component_search_agrees_with_networkx(g):
-    # is_connected, connected_components and the capped connectivity share
-    # one component search; disconnected and parallel-edge graphs included
+    # is_connected and connected_components share one component search and
+    # the capped connectivity one cut-vertex search; disconnected and
+    # parallel-edge graphs included
     G = nx.Graph(g.edges)
     G.add_nodes_from(range(g.n))
     assert is_connected(g) == nx.is_connected(G)
     assert connected_components(g) == sorted(sorted(c) for c in nx.connected_components(G))
     assert connectivity(g) == min(3, nx.node_connectivity(G))
+
+
+_K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+@pytest.mark.parametrize(
+    "n, edges, want",
+    [
+        (2, (), 0),
+        (3, ((0, 1),), 0),
+        (4, ((0, 1), (0, 1), (2, 3)), 0),
+        (2, ((0, 1),), 1),
+        (2, ((0, 1), (0, 1), (0, 1)), 1),
+        (3, ((0, 1), (1, 2)), 1),
+        (3, ((0, 1), (0, 1), (1, 2), (1, 2)), 1),
+        (5, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)), 1),  # two triangles at a vertex
+        (3, ((0, 1), (1, 2), (0, 2)), 2),
+        (3, ((0, 1), (0, 1), (1, 2), (0, 2), (0, 2)), 2),
+        (5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)), 2),
+        (6, _K4_EDGES + ((0, 4), (0, 5), (1, 4), (1, 5), (4, 5)), 2),  # two K4s on an edge
+        (4, _K4_EDGES, 3),
+        (4, _K4_EDGES + _K4_EDGES[:2], 3),
+        (5, tuple((u, v) for u in range(5) for v in range(u + 1, 5)), 3),  # K5, capped
+    ],
+)
+def test_connectivity_cases(n, edges, want):
+    g = LabeledGraph((0,) * n, edges, simple=False)
+    assert connectivity(g) == want == connectivity_by_cut_search(g)
 
 
 def test_canonical_form_isomorphic_copies():

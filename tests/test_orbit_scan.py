@@ -49,14 +49,14 @@ def test_orbit_scan_matches_brute_force_k1222_n2():
 def test_k1222_n2_scan_leaves_four_covers_to_the_lr_test(monkeypatch):
     # every connected fold-2 cover has 14 vertices and 36 = 3V - 6 edges,
     # so the triangulation pre-check decides all but four of them
-    lr = embedding.nx.check_planarity
+    lr = embedding._lr_planar
     calls = []
 
-    def counted(G, **kwargs):
-        calls.append(G)
-        return lr(G, **kwargs)
+    def counted(adj):
+        calls.append(adj)
+        return lr(adj)
 
-    monkeypatch.setattr(embedding.nx, "check_planarity", counted)
+    monkeypatch.setattr(embedding, "_lr_planar", counted)
     got = _scan_chunk(make_base("k1222"), 2, conjugacy_representatives(2), True, True)
     assert got[2] == 0
     assert len(calls) == 4
