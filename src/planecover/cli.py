@@ -182,8 +182,8 @@ def cmd_analyze(args) -> int:
     if verdict.violation is not None:
         out["semicover_violation"] = str(verdict.violation)
     try:
-        q, _ = quotient_graph(refine_faces(sc).h_embedding, report.beads)
-        out["quotient_census"] = {str(k): v for k, v in q.census.items()}
+        q, _ = quotient_graph(report.h_embedding, report.beads)
+        out["quotient_census"] = pio.census_to_obj(q.census)
     except (QuotientError, StructureError):
         out["quotient_census"] = None
     _write_out(args, pio.dumps(out))
@@ -243,8 +243,7 @@ def cmd_search(args) -> int:
         budget = args.budget
     mode = obj.get("mode", "covers")
     if mode == "covers":
-        filters = args.filters.split(",") if args.filters else None
-        spec = SearchSpec.from_obj(obj, filters, budget)
+        spec = SearchSpec.from_obj(obj, budget)
     elif mode == "fragments":
         h_max = spec_int(obj, "h_max")
     else:
@@ -332,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("spec", nargs="?")
     sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--filters", default=None, help="comma-separated filter override")
     sp.add_argument("--dot-dir", default=None, help="write one DOT file per survivor here")
     common(sp)
     sp.set_defaults(func=cmd_search)

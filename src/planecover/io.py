@@ -147,13 +147,19 @@ def graph_to_dot(g: LabeledGraph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
+def census_to_obj(census: dict) -> dict:
+    """A quotient face census {face length: count} as a JSON object, its
+    keys the lengths as strings."""
+    return {str(k): v for k, v in census.items()}
+
+
 def quotient_to_obj(q) -> dict:
     return {
         "a": q.a,
         "edges": [list(e) for e in q.edges],
         "rotation": [list(r) for r in q.rotation],
         "outer_face": q.outer_face,
-        "census": {str(k): v for k, v in q.census.items()},
+        "census": census_to_obj(q.census),
         "total_beads": q.total_beads,
     }
 

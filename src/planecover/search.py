@@ -13,21 +13,23 @@ isomorphism classes, and a canonical-form collision between orbits is
 raised as an error.  Each orbit's lift and transitivity test are the ones
 ``covers`` defines.
 
-The K4-fragment analyzer enumerates plane embeddings on the contracted
-quotient of a candidate, applies every condition an admissible fragment
-must satisfy and, unless told otherwise, the shape exclusions that
-``structure`` defines and the bead-demand feasibility of the quotient.
-
-One routine scans a fold: the budget check, the orbit scan and the
-certificate entries.  ``enumerate_covers`` runs it once; the fragment
-search ``search_k4_fragments`` is the structural covers search of K4
-(all of ``COVER_FILTERS``) run fold by fold.
+One routine scans a fold: the budget check, the orbit scan and one
+certificate entry per isomorphism class of connected planar covers.  The
+two searches run it and nothing else selects what it keeps:
+``enumerate_covers`` certifies the connected planar covers of one base at
+one fold, and ``search_k4_fragments`` is the one structural search.  It
+scans K4 fold by fold and runs every class through the K4-fragment
+analyzer, which enumerates plane embeddings on the contracted quotient of
+the candidate and applies every condition an admissible fragment must
+satisfy, the shape exclusions that ``structure`` defines and the
+bead-demand feasibility of the quotient.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 import time
 from dataclasses import dataclass
@@ -49,6 +51,7 @@ from .graphs import (
     is_connected,
     make_base,
 )
+from .io import census_to_obj
 from .structure import (
     INTERIOR_CONDITION_KEYS,
     QuotientError,
@@ -60,9 +63,6 @@ from .structure import (
 )
 
 FORMAT_VERSION = 1
-
-COVER_FILTERS = ("connected", "planar", "admissible", "exclusions")
-_STRUCTURAL = frozenset({"admissible", "exclusions"})
 
 #: Extra fragment-level conditions the bare search applies beyond the
 #: face-census exclusions.  Each is a restriction of an interior condition
@@ -82,40 +82,40 @@ class SearchError(ValueError):
     pass
 
 
+def _fixed_spec_fields() -> dict:
+    """Covers spec fields with one allowed value: the search keeps the
+    connected planar covers, one per isomorphism class.  Format-1
+    certificates record them, and a spec may restate them."""
+    return {"filters": ["connected", "planar"], "dedup": True}
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     base: str
     n: int
-    filters: tuple[str, ...] = ("connected", "planar")
-    dedup: bool = True
     budget: int = 10**9
 
     def __post_init__(self):
         if self.n < 1:
             raise SearchError("fold must be at least 1")
-        if type(self.dedup) is not bool:
-            raise SearchError(f"search spec field 'dedup' must be true or false, not {self.dedup!r}")
-        bad = [f for f in self.filters if f not in COVER_FILTERS]
-        if bad:
-            raise SearchError(f"unknown filters: {bad}")
-        if _STRUCTURAL.intersection(self.filters) and self.base != K4NEG:
-            raise SearchError("structural filters require the k4 base")
 
     @classmethod
-    def from_obj(cls, obj, filters=None, budget: int | None = None) -> SearchSpec:
-        """Parse a covers-mode spec object; ``filters`` and ``budget``
-        replace the object's own when given."""
+    def from_obj(cls, obj, budget: int | None = None) -> SearchSpec:
+        """Parse a covers-mode spec object; ``budget`` replaces the
+        object's own when given."""
         n = spec_int(obj, "n")
         if not isinstance(obj.get("base"), str):
             raise SearchError("search spec lacks a 'base' name")
-        filters = filters or obj.get("filters", ("connected", "planar"))
-        if not isinstance(filters, (list, tuple)):
-            raise SearchError(f"search spec field 'filters' must be a list, not {filters!r}")
+        for key, value in _fixed_spec_fields().items():
+            given = obj.get(key, value)
+            if type(given) is not type(value) or given != value:
+                raise SearchError(
+                    f"search spec field {key!r} may only be {json.dumps(value)}, not "
+                    f"{given!r}: covers mode keeps the connected planar covers, one per class"
+                )
         return cls(
             base=obj["base"],
             n=n,
-            filters=tuple(filters),
-            dedup=obj.get("dedup", True),
             budget=spec_int(obj, "budget", 10**9) if budget is None else budget,
         )
 
@@ -124,8 +124,7 @@ class SearchSpec:
             "mode": "covers",
             "base": self.base,
             "n": self.n,
-            "filters": list(self.filters),
-            "dedup": self.dedup,
+            **_fixed_spec_fields(),
             "budget": self.budget,
         }
 
@@ -239,14 +238,15 @@ def _add_class(classes: dict, key: bytes, volt, count: int) -> None:
     classes[key] = [volt, count]
 
 
-def _scan_chunk(base: BaseGraph, n: int, firsts, want_connected, want_planar):
+def _scan_chunk(base: BaseGraph, n: int, firsts):
     """Scan the normalized assignments with the given first-cotree voltages.
 
     Every test runs once per orbit of sheet relabeling (simultaneous
     conjugation), on the orbit's least tuple; each orbit counts for the
     assignments of the full scan that fall in it.  Returns (visited,
-    connected_count, planar_count, classes) where classes maps canonical
-    form -> [least voltage, assignment count].
+    connected_count, planar_count, classes) where classes maps the
+    canonical form of each connected planar cover -> [least voltage,
+    assignment count].
     """
     labels = tuple(
         base.graph.labels[b] for b in range(base.graph.n) for _ in range(n)
@@ -260,13 +260,13 @@ def _scan_chunk(base: BaseGraph, n: int, firsts, want_connected, want_planar):
     perms = [tuple(range(n))] * base.graph.m
     for volt, cent, stab in voltage_orbits(n, firsts, depth):
         weight = cent // stab
-        if want_connected and not sheets_transitive(volt, n):
+        if not sheets_transitive(volt, n):
             continue
         connected_count += weight
         for eid, p in zip(cotree, volt):
             perms[eid] = p
         edges = derived_edges(base.graph, n, perms)
-        if want_planar and not planar_edges(len(labels), edges):
+        if not planar_edges(len(labels), edges):
             continue
         planar_count += weight
         key = canonical_form(LabeledGraph(labels, tuple(edges)))
@@ -286,18 +286,15 @@ def _merge_chunks(results):
     return visited, connected, planar, classes
 
 
-def _scan(base: BaseGraph, n: int, want_connected: bool, want_planar: bool, workers: int = 1):
+def _scan(base: BaseGraph, n: int, workers: int = 1):
     firsts = conjugacy_representatives(n)
     if workers <= 1 or len(firsts) == 1:
-        return _scan_chunk(base, n, firsts, want_connected, want_planar)
+        return _scan_chunk(base, n, firsts)
     import multiprocessing as mp
 
     chunks = [[f] for f in firsts]
     with mp.Pool(min(workers, len(chunks))) as pool:
-        results = pool.starmap(
-            _scan_chunk,
-            [(base, n, ch, want_connected, want_planar) for ch in chunks],
-        )
+        results = pool.starmap(_scan_chunk, [(base, n, ch) for ch in chunks])
     return _merge_chunks(results)
 
 
@@ -306,17 +303,15 @@ def _scan(base: BaseGraph, n: int, want_connected: bool, want_planar: bool, work
 # ---------------------------------------------------------------------------
 
 
-def _scan_fold(base: BaseGraph, n: int, filters, budget: int, workers: int = 1):
-    """Scan fold ``n`` of ``base`` under ``filters`` and build its entries.
+def _scan_fold(base: BaseGraph, n: int, budget: int, workers: int = 1) -> dict:
+    """Scan fold ``n`` of ``base`` and build its fold record.
 
     The fold is refused when its (n!)^k normalized assignments exceed
     ``budget``; k·log(n!) is compared with log(budget) first, so a fold far
-    beyond the budget is refused without computing (n!)^k.  With a
-    structural filter the derived graph of each class runs through the
-    fragment analyzer, whose verdict fills the entry.  Returns the fold
-    record (counts, entries in canonical order, survivor digests) and, per
-    entry, its derived graph (None without a structural filter) and
-    quotient censuses.
+    beyond the budget is refused without computing (n!)^k.  The record
+    holds the counts and one entry per isomorphism class of connected
+    planar covers, in canonical order; each search adds its verdicts and
+    survivors to the entries.
     """
     log_estimate = len(base.cotree_edges) * math.lgamma(n + 1)
     estimate = None
@@ -327,39 +322,23 @@ def _scan_fold(base: BaseGraph, n: int, filters, budget: int, workers: int = 1):
             f"voltage space for base {base.kind!r} at fold {n} has about "
             f"{_approx(log_estimate / math.log(10))} assignments, beyond the budget {budget}"
         )
-    visited, connected, planar, classes = _scan(
-        base, n, "connected" in filters, "planar" in filters, workers
-    )
-    structural = bool(_STRUCTURAL.intersection(filters))
-    candidates = []
-    derived = []
-    for key in sorted(classes):
-        volt, count = classes[key]
-        entry = {
+    visited, connected, planar, classes = _scan(base, n, workers)
+    candidates = [
+        {
             "canonical": _digest(key),
-            "assignments": count,
-            "voltage": [list(p) for p in volt],
-            "filters": {},
-            "survivor": True,
+            "assignments": classes[key][1],
+            "voltage": [list(p) for p in classes[key][0]],
         }
-        g, censuses = None, []
-        if structural:
-            g, _ = derive(normalized_assignment(base, n, volt))
-            analysis = analyze_fragment_candidate(g, "exclusions" in filters)
-            censuses = analysis.pop("quotient_censuses")
-            entry.update(analysis)
-        candidates.append(entry)
-        derived.append((g, censuses))
-    record = {
+        for key in sorted(classes)
+    ]
+    return {
         "visited": visited,
         "pre_prune_estimate": estimate,
         "connected": connected,
         "planar": planar,
         "classes": len(classes),
         "candidates": candidates,
-        "survivors": [e["canonical"] for e in candidates if e["survivor"]],
     }
-    return record, derived
 
 
 # ---------------------------------------------------------------------------
@@ -368,30 +347,21 @@ def _scan_fold(base: BaseGraph, n: int, filters, budget: int, workers: int = 1):
 
 
 def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
-    """Enumerate normalized voltage assignments and filter.
+    """Certify the connected planar covers of ``spec.base`` at fold
+    ``spec.n``, one candidate entry per isomorphism class.
 
     Returns the certificate as a plain JSON-ready dict; the "timing"
-    entry is a sidecar excluded from byte-for-byte comparisons.
+    entry is a sidecar excluded from byte-for-byte comparisons.  The
+    fragment fields stay empty in covers mode.
     """
     t0 = time.monotonic()
-    record, derived = _scan_fold(make_base(spec.base), spec.n, spec.filters, spec.budget, workers)
-    structural = bool(_STRUCTURAL.intersection(spec.filters))
-    scan_filters = {f: True for f in ("connected", "planar") if f in spec.filters}
+    record = _scan_fold(make_base(spec.base), spec.n, spec.budget, workers)
     for entry in record["candidates"]:
-        entry["filters"].update(scan_filters)
-    if not spec.dedup and not structural:
-        # every class survives, and survivors count as assignments
-        survivor_count = sum(e["assignments"] for e in record["candidates"])
-    else:
-        survivor_count = len(record["survivors"])
+        entry.update(filters={"connected": True, "planar": True}, survivor=True)
+    survivors = [e["canonical"] for e in record["candidates"]]
 
     alarms = []
-    if (
-        spec.base == "k1222"
-        and {"connected", "planar"} <= set(spec.filters)
-        and record["survivors"]
-        and spec.n % 2 == 1
-    ):
+    if spec.base == "k1222" and survivors and spec.n % 2 == 1:
         alarms.append(
             "odd-fold connected planar cover of a non-planar base found; "
             "this contradicts the even-fold law and demands investigation"
@@ -401,11 +371,12 @@ def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
         "format_version": FORMAT_VERSION,
         "spec": spec.to_obj(),
         **record,
-        "survivor_count": survivor_count,
+        "survivors": survivors,
+        "survivor_count": len(survivors),
         "alarms": alarms,
-        "skipped_conditions": list(INTERIOR_CONDITION_KEYS) if structural else [],
-        "extra_conditions": list(EXTRA_FRAGMENT_FILTERS) if structural else [],
-        "quotient_censuses": [c for _, censuses in derived for c in censuses],
+        "skipped_conditions": [],
+        "extra_conditions": [],
+        "quotient_censuses": [],
         "timing": {"seconds": time.monotonic() - t0, "workers": workers},
     }
 
@@ -458,7 +429,7 @@ def spherical_rotations(nverts: int, edges):
             yield tuple(rotation), faces
 
 
-def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -> dict:
+def analyze_fragment_candidate(g: LabeledGraph) -> dict:
     """Run the bare-fragment filter pipeline over every plane embedding.
 
     Embeddings are enumerated on the contracted quotient: an admissible
@@ -488,25 +459,12 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
         # No surviving 0-vertex or triangle: a closed chain of k beads.  Its
         # admissible embeddings have 2k triangles and two 3k-gons, either of
         # which may be outer, so the other is the one internal
-        # non-triangular face; it is a hexagon when k = 2.
+        # non-triangular face.
         filters["quotient"] = False
-        if apply_exclusions:
-            result["excluded_by"] = [face_count_exclusion(1)]
-            return result
-        k = g.n // 4  # the chain's k beads cover all 4k vertices
-        hexagon = k == 2
-        result["embeddings"] = {
-            "structures": 1,
-            "outer_choices": 2 * k + 2,
-            "passing": 0 if hexagon else 2,
-        }
-        result["excluded_by"] = ["outer_face_nontriangular"]
-        if hexagon:
-            result["excluded_by"].insert(0, "no_internal_hexagon")
-        result["survivor"] = not hexagon
+        result["excluded_by"] = [face_count_exclusion(1)]
         return result
     filters["quotient"] = True
-    if sk.a == 1 and apply_exclusions:
+    if sk.a == 1:
         # Three quotient faces leave two internal ones whatever is outer.
         # From a = 2 on, a + 2 faces leave at least three internal ones,
         # which no face-count exclusion covers.
@@ -526,7 +484,7 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
         face_beads = [sum(beads[e] for e in sides) for sides in q.face_edge_sides]
         thirds = [len(f) // 2 + face_beads[i] for i, f in enumerate(q.faces)]
         edge_faces = _edge_faces(q)
-        censuses.append({str(k): v for k, v in q.census.items()})
+        censuses.append(census_to_obj(q.census))
         outer_choices += n_tri_faces  # triangular fragment faces as outer
         if n_tri_faces:
             excluded_by.add("outer_face_nontriangular")
@@ -535,9 +493,6 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
             internal = [j for j in range(len(q.faces)) if j != i]
             if any(thirds[j] == 2 for j in internal):
                 excluded_by.add("no_internal_hexagon")
-                continue
-            if not apply_exclusions:
-                passing += 1
                 continue
             if any(
                 bead_sharing_excluded(
@@ -570,11 +525,11 @@ def analyze_fragment_candidate(g: LabeledGraph, apply_exclusions: bool = True) -
 def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progress=None) -> dict:
     """Enumerate admissible K4-cover fragments for every fold up to h_max.
 
-    Each fold is the structural covers search of K4 at that fold: the
-    connected planar covers, one per conjugation orbit, pushed through the
-    bare-fragment conditions over all their plane embeddings and
-    outer-face choices.  Entries gain their fold and vertex connectivity,
-    and the quotient censuses are merged per fold.
+    Each fold scans the connected planar covers of K4, one per
+    conjugation orbit, and pushes every class through the bare-fragment
+    conditions over all its plane embeddings and outer-face choices.
+    Entries gain the analyzer's verdict, their fold and their vertex
+    connectivity, and the quotient censuses are merged per fold.
     """
     if not 1 <= h_max <= 6:
         raise SearchError("fragment search covers folds 1 to 6")
@@ -585,14 +540,17 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
     for h in range(1, h_max + 1):
         if progress is not None:
             progress(f"fold {h}: scanning ...")
-        record, derived = _scan_fold(base, h, COVER_FILTERS, budget, workers)
+        record = _scan_fold(base, h, budget, workers)
         fold_censuses = set()
-        for entry, (g, censuses) in zip(record["candidates"], derived):
-            entry["fold"] = h
-            entry["connectivity"] = connectivity(g)
+        for entry in record["candidates"]:
+            g, _ = derive(normalized_assignment(base, h, entry["voltage"]))
+            analysis = analyze_fragment_candidate(g)
+            censuses = analysis.pop("quotient_censuses")
             fold_censuses.update(tuple(sorted(c.items())) for c in censuses)
+            entry.update(analysis, fold=h, connectivity=connectivity(g))
             if h == 6 and entry["survivor"]:
                 entry["interior_triangle_check"] = _h6_survivor_check(g)
+        record["survivors"] = [e["canonical"] for e in record["candidates"] if e["survivor"]]
         all_censuses.extend(dict(items) for items in sorted(fold_censuses))
         folds.append({"fold": h, **record})
         if progress is not None:
@@ -659,19 +617,18 @@ def _degree_matrices(a: int):
     yield from rows(tuple([3] * a), a)
 
 
-def enumerate_quotients(a_max: int, require_a_ge_2: bool = True) -> list[QuotientGraph]:
-    """All connected cubic bipartite plane multigraphs with up to a_max
+def enumerate_quotients(a_max: int) -> list[QuotientGraph]:
+    """All connected cubic bipartite plane multigraphs with two to a_max
     0-vertices, one entry per isomorphism class and face census.
 
-    The two-vertex triple edge is excluded unless the flag is lowered:
-    a fragment has at least three internal non-triangular faces, which
-    forces at least two 0-vertices in the quotient.
+    The two-vertex triple edge is left out: a fragment has at least three
+    internal non-triangular faces, which forces at least two 0-vertices in
+    the quotient.
     """
     if a_max > 4:
         raise SearchError("quotient enumeration is budgeted for a <= 4")
     out = []
-    a_min = 1 if not require_a_ge_2 else 2
-    for a in range(a_min, a_max + 1):
+    for a in range(2, a_max + 1):
         # A label-preserving isomorphism of the bicoloured multigraph is a
         # row and column permutation of its degree matrix.
         labels = (0,) * a + (-1,) * a

@@ -26,7 +26,6 @@ from .graphs import (
     K4_LABELS,
     K4NEG,
     LabeledGraph,
-    canonical_form,
     connectivity,
     find_cycles_covering,
     is_connected,
@@ -582,6 +581,7 @@ class StructureReport:
     bead_faces: tuple[tuple[int, int], ...]  # per bead: its two host faces
     conditions: dict
     h_outer: int
+    h_embedding: PlaneEmbedding  # the fragment embedding the refinement built
 
     @property
     def internal_nontriangular(self) -> tuple[FaceRecord, ...]:
@@ -603,21 +603,19 @@ def _bead_hosts(h_emb: PlaneEmbedding, beads) -> list[tuple[int, int]]:
     return hosts
 
 
-def admissibility_report(sc: SemiCover, fragment: LabeledGraph | None = None) -> StructureReport:
+def admissibility_report(sc: SemiCover) -> StructureReport:
     """Evaluate the admissibility conditions of a semi-cover's fragment.
 
-    The fragment is the subgraph on K4-labelled vertices; passing one in
-    explicitly only asserts it matches.  Conditions needing interior data
-    are still evaluated here (the semi-cover carries its interior); the
-    search module skips them when no interior is available.
+    The fragment is the subgraph on K4-labelled vertices.  Conditions
+    needing interior data are still evaluated here (the semi-cover
+    carries its interior); the search module skips them when no interior
+    is available.
     """
     emb = sc.embedding
     g = emb.graph
     ref = refine_faces(sc)
     h_emb = ref.h_embedding
     h = h_emb.graph
-    if fragment is not None and canonical_form(fragment) != canonical_form(h):
-        raise StructureError("supplied fragment is not the lift of the K4 subgraph")
 
     k4 = make_base(K4NEG)
     conditions: dict = {}
@@ -707,6 +705,7 @@ def admissibility_report(sc: SemiCover, fragment: LabeledGraph | None = None) ->
         bead_faces=tuple(bead_hosts),
         conditions=conditions,
         h_outer=ref.h_outer,
+        h_embedding=h_emb,
     )
 
 

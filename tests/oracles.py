@@ -185,7 +185,7 @@ def lr_planar(g: LabeledGraph) -> bool:
     return nx.check_planarity(G, counterexample=False)[0]
 
 
-def reference_scan_chunk(base, n: int, firsts, want_connected: bool, want_planar: bool):
+def reference_scan_chunk(base, n: int, firsts):
     """Brute-force normalized voltage scan: every cotree tuple whose first
     voltage is in ``firsts``, one transitivity, planarity and canonical-form
     test per tuple.
@@ -201,11 +201,11 @@ def reference_scan_chunk(base, n: int, firsts, want_connected: bool, want_planar
             volt = (first, *rest)
             visited += 1
             va = normalized_assignment(base, n, volt)
-            if want_connected and not is_connected_cover(va):
+            if not is_connected_cover(va):
                 continue
             connected_count += 1
             g, _ = derive(va)
-            if want_planar and not lr_planar(g):
+            if not lr_planar(g):
                 continue
             planar_count += 1
             entry = classes.setdefault(canonical_form(g), [volt, 0])
@@ -214,20 +214,20 @@ def reference_scan_chunk(base, n: int, firsts, want_connected: bool, want_planar
     return visited, connected_count, planar_count, classes
 
 
-def enumerate_covers_unnormalized(base_kind: str, n: int, filters=("connected", "planar")) -> dict[bytes, list]:
+def enumerate_covers_unnormalized(base_kind: str, n: int) -> dict[bytes, list]:
     """Full scan over all |S_n|^m assignments, tree edges included.
 
     Certifies that spanning-tree normalization loses nothing; returns the
-    canonical classes of the survivors.
+    canonical classes of the connected planar covers.
     """
     base = make_base(base_kind)
     perms = tuple(itertools.permutations(range(n)))
     classes: dict[bytes, list] = {}
     for volt in itertools.product(perms, repeat=base.graph.m):
         g, _ = derive(VoltageAssignment(base, n, volt))
-        if "connected" in filters and not is_connected(g):
+        if not is_connected(g):
             continue
-        if "planar" in filters and not lr_planar(g):
+        if not lr_planar(g):
             continue
         entry = classes.setdefault(canonical_form(g), [volt, 0])
         entry[1] += 1
@@ -407,7 +407,7 @@ def _gate_failure(g: LabeledGraph) -> str | None:
     return None
 
 
-def analyze_fragment_direct(g: LabeledGraph, apply_exclusions: bool = True) -> dict:
+def analyze_fragment_direct(g: LabeledGraph) -> dict:
     """Reference for ``search.analyze_fragment_candidate`` that enumerates
     the fragment's own rotation systems instead of its quotient's.
 
@@ -456,9 +456,6 @@ def analyze_fragment_direct(g: LabeledGraph, apply_exclusions: bool = True) -> d
             internal = [j for j in nontri if j != i]
             if any(emb.faces[j].length == 6 for j in internal):
                 excluded_by.add("no_internal_hexagon")
-                continue
-            if not apply_exclusions:
-                passing += 1
                 continue
             shape = face_count_exclusion(len(internal))
             if shape is not None:

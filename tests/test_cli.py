@@ -104,6 +104,24 @@ def test_analyze_runs_one_bead_search(monkeypatch, tmp_path, capsys, name):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", SEMICOVER_FIXTURES)
+def test_analyze_refines_faces_once(monkeypatch, tmp_path, capsys, name):
+    # the report keeps the fragment embedding that feeds the quotient census
+    from planecover import cli, structure
+
+    calls = []
+    refine_faces = structure.refine_faces
+
+    def counted(sc):
+        calls.append(sc)
+        return refine_faces(sc)
+
+    for module in (cli, structure):
+        monkeypatch.setattr(module, "refine_faces", counted)
+    main(["analyze", "--fixture", name, "--out", str(tmp_path / "report.json")])
+    assert len(calls) == 1
+
+
 def test_analyze_invalid_semicover_exits_one(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["analyze", "--fixture", "hub_violation", "--out", str(out)])
@@ -228,6 +246,12 @@ def test_trapezium_face_quotient_failure_is_handled(tmp_path, capsys):
         {"mode": "covers", "base": "k4", "n": 2, "dedup": "x"},
         {"mode": "fragments", "h_max": 0},
         {"mode": "fragments", "h_max": -3},
+        {"mode": "covers", "base": "k4", "n": 2, "filters": ["connected"]},
+        {
+            "mode": "covers", "base": "k4", "n": 2,
+            "filters": ["connected", "planar", "admissible", "exclusions"],
+        },
+        {"mode": "covers", "base": "k4", "n": 2, "dedup": False},
     ],
     ids=[
         "empty",
@@ -238,6 +262,9 @@ def test_trapezium_face_quotient_failure_is_handled(tmp_path, capsys):
         "dedup-not-a-bool",
         "h-max-zero",
         "h-max-negative",
+        "filters-connected-only",
+        "filters-structural",
+        "dedup-false",
     ],
 )
 def test_search_malformed_spec_exits_three(tmp_path, capsys, spec):
@@ -245,6 +272,24 @@ def test_search_malformed_spec_exits_three(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert rc == 3
     assert "error: " in err and "Traceback" not in err
+    # a covers spec may restate the fixed fields only with their one value
+    for field in ("filters", "dedup"):
+        if isinstance(spec, dict) and field in spec:
+            assert f"field {field!r}" in err
+
+
+def test_search_spec_without_fixed_fields_matches_the_bundled_spec(tmp_path):
+    # the bundled spec-k4-n2 restates "filters" and "dedup"; leaving them
+    # out gives the same certificate bytes
+    bare = _write(tmp_path, "spec.json", {"mode": "covers", "base": "k4", "n": 2, "budget": 10**9})
+    certs = []
+    for source in ([bare], ["--fixture", "spec-k4-n2"]):
+        out = tmp_path / "cert.json"
+        assert main(["search", *source, "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        cert.pop("timing")
+        certs.append(pio.dumps(cert))
+    assert certs[0] == certs[1]
 
 
 def test_embed_malformed_edge_exits_three(tmp_path, capsys):

@@ -41,7 +41,7 @@ def _scan_calls(monkeypatch, h_max: int) -> list:
 
     monkeypatch.setattr(search, "planar_edges", recorded)
     for n in range(1, h_max + 1):
-        search._scan(make_base("k4"), n, True, True)
+        search._scan(make_base("k4"), n)
     return calls
 
 

@@ -24,7 +24,6 @@ from planecover.covers import derive, normalized_assignment
 from planecover.fixtures import double_lens, necklace, nine_face_pair, two_faces
 from planecover.graphs import LabeledGraph, canonical_form, make_base
 from planecover.search import (
-    COVER_FILTERS,
     BudgetExceeded,
     SearchError,
     SearchSpec,
@@ -36,9 +35,16 @@ from planecover.search import (
     estimate_nodes,
     min_beads,
     search_k4_fragments,
+    spherical_rotations,
 )
 from planecover.bounds import check_face_census_identity
-from planecover.structure import QuotientError, StructureError, quotient_graph, refine_faces
+from planecover.structure import (
+    QuotientError,
+    QuotientGraph,
+    StructureError,
+    quotient_graph,
+    refine_faces,
+)
 
 K4 = make_base("k4")
 
@@ -138,28 +144,6 @@ def test_fragment_search_computes_each_fragment_fact_once(monkeypatch):
         assert sum(counter.values()) <= candidates, name
 
 
-@pytest.mark.parametrize("h", [1, 2, 3, 4])
-def test_fragment_fold_is_the_structural_covers_search(fragment_certificate, h):
-    # a fragment fold record is the structural k4 covers certificate at
-    # that fold, its entries adding the fold and the vertex connectivity
-    fold = fragment_certificate["folds"][h - 1]
-    cert = enumerate_covers(SearchSpec("k4", h, COVER_FILTERS))
-    for key in ("visited", "pre_prune_estimate", "connected", "planar", "classes", "survivors"):
-        assert fold[key] == cert[key], key
-    assert len(fold["candidates"]) == len(cert["candidates"])
-    for frag, cover in zip(fold["candidates"], cert["candidates"]):
-        frag = {k: v for k, v in frag.items() if k not in ("fold", "connectivity")}
-        cover = dict(cover, filters={
-            k: v for k, v in cover["filters"].items() if k not in ("connected", "planar")
-        })
-        assert frag == cover
-
-
-def test_structural_filters_require_k4():
-    with pytest.raises(SearchError):
-        SearchSpec(base="k1222", n=2, filters=("connected", "planar", "admissible"))
-
-
 def test_fragment_analyzers_agree_small_folds():
     perms2 = list(itertools.permutations(range(2)))
     for volt in itertools.product(perms2, repeat=3):
@@ -173,14 +157,12 @@ def test_fragment_analyzers_agree_small_folds():
         assert fast["survivor"] == slow["survivor"]
 
 
-@pytest.mark.parametrize("apply_exclusions", [True, False])
-def test_fragment_analyzers_agree_on_fixtures(apply_exclusions):
+def test_fragment_analyzers_agree_on_fixtures():
     for sc in (necklace(3), necklace(4), nine_face_pair(), two_faces()):
-        fast = analyze_fragment_candidate(sc.graph, apply_exclusions)
-        slow = analyze_fragment_direct(sc.graph, apply_exclusions)
+        fast = analyze_fragment_candidate(sc.graph)
+        slow = analyze_fragment_direct(sc.graph)
         assert fast["survivor"] == slow["survivor"]
-        if apply_exclusions:
-            assert not fast["survivor"]
+        assert not fast["survivor"]
 
 
 def test_necklace_enumerated_then_excluded(fragment_certificate):
@@ -218,9 +200,9 @@ def test_enumerate_quotients_a2_unique():
 
 
 def test_enumerate_quotients_theta_flag():
+    # the two-vertex triple edge is no fragment's quotient and is left out
     assert all(q.a >= 2 for q in enumerate_quotients(4))
-    thetas = [q for q in enumerate_quotients(1, require_a_ge_2=False)]
-    assert len(thetas) == 1 and thetas[0].census == {2: 3}
+    assert enumerate_quotients(1) == []
 
 
 def test_enumerate_quotients_census_identity():
@@ -259,16 +241,31 @@ def test_quotient_classes_match_matrix_oracle(a):
     assert (len(mats), len(by_oracle)) == QUOTIENT_CLASSES[a]
 
 
+def _theta() -> QuotientGraph:
+    """The two-vertex triple edge in its one spherical embedding, built as
+    the quotient enumeration builds each of its entries."""
+    rotation, _ = next(spherical_rotations(2, ((0, 1),) * 3))
+    return QuotientGraph(a=1, edges=((0, 1, 0),) * 3, rotation=rotation, outer_face=0)
+
+
+def _digest_of_quotients(quotients) -> str:
+    blob = "".join(pio.dumps(pio.quotient_to_obj(q)) for q in quotients)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "args, digest",
-    [
-        ((4,), "94aa1a40721580c2193a49cf440c7f10565219c7f58d867eb36ea172e84d1e9d"),
-        ((1, False), "690b7cca09451a933ea24a404a493ddd207a88e8345c3d300ad43a0f6fa340be"),
-    ],
+    [((4,), "94aa1a40721580c2193a49cf440c7f10565219c7f58d867eb36ea172e84d1e9d")],
 )
 def test_quotient_universe_golden_digest(args, digest):
-    blob = "".join(pio.dumps(pio.quotient_to_obj(q)) for q in enumerate_quotients(*args))
-    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+    assert _digest_of_quotients(enumerate_quotients(*args)) == digest
+
+
+def test_theta_quotient_golden_digest():
+    theta = _theta()
+    assert theta.census == {2: 3}
+    digest = "690b7cca09451a933ea24a404a493ddd207a88e8345c3d300ad43a0f6fa340be"
+    assert _digest_of_quotients([theta]) == digest
 
 
 # -- bead demands ----------------------------------------------------------------
@@ -332,11 +329,13 @@ def _fixture_quotients():
 
 def _reference_cases():
     caps = (None, *range(9))
-    for q, f in _quotient_outer_pairs(4) + _quotient_outer_pairs(3, False):
+    theta = _theta()
+    for q, f in _quotient_outer_pairs(4) + [(theta, f) for f in range(len(theta.faces))]:
         yield from ((q, f, cap) for cap in caps)
     yield from ((double_lens(), None, cap) for cap in caps)
     for q in _fixture_quotients():
-        yield from ((q, None, cap) for cap in (None, 0, 1, 2, 3, q.total_beads))
+        for f in (None, *range(len(q.faces))):
+            yield from ((q, f, cap) for cap in (*caps, q.total_beads))
 
 
 def test_min_beads_matches_reference():
@@ -394,16 +393,6 @@ def test_min_beads_cap_and_placement_properties(data):
         assert _placement_violations(q, outer, fewer)
 
 
-def test_structural_filters_via_cover_search():
-    cert = enumerate_covers(
-        SearchSpec(base="k4", n=2, filters=("connected", "planar", "admissible", "exclusions"))
-    )
-    assert cert["visited"] == 8
-    assert cert["survivor_count"] == 0
-    assert cert["skipped_conditions"]
-    assert "fragment_triangles_facial" in cert["extra_conditions"]
-
-
 def test_no_alarm_on_clean_search():
     cert = enumerate_covers(SearchSpec(base="k1222", n=1))
     assert cert["visited"] == 1
@@ -426,21 +415,6 @@ def test_fold_one_k4_excluded_as_itself(fragment_certificate):
     assert fold1["candidates"][0]["excluded_by"] == ["not_k4"]
 
 
-def test_admissible_without_exclusions_is_weaker():
-    only_adm = enumerate_covers(
-        SearchSpec(base="k4", n=2, filters=("connected", "planar", "admissible"))
-    )
-    full = enumerate_covers(
-        SearchSpec(base="k4", n=2, filters=("connected", "planar", "admissible", "exclusions"))
-    )
-    # the exclusion stage only removes candidates
-    assert set(full["survivors"]) <= set(only_adm["survivors"])
-    # the two-bead ring passes the admissibility conditions alone but is
-    # killed by the hexagon rule only in embeddings where its big faces
-    # are internal; some outer choice keeps it admissible
-    assert only_adm["survivor_count"] >= full["survivor_count"]
-
-
 def test_fold_six_fragment_survives():
     # positive control: the filter pipeline must not over-exclude; at
     # fold 6 a fragment with the two-lens quotient and four beads passes
@@ -461,18 +435,16 @@ def test_fold_six_fragment_direct_agreement():
     assert analyze_fragment_direct(g)["survivor"]
 
 
-@pytest.mark.parametrize("apply_exclusions", [True, False])
-def test_fold_four_analyzers_agree_everywhere(apply_exclusions):
+def test_fold_four_analyzers_agree_everywhere():
     # exhaustive cross-validation of the quotient-based analyzer against
     # direct rotation enumeration over every fold-4 candidate class
     from planecover.search import _scan
 
-    _, _, _, classes = _scan(K4, 4, True, True)
+    _, _, _, classes = _scan(K4, 4)
     for key in sorted(classes):
         volt, _ = classes[key]
         g, _ = derive(normalized_assignment(K4, 4, volt))
-        fast = analyze_fragment_candidate(g, apply_exclusions)
-        assert fast["survivor"] == analyze_fragment_direct(g, apply_exclusions)["survivor"]
+        assert analyze_fragment_candidate(g)["survivor"] == analyze_fragment_direct(g)["survivor"]
 
 
 def test_direct_oracle_gate_matches_library_gate():
@@ -483,7 +455,7 @@ def test_direct_oracle_gate_matches_library_gate():
     path = LabeledGraph((0, -1, -2, -3, 0), ((0, 1), (1, 2), (2, 3), (3, 4)))
     graphs = [path]
     for n in (1, 2, 3, 4):
-        _, _, _, classes = _scan(K4, n, True, True)
+        _, _, _, classes = _scan(K4, n)
         graphs += [derive(normalized_assignment(K4, n, v))[0] for v, _ in classes.values()]
     seen = set()
     for g in graphs:
@@ -492,17 +464,3 @@ def test_direct_oracle_gate_matches_library_gate():
         assert _gate_failure(g) == want
         seen.add(want)
     assert seen == {None, "not_k4", "two_connected", "negative_lift_triangular"}
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_admissible_only_survivors_match_direct_oracle(n):
-    # without the shape exclusions the cover search keeps exactly the
-    # classes the direct analyzer keeps
-    cert = enumerate_covers(SearchSpec(base="k4", n=n, filters=("connected", "planar", "admissible")))
-    want = set()
-    for entry in cert["candidates"]:
-        g, _ = derive(normalized_assignment(K4, n, [tuple(p) for p in entry["voltage"]]))
-        if analyze_fragment_direct(g, apply_exclusions=False)["survivor"]:
-            want.add(entry["canonical"])
-    assert set(cert["survivors"]) == want
-    assert cert["survivor_count"] == len(want)

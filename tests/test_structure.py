@@ -260,12 +260,6 @@ def test_fragment_missing_a_base_label_is_no_cover():
     assert rep.conditions["lift_cover"] is False
 
 
-def test_wrong_fragment_rejected():
-    sc = necklace(4)
-    with pytest.raises(StructureError):
-        admissibility_report(sc, fragment=K4.graph)
-
-
 def test_face_walks_simple_when_two_connected():
     for sc in (necklace(4), two_faces(), nine_face_pair()):
         rep = admissibility_report(sc)
