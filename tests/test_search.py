@@ -144,6 +144,33 @@ def test_fragment_search_computes_each_fragment_fact_once(monkeypatch):
         assert sum(counter.values()) <= candidates, name
 
 
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_fragment_fold_is_the_structural_covers_search(fragment_certificate, h):
+    # a fragment fold record is the k4 covers certificate at that fold
+    # with the structural verdicts added: both scan the same connected
+    # planar covers, class for class
+    fold = fragment_certificate["folds"][h - 1]
+    cert = enumerate_covers(SearchSpec("k4", h))
+    for key in ("visited", "pre_prune_estimate", "connected", "planar", "classes"):
+        assert fold[key] == cert[key], key
+    assert len(fold["candidates"]) == len(cert["candidates"])
+    for frag, cover in zip(fold["candidates"], cert["candidates"]):
+        for key in ("canonical", "assignments", "voltage"):
+            assert frag[key] == cover[key], key
+        assert frag["fold"] == h
+        assert set(frag["filters"]).isdisjoint(cover["filters"])
+    assert set(fold["survivors"]) <= set(cert["survivors"])
+
+
+def test_structural_filters_require_k4():
+    # the structural conditions belong to the K4 fragment search; a covers
+    # spec that asks for them is refused
+    with pytest.raises(SearchError, match="filters"):
+        SearchSpec.from_obj(
+            {"base": "k1222", "n": 2, "filters": ["connected", "planar", "admissible"]}
+        )
+
+
 def test_fragment_analyzers_agree_small_folds():
     perms2 = list(itertools.permutations(range(2)))
     for volt in itertools.product(perms2, repeat=3):
@@ -255,17 +282,17 @@ def _digest_of_quotients(quotients) -> str:
 
 @pytest.mark.parametrize(
     "args, digest",
-    [((4,), "94aa1a40721580c2193a49cf440c7f10565219c7f58d867eb36ea172e84d1e9d")],
+    [
+        ((4,), "94aa1a40721580c2193a49cf440c7f10565219c7f58d867eb36ea172e84d1e9d"),
+        # no arguments: the theta alone, which the enumeration leaves out
+        ((), "690b7cca09451a933ea24a404a493ddd207a88e8345c3d300ad43a0f6fa340be"),
+    ],
 )
 def test_quotient_universe_golden_digest(args, digest):
-    assert _digest_of_quotients(enumerate_quotients(*args)) == digest
-
-
-def test_theta_quotient_golden_digest():
-    theta = _theta()
-    assert theta.census == {2: 3}
-    digest = "690b7cca09451a933ea24a404a493ddd207a88e8345c3d300ad43a0f6fa340be"
-    assert _digest_of_quotients([theta]) == digest
+    quotients = enumerate_quotients(*args) if args else [_theta()]
+    if not args:
+        assert quotients[0].census == {2: 3}
+    assert _digest_of_quotients(quotients) == digest
 
 
 # -- bead demands ----------------------------------------------------------------
@@ -398,6 +425,20 @@ def test_no_alarm_on_clean_search():
     assert cert["visited"] == 1
     assert cert["survivor_count"] == 0  # the base itself is not planar
     assert cert["alarms"] == []
+
+
+def test_structural_filters_via_cover_search():
+    # the covers search refuses the structural filters; the fragment
+    # search runs them, and at fold 2 it leaves no survivor
+    with pytest.raises(SearchError, match="filters"):
+        SearchSpec.from_obj(
+            {"base": "k4", "n": 2, "filters": ["connected", "planar", "admissible", "exclusions"]}
+        )
+    cert = search_k4_fragments(2)
+    assert cert["folds"][1]["visited"] == 8
+    assert cert["survivor_count"] == 0
+    assert cert["skipped_conditions"]
+    assert "fragment_triangles_facial" in cert["extra_conditions"]
 
 
 def test_label_fibers_equal_on_derived_covers():
