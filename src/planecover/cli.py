@@ -10,6 +10,7 @@ certificates.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -32,7 +33,6 @@ from .search import (
     BudgetExceeded,
     SearchError,
     SearchSpec,
-    _digest,
     enumerate_covers,
     min_beads,
     search_k4_fragments,
@@ -125,7 +125,7 @@ def cmd_derive(args) -> int:
     out = {
         "voltage": vobj,
         "graph": pio.graph_to_obj(g),
-        "canonical": _digest(canonical_form(g)),
+        "canonical": hashlib.sha256(canonical_form(g)).hexdigest()[:16],
         "vertex_map": list(proj.vertex_map),
         "fold": verdict.fold,
         "per_component_folds": list(verdict.per_component_folds),
@@ -226,12 +226,9 @@ def _dump_survivor_dots(args, folds) -> None:
     os.makedirs(args.dot_dir, exist_ok=True)
     for kind, n, record in folds:
         base = make_base(kind)
-        for entry in record["candidates"]:
-            if not entry["survivor"]:
-                continue
-            volt = [tuple(p) for p in entry["voltage"]]
-            g, _ = derive(normalized_assignment(base, n, volt))
-            path = os.path.join(args.dot_dir, f"survivor-{n}-{entry['canonical']}.dot")
+        for index, volt in enumerate(record["survivors"]):
+            g, _ = derive(normalized_assignment(base, n, [tuple(p) for p in volt]))
+            path = os.path.join(args.dot_dir, f"survivor-{n}-{index}.dot")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(pio.graph_to_dot(g))
 

@@ -45,6 +45,10 @@ class CoverProjection:
     base: BaseGraph
     vertex_map: tuple[int, ...]  # source vertex -> base vertex id
 
+    def __post_init__(self):
+        if len(self.vertex_map) != self.source.n:
+            raise CoverError("vertex_map length does not match the source graph")
+
 
 @dataclass(frozen=True)
 class CoverVerdict:

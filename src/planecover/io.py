@@ -85,9 +85,9 @@ def semicover_from_obj(obj: dict) -> SemiCover:
     try:
         base = make_base(obj["base"])
         emb = embedding_from_obj(obj["embedding"])
-        vmap = tuple(obj["vertex_map"]) if "vertex_map" in obj else None
     except (KeyError, TypeError, GraphError) as exc:
         raise FormatError(f"bad semicover object: {exc}") from exc
+    vmap = vertex_map_from_obj(obj) if "vertex_map" in obj else None
     return SemiCover(emb, base, vmap)
 
 
@@ -96,7 +96,9 @@ def voltage_from_obj(obj: dict) -> VoltageAssignment:
     first, at most once; the edges left out carry the identity."""
     try:
         base = make_base(obj["base"])
-        n = int(obj["n"])
+        n = obj["n"]
+        if type(n) is not int:
+            raise ValueError(f"fold 'n' must be an integer, not {n!r}")
         perms = dict.fromkeys(base.graph.edges, tuple(range(n)))
         given = {}
         for e in obj["edges"]:
@@ -105,7 +107,10 @@ def voltage_from_obj(obj: dict) -> VoltageAssignment:
                 raise ValueError(f"{list(edge)} is not a base edge from the lower to the higher id")
             if edge in given:
                 raise ValueError(f"edge {list(edge)} is given twice")
-            given[edge] = tuple(e["perm"])
+            perm = e["perm"]
+            if not (isinstance(perm, list) and all(type(x) is int for x in perm)):
+                raise ValueError(f"perm of edge {list(edge)} must be a list of integers, not {perm!r}")
+            given[edge] = tuple(perm)
     except (KeyError, TypeError, ValueError, GraphError) as exc:
         raise FormatError(f"bad voltage object: {exc}") from exc
     perms.update(given)
@@ -118,9 +123,12 @@ def vertex_map_to_obj(vmap) -> dict:
 
 def vertex_map_from_obj(obj: dict) -> tuple[int, ...]:
     try:
-        return tuple(obj["vertex_map"])
+        vmap = obj["vertex_map"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad vertex map object: {exc}") from exc
+    if not (isinstance(vmap, list) and all(type(x) is int for x in vmap)):
+        raise FormatError(f"vertex_map must be a list of integer base vertex ids, not {vmap!r}")
+    return tuple(vmap)
 
 
 _LABEL_COLORS = {

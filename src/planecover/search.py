@@ -9,9 +9,11 @@ the stabilizer of the voltages before it.  Both bases have pairwise
 distinct vertex labels, so a label-preserving isomorphism of derived
 graphs fixes every fiber, agrees along the identity tree edges, and is
 one sheet permutation: distinct orbits give covers in distinct
-isomorphism classes, and a canonical-form collision between orbits is
-raised as an error.  Each orbit's lift and transitivity test are the ones
-``covers`` defines.
+isomorphism classes.  So a class is named by the voltage the scan visits,
+the least normalized voltage of its orbit whose first cotree voltage is a
+cycle-type representative, and the scan order, lexicographic by that
+voltage, is the certificate order.  Each orbit's lift and transitivity
+test are the ones ``covers`` defines.
 
 One routine scans a fold: the budget check, the orbit scan and one
 certificate entry per isomorphism class of connected planar covers.  The
@@ -27,7 +29,6 @@ bead-demand feasibility of the quotient.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -62,7 +63,7 @@ from .structure import (
     quotient_skeleton,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Extra fragment-level conditions the bare search applies beyond the
 #: face-census exclusions.  Each is a restriction of an interior condition
@@ -82,11 +83,10 @@ class SearchError(ValueError):
     pass
 
 
-def _fixed_spec_fields() -> dict:
-    """Covers spec fields with one allowed value: the search keeps the
-    connected planar covers, one per isomorphism class.  Format-1
-    certificates record them, and a spec may restate them."""
-    return {"filters": ["connected", "planar"], "dedup": True}
+#: Covers spec fields with one allowed value: the search keeps the
+#: connected planar covers, one per isomorphism class.  A spec may restate
+#: them; certificates do not record them.
+_FIXED_SPEC_FIELDS = {"filters": ["connected", "planar"], "dedup": True}
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class SearchSpec:
         n = spec_int(obj, "n")
         if not isinstance(obj.get("base"), str):
             raise SearchError("search spec lacks a 'base' name")
-        for key, value in _fixed_spec_fields().items():
+        for key, value in _FIXED_SPEC_FIELDS.items():
             given = obj.get(key, value)
             if type(given) is not type(value) or given != value:
                 raise SearchError(
@@ -120,13 +120,7 @@ class SearchSpec:
         )
 
     def to_obj(self) -> dict:
-        return {
-            "mode": "covers",
-            "base": self.base,
-            "n": self.n,
-            **_fixed_spec_fields(),
-            "budget": self.budget,
-        }
+        return {"mode": "covers", "base": self.base, "n": self.n, "budget": self.budget}
 
 
 def spec_int(obj, key: str, default: int | None = None) -> int:
@@ -155,10 +149,6 @@ def _approx(log10_count: float) -> str:
     if mantissa >= 10:
         exponent, mantissa = exponent + 1, mantissa / 10
     return f"{mantissa:.2f}e+{int(exponent)}"
-
-
-def _digest(cert_bytes: bytes) -> str:
-    return hashlib.sha256(cert_bytes).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -223,39 +213,22 @@ def voltage_orbits(n: int, firsts, depth: int):
             yield (first, *rest), len(centralizer), len(stabilizer)
 
 
-class OrbitCollision(RuntimeError):
-    """Two conjugation orbits gave derived graphs with one canonical form,
-    which the orbit argument rules out; the scan stops rather than merge
-    them."""
-
-
-def _add_class(classes: dict, key: bytes, volt, count: int) -> None:
-    if key in classes:
-        raise OrbitCollision(
-            f"voltages {classes[key][0]} and {volt} lie in different "
-            "conjugation orbits but derive graphs with one canonical form"
-        )
-    classes[key] = [volt, count]
-
-
 def _scan_chunk(base: BaseGraph, n: int, firsts):
     """Scan the normalized assignments with the given first-cotree voltages.
 
     Every test runs once per orbit of sheet relabeling (simultaneous
     conjugation), on the orbit's least tuple; each orbit counts for the
     assignments of the full scan that fall in it.  Returns (visited,
-    connected_count, planar_count, classes) where classes maps the
-    canonical form of each connected planar cover -> [least voltage,
-    assignment count].
+    connected_count, planar_count, classes) where classes lists (voltage,
+    assignment count) for each class of connected planar covers, in scan
+    order: by voltage.
     """
-    labels = tuple(
-        base.graph.labels[b] for b in range(base.graph.n) for _ in range(n)
-    )
+    nverts = base.graph.n * n
     depth = len(base.cotree_edges) - 1
     visited = len(firsts) * math.factorial(n) ** depth
     connected_count = 0
     planar_count = 0
-    classes: dict[bytes, list] = {}
+    classes = []
     cotree = base.cotree_edges
     perms = [tuple(range(n))] * base.graph.m
     for volt, cent, stab in voltage_orbits(n, firsts, depth):
@@ -266,24 +239,11 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
         for eid, p in zip(cotree, volt):
             perms[eid] = p
         edges = derived_edges(base.graph, n, perms)
-        if not planar_edges(len(labels), edges):
+        if not planar_edges(nverts, edges):
             continue
         planar_count += weight
-        key = canonical_form(LabeledGraph(labels, tuple(edges)))
-        _add_class(classes, key, volt, weight)
+        classes.append((volt, weight))
     return visited, connected_count, planar_count, classes
-
-
-def _merge_chunks(results):
-    visited = connected = planar = 0
-    classes: dict[bytes, list] = {}
-    for v, c, p, cls in results:
-        visited += v
-        connected += c
-        planar += p
-        for key, (volt, count) in cls.items():
-            _add_class(classes, key, volt, count)
-    return visited, connected, planar, classes
 
 
 def _scan(base: BaseGraph, n: int, workers: int = 1):
@@ -295,7 +255,10 @@ def _scan(base: BaseGraph, n: int, workers: int = 1):
     chunks = [[f] for f in firsts]
     with mp.Pool(min(workers, len(chunks))) as pool:
         results = pool.starmap(_scan_chunk, [(base, n, ch) for ch in chunks])
-    return _merge_chunks(results)
+    # the chunks follow the sorted first voltages, so joining them keeps
+    # the scan order
+    visited, connected, planar, classes = zip(*results)
+    return sum(visited), sum(connected), sum(planar), list(itertools.chain(*classes))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +273,7 @@ def _scan_fold(base: BaseGraph, n: int, budget: int, workers: int = 1) -> dict:
     ``budget``; k·log(n!) is compared with log(budget) first, so a fold far
     beyond the budget is refused without computing (n!)^k.  The record
     holds the counts and one entry per isomorphism class of connected
-    planar covers, in canonical order; each search adds its verdicts and
+    planar covers, in scan order; each search adds its verdicts and
     survivors to the entries.
     """
     log_estimate = len(base.cotree_edges) * math.lgamma(n + 1)
@@ -324,12 +287,7 @@ def _scan_fold(base: BaseGraph, n: int, budget: int, workers: int = 1) -> dict:
         )
     visited, connected, planar, classes = _scan(base, n, workers)
     candidates = [
-        {
-            "canonical": _digest(key),
-            "assignments": classes[key][1],
-            "voltage": [list(p) for p in classes[key][0]],
-        }
-        for key in sorted(classes)
+        {"assignments": count, "voltage": [list(p) for p in volt]} for volt, count in classes
     ]
     return {
         "visited": visited,
@@ -351,14 +309,13 @@ def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
     ``spec.n``, one candidate entry per isomorphism class.
 
     Returns the certificate as a plain JSON-ready dict; the "timing"
-    entry is a sidecar excluded from byte-for-byte comparisons.  The
-    fragment fields stay empty in covers mode.
+    entry is a sidecar excluded from byte-for-byte comparisons.
     """
     t0 = time.monotonic()
     record = _scan_fold(make_base(spec.base), spec.n, spec.budget, workers)
     for entry in record["candidates"]:
         entry.update(filters={"connected": True, "planar": True}, survivor=True)
-    survivors = [e["canonical"] for e in record["candidates"]]
+    survivors = [e["voltage"] for e in record["candidates"]]
 
     alarms = []
     if spec.base == "k1222" and survivors and spec.n % 2 == 1:
@@ -374,9 +331,6 @@ def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
         "survivors": survivors,
         "survivor_count": len(survivors),
         "alarms": alarms,
-        "skipped_conditions": [],
-        "extra_conditions": [],
-        "quotient_censuses": [],
         "timing": {"seconds": time.monotonic() - t0, "workers": workers},
     }
 
@@ -550,7 +504,7 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
             entry.update(analysis, fold=h, connectivity=connectivity(g))
             if h == 6 and entry["survivor"]:
                 entry["interior_triangle_check"] = _h6_survivor_check(g)
-        record["survivors"] = [e["canonical"] for e in record["candidates"] if e["survivor"]]
+        record["survivors"] = [e["voltage"] for e in record["candidates"] if e["survivor"]]
         all_censuses.extend(dict(items) for items in sorted(fold_censuses))
         folds.append({"fold": h, **record})
         if progress is not None:

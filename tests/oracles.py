@@ -6,8 +6,13 @@ enumeration with union-find, and the graph corpus is built by vertex
 extension with canonical dedup.  The reference voltage scan keeps the
 library's transitivity and canonical-form predicates but visits every
 normalized assignment, so it checks the orbit reduction of the library's
-scan on its own; it and the unnormalized scan decide planarity by the
-bare networkx LR test, without the library's edge-count pre-check.  The
+scan, and the voltage that names each class, on its own; it and the
+unnormalized scan decide planarity by the bare networkx LR test, without
+the library's edge-count pre-check.  The format-1 certificates are built
+as the library built them before classes were named by voltage: the
+orbit scan keys each class by the canonical form of its derived graph,
+stops on a form shared by two orbits, and orders and names the classes by
+that form.  The
 unnormalized scan checks the spanning-tree normalization, and the direct
 fragment analyzer enumerates the fragment's own rotation systems instead
 of the quotient's, behind its own graph-level gate and under the
@@ -22,6 +27,7 @@ face demands and the bead-sharing pairs only at the leaves.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -30,25 +36,41 @@ import networkx as nx
 
 from planecover.covers import (
     VoltageAssignment,
+    conjugacy_representatives,
     derive,
+    derived_edges,
     is_connected_cover,
     normalized_assignment,
+    sheets_transitive,
 )
 from planecover.embedding import (
     PlaneEmbedding,
     _canonical_rotation,
     all_triangles,
+    planar_edges,
     triangle_faces,
 )
-from planecover.graphs import LabeledGraph, canonical_form, is_connected, make_base
+from planecover.graphs import (
+    K4NEG,
+    LabeledGraph,
+    canonical_form,
+    connectivity,
+    is_connected,
+    make_base,
+)
 from planecover.search import (
+    EXTRA_FRAGMENT_FILTERS,
     MinBeadsResult,
     SearchError,
     _edge_faces,
     _shared_beads,
+    analyze_fragment_candidate,
+    estimate_nodes,
     min_beads,
+    voltage_orbits,
 )
 from planecover.structure import (
+    INTERIOR_CONDITION_KEYS,
     QuotientError,
     QuotientGraph,
     StructureError,
@@ -191,7 +213,8 @@ def reference_scan_chunk(base, n: int, firsts):
     test per tuple.
 
     Returns (visited, connected_count, planar_count, classes) where classes
-    maps canonical form -> [least voltage, assignment count].
+    lists (least voltage, assignment count) for each canonical class, by
+    voltage.
     """
     perms = tuple(itertools.permutations(range(n)))
     visited = connected_count = planar_count = 0
@@ -211,7 +234,7 @@ def reference_scan_chunk(base, n: int, firsts):
             entry = classes.setdefault(canonical_form(g), [volt, 0])
             entry[1] += 1
             entry[0] = min(entry[0], volt)
-    return visited, connected_count, planar_count, classes
+    return visited, connected_count, planar_count, sorted(map(tuple, classes.values()))
 
 
 def enumerate_covers_unnormalized(base_kind: str, n: int) -> dict[bytes, list]:
@@ -232,6 +255,96 @@ def enumerate_covers_unnormalized(base_kind: str, n: int) -> dict[bytes, list]:
         entry = classes.setdefault(canonical_form(g), [volt, 0])
         entry[1] += 1
     return classes
+
+
+def _format_one_fold(base, n: int) -> dict:
+    """The format-1 fold record: the orbit scan with each connected planar
+    class keyed by the canonical form of its derived graph, the entries in
+    the order of those forms and named by their digests."""
+    labels = tuple(base.graph.labels[b] for b in range(base.graph.n) for _ in range(n))
+    depth = len(base.cotree_edges) - 1
+    firsts = conjugacy_representatives(n)
+    connected = planar = 0
+    classes: dict[bytes, tuple] = {}
+    perms = [tuple(range(n))] * base.graph.m
+    for volt, cent, stab in voltage_orbits(n, firsts, depth):
+        if not sheets_transitive(volt, n):
+            continue
+        connected += cent // stab
+        for eid, p in zip(base.cotree_edges, volt):
+            perms[eid] = p
+        edges = derived_edges(base.graph, n, perms)
+        if not planar_edges(len(labels), edges):
+            continue
+        planar += cent // stab
+        key = canonical_form(LabeledGraph(labels, tuple(edges)))
+        assert key not in classes, f"orbits of {classes[key][0]} and {volt} share a class"
+        classes[key] = (volt, cent // stab)
+    return {
+        "visited": len(firsts) * math.factorial(n) ** depth,
+        "pre_prune_estimate": estimate_nodes(base, n),
+        "connected": connected,
+        "planar": planar,
+        "classes": len(classes),
+        "candidates": [
+            {
+                "canonical": hashlib.sha256(key).hexdigest()[:16],
+                "assignments": count,
+                "voltage": [list(p) for p in volt],
+            }
+            for key, (volt, count) in sorted(classes.items())
+        ],
+    }
+
+
+def format_one_covers(kind: str, n: int) -> dict:
+    """The format-1 certificate of ``enumerate_covers(SearchSpec(kind, n))``
+    without its timing.  The odd-fold K1,2,2,2 alarm is not reproduced."""
+    record = _format_one_fold(make_base(kind), n)
+    for entry in record["candidates"]:
+        entry.update(filters={"connected": True, "planar": True}, survivor=True)
+    survivors = [e["canonical"] for e in record["candidates"]]
+    assert not (kind == "k1222" and survivors and n % 2), "an alarm case"
+    spec = {"mode": "covers", "base": kind, "n": n, "budget": 10**9}
+    return {
+        "format_version": 1,
+        "spec": {**spec, "filters": ["connected", "planar"], "dedup": True},
+        **record,
+        "survivors": survivors,
+        "survivor_count": len(survivors),
+        "alarms": [],
+        "skipped_conditions": [],
+        "extra_conditions": [],
+        "quotient_censuses": [],
+    }
+
+
+def format_one_fragments(h_max: int) -> dict:
+    """The format-1 certificate of ``search_k4_fragments(h_max)`` without
+    its timing, for h_max <= 5 (the fold-6 survivor check is left out)."""
+    assert 1 <= h_max <= 5
+    base = make_base(K4NEG)
+    folds, censuses = [], []
+    for h in range(1, h_max + 1):
+        record = _format_one_fold(base, h)
+        fold_censuses = set()
+        for entry in record["candidates"]:
+            g, _ = derive(normalized_assignment(base, h, entry["voltage"]))
+            analysis = analyze_fragment_candidate(g)
+            fold_censuses.update(tuple(sorted(c.items())) for c in analysis.pop("quotient_censuses"))
+            entry.update(analysis, fold=h, connectivity=connectivity(g))
+        record["survivors"] = [e["canonical"] for e in record["candidates"] if e["survivor"]]
+        censuses.extend(dict(items) for items in sorted(fold_censuses))
+        folds.append({"fold": h, **record})
+    return {
+        "format_version": 1,
+        "spec": {"mode": "fragments", "h_max": h_max, "budget": 10**9},
+        "folds": folds,
+        "survivor_count": sum(len(f["survivors"]) for f in folds),
+        "skipped_conditions": list(INTERIOR_CONDITION_KEYS),
+        "extra_conditions": list(EXTRA_FRAGMENT_FILTERS),
+        "quotient_censuses": censuses,
+    }
 
 
 def triangle_net_voltage(v: VoltageAssignment, triangle_labels) -> tuple[int, ...]:

@@ -5,6 +5,7 @@ import pytest
 from planecover import fixtures as fx
 from planecover import io as pio
 from planecover.cli import main
+from planecover.graphs import make_base
 
 
 def _write(tmp_path, name, obj):
@@ -336,6 +337,16 @@ def _k4_double_cover_with(*edges):
     return {"base": "k4", "n": 2, "edges": list(edges)}
 
 
+def _necklace_with_map(kind=int, drop=0):
+    """The necklace4 fixture with its label projection as an explicit
+    vertex map, its entries of the given type, the last ``drop`` left out."""
+    obj = fx.load_fixture_obj("necklace4")
+    label_to_vertex = make_base("k4").label_to_vertex
+    vmap = [kind(label_to_vertex[v["label"]]) for v in obj["embedding"]["vertices"]]
+    obj["vertex_map"] = vmap[: len(vmap) - drop]
+    return obj
+
+
 @pytest.mark.parametrize(
     "command, obj",
     [
@@ -355,6 +366,12 @@ def _k4_double_cover_with(*edges):
         ("derive", _k4_double_cover_with(
             {"from": 1, "to": 2, "perm": [1, 0]}, {"from": 1, "to": 2, "perm": [0, 1]}
         )),
+        ("derive", {"base": "k4", "n": 2.5, "edges": []}),
+        ("derive", {"base": "k4", "n": True, "edges": []}),
+        ("derive", {"base": "k4", "n": "2", "edges": []}),
+        ("derive", _k4_double_cover_with({"from": 0, "to": 1, "perm": [1.0, 0.0]})),
+        ("analyze", _necklace_with_map(kind=float)),
+        ("analyze", _necklace_with_map(drop=1)),
     ],
     ids=[
         "analyze-outer-face-not-an-integer",
@@ -371,10 +388,43 @@ def _k4_double_cover_with(*edges):
         "derive-edge-against-the-base-orientation",
         "derive-edge-not-in-the-base",
         "derive-edge-given-twice",
+        "derive-n-a-float",
+        "derive-n-a-bool",
+        "derive-n-a-string",
+        "derive-perm-of-floats",
+        "analyze-map-of-floats",
+        "analyze-map-too-short",
     ],
 )
 def test_malformed_input_exits_three(tmp_path, capsys, command, obj):
     rc = main([command, _write(tmp_path, "input.json", obj)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "error: " in err and "Traceback" not in err
+
+
+def test_analyze_accepts_an_explicit_vertex_map(tmp_path, capsys):
+    # the map the malformed cases above spoil is itself accepted
+    assert main(["analyze", _write(tmp_path, "sc.json", _necklace_with_map())]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, vertex_map",
+    [
+        ("verify", [0.0, 1.0, 2.0, 3.0]),
+        ("verify", [False, True, 2, 3]),
+        ("lift", [0, 1, 2]),
+        ("lift", [0.0, 1.0, 2.0, 3.0]),
+    ],
+    ids=["verify-map-of-floats", "verify-map-with-bools", "lift-map-too-short", "lift-map-of-floats"],
+)
+def test_malformed_vertex_map_exits_three(tmp_path, capsys, command, vertex_map):
+    # K4 as a one-fold cover of itself, with a map that is not a list of
+    # base vertex ids, one per vertex
+    g = _write(tmp_path, "g.json", pio.graph_to_obj(make_base("k4").graph))
+    m = _write(tmp_path, "m.json", {"vertex_map": vertex_map})
+    assert main(["verify", g, _write(tmp_path, "ok.json", {"vertex_map": [0, 1, 2, 3]}), "--base", "k4"]) == 0
+    rc = main([command, g, m, "--base", "k4"])
     err = capsys.readouterr().err
     assert rc == 3
     assert "error: " in err and "Traceback" not in err

@@ -1,23 +1,28 @@
-"""The orbit-wise voltage scan against the brute-force scan, closed forms
-and the pinned certificate bytes."""
+"""The orbit-wise voltage scan against the brute-force scan, closed forms,
+the format-1 certificates and the pinned certificate bytes."""
 
+import functools
 import hashlib
 import math
 
 import pytest
-from oracles import reference_scan_chunk
+from oracles import format_one_covers, format_one_fragments, reference_scan_chunk
 
-from planecover import embedding, search
+from planecover import embedding, graphs, search
 from planecover import fixtures as fx
 from planecover import io as pio
-from planecover.covers import conjugacy_representatives, sheets_transitive
-from planecover.graphs import make_base
+from planecover.covers import (
+    conjugacy_representatives,
+    derive,
+    normalized_assignment,
+    sheets_transitive,
+)
+from planecover.graphs import canonical_form, make_base
 from planecover.search import (
-    OrbitCollision,
     SearchSpec,
-    _merge_chunks,
     _scan_chunk,
     enumerate_covers,
+    search_k4_fragments,
     voltage_orbits,
 )
 
@@ -91,28 +96,122 @@ def test_hall_orbit_sum_identity(n):
         assert weighted == HALL_TRANSITIVE_TUPLES[length][n], length
 
 
-def test_orbit_collision_raises(monkeypatch):
-    # a canonical form that merges every orbit must stop the scan
-    monkeypatch.setattr(search, "canonical_form", lambda g: b"same")
-    with pytest.raises(OrbitCollision):
-        _scan_chunk(make_base("k4"), 2, conjugacy_representatives(2))
+# -- format 2 against format 1 ---------------------------------------------
+
+#: Fields a format-1 covers certificate writes and a format-2 one does not:
+#: the spec's fixed fields and the empty fragment fields.
+FORMAT_ONE_SPEC_FIELDS = ("filters", "dedup")
+FORMAT_ONE_COVERS_FIELDS = ("skipped_conditions", "extra_conditions", "quotient_censuses")
 
 
-def test_merge_collision_raises():
-    chunk = (1, 1, 1, {b"key": [((0, 1),), 1]})
-    other = (1, 1, 1, {b"key": [((1, 0),), 1]})
-    with pytest.raises(OrbitCollision):
-        _merge_chunks([chunk, other])
+def _as_format_two(record: dict, covers: bool) -> dict:
+    """A format-1 fold record (a covers certificate or a fragment fold)
+    in format 2: entries lose "canonical" and follow their voltages,
+    survivors are named by voltage, and a covers certificate drops its
+    five fixed or empty fields."""
+    voltage = {e["canonical"]: e["voltage"] for e in record["candidates"]}
+    out = {k: v for k, v in record.items() if not (covers and k in FORMAT_ONE_COVERS_FIELDS)}
+    out["candidates"] = sorted(
+        ({k: v for k, v in e.items() if k != "canonical"} for e in record["candidates"]),
+        key=lambda e: e["voltage"],
+    )
+    out["survivors"] = sorted(voltage[key] for key in record["survivors"])
+    if covers:
+        out["spec"] = {k: v for k, v in record["spec"].items() if k not in FORMAT_ONE_SPEC_FIELDS}
+    return out
 
 
-# sha256 of io.dumps(certificate without "timing"), pinned before the
-# orbit scan replaced the per-assignment scan.  The fragment certificate
-# pins, at fold 4, the candidate entries and the shape exclusions.
-GOLDEN_DIGESTS = {
+@functools.cache
+def _format_one_fragments(h_max: int) -> dict:
+    return format_one_fragments(h_max)
+
+
+def _records(mode, n, request):
+    """(format-2 record, format-1 record) of covers mode on a base at fold
+    n, or of fold n of the fragment search."""
+    if mode == "fragments":
+        two = request.getfixturevalue("fragment_certificate")["folds"][n - 1]
+        return two, _format_one_fragments(max(4, n))["folds"][n - 1]
+    two = {k: v for k, v in enumerate_covers(SearchSpec(mode, n)).items() if k != "timing"}
+    assert two.pop("format_version") == 2
+    one = format_one_covers(mode, n)
+    assert one.pop("format_version") == 1
+    return two, one
+
+
+@pytest.mark.parametrize(
+    "mode, n",
+    [("k4", n) for n in (1, 2, 3, 4)]
+    + [("k1222", 1), ("k1222", 2)]
+    + [("fragments", h) for h in (1, 2, 3, 4)]
+    + [pytest.param("fragments", 5, marks=pytest.mark.slow)],
+    ids=str,
+)
+def test_format_two_is_format_one_named_by_voltage(request, mode, n):
+    two, one = _records(mode, n, request)
+    assert two == _as_format_two(one, covers=mode != "fragments")
+    # the orbit argument: distinct voltages name distinct classes
+    base = make_base("k4" if mode == "fragments" else mode)
+    forms = {
+        canonical_form(derive(normalized_assignment(base, n, e["voltage"]))[0])
+        for e in two["candidates"]
+    }
+    assert len(forms) == len(two["candidates"]) == two["classes"]
+
+
+#: sha256 of io.dumps(certificate without "timing") in format 1, as pinned
+#: before classes were named by voltage.
+FORMAT_ONE_DIGESTS = {
     "spec-k4-n1": "7d2ce6004bda8aabb36f922b1da7c3ddf297311bf6e4ea4f53966ffc4c99ab76",
     "spec-k4-n2": "81097d957bae172859503817cc7cd980f9a1df7558be25c22ea10c1098d794e7",
     "spec-k1222-n2": "8297e316fa5a1c5a5bf5ca586056efc06244c649245c0d844255fd2df2608e02",
     "spec-k4-h-le-5": "c69f6474d91e1f6d1838093e1f45c7cda95054201c70c983b886b275624fa984",
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["spec-k4-n1", "spec-k4-n2", "spec-k1222-n2", pytest.param("spec-k4-h-le-5", marks=pytest.mark.slow)],
+)
+def test_format_one_oracle_writes_the_format_one_bytes(name):
+    spec = fx.load_fixture_obj(name)
+    if spec["mode"] == "fragments":
+        cert = _format_one_fragments(spec["h_max"])
+    else:
+        cert = format_one_covers(spec["base"], spec["n"])
+    assert _cert_digest(cert) == FORMAT_ONE_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: search_k4_fragments(4), lambda: enumerate_covers(SearchSpec("k4", 3))],
+    ids=["fragments-4", "covers-k4-3"],
+)
+def test_scan_computes_no_canonical_form(monkeypatch, run):
+    # a class is named by its voltage: the searches leave the graph
+    # canonical form to the quotient universe and ``planecover derive``
+    calls = []
+    real = graphs.canonical_form
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    for module in (graphs, search):
+        if hasattr(module, "canonical_form"):
+            monkeypatch.setattr(module, "canonical_form", counted)
+    run()
+    assert len(calls) == 0
+
+
+# sha256 of io.dumps(certificate without "timing") in format 2.  The
+# fragment certificate pins, at fold 4, the candidate entries and the
+# shape exclusions.
+GOLDEN_DIGESTS = {
+    "spec-k4-n1": "d49719691b2338cd87293852f1659aacb887f54b87080f8ee10f519fb05a0285",
+    "spec-k4-n2": "4d92d97bea60ba9e7835e55da001fd3128b989485288e777ad7154af19a203e5",
+    "spec-k1222-n2": "4f0c220677be8dfbfdef1a6a63a49399cd125256cafc16697a8721ead238f605",
+    "spec-k4-h-le-5": "1ccc7b8c7260c788371f3096d460e53caf72d1eb6377a4047079b389026af06f",
 }
 
 
@@ -124,9 +223,10 @@ def _cert_digest(cert: dict) -> str:
 @pytest.mark.parametrize("name", ["spec-k4-n1", "spec-k4-n2", "spec-k1222-n2"])
 def test_cover_certificate_golden_digest(name):
     cert = enumerate_covers(SearchSpec.from_obj(fx.load_fixture_obj(name)))
+    assert cert["format_version"] == 2
     assert _cert_digest(cert) == GOLDEN_DIGESTS[name]
 
 
 def test_fragment_certificate_golden_digest(fragment_certificate):
-    assert fragment_certificate["format_version"] == 1
+    assert fragment_certificate["format_version"] == 2
     assert _cert_digest(fragment_certificate) == GOLDEN_DIGESTS["spec-k4-h-le-5"]

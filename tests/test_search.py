@@ -28,7 +28,6 @@ from planecover.search import (
     SearchError,
     SearchSpec,
     _degree_matrices,
-    _digest,
     analyze_fragment_candidate,
     enumerate_covers,
     enumerate_quotients,
@@ -42,6 +41,7 @@ from planecover.structure import (
     QuotientError,
     QuotientGraph,
     StructureError,
+    negative_lift_triangular,
     quotient_graph,
     refine_faces,
 )
@@ -55,17 +55,22 @@ def _strip_timing(cert: dict) -> dict:
     return out
 
 
+def _class_form(base, n: int, voltage) -> bytes:
+    """Canonical form of the cover a certificate voltage derives."""
+    return canonical_form(derive(normalized_assignment(base, n, voltage))[0])
+
+
 def test_k4_fold1_only_k4_itself():
     cert = enumerate_covers(SearchSpec(base="k4", n=1))
     assert cert["visited"] == 1
     assert cert["survivor_count"] == 1
-    assert cert["survivors"] == [_digest(canonical_form(K4.graph))]
+    assert [_class_form(K4, 1, v) for v in cert["survivors"]] == [canonical_form(K4.graph)]
 
 
 def test_k4_fold2_includes_cube():
     cert = enumerate_covers(SearchSpec(base="k4", n=2))
     cube, _ = derive(normalized_assignment(K4, 2, [(1, 0)] * 3))
-    assert _digest(canonical_form(cube)) in cert["survivors"]
+    assert canonical_form(cube) in {_class_form(K4, 2, v) for v in cert["survivors"]}
 
 
 def test_pruned_equals_unnormalized_full_scan():
@@ -74,18 +79,16 @@ def test_pruned_equals_unnormalized_full_scan():
     cert = enumerate_covers(SearchSpec(base="k4", n=2))
     assert cert["visited"] == 8
     full = enumerate_covers_unnormalized("k4", 2)
-    full_keys = {_digest(k) for k in full}
-    assert set(cert["survivors"]) == full_keys
+    assert {_class_form(K4, 2, v) for v in cert["survivors"]} == set(full)
 
 
 def test_certificate_deterministic_and_replayable():
     c1 = enumerate_covers(SearchSpec(base="k4", n=2))
     c2 = enumerate_covers(SearchSpec(base="k4", n=2))
     assert _strip_timing(c1) == _strip_timing(c2)
-    for entry in c1["candidates"]:
-        volt = [tuple(p) for p in entry["voltage"]]
-        g, _ = derive(normalized_assignment(K4, 2, volt))
-        assert _digest(canonical_form(g)) == entry["canonical"]
+    # each entry's voltage replays to its own class
+    forms = [_class_form(K4, 2, entry["voltage"]) for entry in c1["candidates"]]
+    assert len(set(forms)) == len(forms) == c1["classes"]
 
 
 def test_workers_produce_identical_certificates():
@@ -155,11 +158,12 @@ def test_fragment_fold_is_the_structural_covers_search(fragment_certificate, h):
         assert fold[key] == cert[key], key
     assert len(fold["candidates"]) == len(cert["candidates"])
     for frag, cover in zip(fold["candidates"], cert["candidates"]):
-        for key in ("canonical", "assignments", "voltage"):
+        # the voltage names the class
+        for key in ("assignments", "voltage"):
             assert frag[key] == cover[key], key
         assert frag["fold"] == h
         assert set(frag["filters"]).isdisjoint(cover["filters"])
-    assert set(fold["survivors"]) <= set(cert["survivors"])
+    assert all(v in cert["survivors"] for v in fold["survivors"])
 
 
 def test_structural_filters_require_k4():
@@ -192,20 +196,31 @@ def test_fragment_analyzers_agree_on_fixtures():
         assert not fast["survivor"]
 
 
+def _entries_of_class(fold, g: LabeledGraph) -> list:
+    """The entries of a fragment fold whose voltage derives a cover
+    isomorphic to g.  Only entries that passed the analyzer's gate are
+    derived; g must pass it too."""
+    assert negative_lift_triangular(g)
+    return [
+        c
+        for c in fold["candidates"]
+        if c["filters"].get("negative_lift_triangular")
+        and _class_form(K4, fold["fold"], c["voltage"]) == canonical_form(g)
+    ]
+
+
 def test_necklace_enumerated_then_excluded(fragment_certificate):
     fold4 = next(f for f in fragment_certificate["folds"] if f["fold"] == 4)
-    key = _digest(canonical_form(necklace(4).graph))
-    entries = [c for c in fold4["candidates"] if c["canonical"] == key]
+    entries = _entries_of_class(fold4, necklace(4).graph)
     assert entries, "the four-bead ring must be enumerated at fold 4"
     assert not entries[0]["survivor"]
     assert "necklace" in entries[0]["excluded_by"]
-    assert key not in fold4["survivors"]
+    assert entries[0]["voltage"] not in fold4["survivors"]
 
 
 def test_nine_face_pair_enumerated_then_excluded(fragment_certificate):
     fold5 = next(f for f in fragment_certificate["folds"] if f["fold"] == 5)
-    key = _digest(canonical_form(nine_face_pair().graph))
-    entries = [c for c in fold5["candidates"] if c["canonical"] == key]
+    entries = _entries_of_class(fold5, nine_face_pair().graph)
     assert entries
     assert "bead_sharing" in entries[0]["excluded_by"]
 
@@ -482,8 +497,7 @@ def test_fold_four_analyzers_agree_everywhere():
     from planecover.search import _scan
 
     _, _, _, classes = _scan(K4, 4)
-    for key in sorted(classes):
-        volt, _ = classes[key]
+    for volt, _ in classes:
         g, _ = derive(normalized_assignment(K4, 4, volt))
         assert analyze_fragment_candidate(g)["survivor"] == analyze_fragment_direct(g)["survivor"]
 
@@ -497,7 +511,7 @@ def test_direct_oracle_gate_matches_library_gate():
     graphs = [path]
     for n in (1, 2, 3, 4):
         _, _, _, classes = _scan(K4, n)
-        graphs += [derive(normalized_assignment(K4, n, v))[0] for v, _ in classes.values()]
+        graphs += [derive(normalized_assignment(K4, n, v))[0] for v, _ in classes]
     seen = set()
     for g in graphs:
         result = {"filters": {}}
