@@ -10,6 +10,7 @@ certificates.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -146,6 +147,9 @@ def cmd_lift(args) -> int:
         labels = [int(x) for x in args.labels.split(",")]
     except ValueError as exc:
         raise InputError(f"--labels must be comma-separated integers: {args.labels!r}") from exc
+    verdict = verify_cover(g, base, vmap)
+    if not verdict.ok:
+        raise InputError(f"not a cover: {verdict.violation}")
     lifted, _ = lift_subgraph(CoverProjection(g, base, vmap), labels)
     _write_out(args, pio.dumps(pio.graph_to_obj(lifted)))
     print(f"lift has {lifted.n} vertices, {lifted.m} edges", file=sys.stderr)
@@ -277,6 +281,7 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args reads the parser and returns a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="planecover",

@@ -47,7 +47,6 @@ from .graphs import (
     K4NEG,
     BaseGraph,
     LabeledGraph,
-    canonical_form,
     connectivity,
     is_connected,
     make_base,
@@ -546,9 +545,11 @@ def _h6_survivor_check(g: LabeledGraph) -> dict:
 
 
 def _degree_matrices(a: int):
-    """All a-by-a nonnegative matrices with row and column sums 3."""
+    """The a-by-a nonnegative matrices with row and column sums 3 and
+    non-increasing rows (the greatest matrix of a class has them), in
+    decreasing lexicographic order."""
 
-    def rows(remaining_cols, rows_left):
+    def rows(remaining_cols, rows_left, prev):
         if rows_left == 0:
             if all(c == 0 for c in remaining_cols):
                 yield ()
@@ -564,40 +565,55 @@ def _degree_matrices(a: int):
                 yield from build(j + 1, left - x, acc)
                 acc.pop()
         for row in build(0, 3, []):
+            if row > prev:
+                continue
             new_cols = tuple(c - x for c, x in zip(remaining_cols, row))
-            for rest in rows(new_cols, rows_left - 1):
+            for rest in rows(new_cols, rows_left - 1, row):
                 yield (row,) + rest
 
-    yield from rows(tuple([3] * a), a)
+    yield from rows(tuple([3] * a), a, (3,) * a)
+
+
+def _quotient_matrices(a: int):
+    """Each isomorphism class of connected cubic bicoloured multigraphs
+    with a white vertices, as its degree matrix and edge list, in
+    decreasing order of the matrix.
+
+    Entry (i, j) counts the edges from white vertex i to black vertex
+    a + j, and a colour-preserving isomorphism permutes the rows and the
+    columns, so a class is kept as its lexicographically greatest matrix
+    with no graph isomorphism test (orderly generation: R. C. Read, "Every
+    one a winner", 1978).  Under one row order, sorting the columns in
+    decreasing order gives the greatest image.  Connectivity is a class
+    invariant, so it is tested on the kept matrix alone.
+    """
+    labels = (0,) * a + (-1,) * a
+    for mat in _degree_matrices(a):
+        images = (
+            tuple(zip(*sorted(zip(*rows), reverse=True))) for rows in itertools.permutations(mat)
+        )
+        if any(image > mat for image in images):
+            continue
+        edges = tuple((i, a + j) for i in range(a) for j in range(a) for _ in range(mat[i][j]))
+        if is_connected(LabeledGraph(labels, edges, simple=False)):
+            yield mat, edges
 
 
 def enumerate_quotients(a_max: int) -> list[QuotientGraph]:
     """All connected cubic bipartite plane multigraphs with two to a_max
     0-vertices, one entry per isomorphism class and face census.
 
-    The two-vertex triple edge is left out: a fragment has at least three
-    internal non-triangular faces, which forces at least two 0-vertices in
-    the quotient.
+    The classes come from ``_quotient_matrices``, each with its first
+    spherical rotation system of each face census.  The two-vertex triple
+    edge is left out: a fragment has at least three internal
+    non-triangular faces, which forces at least two 0-vertices in the
+    quotient.
     """
     if a_max > 4:
         raise SearchError("quotient enumeration is budgeted for a <= 4")
     out = []
     for a in range(2, a_max + 1):
-        # A label-preserving isomorphism of the bicoloured multigraph is a
-        # row and column permutation of its degree matrix.
-        labels = (0,) * a + (-1,) * a
-        seen_classes = set()
-        for mat in _degree_matrices(a):
-            simple_edges = tuple(
-                (i, a + j) for i in range(a) for j in range(a) for _ in range(mat[i][j])
-            )
-            g = LabeledGraph(labels, simple_edges, simple=False)
-            if not is_connected(g):
-                continue
-            key = canonical_form(g)
-            if key in seen_classes:
-                continue
-            seen_classes.add(key)
+        for _, simple_edges in _quotient_matrices(a):
             edges = tuple((u, v, 0) for u, v in simple_edges)
             seen_census = set()
             for rotation, faces in spherical_rotations(2 * a, simple_edges):

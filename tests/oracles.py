@@ -18,11 +18,12 @@ fragment analyzer enumerates the fragment's own rotation systems instead
 of the quotient's, behind its own graph-level gate and under the
 library's shape exclusions.  Isomorphism is checked by explicit
 backtracking and, for quotient degree matrices, by trying every row and
-column permutation.  The net voltage around a base triangle is composed
-edge by edge, so its cycle lengths check the lift lengths that
-``find_cycles_covering`` reports.  The reference bead-demand search is
-the unpruned placement search that ``min_beads`` replaced: it checks the
-face demands and the bead-sharing pairs only at the leaves.
+column permutation of every matrix, generated without the package's
+restriction to non-increasing rows.  The net voltage around a base
+triangle is composed edge by edge, so its cycle lengths check the lift
+lengths that ``find_cycles_covering`` reports.  The reference bead-demand
+search is the unpruned placement search that ``min_beads`` replaced: it
+checks the face demands and the bead-sharing pairs only at the leaves.
 """
 
 from __future__ import annotations
@@ -635,6 +636,34 @@ def isomorphic(g1: LabeledGraph, g2: LabeledGraph) -> bool:
         return False
 
     return extend(0)
+
+
+def degree_matrices(a: int):
+    """All a-by-a nonnegative matrices with row and column sums 3, in
+    decreasing lexicographic order: the unrestricted generator the
+    package's orderly one (``search._degree_matrices``) prunes."""
+
+    def rows(remaining_cols, rows_left):
+        if rows_left == 0:
+            if all(c == 0 for c in remaining_cols):
+                yield ()
+            return
+        def build(j, left, acc):
+            if j == len(remaining_cols):
+                if left == 0:
+                    yield tuple(acc)
+                return
+            top = min(3, left, remaining_cols[j])
+            for x in range(top, -1, -1):
+                acc.append(x)
+                yield from build(j + 1, left - x, acc)
+                acc.pop()
+        for row in build(0, 3, []):
+            new_cols = tuple(c - x for c, x in zip(remaining_cols, row))
+            for rest in rows(new_cols, rows_left - 1):
+                yield (row,) + rest
+
+    yield from rows(tuple([3] * a), a)
 
 
 def matrix_canonical(mat) -> tuple:

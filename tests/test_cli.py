@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from planecover import cli
 from planecover import fixtures as fx
 from planecover import io as pio
 from planecover.cli import main
@@ -60,6 +61,15 @@ def test_search_budget_refusal(tmp_path, capsys):
     rc = main(["search", p, "--out", str(tmp_path / "c.json")])
     assert rc == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_successive_calls_do_not_share_arguments(capsys):
+    # the parser is built once per process; each call parses afresh
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["search", "--fixture", "spec-k4-n2", "--budget", "5"]) == 2
+    assert main(["search", "--fixture", "spec-k4-n2"]) == 0
+    assert cli.build_parser().parse_args(["search", "--budget", "5"]).budget == 5
+    assert cli.build_parser().parse_args(["search"]).budget is None
 
 
 def test_search_deterministic_output(tmp_path):
@@ -415,8 +425,19 @@ def test_analyze_accepts_an_explicit_vertex_map(tmp_path, capsys):
         ("verify", [False, True, 2, 3]),
         ("lift", [0, 1, 2]),
         ("lift", [0.0, 1.0, 2.0, 3.0]),
+        ("lift", [0, 1, 2, 99]),
+        ("lift", [0, 1, 2, -1]),
+        ("lift", [0, 1, 1, 2]),
     ],
-    ids=["verify-map-of-floats", "verify-map-with-bools", "lift-map-too-short", "lift-map-of-floats"],
+    ids=[
+        "verify-map-of-floats",
+        "verify-map-with-bools",
+        "lift-map-too-short",
+        "lift-map-of-floats",
+        "lift-map-off-the-base",
+        "lift-map-negative",
+        "lift-map-not-a-projection",
+    ],
 )
 def test_malformed_vertex_map_exits_three(tmp_path, capsys, command, vertex_map):
     # K4 as a one-fold cover of itself, with a map that is not a list of
@@ -428,6 +449,17 @@ def test_malformed_vertex_map_exits_three(tmp_path, capsys, command, vertex_map)
     err = capsys.readouterr().err
     assert rc == 3
     assert "error: " in err and "Traceback" not in err
+
+
+def test_lift_of_a_broken_map_exits_three(tmp_path, capsys):
+    # a map onto the base that fails the neighbour condition: verify
+    # reports it (exit 1), and lift refuses it as input
+    g = _write(tmp_path, "g.json", fx.load_fixture_obj("k4-double.graph"))
+    m = _write(tmp_path, "m.json", fx.load_fixture_obj("k4-double.broken-map"))
+    assert main(["verify", g, m, "--base", "k4"]) == 1
+    assert main(["lift", g, m, "--base", "k4"]) == 3
+    err = capsys.readouterr().err
+    assert "input error: not a cover" in err and "Traceback" not in err
 
 
 def test_search_rejected_spec_leaves_no_output_file(tmp_path, capsys):

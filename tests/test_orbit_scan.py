@@ -22,6 +22,7 @@ from planecover.search import (
     SearchSpec,
     _scan_chunk,
     enumerate_covers,
+    enumerate_quotients,
     search_k4_fragments,
     voltage_orbits,
 )
@@ -184,12 +185,17 @@ def test_format_one_oracle_writes_the_format_one_bytes(name):
 
 @pytest.mark.parametrize(
     "run",
-    [lambda: search_k4_fragments(4), lambda: enumerate_covers(SearchSpec("k4", 3))],
-    ids=["fragments-4", "covers-k4-3"],
+    [
+        lambda: search_k4_fragments(4),
+        lambda: enumerate_covers(SearchSpec("k4", 3)),
+        lambda: enumerate_quotients(4),
+    ],
+    ids=["fragments-4", "covers-k4-3", "quotients-4"],
 )
 def test_scan_computes_no_canonical_form(monkeypatch, run):
-    # a class is named by its voltage: the searches leave the graph
-    # canonical form to the quotient universe and ``planecover derive``
+    # a cover class is named by its voltage and a quotient class by its
+    # greatest degree matrix: the graph canonical form is left to
+    # ``planecover derive`` alone
     calls = []
     real = graphs.canonical_form
 

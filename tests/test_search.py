@@ -12,6 +12,7 @@ from oracles import (
     _gate_failure,
     analyze_fragment_direct,
     connectivity_by_cut_search,
+    degree_matrices,
     enumerate_covers_unnormalized,
     matrix_canonical,
     reference_min_beads,
@@ -27,7 +28,7 @@ from planecover.search import (
     BudgetExceeded,
     SearchError,
     SearchSpec,
-    _degree_matrices,
+    _quotient_matrices,
     analyze_fragment_candidate,
     enumerate_covers,
     enumerate_quotients,
@@ -273,14 +274,19 @@ QUOTIENT_CLASSES = {1: (1, 1), 2: (2, 1), 3: (31, 3), 4: (1272, 6)}
 
 @pytest.mark.parametrize("a", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_quotient_classes_match_matrix_oracle(a):
-    # the quotient dedup keys by canonical_form; the oracle by the least
-    # row-and-column permutation of the degree matrix
-    mats = [m for m in _degree_matrices(a) if connectivity_by_cut_search(_bicoloured(m))]
+    # the oracle keys a class by the least row-and-column permutation of
+    # its degree matrix, canonical_form by its graph; the package keeps the
+    # first matrix of each class in the oracle's decreasing order
+    mats = [m for m in degree_matrices(a) if connectivity_by_cut_search(_bicoloured(m))]
     pairs = {(matrix_canonical(m), canonical_form(_bicoloured(m))) for m in mats}
     by_oracle = {p[0] for p in pairs}
     by_form = {p[1] for p in pairs}
     assert len(pairs) == len(by_oracle) == len(by_form)
     assert (len(mats), len(by_oracle)) == QUOTIENT_CLASSES[a]
+    first = {}
+    for m in mats:
+        first.setdefault(matrix_canonical(m), m)
+    assert [m for m, _ in _quotient_matrices(a)] == list(first.values())
 
 
 def _theta() -> QuotientGraph:
