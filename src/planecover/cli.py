@@ -98,6 +98,18 @@ def _check_writable(path: str | None) -> None:
         os.remove(path)
 
 
+def _check_directory(path: str | None) -> None:
+    """Fail early on an output directory that is, or lies under, an
+    existing file; nothing is created until the output is written."""
+    if not path:
+        return
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise InputError(f"output directory not usable: {probe} is not a directory")
+
+
 def cmd_verify(args) -> int:
     gobj = _load_json(args.graph, args.fixture, ".graph")
     mobj = _load_json(args.map, args.fixture, ".map")
@@ -250,6 +262,7 @@ def cmd_search(args) -> int:
     else:
         raise InputError(f"unknown search mode {mode!r}")
     _check_writable(args.out)
+    _check_directory(args.dot_dir)
     if mode == "covers":
         print(f"scanning base {spec.base} at fold {spec.n} ...", file=sys.stderr)
         cert = enumerate_covers(spec, workers=args.workers)

@@ -7,8 +7,9 @@ the six octahedron vertices are labelled so that i and -i are the unique
 non-adjacent pairs.  Covers of the K4 subgraph reuse {0, -1, -2, -3}.
 Connectedness and components go through one component search,
 ``_component``, and the capped vertex connectivity through one cut-vertex
-search, ``_has_cut_vertex``; the two base graphs are built once per
-process.
+search, ``_has_cut_vertex``, and, on simple subcubic graphs, one
+cut-space pass, ``_has_two_edge_cut``; the two base graphs are built once
+per process.
 """
 
 from __future__ import annotations
@@ -106,8 +107,14 @@ class LabeledGraph:
             return 0
         if self.n >= 3 and _has_cut_vertex(self):
             return 1
-        if self.n >= 4 and any(_has_cut_vertex(self, v) for v in range(self.n)):
-            return 2
+        if self.n >= 4:
+            simple = self.simple or len(self.edge_set) == self.m
+            if simple and max(map(len, self.adj)) <= 3:
+                separated = _has_two_edge_cut(self)
+            else:
+                separated = any(_has_cut_vertex(self, v) for v in range(self.n))
+            if separated:
+                return 2
         return min(3, self.n - 1)
 
     def degree(self, v: int) -> int:
@@ -193,6 +200,39 @@ def _has_cut_vertex(g: LabeledGraph, removed: int = -1) -> bool:
     return root_children > 1
 
 
+def _has_two_edge_cut(g: LabeledGraph) -> bool:
+    """Whether two edges of g, assumed simple, connected and bridgeless,
+    form an edge cut: one cut-space pass over a breadth-first tree.
+
+    Each non-tree edge gets its own bit, and each tree edge the XOR of the
+    bits of the non-tree edges whose fundamental cycles contain it, that
+    is, of those with exactly one end below it.  An edge set is a cut
+    exactly when it meets every fundamental cycle an even number of
+    times, so two edges form a cut exactly when their labels are equal.
+    """
+    parent = [-1] * g.n
+    parent[0] = 0
+    order = [0]
+    for v in order:
+        for w in g.adj[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                order.append(w)
+    below = [0] * g.n  # bits of the non-tree edges at v, then in v's subtree
+    labels = []
+    bit = 1
+    for a, b in g.edges:
+        if parent[a] != b and parent[b] != a:
+            labels.append(bit)
+            below[a] ^= bit
+            below[b] ^= bit
+            bit <<= 1
+    for v in reversed(order[1:]):  # each subtree before its root's parent
+        labels.append(below[v])  # the label of the tree edge above v
+        below[parent[v]] ^= below[v]
+    return len(set(labels)) < len(labels)
+
+
 def is_connected(g: LabeledGraph) -> bool:
     return g.n > 0 and len(_component(g, 0)) == g.n
 
@@ -209,11 +249,17 @@ def connected_components(g: LabeledGraph) -> list[list[int]]:
 
 
 def connectivity(g: LabeledGraph) -> int:
-    """Vertex connectivity capped at 3: 1 if g has a cut vertex, 2 if some
-    g - v has one.
+    """Vertex connectivity capped at 3 (and at n - 1): 0 if g is
+    disconnected, 1 if it has a cut vertex, 2 if it has a separation pair.
 
-    Nothing downstream distinguishes connectivities above 3, so the search
-    stops there instead of pulling in max-flow machinery.  The value is
+    A connected graph is tested for a cut vertex by one lowpoint search.
+    Past that, a simple graph of maximum degree at most 3 has a separation
+    pair exactly when it has a 2-edge cut (on such graphs vertex and edge
+    connectivity coincide), which one cut-space pass decides in linear
+    time.  Other graphs, with parallel edges or a vertex of degree above
+    3, are 2-connected exactly when no g - v has a cut vertex, which takes
+    one lowpoint search per vertex.  Nothing downstream distinguishes
+    connectivities above 3, so neither search goes further.  The value is
     computed once per graph and cached on it.
     """
     return g.vertex_connectivity

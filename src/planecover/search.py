@@ -361,8 +361,9 @@ def _graph_level_filters(g: LabeledGraph, result: dict) -> bool:
 def spherical_rotations(nverts: int, edges):
     """All spherical rotation systems of a connected cubic multigraph,
     up to reflection, as (rotation, faces) pairs.  The faces determine the
-    rotation, so distinct rotations give distinct face structures.  Sizes
-    here are tiny (at most 10 vertices)."""
+    rotation, so distinct rotations give distinct face structures.  All
+    2^(V-1) rotation systems are traced, which stays small at the sizes
+    here: a fold-h quotient has 2a <= 2h vertices, 12 at fold 6."""
     incident = [[] for _ in range(nverts)]
     for eid, (u, v) in enumerate(edges):
         incident[u].append(eid)

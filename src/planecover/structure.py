@@ -835,11 +835,24 @@ class QuotientSkeleton:
 
 
 def negative_lift_triangular(h: LabeledGraph) -> bool:
-    """True iff every component of the (-1,-2,-3) lift is a triangle."""
-    return all(
-        comp.kind == "cycle" and comp.length == 3
-        for comp in find_cycles_covering(h, (-1, -2, -3), make_base(K4NEG))
-    )
+    """True iff every component of the (-1,-2,-3) lift is a triangle.
+
+    The lift keeps the edges between two different labels of -1, -2, -3.
+    Its components are all triangles exactly when each vertex with a
+    lifted edge has two lifted neighbours (parallel edges counted), with
+    different labels, which are adjacent: the three vertices then carry
+    two lifted edges each, which are the triangle's three edges.
+    """
+    labels = h.labels
+    for v, lv in enumerate(labels):
+        if lv not in _NEG_SET:
+            continue
+        ns = [w for w in h.adj[v] if labels[w] != lv and labels[w] in _NEG_SET]
+        if ns and not (
+            len(ns) == 2 and labels[ns[0]] != labels[ns[1]] and ns[1] in h.adj[ns[0]]
+        ):
+            return False
+    return True
 
 
 def quotient_skeleton(h: LabeledGraph, beads=None) -> QuotientSkeleton:

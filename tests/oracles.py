@@ -21,9 +21,11 @@ backtracking and, for quotient degree matrices, by trying every row and
 column permutation of every matrix, generated without the package's
 restriction to non-increasing rows.  The net voltage around a base
 triangle is composed edge by edge, so its cycle lengths check the lift
-lengths that ``find_cycles_covering`` reports.  The reference bead-demand
-search is the unpruned placement search that ``min_beads`` replaced: it
-checks the face demands and the bead-sharing pairs only at the leaves.
+lengths that ``find_cycles_covering`` reports, and the local negative-lift
+gate is checked against the components of that lift.  The reference
+bead-demand search is the unpruned placement search that ``min_beads``
+replaced: it checks the face demands and the bead-sharing pairs only at
+the leaves.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from planecover.graphs import (
     LabeledGraph,
     canonical_form,
     connectivity,
+    find_cycles_covering,
     is_connected,
     make_base,
 )
@@ -348,6 +351,16 @@ def format_one_fragments(h_max: int) -> dict:
     }
 
 
+def negative_lift_by_components(h: LabeledGraph) -> bool:
+    """Reference for ``structure.negative_lift_triangular``: the components
+    of the (-1,-2,-3) lift, as ``find_cycles_covering`` builds them, are
+    all cycles of length 3."""
+    return all(
+        comp.kind == "cycle" and comp.length == 3
+        for comp in find_cycles_covering(h, (-1, -2, -3), make_base(K4NEG))
+    )
+
+
 def triangle_net_voltage(v: VoltageAssignment, triangle_labels) -> tuple[int, ...]:
     """Net voltage around a base triangle a < b < c (vertex ids), walked
     a -> b -> c -> a: the sheet that sheet i returns to."""
@@ -495,28 +508,13 @@ def _embedding_from_state(g: LabeledGraph, state) -> PlaneEmbedding:
     return PlaneEmbedding(g, tuple(rot), 0)
 
 
-def _negative_edges_form_triangles(g: LabeledGraph) -> bool:
-    """The edges joining two distinct negative labels form vertex-disjoint
-    triangles: each of their ends meets exactly two, whose far ends are
-    adjacent."""
-    nbrs: dict[int, list[int]] = {}
-    for u, v in g.edges:
-        lu, lv = g.labels[u], g.labels[v]
-        if lu < 0 and lv < 0 and lu != lv:
-            nbrs.setdefault(u, []).append(v)
-            nbrs.setdefault(v, []).append(u)
-    return all(
-        len(ns) == 2 and ns[0] != ns[1] and ns[1] in nbrs[ns[0]] for ns in nbrs.values()
-    )
-
-
 def _gate_failure(g: LabeledGraph) -> str | None:
     """The first graph-level condition the fragment fails, if any."""
     if g.n == 4 and g.m == 6:
         return "not_k4"
     if connectivity_by_cut_search(g) < 2:
         return "two_connected"
-    if not _negative_edges_form_triangles(g):
+    if not negative_lift_by_components(g):
         return "negative_lift_triangular"
     return None
 

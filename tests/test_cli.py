@@ -234,6 +234,21 @@ def test_search_dot_dump(tmp_path):
     assert "graph" in files[0].read_text()
 
 
+@pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+def test_search_dot_dir_on_a_file_exits_three(tmp_path, capsys, where):
+    # refused before the scan: no traceback and no certificate written
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    dots = blocker if where == "a-file" else blocker / "dots"
+    out = tmp_path / "cert.json"
+    rc = main(["search", "--fixture", "spec-k4-n2", "--out", str(out), "--dot-dir", str(dots)])
+    assert rc == 3
+    assert not out.exists()
+    assert blocker.read_text() == "not a directory\n"
+    err = capsys.readouterr().err
+    assert "not a directory" in err and "Traceback" not in err
+
+
 def test_trapezium_face_quotient_failure_is_handled(tmp_path, capsys):
     # a black triangle with a corner joined to no 0-vertex has no quotient:
     # analyze reports a null census, quotient rejects the input
