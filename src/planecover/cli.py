@@ -76,11 +76,14 @@ def _load_json(path: str | None, fixture: str | None, fixture_suffix: str = ""):
 
 
 def _write_out(args, text: str) -> None:
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"output path not writable: {exc}") from exc
 
 
 def _check_writable(path: str | None) -> None:

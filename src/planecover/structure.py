@@ -26,6 +26,7 @@ from .graphs import (
     K4_LABELS,
     K4NEG,
     LabeledGraph,
+    connected_components,
     connectivity,
     find_cycles_covering,
     is_connected,
@@ -322,43 +323,33 @@ def refine_faces(sc: SemiCover) -> FaceRefinement:
     h_emb, vmap, emap = emb.restrict(h_vertices)
     h_edge_ids = set(emap)
 
-    # Union-find over ambient faces: faces sharing a non-fragment edge lie
-    # in the same fragment face region.
+    # Faces sharing a non-fragment edge lie in the same fragment face
+    # region: the regions are the components of the graph on face ids with
+    # one edge per non-fragment edge, each named by its least face.
     nf = len(emb.faces)
-    parent = list(range(nf))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
     dart_face = emb.dart_face
-    for eid in range(g.m):
-        if eid not in h_edge_ids:
-            union(dart_face[2 * eid], dart_face[2 * eid + 1])
+    face_graph = LabeledGraph((0,) * nf, tuple(
+        (dart_face[2 * eid], dart_face[2 * eid + 1])
+        for eid in range(g.m)
+        if eid not in h_edge_ids and dart_face[2 * eid] != dart_face[2 * eid + 1]
+    ), simple=False)
+    region = {f: comp[0] for comp in connected_components(face_graph) for f in comp}
 
     # Identify each region with the fragment face holding its darts.
     h_dart_face = h_emb.dart_face
     region_to_hface: dict[int, int] = {}
     for eid, sub_eid in emap.items():
         for side in (0, 1):
-            amb = find(dart_face[2 * eid + side])
+            amb = region[dart_face[2 * eid + side]]
             hf = h_dart_face[2 * sub_eid + side]
             prev = region_to_hface.setdefault(amb, hf)
             if prev != hf:
                 raise StructureError("ambient faces do not refine the fragment faces")
     group = []
     for i in range(nf):
-        r = find(i)
-        if r not in region_to_hface:
+        if region[i] not in region_to_hface:
             raise StructureError("a face region touches no fragment edge")
-        group.append(region_to_hface[r])
+        group.append(region_to_hface[region[i]])
 
     tri_in_face: dict[int, list] = {}
     for tri in positive_triangles(g):
@@ -623,12 +614,10 @@ def admissibility_report(sc: SemiCover) -> StructureReport:
     # (a) connected genuine cover of K4; ambient boundary is a cycle of it.
     outer_walk = emb.outer
     boundary_in_h = all(g.labels[v] in _K4_LABEL_SET for v in outer_walk.vertices)
-    verdict_a = is_connected(h)
-    if verdict_a:
-        try:
-            verdict_a = verify_cover(h, k4, label_projection(h, k4).vertex_map).ok
-        except CoverError:
-            verdict_a = False
+    try:  # a fold is reported exactly for a connected cover
+        verdict_a = verify_cover(h, k4, label_projection(h, k4).vertex_map).fold is not None
+    except CoverError:
+        verdict_a = False
     conditions["lift_cover"] = verdict_a and boundary_in_h and outer_walk.is_simple_cycle()
 
     # (b) all 3-cycles of the ambient graph are facial.

@@ -25,7 +25,8 @@ lengths that ``find_cycles_covering`` reports, and the local negative-lift
 gate is checked against the components of that lift.  The reference
 bead-demand search is the unpruned placement search that ``min_beads``
 replaced: it checks the face demands and the bead-sharing pairs only at
-the leaves.
+the leaves, and counts the beads two faces share from their own edge
+sets, not through the search module's helpers.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ from planecover.search import (
     EXTRA_FRAGMENT_FILTERS,
     MinBeadsResult,
     SearchError,
-    _edge_faces,
-    _shared_beads,
     analyze_fragment_candidate,
     estimate_nodes,
     min_beads,
@@ -692,7 +691,13 @@ def reference_min_beads(
     """
     outer = q.outer_face if outer_face is None else outer_face
     nf = len(q.faces)
-    edge_faces = _edge_faces(q)
+    # its own face-edge incidence: the beads two faces share lie on the
+    # edges in both faces' edge sets
+    face_edges = [set(sides) for sides in q.face_edge_sides]
+    edge_faces = [[] for _ in q.edges]
+    for fid, sides in enumerate(q.face_edge_sides):
+        for e in sides:
+            edge_faces[e].append(fid)
     demands = []
     for fid, f in enumerate(q.faces):
         L = len(f)
@@ -717,7 +722,7 @@ def reference_min_beads(
         def pairs_ok():
             return not any(
                 bead_sharing_excluded(
-                    _shared_beads(edge_faces, placement, fa, fb),
+                    sum(placement[e] for e in face_edges[fa] & face_edges[fb]),
                     len(q.faces[fa]) // 2 + counts[fa],
                     len(q.faces[fb]) // 2 + counts[fb],
                 )

@@ -175,16 +175,18 @@ def test_quotient_command(tmp_path, capsys):
     assert "minimum demand 4" in capsys.readouterr().out
 
 
+K4_DOUBLE_VOLTAGE = {
+    "base": "k4",
+    "n": 2,
+    "edges": [
+        {"from": u, "to": v, "perm": [1, 0]}
+        for u, v in [(1, 2), (1, 3), (2, 3)]
+    ],
+}
+
+
 def test_derive_and_lift(tmp_path, capsys):
-    volt = {
-        "base": "k4",
-        "n": 2,
-        "edges": [
-            {"from": u, "to": v, "perm": [1, 0]}
-            for u, v in [(1, 2), (1, 3), (2, 3)]
-        ],
-    }
-    vp = _write(tmp_path, "volt.json", volt)
+    vp = _write(tmp_path, "volt.json", K4_DOUBLE_VOLTAGE)
     out = tmp_path / "derived.json"
     assert main(["derive", vp, "--out", str(out)]) == 0
     derived = json.loads(out.read_text())
@@ -475,6 +477,32 @@ def test_lift_of_a_broken_map_exits_three(tmp_path, capsys):
     assert main(["lift", g, m, "--base", "k4"]) == 3
     err = capsys.readouterr().err
     assert "input error: not a cover" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "12"],
+        ["derive", "VOLTAGE"],
+        ["lift", "--fixture", "k4-double", "--base", "k4"],
+        ["embed", "--fixture", "k4-double"],
+        ["analyze", "--fixture", "necklace4"],
+        ["quotient", "--fixture", "nine_face_pair"],
+        ["export-dot", "--fixture", "k4-double"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exits_three(tmp_path, capsys, argv):
+    # an --out path under a missing directory is an input error, not a
+    # traceback, and leaves nothing behind; derive reads a written voltage
+    volt = _write(tmp_path, "volt.json", K4_DOUBLE_VOLTAGE)
+    argv = [volt if a == "VOLTAGE" else a for a in argv]
+    out = tmp_path / "missing" / "result.json"
+    rc = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "input error: output path not writable" in err and "Traceback" not in err
+    assert not out.parent.exists()
 
 
 def test_search_rejected_spec_leaves_no_output_file(tmp_path, capsys):

@@ -1,0 +1,100 @@
+"""Mutated fixture files through the CLI loaders: whatever a mutation does
+to a bundled fixture's JSON, every command exits with a code from 0 to 3
+and raises nothing.
+
+A mutation swaps a value for one of another JSON type, drops or appends a
+list entry, or shifts an integer.  Covers-mode search runs under a budget
+that admits fold 4 and refuses fold 5, so a shifted fold stays small.
+"""
+
+import copy
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planecover import fixtures as fx
+from planecover import io as pio
+from planecover.cli import main
+
+SEMICOVERS = (
+    "necklace4", "necklace3", "two_faces", "nine_face_pair", "fold_six_fragment",
+    "hexagon_cover", "single_bead", "hub_violation", "two_trapezia", "crowded_face",
+    "support_case1", "support_case2", "support_case3", "trapezium_face",
+)
+
+# command, the fixtures it reads (one tuple of choices per input file),
+# extra arguments, and whether it takes --out
+COMMANDS = (
+    ("verify", (("k4-double.graph",), ("k4-double.map", "k4-double.broken-map")), ["--base", "k4"], False),
+    ("lift", (("k4-double.graph",), ("k4-double.map", "k4-double.broken-map")), ["--base", "k4"], True),
+    ("embed", (("k4-double.graph", "k1222-identity.graph"),), [], True),
+    ("export-dot", (("k4-double.graph", "k1222-identity.graph"),), [], True),
+    ("analyze", (SEMICOVERS,), [], True),
+    ("quotient", (SEMICOVERS,), [], True),
+    ("search", (("spec-k4-n2",),), ["--budget", "14000"], True),
+)
+
+_OTHER_TYPES = (None, True, 7, -1, 2.5, "x", [], {})
+
+
+def _kind(value) -> str:
+    return "bool" if isinstance(value, bool) else type(value).__name__
+
+
+def _paths(obj, path=()):
+    """Every position in a JSON value, as a tuple of keys and indices."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _get(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _mutate(obj, data):
+    """One mutation of obj, in place where it can be; returns the root."""
+    path = data.draw(st.sampled_from(list(_paths(obj))))
+    value = _get(obj, path)
+    kinds = ["swap"]
+    if isinstance(value, list):
+        kinds += ["drop", "append"] if value else ["append"]
+    if _kind(value) == "int":
+        kinds.append("shift")
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del value[data.draw(st.integers(0, len(value) - 1))]
+        return obj
+    if kind == "append":
+        value.append(copy.deepcopy(data.draw(st.sampled_from(value + list(_OTHER_TYPES)))))
+        return obj
+    if kind == "shift":
+        new = value + data.draw(st.sampled_from((-2, -1, 1, 2)))
+    else:
+        new = data.draw(st.sampled_from([v for v in _OTHER_TYPES if _kind(v) != _kind(value)]))
+    if not path:
+        return copy.deepcopy(new)
+    _get(obj, path[:-1])[path[-1]] = copy.deepcopy(new)
+    return obj
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_fixtures_exit_cleanly(data):
+    command, inputs, extra, has_out = data.draw(st.sampled_from(COMMANDS))
+    objs = [fx.load_fixture_obj(data.draw(st.sampled_from(choices))) for choices in inputs]
+    target = data.draw(st.integers(0, len(objs) - 1))
+    for _ in range(data.draw(st.integers(1, 3))):
+        objs[target] = _mutate(objs[target], data)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = []
+        for i, obj in enumerate(objs):
+            files.append(str(Path(tmp) / f"input{i}.json"))
+            Path(files[-1]).write_text(pio.dumps(obj), encoding="utf-8")
+        out = ["--out", str(Path(tmp) / "out.json")] if has_out else []
+        assert main([command, *files, *extra, *out]) in (0, 1, 2, 3)
