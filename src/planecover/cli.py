@@ -264,6 +264,8 @@ def cmd_search(args) -> int:
         h_max = spec_int(obj, "h_max")
     else:
         raise InputError(f"unknown search mode {mode!r}")
+    if args.workers < 1:
+        raise InputError(f"--workers must be at least 1, not {args.workers}")
     _check_writable(args.out)
     _check_directory(args.dot_dir)
     if mode == "covers":

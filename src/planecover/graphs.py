@@ -6,10 +6,9 @@ symbols 0, +-1, +-2, +-3.  The apex vertex of K(1,2,2,2) is labelled 0;
 the six octahedron vertices are labelled so that i and -i are the unique
 non-adjacent pairs.  Covers of the K4 subgraph reuse {0, -1, -2, -3}.
 Connectedness and components go through one component search,
-``_component``; the capped vertex connectivity of a simple subcubic graph
-through one cut-space pass, ``_subcubic_connectivity``, and of any other
-graph through one cut-vertex search, ``_has_cut_vertex``; the two base
-graphs are built once per process.
+``_component``, and the capped vertex connectivity through one
+cut-vertex search, ``_has_cut_vertex``; the two base graphs are built
+once per process.
 """
 
 from __future__ import annotations
@@ -98,21 +97,6 @@ class LabeledGraph:
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
-    @cached_property
-    def vertex_connectivity(self) -> int:
-        """Vertex connectivity capped at 3; see :func:`connectivity`."""
-        if self.n < 2:
-            raise GraphError("connectivity needs at least 2 vertices")
-        if (self.simple or len(self.edge_set) == self.m) and max(map(len, self.adj)) <= 3:
-            return min(_subcubic_connectivity(self), self.n - 1)
-        if not is_connected(self):
-            return 0
-        if self.n >= 3 and _has_cut_vertex(self):
-            return 1
-        if self.n >= 4 and any(_has_cut_vertex(self, v) for v in range(self.n)):
-            return 2
-        return min(3, self.n - 1)
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -196,44 +180,6 @@ def _has_cut_vertex(g: LabeledGraph, removed: int = -1) -> bool:
     return root_children > 1
 
 
-def _subcubic_connectivity(g: LabeledGraph) -> int:
-    """Edge connectivity capped at 3 of g, assumed simple with maximum
-    degree at most 3: one cut-space pass over a breadth-first tree.
-
-    Each non-tree edge gets its own bit, and each tree edge the XOR of the
-    bits of the non-tree edges whose fundamental cycles contain it, that
-    is, of those with exactly one end below it.  An edge set is a cut
-    exactly when it meets every fundamental cycle an even number of
-    times, so a tree edge labelled 0 is a bridge and two equal labels
-    form a 2-edge cut.
-    """
-    parent = [-1] * g.n
-    parent[0] = 0
-    order = [0]
-    for v in order:
-        for w in g.adj[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                order.append(w)
-    if len(order) < g.n:
-        return 0
-    below = [0] * g.n  # bits of the non-tree edges at v, then in v's subtree
-    labels = []
-    bit = 1
-    for a, b in g.edges:
-        if parent[a] != b and parent[b] != a:
-            labels.append(bit)
-            below[a] ^= bit
-            below[b] ^= bit
-            bit <<= 1
-    for v in reversed(order[1:]):  # each subtree before its root's parent
-        labels.append(below[v])  # the label of the tree edge above v
-        below[parent[v]] ^= below[v]
-    if 0 in labels:
-        return 1
-    return 2 if len(set(labels)) < len(labels) else 3
-
-
 def is_connected(g: LabeledGraph) -> bool:
     return g.n > 0 and len(_component(g, 0)) == g.n
 
@@ -253,18 +199,20 @@ def connectivity(g: LabeledGraph) -> int:
     """Vertex connectivity capped at 3 (and at n - 1): 0 if g is
     disconnected, 1 if it has a cut vertex, 2 if it has a separation pair.
 
-    On a simple graph of maximum degree at most 3, vertex and edge
-    connectivity coincide (with n >= 3 one end of a bridge is a cut
-    vertex, and a cut vertex of degree at most 3 leaves one side joined by
-    a single edge), so one cut-space pass decides all four values in
-    linear time.  Other graphs, with parallel edges or a vertex of degree
-    above 3, go through the component search, one lowpoint search for a
-    cut vertex, and one lowpoint search per vertex v for a cut vertex of
-    g - v.  Nothing downstream distinguishes connectivities above 3, so no
-    test goes further.  The value is computed once per graph and cached on
-    it.
+    One component search, one lowpoint search for a cut vertex, and one
+    lowpoint search per vertex v for a cut vertex of g - v.  Nothing
+    downstream distinguishes connectivities above 3, so no test goes
+    further.
     """
-    return g.vertex_connectivity
+    if g.n < 2:
+        raise GraphError("connectivity needs at least 2 vertices")
+    if not is_connected(g):
+        return 0
+    if g.n >= 3 and _has_cut_vertex(g):
+        return 1
+    if g.n >= 4 and any(_has_cut_vertex(g, v) for v in range(g.n)):
+        return 2
+    return min(3, g.n - 1)
 
 
 # ---------------------------------------------------------------------------

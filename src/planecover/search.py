@@ -47,7 +47,6 @@ from .graphs import (
     K4NEG,
     BaseGraph,
     LabeledGraph,
-    connectivity,
     is_connected,
     make_base,
 )
@@ -62,7 +61,7 @@ from .structure import (
     quotient_skeleton,
 )
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Extra fragment-level conditions the bare search applies beyond the
 #: face-census exclusions.  Each is a restriction of an interior condition
@@ -342,7 +341,6 @@ def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
 #: The analyzer's graph-level gate, in order: (filter key, predicate).
 _GATES = (
     ("not_k4", lambda g: not (g.n == 4 and g.m == 6)),
-    ("two_connected", lambda g: connectivity(g) >= 2),
     ("negative_lift_triangular", negative_lift_triangular),
 )
 
@@ -385,6 +383,11 @@ def spherical_rotations(nverts: int, edges):
 
 def analyze_fragment_candidate(g: LabeledGraph) -> dict:
     """Run the bare-fragment filter pipeline over every plane embedding.
+
+    The input is a connected cover of K4, as every class the scan visits
+    is.  Such a cover is simple, cubic and bridgeless (each lifted edge
+    lies on a lift of a base cycle), so it is 2-connected and the gate
+    does not test condition (g).
 
     Embeddings are enumerated on the contracted quotient: an admissible
     embedding must make every 3-cycle facial, which pins the bead and
@@ -482,8 +485,8 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
     Each fold scans the connected planar covers of K4, one per
     conjugation orbit, and pushes every class through the bare-fragment
     conditions over all its plane embeddings and outer-face choices.
-    Entries gain the analyzer's verdict, their fold and their vertex
-    connectivity, and the quotient censuses are merged per fold.
+    Entries gain the analyzer's verdict and their fold, and the quotient
+    censuses are merged per fold.
     """
     if not 1 <= h_max <= 6:
         raise SearchError("fragment search covers folds 1 to 6")
@@ -501,7 +504,7 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
             analysis = analyze_fragment_candidate(g)
             censuses = analysis.pop("quotient_censuses")
             fold_censuses.update(tuple(sorted(c.items())) for c in censuses)
-            entry.update(analysis, fold=h, connectivity=connectivity(g))
+            entry.update(analysis, fold=h)
             if h == 6 and entry["survivor"]:
                 entry["interior_triangle_check"] = _h6_survivor_check(g)
         record["survivors"] = [e["voltage"] for e in record["candidates"] if e["survivor"]]

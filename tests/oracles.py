@@ -12,7 +12,10 @@ the library's edge-count pre-check.  The format-1 certificates are built
 as the library built them before classes were named by voltage: the
 orbit scan keys each class by the canonical form of its derived graph,
 stops on a form shared by two orbits, and orders and names the classes by
-that form.  The
+that form; each fragment entry takes its verdict from the format-2
+certificate.  That one is the format-3 certificate with what format 3
+dropped put back: the ``two_connected`` filter and each class's vertex
+connectivity, found by exhaustive cut search.  The
 unnormalized scan checks the spanning-tree normalization, and the direct
 fragment analyzer enumerates the fragment's own rotation systems instead
 of the quotient's, behind its own graph-level gate and under the
@@ -58,22 +61,19 @@ from planecover.graphs import (
     K4NEG,
     LabeledGraph,
     canonical_form,
-    connectivity,
     find_cycles_covering,
     is_connected,
     make_base,
 )
 from planecover.search import (
-    EXTRA_FRAGMENT_FILTERS,
     MinBeadsResult,
     SearchError,
-    analyze_fragment_candidate,
     estimate_nodes,
     min_beads,
+    search_k4_fragments,
     voltage_orbits,
 )
 from planecover.structure import (
-    INTERIOR_CONDITION_KEYS,
     QuotientError,
     QuotientGraph,
     StructureError,
@@ -322,32 +322,46 @@ def format_one_covers(kind: str, n: int) -> dict:
     }
 
 
+def format_two_fragments(h_max: int) -> dict:
+    """The format-2 certificate of ``search_k4_fragments(h_max)`` without
+    its timing: the format-3 certificate with each entry's vertex
+    connectivity put back, from exhaustive cut search, and with its
+    ``two_connected`` filter put back after a passing ``not_k4``.  Every
+    class is a connected cover of K4, so that filter never failed."""
+    cert = search_k4_fragments(h_max)
+    del cert["timing"]
+    cert["format_version"] = 2
+    base = make_base(K4NEG)
+    for fold in cert["folds"]:
+        for entry in fold["candidates"]:
+            g, _ = derive(normalized_assignment(base, fold["fold"], entry["voltage"]))
+            entry["connectivity"] = connectivity_by_cut_search(g)
+            if entry["filters"]["not_k4"]:
+                assert entry["connectivity"] >= 2, entry["voltage"]
+                entry["filters"] = {"not_k4": True, "two_connected": True, **entry["filters"]}
+    return cert
+
+
 def format_one_fragments(h_max: int) -> dict:
     """The format-1 certificate of ``search_k4_fragments(h_max)`` without
-    its timing, for h_max <= 5 (the fold-6 survivor check is left out)."""
+    its timing, for h_max <= 5 (the fold-6 survivor check is left out):
+    the format-1 fold records, each entry completed by the format-2 entry
+    of the same voltage."""
     assert 1 <= h_max <= 5
+    two = format_two_fragments(h_max)
     base = make_base(K4NEG)
-    folds, censuses = [], []
-    for h in range(1, h_max + 1):
-        record = _format_one_fold(base, h)
-        fold_censuses = set()
+    folds = []
+    for fold in two["folds"]:
+        by_voltage = {repr(e["voltage"]): e for e in fold["candidates"]}
+        record = _format_one_fold(base, fold["fold"])
         for entry in record["candidates"]:
-            g, _ = derive(normalized_assignment(base, h, entry["voltage"]))
-            analysis = analyze_fragment_candidate(g)
-            fold_censuses.update(tuple(sorted(c.items())) for c in analysis.pop("quotient_censuses"))
-            entry.update(analysis, fold=h, connectivity=connectivity(g))
+            verdict = by_voltage.pop(repr(entry["voltage"]))
+            assert verdict["assignments"] == entry["assignments"], entry["voltage"]
+            entry.update(verdict)
+        assert not by_voltage, "format-2 classes missing from the format-1 scan"
         record["survivors"] = [e["canonical"] for e in record["candidates"] if e["survivor"]]
-        censuses.extend(dict(items) for items in sorted(fold_censuses))
-        folds.append({"fold": h, **record})
-    return {
-        "format_version": 1,
-        "spec": {"mode": "fragments", "h_max": h_max, "budget": 10**9},
-        "folds": folds,
-        "survivor_count": sum(len(f["survivors"]) for f in folds),
-        "skipped_conditions": list(INTERIOR_CONDITION_KEYS),
-        "extra_conditions": list(EXTRA_FRAGMENT_FILTERS),
-        "quotient_censuses": censuses,
-    }
+        folds.append({"fold": fold["fold"], **record})
+    return {**two, "format_version": 1, "folds": folds}
 
 
 def negative_lift_by_components(h: LabeledGraph) -> bool:
@@ -511,8 +525,6 @@ def _gate_failure(g: LabeledGraph) -> str | None:
     """The first graph-level condition the fragment fails, if any."""
     if g.n == 4 and g.m == 6:
         return "not_k4"
-    if connectivity_by_cut_search(g) < 2:
-        return "two_connected"
     if not negative_lift_by_components(g):
         return "negative_lift_triangular"
     return None

@@ -251,6 +251,16 @@ def test_search_dot_dir_on_a_file_exits_three(tmp_path, capsys, where):
     assert "not a directory" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_search_worker_count_below_one_exits_three(tmp_path, capsys, workers):
+    out = tmp_path / "cert.json"
+    rc = main(["search", "--fixture", "spec-k4-n2", "--workers", str(workers), "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--workers" in err and "Traceback" not in err
+
+
 def test_trapezium_face_quotient_failure_is_handled(tmp_path, capsys):
     # a black triangle with a corner joined to no 0-vertex has no quotient:
     # analyze reports a null census, quotient rejects the input

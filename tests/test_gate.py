@@ -1,8 +1,10 @@
-"""The two facts of the fragment analyzer's graph-level gate against their
-references: the local negative-lift test against the components of the
-lift and against the voltage rule, and the cut-space connectivity of
-simple subcubic graphs against exhaustive cut search."""
+"""The fragment analyzer's graph-level gate and the theorem that took the
+place of its connectivity test: the local negative-lift test against the
+components of the lift and against the voltage rule; every connected
+cover of K4 2-connected, by exhaustive cut search; and the one
+connectivity routine on simple subcubic graphs against that search."""
 
+import functools
 import itertools
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import connectivity_by_cut_search, negative_lift_by_components
 
+from planecover import graphs, search, structure
 from planecover.covers import (
     conjugacy_representatives,
     derive,
@@ -35,6 +38,13 @@ def _orbit_covers(n):
     for volt, _, _ in voltage_orbits(n, conjugacy_representatives(n), 2):
         g, _ = derive(normalized_assignment(K4, n, volt))
         yield volt, g, sheets_transitive(volt, n)
+
+
+@functools.cache
+def _orbit_cut_search(n):
+    """(voltage, derived graph, transitive, cut-search connectivity) for
+    each orbit of K4 voltages, shared by the two tests that need it."""
+    return [(volt, g, t, connectivity_by_cut_search(g)) for volt, g, t in _orbit_covers(n)]
 
 
 def _is_simple_subcubic(g: LabeledGraph) -> bool:
@@ -87,6 +97,39 @@ def test_negative_lift_gate_matches_components_on_random_multigraphs(g):
     assert negative_lift_triangular(g) == negative_lift_by_components(g)
 
 
+@pytest.mark.parametrize("n", FOLDS)
+def test_connected_k4_covers_are_two_connected(n):
+    # a connected cover of K4 is simple, cubic and bridgeless (each lifted
+    # edge lies on a lift of a base cycle), so it is 2-connected: the
+    # fragment scan's classes need no connectivity test
+    transitive = 0
+    for volt, _, is_transitive, k in _orbit_cut_search(n):
+        if is_transitive:
+            transitive += 1
+            assert k >= 2, volt
+    assert transitive == TRIPLE_ORBITS[n][1]
+
+
+def test_fragment_search_computes_no_connectivity(monkeypatch):
+    calls = []
+    real = graphs.connectivity
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    for module in (graphs, search, structure):
+        if hasattr(module, "connectivity"):
+            monkeypatch.setattr(module, "connectivity", counted)
+    search.search_k4_fragments(4)
+    assert len(calls) == 0
+
+
+# The one connectivity routine against exhaustive cut search on simple
+# subcubic graphs: the corpus graphs, every K4 voltage orbit and random
+# graphs.
+
+
 def test_subcubic_connectivity_on_graph_corpus(graph_corpus):
     subcubic = [
         g for graphs in graph_corpus.values() for g in graphs if g.n >= 2 and _is_simple_subcubic(g)
@@ -99,10 +142,10 @@ def test_subcubic_connectivity_on_graph_corpus(graph_corpus):
 @pytest.mark.parametrize("n", FOLDS)
 def test_subcubic_connectivity_on_derived_graphs(n):
     orbits = 0
-    for volt, g, _ in _orbit_covers(n):
+    for volt, g, _, k in _orbit_cut_search(n):
         orbits += 1
         assert _is_simple_subcubic(g)
-        assert connectivity(g) == connectivity_by_cut_search(g), volt
+        assert connectivity(g) == k, volt
     assert orbits == TRIPLE_ORBITS[n][0]
 
 

@@ -1,12 +1,17 @@
 """The orbit-wise voltage scan against the brute-force scan, closed forms,
-the format-1 certificates and the pinned certificate bytes."""
+the format-1 and format-2 certificates and the pinned certificate bytes."""
 
 import functools
 import hashlib
 import math
 
 import pytest
-from oracles import format_one_covers, format_one_fragments, reference_scan_chunk
+from oracles import (
+    format_one_covers,
+    format_one_fragments,
+    format_two_fragments,
+    reference_scan_chunk,
+)
 
 from planecover import embedding, graphs, search
 from planecover import fixtures as fx
@@ -99,7 +104,7 @@ def test_hall_orbit_sum_identity(n):
         assert weighted == HALL_TRANSITIVE_TUPLES[length][n], length
 
 
-# -- format 2 against format 1 ---------------------------------------------
+# -- format 3 against formats 2 and 1 --------------------------------------
 
 #: Fields a format-1 covers certificate writes and a format-2 one does not:
 #: the spec's fixed fields and the empty fragment fields.
@@ -124,19 +129,36 @@ def _as_format_two(record: dict, covers: bool) -> dict:
     return out
 
 
+def _as_format_three(record: dict) -> dict:
+    """A format-2 fragment fold record in format 3: entries lose their
+    "connectivity" and their "two_connected" filter."""
+    candidates = []
+    for e in record["candidates"]:
+        e = {k: v for k, v in e.items() if k != "connectivity"}
+        e["filters"] = {k: v for k, v in e["filters"].items() if k != "two_connected"}
+        candidates.append(e)
+    return {**record, "candidates": candidates}
+
+
+@functools.cache
+def _format_two_fragments(h_max: int) -> dict:
+    return format_two_fragments(h_max)
+
+
 @functools.cache
 def _format_one_fragments(h_max: int) -> dict:
     return format_one_fragments(h_max)
 
 
-def _records(mode, n, request):
+def _records(mode, n):
     """(format-2 record, format-1 record) of covers mode on a base at fold
-    n, or of fold n of the fragment search."""
+    n, or of fold n of the fragment search.  A covers certificate is the
+    same in formats 2 and 3 apart from its version."""
     if mode == "fragments":
-        two = request.getfixturevalue("fragment_certificate")["folds"][n - 1]
-        return two, _format_one_fragments(max(4, n))["folds"][n - 1]
+        h_max = max(4, n)
+        return _format_two_fragments(h_max)["folds"][n - 1], _format_one_fragments(h_max)["folds"][n - 1]
     two = {k: v for k, v in enumerate_covers(SearchSpec(mode, n)).items() if k != "timing"}
-    assert two.pop("format_version") == 2
+    assert two.pop("format_version") == 3
     one = format_one_covers(mode, n)
     assert one.pop("format_version") == 1
     return two, one
@@ -150,8 +172,8 @@ def _records(mode, n, request):
     + [pytest.param("fragments", 5, marks=pytest.mark.slow)],
     ids=str,
 )
-def test_format_two_is_format_one_named_by_voltage(request, mode, n):
-    two, one = _records(mode, n, request)
+def test_format_two_is_format_one_named_by_voltage(mode, n):
+    two, one = _records(mode, n)
     assert two == _as_format_two(one, covers=mode != "fragments")
     # the orbit argument: distinct voltages name distinct classes
     base = make_base("k4" if mode == "fragments" else mode)
@@ -160,6 +182,12 @@ def test_format_two_is_format_one_named_by_voltage(request, mode, n):
         for e in two["candidates"]
     }
     assert len(forms) == len(two["candidates"]) == two["classes"]
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_format_three_is_format_two_without_connectivity(fragment_certificate, h):
+    two = _format_two_fragments(max(4, h))["folds"][h - 1]
+    assert fragment_certificate["folds"][h - 1] == _as_format_three(two)
 
 
 #: sha256 of io.dumps(certificate without "timing") in format 1, as pinned
@@ -183,6 +211,39 @@ def test_format_one_oracle_writes_the_format_one_bytes(name):
     else:
         cert = format_one_covers(spec["base"], spec["n"])
     assert _cert_digest(cert) == FORMAT_ONE_DIGESTS[name]
+
+
+#: sha256 of io.dumps(certificate without "timing") in format 2, as pinned
+#: before the fragment entries lost their connectivity; "fragments-h4" is
+#: the fold 1-4 fragment certificate.
+FORMAT_TWO_DIGESTS = {
+    "spec-k4-n1": "d49719691b2338cd87293852f1659aacb887f54b87080f8ee10f519fb05a0285",
+    "spec-k4-n2": "4d92d97bea60ba9e7835e55da001fd3128b989485288e777ad7154af19a203e5",
+    "spec-k1222-n2": "4f0c220677be8dfbfdef1a6a63a49399cd125256cafc16697a8721ead238f605",
+    "fragments-h4": "64601791453ee3c9e105ebd729f1c9bff390e1ac5def90baef2cce4956d618ea",
+    "spec-k4-h-le-5": "1ccc7b8c7260c788371f3096d460e53caf72d1eb6377a4047079b389026af06f",
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "spec-k4-n1",
+        "spec-k4-n2",
+        "spec-k1222-n2",
+        "fragments-h4",
+        pytest.param("spec-k4-h-le-5", marks=pytest.mark.slow),
+    ],
+)
+def test_format_two_oracle_writes_the_format_two_bytes(name):
+    if name == "fragments-h4":
+        cert = _format_two_fragments(4)
+    elif name == "spec-k4-h-le-5":
+        cert = _format_two_fragments(5)
+    else:
+        # a covers certificate differs from format 2 only in its version
+        cert = {**enumerate_covers(SearchSpec.from_obj(fx.load_fixture_obj(name))), "format_version": 2}
+    assert _cert_digest(cert) == FORMAT_TWO_DIGESTS[name]
 
 
 @pytest.mark.parametrize(
@@ -212,14 +273,14 @@ def test_scan_computes_no_canonical_form(monkeypatch, run):
     assert len(calls) == 0
 
 
-# sha256 of io.dumps(certificate without "timing") in format 2.  The
+# sha256 of io.dumps(certificate without "timing") in format 3.  The
 # fragment certificate pins, at fold 4, the candidate entries and the
 # shape exclusions.
 GOLDEN_DIGESTS = {
-    "spec-k4-n1": "d49719691b2338cd87293852f1659aacb887f54b87080f8ee10f519fb05a0285",
-    "spec-k4-n2": "4d92d97bea60ba9e7835e55da001fd3128b989485288e777ad7154af19a203e5",
-    "spec-k1222-n2": "4f0c220677be8dfbfdef1a6a63a49399cd125256cafc16697a8721ead238f605",
-    "spec-k4-h-le-5": "1ccc7b8c7260c788371f3096d460e53caf72d1eb6377a4047079b389026af06f",
+    "spec-k4-n1": "c1ac5e026b615a718950a86b5adc5e89598858a6eb7a9a2370d42eda15fb74c4",
+    "spec-k4-n2": "b0eecf83c942e9a9f0c4dab0b6a22267149143ffaaac28a10af277fcb616de84",
+    "spec-k1222-n2": "9153c73f3f0064b50f183a426de4f016c607ee604bbd08377139a54252da52e4",
+    "spec-k4-h-le-5": "3574e4f292e3e6db9676fdccff5649b2e81950b691c5d11804e0a293e5b8668d",
 }
 
 
@@ -231,10 +292,10 @@ def _cert_digest(cert: dict) -> str:
 @pytest.mark.parametrize("name", ["spec-k4-n1", "spec-k4-n2", "spec-k1222-n2"])
 def test_cover_certificate_golden_digest(name):
     cert = enumerate_covers(SearchSpec.from_obj(fx.load_fixture_obj(name)))
-    assert cert["format_version"] == 2
+    assert cert["format_version"] == 3
     assert _cert_digest(cert) == GOLDEN_DIGESTS[name]
 
 
 def test_fragment_certificate_golden_digest(fragment_certificate):
-    assert fragment_certificate["format_version"] == 2
+    assert fragment_certificate["format_version"] == 3
     assert _cert_digest(fragment_certificate) == GOLDEN_DIGESTS["spec-k4-h-le-5"]
