@@ -4,8 +4,12 @@ A graph G covers a base K when some onto vertex map sends the neighbors
 of every vertex bijectively onto the neighbors of its image.  Plane
 semi-covers relax the condition to injectivity on the outer face.  All
 n-fold covers of a base arise from a permutation per edge (a voltage
-assignment); normalizing the voltages of a spanning tree to the identity
-removes the fiber-relabeling redundancy.
+assignment).  Both bases are cones over the apex 0, so their spanning
+tree is the apex star; setting its voltages to the identity removes the
+fiber-relabeling redundancy.  On such a normalized assignment the
+fundamental cycle of a cotree edge carries that edge's own voltage, so
+the derived graph is connected iff the cotree voltages act transitively
+on the sheets, which ``sheets_transitive`` decides.
 """
 
 from __future__ import annotations
@@ -225,54 +229,6 @@ def derive(v: VoltageAssignment) -> tuple[LabeledGraph, CoverProjection]:
     return source, CoverProjection(source, v.base, vmap)
 
 
-def _compose(p, q):
-    """Permutation doing q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def _invert(p):
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
-def tree_path_voltages(v: VoltageAssignment) -> list[tuple[int, ...]]:
-    """Net voltage of the tree path from the root to each base vertex."""
-    base = v.base
-    g = base.graph
-    root = base.label_to_vertex[0]
-    ident = tuple(range(v.n))
-    volt: list[tuple[int, ...] | None] = [None] * g.n
-    volt[root] = ident
-    tree = set(base.spanning_tree_edges)
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for eid in g.incident_edges[u]:
-            if eid not in tree:
-                continue
-            a, b = g.edges[eid]
-            w = b if a == u else a
-            if volt[w] is None:
-                step = v.perms[eid] if a == u else _invert(v.perms[eid])
-                volt[w] = _compose(step, volt[u])
-                stack.append(w)
-    assert all(p is not None for p in volt)
-    return volt  # type: ignore[return-value]
-
-
-def cycle_net_voltages(v: VoltageAssignment) -> list[tuple[int, ...]]:
-    """Net voltages of the fundamental cycles (one per cotree edge)."""
-    volt = tree_path_voltages(v)
-    out = []
-    for eid in v.base.cotree_edges:
-        u, w = v.base.graph.edges[eid]
-        net = _compose(_invert(volt[w]), _compose(v.perms[eid], volt[u]))
-        out.append(net)
-    return out
-
-
 def sheets_transitive(perms, n: int) -> bool:
     """True iff the group generated by the permutations acts transitively
     on the n sheets (a bitmask search from sheet 0)."""
@@ -289,9 +245,8 @@ def sheets_transitive(perms, n: int) -> bool:
 
 
 def is_connected_cover(v: VoltageAssignment) -> bool:
-    """True iff the fundamental-cycle voltages act transitively on the
-    sheets, that is, iff the derived graph is connected."""
-    return sheets_transitive(cycle_net_voltages(v), v.n)
+    """True iff the derived graph is connected."""
+    return is_connected(derive(v)[0])
 
 
 def lift_subgraph(proj: CoverProjection, sub_labels, sub_edges=None) -> tuple[LabeledGraph, dict[int, int]]:

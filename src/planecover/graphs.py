@@ -14,7 +14,6 @@ once per process.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -242,21 +241,9 @@ class BaseGraph:
 
     @cached_property
     def spanning_tree_edges(self) -> tuple[int, ...]:
-        """Edge ids of the BFS tree rooted at the 0-labelled vertex."""
-        root = self.label_to_vertex[0]
-        parent_edge = {}
-        seen = {root}
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            for eid in self.graph.incident_edges[u]:
-                a, b = self.graph.edges[eid]
-                v = b if a == u else a
-                if v not in seen:
-                    seen.add(v)
-                    parent_edge[v] = eid
-                    q.append(v)
-        return tuple(sorted(parent_edge.values()))
+        """Edge ids of the apex star: the apex 0 is adjacent to every other
+        vertex of both bases, so its incident edges span the base."""
+        return tuple(sorted(self.graph.incident_edges[self.label_to_vertex[0]]))
 
     @cached_property
     def cotree_edges(self) -> tuple[int, ...]:
@@ -320,14 +307,13 @@ class CycleComponent:
         return len(self.edges)
 
 
-def find_cycles_covering(g: LabeledGraph, base_cycle, base: BaseGraph | None = None) -> list[CycleComponent]:
+def find_cycles_covering(g: LabeledGraph, base_cycle, base: BaseGraph) -> list[CycleComponent]:
     """Components of the subgraph lying over a base triangle.
 
     Keeps the edges whose endpoint label pair is an edge of the given
     triangle; each component is classified as a cycle or a path.  On a
     genuine cover all components are cycles of length divisible by 3.
     """
-    base = base or make_base(K1222)
     t = base_triangle(base, base_cycle)
     pairs = {frozenset(p) for p in itertools.combinations(t, 2)}
     lifted = LabeledGraph(

@@ -267,13 +267,15 @@ def _scan(base: BaseGraph, n: int, workers: int = 1):
 def _scan_fold(base: BaseGraph, n: int, budget: int, workers: int = 1) -> dict:
     """Scan fold ``n`` of ``base`` and build its fold record.
 
-    The fold is refused when its (n!)^k normalized assignments exceed
-    ``budget``; k·log(n!) is compared with log(budget) first, so a fold far
-    beyond the budget is refused without computing (n!)^k.  The record
-    holds the counts and one entry per isomorphism class of connected
-    planar covers, in scan order; each search adds its verdicts and
-    survivors to the entries.
+    A worker count below 1 is refused first.  The fold is refused when its
+    (n!)^k normalized assignments exceed ``budget``; k·log(n!) is compared
+    with log(budget) first, so a fold far beyond the budget is refused
+    without computing (n!)^k.  The record holds the counts and one entry
+    per isomorphism class of connected planar covers, in scan order; each
+    search adds its verdicts and survivors to the entries.
     """
+    if workers < 1:
+        raise SearchError(f"worker count must be at least 1, not {workers}")
     log_estimate = len(base.cotree_edges) * math.lgamma(n + 1)
     estimate = None
     if budget >= 1 and log_estimate <= math.log(budget) + 1e-9:
@@ -356,19 +358,25 @@ def _graph_level_filters(g: LabeledGraph, result: dict) -> bool:
     return True
 
 
-def spherical_rotations(nverts: int, edges):
-    """All spherical rotation systems of a connected cubic multigraph,
-    up to reflection, as (rotation, faces) pairs.  The faces determine the
-    rotation, so distinct rotations give distinct face structures.  All
-    2^(V-1) rotation systems are traced, which stays small at the sizes
-    here: a fold-h quotient has 2a <= 2h vertices, 12 at fold 6."""
+def spherical_rotations(a: int, edges):
+    """All spherical rotation systems of a connected cubic bipartite
+    multigraph with a white vertices and (white, black, beads) edges, up to
+    reflection, each as a ``QuotientGraph`` with outer face 0.  The faces
+    determine the rotation, so distinct rotations give distinct face
+    structures.  All 2^(V-1) rotation systems are traced, which stays small
+    at the sizes here: a fold-h quotient has V = 2a <= 2h vertices, 12 at
+    fold 6.  Each is traced once.  Few are spherical (185 of the 3,616
+    traced for the fold 1-5 classes and ``enumerate_quotients(4)``), so the
+    others are dropped by their face count before a quotient is built, and
+    a spherical one's faces become its quotient's cached faces."""
+    nverts = 2 * a
+    simple_edges = tuple((u, v) for u, v, _ in edges)
     incident = [[] for _ in range(nverts)]
-    for eid, (u, v) in enumerate(edges):
+    for eid, (u, v) in enumerate(simple_edges):
         incident[u].append(eid)
         incident[v].append(eid)
     if any(len(i) != 3 for i in incident):
         raise SearchError("rotation enumeration expects a cubic multigraph")
-    target = 2 - nverts + len(edges)
     for mask in range(1 << (nverts - 1)):
         rotation = []
         for v in range(nverts):
@@ -376,9 +384,11 @@ def spherical_rotations(nverts: int, edges):
             if v and (mask >> (v - 1)) & 1:
                 ids = [ids[0], ids[2], ids[1]]
             rotation.append(tuple(ids))
-        faces = trace_faces(nverts, edges, rotation)
-        if len(faces) == target:
-            yield tuple(rotation), faces
+        faces = trace_faces(nverts, simple_edges, rotation)
+        if len(faces) == a + 2:
+            q = QuotientGraph(a=a, edges=edges, rotation=tuple(rotation), outer_face=0)
+            vars(q)["faces"] = tuple(faces)  # the cached_property's slot
+            yield q
 
 
 def analyze_fragment_candidate(g: LabeledGraph) -> dict:
@@ -430,14 +440,12 @@ def analyze_fragment_candidate(g: LabeledGraph) -> dict:
 
     beads = [b for _, _, b in sk.edges]
     b_actual = sum(beads)
-    simple_edges = tuple((u, v) for u, v, _ in sk.edges)
     n_tri_faces = 2 * len(sk.beads) + len(sk.black_triangles)
     passing = 0
     outer_choices = 0
     structures = 0
-    for rotation, faces in spherical_rotations(2 * sk.a, simple_edges):
+    for q in spherical_rotations(sk.a, sk.edges):
         structures += 1
-        q = QuotientGraph(a=sk.a, edges=sk.edges, rotation=rotation, outer_face=0)
         face_beads = [sum(beads[e] for e in sides) for sides in q.face_edge_sides]
         thirds = [len(f) // 2 + face_beads[i] for i, f in enumerate(q.faces)]
         edge_faces = _edge_faces(q)
@@ -620,19 +628,11 @@ def enumerate_quotients(a_max: int) -> list[QuotientGraph]:
         for _, simple_edges in _quotient_matrices(a):
             edges = tuple((u, v, 0) for u, v in simple_edges)
             seen_census = set()
-            for rotation, faces in spherical_rotations(2 * a, simple_edges):
-                census = tuple(sorted(len(f) for f in faces))
-                if census in seen_census:
-                    continue
-                seen_census.add(census)
-                out.append(
-                    QuotientGraph(
-                        a=a,
-                        edges=edges,
-                        rotation=rotation,
-                        outer_face=0,
-                    )
-                )
+            for q in spherical_rotations(a, edges):
+                census = tuple(sorted(len(f) for f in q.faces))
+                if census not in seen_census:
+                    seen_census.add(census)
+                    out.append(q)
     return out
 
 

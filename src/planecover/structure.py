@@ -399,7 +399,7 @@ class SupportReport:
 
 
 def triangles_supported_on_string(
-    sc: SemiCover, string: StringDesc, face_id: int, refinement: FaceRefinement | None = None
+    sc: SemiCover, string: StringDesc, face_id: int, ref: FaceRefinement
 ) -> SupportReport:
     """Attachment analysis for the (1,2,3) triangles inside one face.
 
@@ -411,7 +411,6 @@ def triangles_supported_on_string(
     :func:`detect_strings` returns it on the fragment embedding.
     """
     g = sc.graph
-    ref = refinement or refine_faces(sc)
     h_to_ambient = {sub: amb for amb, sub in ref.h_vmap.items()}
     spine = tuple(h_to_ambient[v] for v in string.path_from_zero_end())
     string_vertices = {h_to_ambient[v] for v in string.vertex_set}

@@ -3,16 +3,17 @@
 These deliberately avoid the library's own algorithms: planarity is
 decided by exhaustive subdivision search, connectivity by exhaustive cut
 enumeration with union-find, and the graph corpus is built by vertex
-extension with canonical dedup.  The reference voltage scan keeps the
-library's transitivity and canonical-form predicates but visits every
-normalized assignment, so it checks the orbit reduction of the library's
-scan, and the voltage that names each class, on its own; it and the
-unnormalized scan decide planarity by the bare networkx LR test, without
-the library's edge-count pre-check.  The format-1 certificates are built
-as the library built them before classes were named by voltage: the
-orbit scan keys each class by the canonical form of its derived graph,
-stops on a form shared by two orbits, and orders and names the classes by
-that form; each fragment entry takes its verdict from the format-2
+extension with canonical dedup.  The reference voltage scan visits every
+normalized assignment, derives each once and decides connectivity on the
+derived graph, not by sheet transitivity; it keeps only the library's
+canonical form.  So it checks the orbit reduction of the library's scan,
+its transitivity test, and the voltage that names each class, on its
+own; it and the unnormalized scan decide planarity by the bare networkx
+LR test, without the library's edge-count pre-check.  The format-1
+certificates are built as the library built them before classes were
+named by voltage: the orbit scan keys each class by the canonical form of
+its derived graph, stops on a form shared by two orbits, and orders and
+names the classes by that form; each fragment entry takes its verdict from the format-2
 certificate.  That one is the format-3 certificate with what format 3
 dropped put back: the ``two_connected`` filter and each class's vertex
 connectivity, found by exhaustive cut search.  The
@@ -46,7 +47,6 @@ from planecover.covers import (
     conjugacy_representatives,
     derive,
     derived_edges,
-    is_connected_cover,
     normalized_assignment,
     sheets_transitive,
 )
@@ -212,8 +212,8 @@ def lr_planar(g: LabeledGraph) -> bool:
 
 def reference_scan_chunk(base, n: int, firsts):
     """Brute-force normalized voltage scan: every cotree tuple whose first
-    voltage is in ``firsts``, one transitivity, planarity and canonical-form
-    test per tuple.
+    voltage is in ``firsts``, one derived graph and one connectivity,
+    planarity and canonical-form test per tuple.
 
     Returns (visited, connected_count, planar_count, classes) where classes
     lists (least voltage, assignment count) for each canonical class, by
@@ -226,11 +226,10 @@ def reference_scan_chunk(base, n: int, firsts):
         for rest in itertools.product(perms, repeat=len(base.cotree_edges) - 1):
             volt = (first, *rest)
             visited += 1
-            va = normalized_assignment(base, n, volt)
-            if not is_connected_cover(va):
+            g, _ = derive(normalized_assignment(base, n, volt))
+            if not is_connected(g):
                 continue
             connected_count += 1
-            g, _ = derive(va)
             if not lr_planar(g):
                 continue
             planar_count += 1

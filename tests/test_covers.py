@@ -115,14 +115,19 @@ def test_is_connected_cover_examples():
 
 
 def test_is_connected_cover_matches_components():
+    # the apex triangles are K4's fundamental cycles at the apex, so on any
+    # assignment their net voltages act transitively iff the lift is connected
+    apex_triangles = [t for t in K4.triangles if 0 in t]
+    assert len(apex_triangles) == 3
     rng = random.Random(2)
     for n in (2, 3, 4):
         perms = list(itertools.permutations(range(n)))
-        for _ in range(334):
+        for _ in range(400):
             volt = tuple(rng.choice(perms) for _ in range(6))
             va = VoltageAssignment(K4, n, volt)
-            g, _ = derive(va)
-            assert is_connected_cover(va) == is_connected(g)
+            nets = [triangle_net_voltage(va, t) for t in apex_triangles]
+            connected = is_connected(derive(va)[0])
+            assert is_connected_cover(va) == connected == sheets_transitive(nets, n)
     # the scan's call form: the cotree voltages of a normalized assignment
     for n in (1, 2, 3):
         perms = list(itertools.permutations(range(n)))

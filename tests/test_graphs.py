@@ -38,6 +38,19 @@ def test_base_k4_shape():
     assert sorted(b.graph.labels) == [-3, -2, -1, 0]
 
 
+@pytest.mark.parametrize("kind, tree", [("k4", (0, 1, 2)), ("k1222", tuple(range(6)))])
+def test_spanning_tree_is_the_apex_star(kind, tree):
+    b = make_base(kind)
+    g = b.graph
+    apex = b.label_to_vertex[0]
+    assert b.spanning_tree_edges == tree
+    assert sorted(g.incident_edges[apex]) == list(tree)
+    assert b.cotree_edges == tuple(range(len(tree), g.m))
+    # the cotree avoids the apex: for k1222 it is the 12 octahedron edges
+    assert all(apex not in g.edges[e] for e in b.cotree_edges)
+    assert len(b.cotree_edges) == g.m - g.n + 1
+
+
 def test_make_base_rejects_unknown():
     with pytest.raises(GraphError):
         make_base("k5")

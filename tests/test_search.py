@@ -106,6 +106,16 @@ def test_budget_refusal():
         enumerate_covers(SearchSpec(base="k1222", n=4))
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_searches_refuse_worker_count_below_one(workers):
+    # refused before the budget check: k1222 fold 4 is over the budget
+    for spec in (SearchSpec("k4", 2), SearchSpec("k1222", 4)):
+        with pytest.raises(SearchError, match="worker count"):
+            enumerate_covers(spec, workers=workers)
+    with pytest.raises(SearchError, match="worker count"):
+        search_k4_fragments(2, workers=workers)
+
+
 def test_budget_gate_compares_the_exact_count_at_the_boundary():
     # (3!)^3 = 216 normalized assignments at k4 fold 3
     assert enumerate_covers(SearchSpec("k4", 3, budget=216))["pre_prune_estimate"] == 216
@@ -178,6 +188,33 @@ def test_structural_filters_require_k4():
         SearchSpec.from_obj(
             {"base": "k1222", "n": 2, "filters": ["connected", "planar", "admissible"]}
         )
+
+
+@functools.cache
+def _fold_classes(h_max: int) -> list:
+    """The derived graph of each connected planar K4 class at folds 1..h_max."""
+    return [
+        derive(normalized_assignment(K4, h, entry["voltage"]))[0]
+        for h in range(1, h_max + 1)
+        for entry in enumerate_covers(SearchSpec("k4", h))["candidates"]
+    ]
+
+
+def _with_census_multiset(result: dict) -> dict:
+    out = dict(result)
+    out["quotient_censuses"] = sorted(
+        json.dumps(c, sort_keys=True) for c in result["quotient_censuses"]
+    )
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_analyzer_ignores_vertex_numbering(data):
+    g = data.draw(st.sampled_from(_fold_classes(4)), label="class")
+    perm = data.draw(st.permutations(range(g.n)), label="renumbering")
+    want = _with_census_multiset(analyze_fragment_candidate(g))
+    assert _with_census_multiset(analyze_fragment_candidate(g.relabel_vertices(perm))) == want
 
 
 def test_fragment_analyzers_agree_small_folds():
@@ -296,8 +333,24 @@ def test_quotient_classes_match_matrix_oracle(a):
 def _theta() -> QuotientGraph:
     """The two-vertex triple edge in its one spherical embedding, built as
     the quotient enumeration builds each of its entries."""
-    rotation, _ = next(spherical_rotations(2, ((0, 1),) * 3))
-    return QuotientGraph(a=1, edges=((0, 1, 0),) * 3, rotation=rotation, outer_face=0)
+    return next(spherical_rotations(1, ((0, 1, 0),) * 3))
+
+
+def test_spherical_rotations_are_distinct_spherical_quotients():
+    # the 9 entries of enumerate_quotients(4) have 8 shapes: one shape has
+    # two face censuses
+    entries = enumerate_quotients(4)
+    shapes = {(q.a, q.edges) for q in entries}
+    assert (len(entries), len(shapes)) == (9, 8)
+    for a, edges in shapes:
+        quotients = list(spherical_rotations(a, edges))
+        assert quotients
+        assert all(q.a == a and q.edges == edges and q.outer_face == 0 for q in quotients)
+        assert all(q.counts() == (2 * a, 3 * a, a + 2) for q in quotients)
+        # the faces handed over are the ones the quotient traces itself
+        assert all(q.faces == QuotientGraph(a, edges, q.rotation, 0).faces for q in quotients)
+        rotations = [q.rotation for q in quotients]
+        assert len(set(rotations)) == len(rotations)
 
 
 def _digest_of_quotients(quotients) -> str:
