@@ -20,7 +20,7 @@ certificate entry per isomorphism class of connected planar covers.  The
 two searches run it and nothing else selects what it keeps:
 ``enumerate_covers`` certifies the connected planar covers of one base at
 one fold, and ``search_k4_fragments`` is the one structural search.  It
-scans K4 fold by fold and runs every class through the K4-fragment
+scans K4 fold by fold and gives every class the verdict of the K4-fragment
 analyzer, which enumerates plane embeddings on the contracted quotient of
 the candidate and applies every condition an admissible fragment must
 satisfy, the shape exclusions that ``structure`` defines and the
@@ -29,6 +29,7 @@ bead-demand feasibility of the quotient.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -347,15 +348,23 @@ _GATES = (
 )
 
 
-def _graph_level_filters(g: LabeledGraph, result: dict) -> bool:
-    """Graph-level gate of the analyzer; False means already excluded.
-    Filter keys are recorded up to and including the first that fails."""
-    for key, holds in _GATES:
-        result["filters"][key] = ok = holds(g)
+def _gate_result(verdicts) -> dict:
+    """A fresh analyzer result with the graph-level gate's (filter key,
+    verdict) pairs recorded in order, up to and including the first that
+    fails, which becomes ``excluded_by``.  Verdicts are read lazily."""
+    result = {
+        "filters": {},
+        "excluded_by": [],
+        "embeddings": {"structures": 0, "outer_choices": 0, "passing": 0},
+        "quotient_censuses": [],
+        "survivor": False,
+    }
+    for key, ok in verdicts:
+        result["filters"][key] = ok
         if not ok:
             result["excluded_by"] = [key]
-            return False
-    return True
+            break
+    return result
 
 
 def spherical_rotations(a: int, edges):
@@ -365,10 +374,11 @@ def spherical_rotations(a: int, edges):
     determine the rotation, so distinct rotations give distinct face
     structures.  All 2^(V-1) rotation systems are traced, which stays small
     at the sizes here: a fold-h quotient has V = 2a <= 2h vertices, 12 at
-    fold 6.  Each is traced once.  Few are spherical (185 of the 3,616
-    traced for the fold 1-5 classes and ``enumerate_quotients(4)``), so the
-    others are dropped by their face count before a quotient is built, and
-    a spherical one's faces become its quotient's cached faces."""
+    fold 6.  Each is traced once.  Few are spherical (50 of the 1,040
+    traced for ``enumerate_quotients(4)`` and the 3 quotient shapes of the
+    fold 1-5 classes), so the others are dropped by their face count before
+    a quotient is built, and a spherical one's faces become its quotient's
+    cached faces."""
     nverts = 2 * a
     simple_edges = tuple((u, v) for u, v, _ in edges)
     incident = [[] for _ in range(nverts)]
@@ -391,13 +401,41 @@ def spherical_rotations(a: int, edges):
             yield q
 
 
+def _shape_rotations(shapes: dict, a: int, edges):
+    """``spherical_rotations(a, edges)`` up to order and reflection.
+    ``shapes`` maps the greatest degree matrix of each shape met so far
+    to the rotations of the matrix's own edge list; the graph takes them
+    through the row and column orders that give its matrix, pairing
+    parallel edges in order, and traces its own faces.  That map is a
+    colour-preserving isomorphism, so reflection pairs stay together."""
+    mat = [[0] * a for _ in range(a)]
+    for u, v, _ in edges:
+        mat[u][v - a] += 1
+    key, columns, rows = max(
+        (*_column_sorted([mat[i] for i in rows]), rows) for rows in itertools.permutations(range(a))
+    )
+    if key not in shapes:
+        own = tuple((u, v, 0) for u, v in _matrix_edges(key))
+        shapes[key] = [q.rotation for q in spherical_rotations(a, own)]
+    edge_of = [
+        e for i in rows for j in columns for e, (u, v, _) in enumerate(edges) if (u, v) == (i, a + j)
+    ]
+    vertex_of = (*rows, *(a + j for j in columns))
+    for own_rotation in shapes[key]:
+        rotation = [()] * (2 * a)
+        for v, ids in zip(vertex_of, own_rotation):
+            rotation[v] = tuple(edge_of[e] for e in ids)
+        yield QuotientGraph(a=a, edges=edges, rotation=tuple(rotation), outer_face=0)
+
+
 def analyze_fragment_candidate(g: LabeledGraph) -> dict:
     """Run the bare-fragment filter pipeline over every plane embedding.
 
     The input is a connected cover of K4, as every class the scan visits
     is.  Such a cover is simple, cubic and bridgeless (each lifted edge
     lies on a lift of a base cycle), so it is 2-connected and the gate
-    does not test condition (g).
+    does not test condition (g).  Its negative-lift test runs vertex by
+    vertex; ``search_k4_fragments`` decides it from the voltage instead.
 
     Embeddings are enumerated on the contracted quotient: an admissible
     embedding must make every 3-cycle facial, which pins the bead and
@@ -407,14 +445,13 @@ def analyze_fragment_candidate(g: LabeledGraph) -> dict:
     3(k + beads) where 2k is the quotient face length; triangular outer
     choices are excluded wholesale by the boundary condition.
     """
-    result = {
-        "filters": {},
-        "excluded_by": [],
-        "embeddings": {"structures": 0, "outer_choices": 0, "passing": 0},
-        "quotient_censuses": [],
-        "survivor": False,
-    }
-    if not _graph_level_filters(g, result):
+    return _analyze(g, spherical_rotations)
+
+
+def _analyze(g: LabeledGraph, rotations) -> dict:
+    """``analyze_fragment_candidate`` with rotations from ``rotations``."""
+    result = _gate_result((key, holds(g)) for key, holds in _GATES)
+    if result["excluded_by"]:
         return result
     filters = result["filters"]
     censuses = result["quotient_censuses"]
@@ -444,7 +481,7 @@ def analyze_fragment_candidate(g: LabeledGraph) -> dict:
     passing = 0
     outer_choices = 0
     structures = 0
-    for q in spherical_rotations(sk.a, sk.edges):
+    for q in rotations(sk.a, sk.edges):
         structures += 1
         face_beads = [sum(beads[e] for e in sides) for sides in q.face_edge_sides]
         thirds = [len(f) // 2 + face_beads[i] for i, f in enumerate(q.faces)]
@@ -495,11 +532,17 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
     conditions over all its plane embeddings and outer-face choices.
     Entries gain the analyzer's verdict and their fold, and the quotient
     censuses are merged per fold.
+
+    The (-1,-2,-3) lift is all triangles exactly when the voltage (c12,
+    c13, c23) on K4's cotree edges (1,2), (1,3), (2,3) has c13[i] ==
+    c23[c12[i]] on every sheet i; only the classes that meet this rule are
+    derived and analyzed, each quotient shape enumerated once per call.
     """
     if not 1 <= h_max <= 6:
         raise SearchError("fragment search covers folds 1 to 6")
     t0 = time.monotonic()
     base = make_base(K4NEG)
+    rotations = functools.partial(_shape_rotations, {})
     folds = []
     all_censuses = []
     for h in range(1, h_max + 1):
@@ -508,8 +551,14 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
         record = _scan_fold(base, h, budget, workers)
         fold_censuses = set()
         for entry in record["candidates"]:
-            g, _ = derive(normalized_assignment(base, h, entry["voltage"]))
-            analysis = analyze_fragment_candidate(g)
+            c12, c13, c23 = entry["voltage"]
+            if any(c13[i] != c23[c12[i]] for i in range(h)):
+                # the gate's verdict, from the voltage; K4, fold 1's one
+                # class, meets the rule
+                analysis = _gate_result((("not_k4", True), ("negative_lift_triangular", False)))
+            else:
+                g, _ = derive(normalized_assignment(base, h, entry["voltage"]))
+                analysis = _analyze(g, rotations)
             censuses = analysis.pop("quotient_censuses")
             fold_censuses.update(tuple(sorted(c.items())) for c in censuses)
             entry.update(analysis, fold=h)
@@ -586,6 +635,20 @@ def _degree_matrices(a: int):
     yield from rows(tuple([3] * a), a, (3,) * a)
 
 
+def _column_sorted(rows) -> tuple:
+    """The greatest column permutation of a degree matrix given by its
+    rows, its columns in decreasing order, and that column order."""
+    columns = tuple(zip(*rows))
+    order = sorted(range(len(columns)), key=columns.__getitem__, reverse=True)
+    return tuple(zip(*(columns[j] for j in order))), order
+
+
+def _matrix_edges(mat) -> tuple:
+    """The edges of the bicoloured multigraph with degree matrix ``mat``."""
+    a = len(mat)
+    return tuple((i, a + j) for i in range(a) for j in range(a) for _ in range(mat[i][j]))
+
+
 def _quotient_matrices(a: int):
     """Each isomorphism class of connected cubic bicoloured multigraphs
     with a white vertices, as its degree matrix and edge list, in
@@ -601,12 +664,9 @@ def _quotient_matrices(a: int):
     """
     labels = (0,) * a + (-1,) * a
     for mat in _degree_matrices(a):
-        images = (
-            tuple(zip(*sorted(zip(*rows), reverse=True))) for rows in itertools.permutations(mat)
-        )
-        if any(image > mat for image in images):
+        if any(_column_sorted(rows)[0] > mat for rows in itertools.permutations(mat)):
             continue
-        edges = tuple((i, a + j) for i in range(a) for j in range(a) for _ in range(mat[i][j]))
+        edges = _matrix_edges(mat)
         if is_connected(LabeledGraph(labels, edges, simple=False)):
             yield mat, edges
 

@@ -44,6 +44,7 @@ from planecover.structure import (
     StructureError,
     negative_lift_triangular,
     quotient_graph,
+    quotient_skeleton,
     refine_faces,
 )
 
@@ -139,10 +140,25 @@ def test_budget_refusal_of_a_huge_fold_skips_the_exact_count(monkeypatch):
     assert enumerate_covers(SearchSpec("k4", 2))["pre_prune_estimate"] == 8
 
 
+def _meets_voltage_rule(voltage) -> bool:
+    """The (-1,-2,-3) lift of the class is all triangles (tests/test_gate.py)."""
+    c12, c13, c23 = voltage
+    return all(c13[i] == c23[c12[i]] for i in range(len(c12)))
+
+
+def _degree_matrix(a: int, edges) -> list:
+    mat = [[0] * a for _ in range(a)]
+    for u, v, _ in edges:
+        mat[u][v - a] += 1
+    return mat
+
+
 def test_fragment_search_computes_each_fragment_fact_once(monkeypatch):
     # the bead search runs at most once per candidate, shared by the
     # analyzer and the quotient skeleton; the gate decides the (-1,-2,-3)
-    # lift locally, so no lift is built at all
+    # lift locally, so no lift is built at all.  Only the classes that
+    # meet the voltage rule are derived, and each quotient shape's
+    # rotations are enumerated once
     from planecover import structure
 
     calls = {"find_cycles_covering": Counter(), "find_beads": Counter()}
@@ -154,12 +170,28 @@ def test_fragment_search_computes_each_fragment_fact_once(monkeypatch):
                     return _f(g, *args)
 
                 monkeypatch.setattr(module, name, counted)
-    cert = search_k4_fragments(3)
-    candidates = sum(len(fold["candidates"]) for fold in cert["folds"])
+    derived, enumerated = [], []
+
+    def counted_derive(assignment, _f=search.derive):
+        derived.append(tuple(assignment.perms))
+        return _f(assignment)
+
+    def counted_rotations(a, edges, _f=search.spherical_rotations):
+        enumerated.append(matrix_canonical(_degree_matrix(a, edges)))
+        return _f(a, edges)
+
+    monkeypatch.setattr(search, "derive", counted_derive)
+    monkeypatch.setattr(search, "spherical_rotations", counted_rotations)
+    cert = search_k4_fragments(4)
+    entries = [e for fold in cert["folds"] for e in fold["candidates"]]
     assert not calls["find_cycles_covering"]
     beads = calls["find_beads"]
     assert beads and max(beads.values()) == 1
-    assert sum(beads.values()) <= candidates
+    assert sum(beads.values()) <= len(entries)
+    assert len(entries) == 322
+    assert len(derived) == len(set(derived)) == 33
+    assert sum(_meets_voltage_rule(e["voltage"]) for e in entries) == 33
+    assert len(enumerated) == len(set(enumerated)) == 2
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4])
@@ -215,6 +247,92 @@ def test_analyzer_ignores_vertex_numbering(data):
     perm = data.draw(st.permutations(range(g.n)), label="renumbering")
     want = _with_census_multiset(analyze_fragment_candidate(g))
     assert _with_census_multiset(analyze_fragment_candidate(g.relabel_vertices(perm))) == want
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_fragment_search_entries_are_the_analyzer_results(fragment_certificate, h):
+    # the search decides the negative-lift gate from the voltage and
+    # enumerates each quotient shape once; every entry, gated or analyzed,
+    # is what the analyzer writes for the class's derived graph
+    fold = fragment_certificate["folds"][h - 1]
+    censuses = {json.dumps(c, sort_keys=True) for c in fragment_certificate["quotient_censuses"]}
+    analyzed = 0
+    for entry in fold["candidates"]:
+        g, _ = derive(normalized_assignment(K4, h, entry["voltage"]))
+        want = analyze_fragment_candidate(g)
+        assert {json.dumps(c, sort_keys=True) for c in want.pop("quotient_censuses")} <= censuses
+        want.update(assignments=entry["assignments"], voltage=entry["voltage"], fold=h)
+        assert entry == want, entry["voltage"]
+        analyzed += _meets_voltage_rule(entry["voltage"])
+    assert analyzed == {1: 1, 2: 3, 3: 6, 4: 23, 5: 69}[h]
+
+
+def _face_signature(q: QuotientGraph) -> tuple:
+    """(length, beads, edge ids) of each face, sorted: the same for a
+    rotation system and its reflection."""
+    beads = [b for _, _, b in q.edges]
+    return tuple(
+        sorted(
+            (len(f), sum(beads[e] for e in sides), tuple(sorted(sides)))
+            for f, sides in zip(q.faces, q.face_edge_sides)
+        )
+    )
+
+
+def _shape_key(a: int, edges):
+    """The key under which ``search._shape_rotations`` keeps the graph's
+    shape."""
+    shapes = {}
+    list(search._shape_rotations(shapes, a, edges))
+    (key,) = shapes
+    return key
+
+
+def _check_carried_rotations(graphs) -> None:
+    # the graphs share a shape key exactly when the matrix oracle puts
+    # them in one class, and the rotations carried back from the shape
+    # are the graph's own, up to order and reflection
+    pairs = set()
+    shapes = {}
+    for a, edges in graphs:
+        pairs.add((_shape_key(a, edges), matrix_canonical(_degree_matrix(a, edges))))
+        carried = list(search._shape_rotations(shapes, a, edges))
+        direct = list(spherical_rotations(a, edges))
+        assert Counter(map(_face_signature, carried)) == Counter(map(_face_signature, direct))
+    assert len(pairs) == len({k for k, _ in pairs}) == len({c for _, c in pairs})
+
+
+@pytest.mark.parametrize("h_max", [4, pytest.param(5, marks=pytest.mark.slow)])
+def test_shape_rotations_carry_back_to_every_skeleton(fragment_certificate, h_max):
+    skeletons = []
+    for fold in fragment_certificate["folds"][:h_max]:
+        for entry in fold["candidates"]:
+            if _meets_voltage_rule(entry["voltage"]) and fold["fold"] > 1:
+                g, _ = derive(normalized_assignment(K4, fold["fold"], entry["voltage"]))
+                try:
+                    sk = quotient_skeleton(g)
+                except QuotientError:
+                    continue  # a closed bead chain has no quotient
+                skeletons.append((sk.a, sk.edges))
+    # the theta (a = 1) among them, whose rotations the analyzer never asks for
+    shapes = {matrix_canonical(_degree_matrix(*s)) for s in skeletons}
+    assert ((3,),) in shapes
+    assert len(shapes) == {4: 3, 5: 4}[h_max]
+    _check_carried_rotations(skeletons)
+
+
+def test_shape_rotations_carry_back_to_the_quotient_universe():
+    # the 9 quotients of enumerate_quotients(4) in their own numbering, and
+    # again with whites, blacks and edges numbered backwards and beads on
+    # their edges
+    graphs = []
+    for q in enumerate_quotients(4):
+        a = q.a
+        graphs.append((a, q.edges))
+        flipped = [(a - 1 - u, 3 * a - 1 - v, e % 3) for e, (u, v, _) in enumerate(q.edges)]
+        graphs.append((a, tuple(reversed(flipped))))
+    assert len(graphs) == 18
+    _check_carried_rotations(graphs)
 
 
 def test_fragment_analyzers_agree_small_folds():
@@ -570,7 +688,7 @@ def test_direct_oracle_gate_matches_library_gate():
     # they must reject exactly what the library's gate does.  Neither tests
     # 2-connectivity: every scan class is a connected cover of K4, which is
     # 2-connected, and the path fails the negative triangle test first
-    from planecover.search import _graph_level_filters, _scan
+    from planecover.search import _GATES, _gate_result, _scan
 
     path = LabeledGraph((0, -1, -2, -3, 0), ((0, 1), (1, 2), (2, 3), (3, 4)))
     graphs = [path]
@@ -579,8 +697,8 @@ def test_direct_oracle_gate_matches_library_gate():
         graphs += [derive(normalized_assignment(K4, n, v))[0] for v, _ in classes]
     seen = set()
     for g in graphs:
-        result = {"filters": {}}
-        want = None if _graph_level_filters(g, result) else result["excluded_by"][0]
+        excluded_by = _gate_result((key, holds(g)) for key, holds in _GATES)["excluded_by"]
+        want = excluded_by[0] if excluded_by else None
         assert _gate_failure(g) == want
         seen.add(want)
     assert seen == {None, "not_k4", "negative_lift_triangular"}
