@@ -485,7 +485,6 @@ def _analyze(g: LabeledGraph, rotations) -> dict:
         structures += 1
         face_beads = [sum(beads[e] for e in sides) for sides in q.face_edge_sides]
         thirds = [len(f) // 2 + face_beads[i] for i, f in enumerate(q.faces)]
-        edge_faces = _edge_faces(q)
         censuses.append(census_to_obj(q.census))
         outer_choices += n_tri_faces  # triangular fragment faces as outer
         if n_tri_faces:
@@ -496,11 +495,11 @@ def _analyze(g: LabeledGraph, rotations) -> dict:
             if any(thirds[j] == 2 for j in internal):
                 excluded_by.add("no_internal_hexagon")
                 continue
+            # faces that share no edge share no bead, which no threshold forbids
             if any(
-                bead_sharing_excluded(
-                    _shared_beads(edge_faces, beads, fa, fb), thirds[fa], thirds[fb]
-                )
-                for fa, fb in itertools.combinations(internal, 2)
+                i not in (fa, fb)
+                and bead_sharing_excluded(sum(beads[e] for e in edge_ids), thirds[fa], thirds[fb])
+                for (fa, fb), edge_ids in q.face_pair_edges.items()
             ):
                 excluded_by.add("bead_sharing")
                 continue
@@ -609,30 +608,22 @@ def _degree_matrices(a: int):
     """The a-by-a nonnegative matrices with row and column sums 3 and
     non-increasing rows (the greatest matrix of a class has them), in
     decreasing lexicographic order."""
+    all_rows = sorted((r for r in itertools.product(range(4), repeat=a) if sum(r) == 3), reverse=True)
 
-    def rows(remaining_cols, rows_left, prev):
-        if rows_left == 0:
-            if all(c == 0 for c in remaining_cols):
-                yield ()
+    def rows(columns_left, start):
+        # each row takes 3 from the 3a the columns start with, so they are
+        # spent exactly when a rows are placed
+        if not any(columns_left):
+            yield ()
             return
-        def build(j, left, acc):
-            if j == len(remaining_cols):
-                if left == 0:
-                    yield tuple(acc)
-                return
-            top = min(3, left, remaining_cols[j])
-            for x in range(top, -1, -1):
-                acc.append(x)
-                yield from build(j + 1, left - x, acc)
-                acc.pop()
-        for row in build(0, 3, []):
-            if row > prev:
-                continue
-            new_cols = tuple(c - x for c, x in zip(remaining_cols, row))
-            for rest in rows(new_cols, rows_left - 1, row):
-                yield (row,) + rest
+        for k in range(start, len(all_rows)):
+            row = all_rows[k]
+            if all(x <= c for x, c in zip(row, columns_left)):
+                left = tuple(c - x for c, x in zip(columns_left, row))
+                for rest in rows(left, k):
+                    yield (row, *rest)
 
-    yield from rows(tuple([3] * a), a, (3,) * a)
+    yield from rows((3,) * a, 0)
 
 
 def _column_sorted(rows) -> tuple:
@@ -696,21 +687,6 @@ def enumerate_quotients(a_max: int) -> list[QuotientGraph]:
     return out
 
 
-def _edge_faces(q: QuotientGraph) -> list[list[int]]:
-    """The faces along each quotient edge, one entry per side."""
-    out = [[] for _ in q.edges]
-    for fid, sides in enumerate(q.face_edge_sides):
-        for e in sides:
-            out[e].append(fid)
-    return out
-
-
-def _shared_beads(edge_faces, beads, fa: int, fb: int) -> int:
-    """Beads on the edges that separate faces fa and fb."""
-    pair = {fa, fb}
-    return sum(b for e, b in enumerate(beads) if set(edge_faces[e]) == pair)
-
-
 @dataclass(frozen=True)
 class MinBeadsResult:
     total: int
@@ -727,58 +703,84 @@ def min_beads(
     bead counts toward the two faces flanking its edge; and no two
     internal short faces may share beads up to the forbidden threshold.
     With a cap, returns None when no placement of at most that many beads
-    works; without one, a placement always exists.
+    works; without one, a placement always exists.  An outer face that is
+    not one of the quotient's faces raises SearchError.
 
     For each total from 0 up, beads are placed edge by edge in edge order,
-    fewest first.  The deficit (unmet demand summed over faces) is kept up
-    to date as the counts change.  A branch is cut when the deficit
-    exceeds twice the beads left, when a face whose last edge was just
-    placed falls short of its demand, or when a short internal pair whose
-    faces are now both closed shares too many beads.  A closed face's
-    count and the beads it shares are final, so every cut branch holds no
-    valid placement, and the first placement found is the one an
-    unpruned search that checks only at the leaves finds.
+    fewest first, from tables built once per call: each edge's faces, its
+    short internal pair when its two sides are two such faces (read from
+    ``face_pair_edges``), and the faces and pairs whose last edge it is.
+    The deficit (unmet demand summed over faces) and each pair's shared
+    beads are kept up to date as the counts change.  A branch is cut when
+    the deficit exceeds twice the beads left, when a face whose last edge
+    was just placed falls short of its demand, or when a short internal
+    pair whose faces are now both closed shares too many beads (a pair
+    that shares no edge shares no bead, which no threshold forbids).  A
+    closed face's count and the beads it shares are final, so every cut
+    branch holds no valid placement, and the first placement found is the
+    one an unpruned search that checks only at the leaves finds.
     """
     outer = q.outer_face if outer_face is None else outer_face
     faces = q.faces
-    edge_faces = _edge_faces(q)
+    if outer not in range(len(faces)):
+        raise SearchError(f"outer face {outer!r} is not one of the quotient's {len(faces)} faces")
+    ne = len(q.edges)
+    edge_faces = q.edge_faces
     demands = [
         (1 if len(f) == 2 else 0) if fid == outer else {2: 2, 4: 1}.get(len(f), 0)
         for fid, f in enumerate(faces)
     ]
+    half = [len(f) // 2 for f in faces]
     last_edge = {f: e for e, fs in enumerate(edge_faces) for f in fs}
-    closing = [[f for f, last in last_edge.items() if last == e] for e in range(len(q.edges))]
-    closing_pairs = [[] for _ in q.edges]
-    short_internal = [fid for fid, f in enumerate(faces) if fid != outer and len(f) in (2, 4)]
-    for fa, fb in itertools.combinations(short_internal, 2):
-        closing_pairs[max(last_edge[fa], last_edge[fb])].append((fa, fb))
+    closing = [[] for _ in range(ne)]
+    for f, e in last_edge.items():
+        if demands[f]:
+            closing[e].append(f)
+    short = {fid for fid, f in enumerate(faces) if fid != outer and len(f) in (2, 4)}
+    edge_pair = [None] * ne
+    closing_pairs = [[] for _ in range(ne)]
+    shared = []
+    for (fa, fb), edge_ids in q.face_pair_edges.items():
+        if fa in short and fb in short:
+            for e in edge_ids:
+                edge_pair[e] = len(shared)
+            closing_pairs[max(last_edge[fa], last_edge[fb])].append((len(shared), fa, fb))
+            shared.append(0)
     counts = [0] * len(faces)
-    placement = [0] * len(q.edges)
+    placement = [0] * ne
 
     def closed_ok(e: int) -> bool:
-        return all(counts[f] >= demands[f] for f in closing[e]) and not any(
-            bead_sharing_excluded(
-                _shared_beads(edge_faces, placement, fa, fb),
-                len(faces[fa]) // 2 + counts[fa],
-                len(faces[fb]) // 2 + counts[fb],
-            )
-            for fa, fb in closing_pairs[e]
-        )
+        for f in closing[e]:
+            if counts[f] < demands[f]:
+                return False
+        for p, fa, fb in closing_pairs[e]:
+            if bead_sharing_excluded(shared[p], half[fa] + counts[fa], half[fb] + counts[fb]):
+                return False
+        return True
 
     def go(e: int, left: int, deficit: int):
         if deficit > 2 * left:
             return None
-        if e == len(q.edges):
+        if e == ne:
             return tuple(placement) if left == 0 else None
+        fs = edge_faces[e]
+        p = edge_pair[e]
+        check = closing[e] or closing_pairs[e]
         for b in range(left + 1):
             placement[e] = b
             d = deficit
-            for f in edge_faces[e]:
-                d -= min(b, max(0, demands[f] - counts[f]))
+            for f in fs:
+                need = demands[f] - counts[f]
+                if need > 0:
+                    d -= b if b < need else need
                 counts[f] += b
-            got = go(e + 1, left - b, d) if closed_ok(e) else None
-            for f in edge_faces[e]:
+            if p is not None:
+                shared[p] += b
+            got = None if check and not closed_ok(e) else go(e + 1, left - b, d)
+            for f in fs:
                 counts[f] -= b
+            if p is not None:
+                shared[p] -= b
             placement[e] = 0
             if got is not None:
                 return got

@@ -794,6 +794,26 @@ class QuotientGraph:
         return tuple(tuple(d // 2 for d in f) for f in self.faces)
 
     @cached_property
+    def edge_faces(self) -> tuple[tuple[int, int], ...]:
+        """The faces on the two sides of each edge, in increasing order."""
+        sides = [[] for _ in self.edges]
+        for fid, edge_ids in enumerate(self.face_edge_sides):
+            for e in edge_ids:
+                sides[e].append(fid)
+        return tuple(map(tuple, sides))
+
+    @cached_property
+    def face_pair_edges(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """The edge ids separating each pair of distinct faces that meet,
+        keyed by the face pair in increasing order: the beads two faces
+        share lie on these edges."""
+        out: dict[tuple[int, int], tuple[int, ...]] = {}
+        for e, (fa, fb) in enumerate(self.edge_faces):
+            if fa != fb:
+                out[fa, fb] = (*out.get((fa, fb), ()), e)
+        return out
+
+    @cached_property
     def census(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for f in self.faces:

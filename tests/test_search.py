@@ -28,6 +28,7 @@ from planecover.search import (
     BudgetExceeded,
     SearchError,
     SearchSpec,
+    _degree_matrices,
     _quotient_matrices,
     analyze_fragment_candidate,
     enumerate_covers,
@@ -448,6 +449,12 @@ def test_quotient_classes_match_matrix_oracle(a):
     assert [m for m, _ in _quotient_matrices(a)] == list(first.values())
 
 
+@pytest.mark.parametrize("a", [1, 2, 3, 4])
+def test_degree_matrices_are_the_oracle_matrices_with_non_increasing_rows(a):
+    want = [m for m in degree_matrices(a) if all(m[i] >= m[i + 1] for i in range(a - 1))]
+    assert list(_degree_matrices(a)) == want
+
+
 def _theta() -> QuotientGraph:
     """The two-vertex triple edge in its one spherical embedding, built as
     the quotient enumeration builds each of its entries."""
@@ -521,6 +528,8 @@ def test_no_demands_no_beads():
         edges=tuple((0, 1, 0) for _ in range(3)),
         faces=((0,) * 8, (0,) * 8, (0,) * 8),
         face_edge_sides=((0, 1), (1, 2), (2, 0)),
+        edge_faces=((0, 2), (0, 1), (1, 2)),
+        face_pair_edges={(0, 1): (1,), (0, 2): (0,), (1, 2): (2,)},
         outer_face=0,
     )
     assert min_beads(fake).total == 0
@@ -614,6 +623,59 @@ def test_min_beads_cap_and_placement_properties(data):
         fewer = list(best.placement)
         fewer[e] -= 1
         assert _placement_violations(q, outer, fewer)
+
+
+def test_face_pair_edges_are_the_edges_between_two_faces():
+    for q in [*enumerate_quotients(4), _theta(), double_lens()]:
+        sides = q.face_edge_sides
+        between = {}
+        for e in range(len(q.edges)):
+            owners = [f for f, s in enumerate(sides) for x in s if x == e]
+            if len(set(owners)) == 2:
+                between.setdefault(tuple(owners), []).append(e)
+        assert q.face_pair_edges == {pair: tuple(es) for pair, es in between.items()}
+
+
+@pytest.mark.parametrize("outer", [99, -1, len(double_lens().faces)])
+def test_min_beads_rejects_an_outer_face_out_of_range(outer):
+    with pytest.raises(SearchError, match="outer face"):
+        min_beads(double_lens(), outer_face=outer)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_min_beads_is_independent_of_edge_labels(data):
+    # relabel the edges (new edge k is old edge perm[k]), carry the rotation
+    # along, and find the outer face again by its darts
+    q, outer = data.draw(st.sampled_from(_quotient_outer_pairs(4)), label="quotient, outer face")
+    perm = data.draw(st.permutations(range(len(q.edges))), label="edge order")
+    new_id = {old: new for new, old in enumerate(perm)}
+    rotation = tuple(tuple(new_id[e] for e in ids) for ids in q.rotation)
+    r = QuotientGraph(q.a, tuple(q.edges[old] for old in perm), rotation, 0)
+    outer_darts = {2 * new_id[d // 2] + d % 2 for d in q.faces[outer]}
+    (r_outer,) = [f for f, darts in enumerate(r.faces) if set(darts) == outer_darts]
+    best = min_beads(q, outer)
+    relabelled = min_beads(r, r_outer)
+    assert relabelled.total == best.total
+    assert _placement_violations(r, r_outer, relabelled.placement) == []
+    carried = [best.placement[old] for old in perm]
+    assert _placement_violations(r, r_outer, carried) == []
+
+
+@pytest.mark.slow
+def test_min_beads_matches_reference_at_five_white_vertices():
+    # every spherical rotation of every a = 5 quotient shape, each face
+    # outer in turn: about 11 minutes on a 2-core VM, nearly all of it in
+    # the reference, whose cost climbs steeply with the total (up to 10)
+    quotients = [
+        q
+        for _, simple_edges in _quotient_matrices(5)
+        for q in spherical_rotations(5, tuple((u, v, 0) for u, v in simple_edges))
+    ]
+    cases = [(q, f) for q in quotients for f in range(len(q.faces))]
+    assert (len(quotients), len(cases)) == (130, 910)
+    mismatches = [c for c in cases if min_beads(*c) != reference_min_beads(*c)]
+    assert not mismatches, f"{len(mismatches)} mismatches, first {mismatches[0]}"
 
 
 def test_no_alarm_on_clean_search():
