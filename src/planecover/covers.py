@@ -9,7 +9,9 @@ tree is the apex star; setting its voltages to the identity removes the
 fiber-relabeling redundancy.  On such a normalized assignment the
 fundamental cycle of a cotree edge carries that edge's own voltage, so
 the derived graph is connected iff the cotree voltages act transitively
-on the sheets, which ``sheets_transitive`` decides.
+on the sheets.  ``sheets_transitive`` decides that by folding
+``join_sheets`` over the voltages, and the orbit scan calls the same step
+once per cotree level, reusing each voltage prefix's orbits.
 """
 
 from __future__ import annotations
@@ -206,15 +208,16 @@ def normalized_assignment(base: BaseGraph, n: int, cotree_perms) -> VoltageAssig
     return VoltageAssignment(base, n, tuple(perms))
 
 
-def derived_edges(base_graph: LabeledGraph, n: int, perms) -> list[tuple[int, int]]:
-    """Edges of the derived graph, given one voltage per base edge.
+def derived_edges(base_edges, n: int, perms) -> list[tuple[int, int]]:
+    """Edges of the derived graph over the given base edges, one voltage
+    per edge.
 
     Vertex (b, i) gets id b*n + i; base edge (u, w) with u < w and
     voltage s contributes the edges (u, i) -- (w, s[i]).
     """
     return [
         (u * n + i, w * n + s[i])
-        for (u, w), s in zip(base_graph.edges, perms)
+        for (u, w), s in zip(base_edges, perms)
         for i in range(n)
     ]
 
@@ -224,24 +227,30 @@ def derive(v: VoltageAssignment) -> tuple[LabeledGraph, CoverProjection]:
     base_g = v.base.graph
     n = v.n
     ordered_labels = tuple(base_g.labels[b] for b in range(base_g.n) for _ in range(n))
-    source = LabeledGraph(ordered_labels, tuple(derived_edges(base_g, n, v.perms)))
+    source = LabeledGraph(ordered_labels, tuple(derived_edges(base_g.edges, n, v.perms)))
     vmap = tuple(b for b in range(base_g.n) for _ in range(n))
     return source, CoverProjection(source, v.base, vmap)
 
 
+def join_sheets(orbits: tuple[int, ...], p) -> tuple[int, ...]:
+    """The sheet orbits once the permutation ``p`` joins the group:
+    ``orbits[i]`` is the bitmask of sheet i's orbit, and each pair i, p[i]
+    merges two orbits.  The orbits of the trivial group on n sheets are
+    ``tuple(1 << i for i in range(n))``."""
+    for i, j in enumerate(p):
+        if not orbits[i] >> j & 1:
+            joined = orbits[i] | orbits[j]
+            orbits = tuple(joined if o & joined else o for o in orbits)
+    return orbits
+
+
 def sheets_transitive(perms, n: int) -> bool:
     """True iff the group generated by the permutations acts transitively
-    on the n sheets (a bitmask search from sheet 0)."""
-    seen = 1
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for p in perms:
-            for j in (p[i], p.index(i)):
-                if not seen >> j & 1:
-                    seen |= 1 << j
-                    stack.append(j)
-    return seen == (1 << n) - 1
+    on the n sheets: joining them one by one leaves one orbit."""
+    orbits = tuple(1 << i for i in range(n))
+    for p in perms:
+        orbits = join_sheets(orbits, p)
+    return orbits[0] == (1 << n) - 1
 
 
 def is_connected_cover(v: VoltageAssignment) -> bool:

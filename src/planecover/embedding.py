@@ -353,10 +353,19 @@ def _lr_planar(adj: list[int]) -> bool:
     return True
 
 
-def planar_edges(nverts: int, edges) -> bool:
-    """Planarity of the graph on vertices 0..nverts-1 spanned by a
-    loop-free edge list (repeated edges do not change the verdict): the
-    package's one planarity decision.
+def adjacency_rows(nverts: int, edges) -> list[int]:
+    """Bitmask adjacency rows of the graph on vertices 0..nverts-1 spanned
+    by a loop-free edge list; repeated edges set the same bits."""
+    rows = [0] * nverts
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def planar_rows(rows: list[int], m: int) -> bool:
+    """Planarity of the simple graph with bitmask adjacency rows ``rows``
+    and ``m`` edges: the package's one planarity decision.
 
     A simple planar graph with V >= 3 has at most 3V - 6 edges, and one
     with exactly 3V - 6 is a triangulation: for V >= 4 every edge then
@@ -364,18 +373,26 @@ def planar_edges(nverts: int, edges) -> bool:
     endpoints have two common neighbours.  Graphs failing either count are
     rejected before the left-right test runs.
     """
-    adj = [0] * nverts
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    m = sum(a.bit_count() for a in adj) // 2
+    nverts = len(rows)
     if nverts >= 3 and m > 3 * nverts - 6:
         return False
-    if nverts >= 4 and m == 3 * nverts - 6 and any(
-        (adj[u] & adj[v]).bit_count() < 2 for u, v in edges
-    ):
-        return False
-    return _lr_planar(adj)
+    if nverts >= 4 and m == 3 * nverts - 6:
+        for row in rows:
+            rest = row
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if (row & rows[bit.bit_length() - 1]).bit_count() < 2:
+                    return False
+    return _lr_planar(rows)
+
+
+def planar_edges(nverts: int, edges) -> bool:
+    """Planarity of the graph on vertices 0..nverts-1 spanned by a
+    loop-free edge list (repeated edges do not change the verdict): its
+    :func:`adjacency_rows`, then the one decision, :func:`planar_rows`."""
+    rows = adjacency_rows(nverts, edges)
+    return planar_rows(rows, sum(r.bit_count() for r in rows) // 2)
 
 
 def is_planar(g: LabeledGraph) -> bool:

@@ -40,10 +40,10 @@ from .covers import (
     conjugacy_representatives,
     derive,
     derived_edges,
+    join_sheets,
     normalized_assignment,
-    sheets_transitive,
 )
-from .embedding import PlaneEmbedding, planar_edges, planarity, trace_faces
+from .embedding import PlaneEmbedding, adjacency_rows, planar_rows, planarity, trace_faces
 from .graphs import (
     K4NEG,
     BaseGraph,
@@ -221,24 +221,45 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
     connected_count, planar_count, classes) where classes lists (voltage,
     assignment count) for each class of connected planar covers, in scan
     order: by voltage.
+
+    The tuples come in lexicographic order, so the scan keeps one level
+    per cotree edge (the derived graph's adjacency rows and sheet orbits)
+    and rebuilds only the levels from the first coordinate that changed: a
+    level ORs in its edge's lifted rows and joins its voltage to the orbits.
     """
-    nverts = base.graph.n * n
-    depth = len(base.cotree_edges) - 1
+    g = base.graph
+    nverts = g.n * n
+    cotree = base.cotree_edges
+    depth = len(cotree) - 1
     visited = len(firsts) * math.factorial(n) ** depth
     connected_count = 0
     planar_count = 0
     classes = []
-    cotree = base.cotree_edges
-    perms = [tuple(range(n))] * base.graph.m
+    m = g.m * n  # each base edge lifts to n distinct edges
+    one_orbit = (1 << n) - 1
+    perms = tuple(itertools.permutations(range(n)))
+    tree = [g.edges[e] for e in base.spanning_tree_edges]
+    lifts = [
+        {p: adjacency_rows(nverts, derived_edges((g.edges[e],), n, (p,))) for p in perms}
+        for e in cotree
+    ]
+    rows = [adjacency_rows(nverts, derived_edges(tree, n, perms[:1] * len(tree)))] * (depth + 2)
+    orbits = [tuple(1 << i for i in range(n))] * (depth + 2)
+    prev = (None,) * (depth + 1)
     for volt, cent, stab in voltage_orbits(n, firsts, depth):
         weight = cent // stab
-        if not sheets_transitive(volt, n):
+        k = 0
+        while volt[k] == prev[k]:
+            k += 1
+        for k in range(k, depth + 1):
+            p = volt[k]
+            rows[k + 1] = [a | b for a, b in zip(rows[k], lifts[k][p])]
+            orbits[k + 1] = join_sheets(orbits[k], p)
+        prev = volt
+        if orbits[-1][0] != one_orbit:
             continue
         connected_count += weight
-        for eid, p in zip(cotree, volt):
-            perms[eid] = p
-        edges = derived_edges(base.graph, n, perms)
-        if not planar_edges(nverts, edges):
+        if not planar_rows(rows[-1], m):
             continue
         planar_count += weight
         classes.append((volt, weight))

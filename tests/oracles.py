@@ -275,7 +275,7 @@ def _format_one_fold(base, n: int) -> dict:
         connected += cent // stab
         for eid, p in zip(base.cotree_edges, volt):
             perms[eid] = p
-        edges = derived_edges(base.graph, n, perms)
+        edges = derived_edges(base.graph.edges, n, perms)
         if not planar_edges(len(labels), edges):
             continue
         planar += cent // stab

@@ -14,6 +14,7 @@ from planecover.covers import (
     derive,
     identity_assignment,
     is_connected_cover,
+    join_sheets,
     label_projection,
     lift_subgraph,
     normalized_assignment,
@@ -134,6 +135,34 @@ def test_is_connected_cover_matches_components():
         for volt in itertools.product(perms, repeat=len(K4.cotree_edges)):
             g, _ = derive(normalized_assignment(K4, n, volt))
             assert sheets_transitive(volt, n) == is_connected(g)
+
+
+def test_join_sheets_folds_to_the_apex_components():
+    # the scan joins the cotree voltages one level at a time; in any order
+    # the join leaves the sheet orbits, which are the sheets' apex vertices
+    # grouped by the derived graph's components
+    rng = random.Random(20)
+    verdicts = set()
+    for base in (K4, K1222):
+        for n in range(1, 6):
+            perms = list(itertools.permutations(range(n)))
+            for _ in range(40):
+                volt = [rng.choice(perms) for _ in base.cotree_edges]
+                g, _ = derive(normalized_assignment(base, n, volt))
+                want = [0] * n
+                for comp in connected_components(g):
+                    mask = sum(1 << v for v in comp if v < n)  # apex (0, i) has id i
+                    for i in range(n):
+                        if mask >> i & 1:
+                            want[i] = mask
+                orbits = tuple(1 << i for i in range(n))
+                for p in rng.sample(volt, len(volt)):
+                    orbits = join_sheets(orbits, p)
+                assert orbits == tuple(want), volt
+                transitive = orbits[0] == (1 << n) - 1
+                assert transitive == sheets_transitive(volt, n) == is_connected(g)
+                verdicts.add(transitive)
+    assert verdicts == {True, False}
 
 
 def test_lift_whole_base():

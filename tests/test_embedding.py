@@ -10,11 +10,13 @@ from planecover.embedding import (
     EmbeddingError,
     KuratowskiWitness,
     PlaneEmbedding,
+    adjacency_rows,
     cover_face_conditions,
     fold_from_single_long_face,
     is_peripheral,
     make_embedding,
     planar_edges,
+    planar_rows,
     planarity,
     reembed_with_outer,
     validate_kuratowski,
@@ -262,6 +264,29 @@ def test_planar_edges_small_graphs_and_k5():
     k5 = list(itertools.combinations(range(5), 2))
     assert not planar_edges(5, k5)
     assert planar_edges(5, k5[1:])  # K5 minus an edge: a triangulation
+
+
+def test_planar_rows_agrees_with_planar_edges():
+    # the scan's row form, given the rows and the distinct edge count,
+    # against the edge-list form: on K5 and K5 minus an edge, and on graphs
+    # at exactly 3V - 6 edges, alone and with repeated edges in either
+    # orientation
+    rng = random.Random(13)
+    k5 = list(itertools.combinations(range(5), 2))
+    cases = [(5, k5), (5, k5[1:])]
+    for nverts in range(4, 12):
+        for _ in range(10):
+            for g in _graphs_at_euler_bound(rng, nverts):
+                repeats = [(v, u) for u, v in rng.sample(g.edges, 3)] + list(g.edges[:2])
+                cases += [(nverts, list(g.edges)), (nverts, list(g.edges) + repeats)]
+    verdicts = []
+    for nverts, edges in cases:
+        m = len({frozenset(e) for e in edges})
+        got = planar_rows(adjacency_rows(nverts, edges), m)
+        assert got == planar_edges(nverts, edges), edges
+        verdicts.append(got)
+    assert verdicts[:2] == [False, True]
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 50
 
 
 def test_planar_edges_skips_lr_at_and_above_the_bound(monkeypatch):

@@ -1,7 +1,7 @@
-"""The package's planarity decision, ``embedding.planar_edges`` (the
-triangulation pre-checks, then the boolean left-right test), against the
-bare networkx LR test of ``oracles.lr_planar``; networkx stays out of the
-import path."""
+"""The package's planarity decision, ``embedding.planar_rows`` (the
+triangulation pre-checks, then the boolean left-right test) and its
+edge-list form ``planar_edges``, against the bare networkx LR test of
+``oracles.lr_planar``; networkx stays out of the import path."""
 
 import itertools
 import os
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from oracles import lr_planar
 
 from planecover import embedding, search
-from planecover.embedding import EmbeddingError, planar_edges, planarity
+from planecover.embedding import EmbeddingError, planar_edges, planar_rows, planarity
 from planecover.graphs import LabeledGraph, make_base
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -31,15 +31,18 @@ def _agrees(nverts: int, edges) -> bool:
 
 
 def _scan_calls(monkeypatch, h_max: int) -> list:
-    """Every planarity call of the fragment scan at folds 1..h_max, as
-    (vertex count, edge list)."""
+    """Every planarity call of the fragment scan at folds 1..h_max, the
+    row-form decision's adjacency rows read back as (vertex count, edge
+    list); each call's edge count is checked against its rows."""
     calls = []
 
-    def recorded(nverts, edges):
-        calls.append((nverts, list(edges)))
-        return planar_edges(nverts, edges)
+    def recorded(rows, m):
+        edges = [(u, v) for u, row in enumerate(rows) for v in range(u + 1, len(rows)) if row >> v & 1]
+        assert m == len(edges)
+        calls.append((len(rows), edges))
+        return planar_rows(rows, m)
 
-    monkeypatch.setattr(search, "planar_edges", recorded)
+    monkeypatch.setattr(search, "planar_rows", recorded)
     for n in range(1, h_max + 1):
         search._scan(make_base("k4"), n)
     return calls

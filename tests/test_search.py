@@ -95,8 +95,10 @@ def test_certificate_deterministic_and_replayable():
 
 
 def test_workers_produce_identical_certificates():
+    # each pool chunk is one first voltage and scans with fresh level stacks
     for run in (
         lambda workers: enumerate_covers(SearchSpec(base="k4", n=3), workers=workers),
+        lambda workers: enumerate_covers(SearchSpec(base="k1222", n=2), workers=workers),
         lambda workers: search_k4_fragments(4, workers=workers),
     ):
         assert _strip_timing(run(1)) == _strip_timing(run(2))
@@ -660,6 +662,30 @@ def test_min_beads_is_independent_of_edge_labels(data):
     assert _placement_violations(r, r_outer, relabelled.placement) == []
     carried = [best.placement[old] for old in perm]
     assert _placement_violations(r, r_outer, carried) == []
+
+
+def test_min_beads_counts_every_edge_two_short_faces_share():
+    # 4-faces A = 0 and B = 1 share edges 0 and 6; the 4-faces P = 2 and
+    # Q = 3 each run along a pendant edge (3 and 7).  No cubic quotient
+    # needs a second shared edge counted: two short faces share two edges
+    # only in the a = 2 quotient {2, 2, 4, 4}, where every bead A and B
+    # share leaves a 2-face short.  Here, with P or Q outer, a bead on edge
+    # 6 meets A and B and a pendant bead meets the other face, but A and B
+    # may not share a bead at length 9.
+    edges = ((0, 3, 0), (1, 3, 0), (1, 3, 0), (2, 3, 0), (0, 4, 0), (0, 4, 0), (1, 4, 0), (0, 5, 0))
+    rotation = ((0, 4, 7, 5), (1, 2, 6), (3,), (0, 2, 3, 1), (4, 6, 5), (7,))
+    q = QuotientGraph(3, edges, rotation, 0)
+    assert [sorted(s) for s in q.face_edge_sides] == [[0, 2, 5, 6], [0, 1, 4, 6], [1, 2, 3, 3], [4, 5, 7, 7]]
+    assert q.face_pair_edges[0, 1] == (0, 6)
+    for outer, pendant, want in ((2, 7, (0, 0, 0, 0, 0, 1, 1, 0)), (3, 3, (0, 0, 1, 0, 0, 0, 1, 0))):
+        got = min_beads(q, outer)
+        assert (got.total, got.placement) == (2, want)
+        assert got == reference_min_beads(q, outer)
+        assert _placement_violations(q, outer, want) == []
+        # the least placement when only edge 0 counts as shared
+        first_edge_only = tuple(int(e in (6, pendant)) for e in range(len(edges)))
+        assert first_edge_only < want
+        assert _placement_violations(q, outer, first_edge_only) == [("sharing", 0, 1)]
 
 
 @pytest.mark.slow
