@@ -23,13 +23,12 @@ one fold, and ``search_k4_fragments`` is the one structural search.  It
 scans K4 fold by fold and gives every class the verdict of the K4-fragment
 analyzer, which enumerates plane embeddings on the contracted quotient of
 the candidate and applies every condition an admissible fragment must
-satisfy, the shape exclusions that ``structure`` defines and the
-bead-demand feasibility of the quotient.
+satisfy: the shape exclusions and the bead-sharing threshold that
+``structure`` defines.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -464,13 +463,15 @@ def analyze_fragment_candidate(g: LabeledGraph) -> dict:
     (bead reflections change nothing any condition can see).  Every
     quotient face corresponds to a non-triangular fragment face of length
     3(k + beads) where 2k is the quotient face length; triangular outer
-    choices are excluded wholesale by the boundary condition.
+    choices are excluded wholesale by the boundary condition.  The
+    rotations come from a shape table built for this call
+    (``_shape_rotations``).
     """
-    return _analyze(g, spherical_rotations)
+    return _analyze(g, {})
 
 
-def _analyze(g: LabeledGraph, rotations) -> dict:
-    """``analyze_fragment_candidate`` with rotations from ``rotations``."""
+def _analyze(g: LabeledGraph, shapes: dict) -> dict:
+    """``analyze_fragment_candidate`` with a shape table calls may share."""
     result = _gate_result((key, holds(g)) for key, holds in _GATES)
     if result["excluded_by"]:
         return result
@@ -497,12 +498,11 @@ def _analyze(g: LabeledGraph, rotations) -> dict:
         return result
 
     beads = [b for _, _, b in sk.edges]
-    b_actual = sum(beads)
     n_tri_faces = 2 * len(sk.beads) + len(sk.black_triangles)
     passing = 0
     outer_choices = 0
     structures = 0
-    for q in rotations(sk.a, sk.edges):
+    for q in _shape_rotations(shapes, sk.a, sk.edges):
         structures += 1
         face_beads = [sum(beads[e] for e in sides) for sides in q.face_edge_sides]
         thirds = [len(f) // 2 + face_beads[i] for i, f in enumerate(q.faces)]
@@ -524,10 +524,9 @@ def _analyze(g: LabeledGraph, rotations) -> dict:
             ):
                 excluded_by.add("bead_sharing")
                 continue
-            mb = min_beads(q, outer_face=i, cap=b_actual)
-            if mb is None:
-                excluded_by.add("bead_demand")
-                continue
+            # the class's own beads are now a placement min_beads accepts: a
+            # bead-free 2-face would be a bead, and an internal 2-face with
+            # one bead or 4-face with none a hexagon
             passing += 1
     result["embeddings"] = {
         "structures": structures,
@@ -562,7 +561,7 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
         raise SearchError("fragment search covers folds 1 to 6")
     t0 = time.monotonic()
     base = make_base(K4NEG)
-    rotations = functools.partial(_shape_rotations, {})
+    shapes = {}
     folds = []
     all_censuses = []
     for h in range(1, h_max + 1):
@@ -578,7 +577,7 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
                 analysis = _gate_result((("not_k4", True), ("negative_lift_triangular", False)))
             else:
                 g, _ = derive(normalized_assignment(base, h, entry["voltage"]))
-                analysis = _analyze(g, rotations)
+                analysis = _analyze(g, shapes)
             censuses = analysis.pop("quotient_censuses")
             fold_censuses.update(tuple(sorted(c.items())) for c in censuses)
             entry.update(analysis, fold=h)
@@ -714,18 +713,16 @@ class MinBeadsResult:
     placement: tuple[int, ...]
 
 
-def min_beads(
-    q: QuotientGraph, outer_face: int | None = None, cap: int | None = None
-) -> MinBeadsResult | None:
+def min_beads(q: QuotientGraph, outer_face: int | None = None) -> MinBeadsResult:
     """Minimum bead count meeting every face demand of the quotient.
 
     Internal 2-faces need two beads and internal 4-faces one (their
     fragment faces must reach length nine); an outer 2-face needs one; a
     bead counts toward the two faces flanking its edge; and no two
     internal short faces may share beads up to the forbidden threshold.
-    With a cap, returns None when no placement of at most that many beads
-    works; without one, a placement always exists.  An outer face that is
-    not one of the quotient's faces raises SearchError.
+    A placement always exists; the search is budgeted at 3a + 6 beads, and
+    a quotient that needs more is malformed and raises SearchError, as
+    does an outer face that is not one of the quotient's faces.
 
     For each total from 0 up, beads are placed edge by edge in edge order,
     fewest first, from tables built once per call: each edge's faces, its
@@ -807,11 +804,8 @@ def min_beads(
                 return got
         return None
 
-    hard_cap = 3 * q.a + 6 if cap is None else cap
-    for total in range(hard_cap + 1):
+    for total in range(3 * q.a + 6 + 1):
         got = go(0, total, sum(demands))
         if got is not None:
             return MinBeadsResult(total, got)
-    if cap is not None:
-        return None
-    raise SearchError("bead demand search exceeded its cap; malformed quotient")
+    raise SearchError("bead demand search exceeded its budget; malformed quotient")

@@ -20,7 +20,9 @@ connectivity, found by exhaustive cut search.  The
 unnormalized scan checks the spanning-tree normalization, and the direct
 fragment analyzer enumerates the fragment's own rotation systems instead
 of the quotient's, behind its own graph-level gate and under the
-library's shape exclusions.  Isomorphism is checked by explicit
+library's shape exclusions; it keeps a bead-demand step, which the
+library's analyzer does without, and runs it through the reference
+bead-demand search below.  Isomorphism is checked by explicit
 backtracking and, for quotient degree matrices, by trying every row and
 column permutation of every matrix, generated without the package's
 restriction to non-increasing rows.  The net voltage around a base
@@ -69,7 +71,6 @@ from planecover.search import (
     MinBeadsResult,
     SearchError,
     estimate_nodes,
-    min_beads,
     search_k4_fragments,
     voltage_orbits,
 )
@@ -599,7 +600,7 @@ def analyze_fragment_direct(g: LabeledGraph) -> dict:
                 excluded_by.add("degenerate_quotient")
                 continue
             censuses.append({str(k): v for k, v in q.census.items()})
-            if min_beads(q, cap=q.total_beads) is None:
+            if reference_min_beads(q).total > q.total_beads:
                 excluded_by.add("bead_demand")
                 continue
             passing += 1
@@ -686,9 +687,7 @@ def matrix_canonical(mat) -> tuple:
     )
 
 
-def reference_min_beads(
-    q: QuotientGraph, outer_face: int | None = None, cap: int | None = None
-) -> MinBeadsResult | None:
+def reference_min_beads(q: QuotientGraph, outer_face: int | None = None) -> MinBeadsResult:
     """The bead-demand search as first written: every node recomputes the
     deficit over all faces, and the bead-sharing pairs are checked only at
     the leaves.  ``min_beads`` must return exactly what this returns.
@@ -697,8 +696,7 @@ def reference_min_beads(
     fragment faces must reach length nine); an outer 2-face needs one; a
     bead counts toward the two faces flanking its edge; and no two
     internal short faces may share beads up to the forbidden threshold.
-    With a cap, returns None when no placement of at most that many beads
-    works; without one, a placement always exists.
+    A placement always exists.
     """
     outer = q.outer_face if outer_face is None else outer_face
     nf = len(q.faces)
@@ -761,11 +759,8 @@ def reference_min_beads(
 
         return go(0, total)
 
-    hard_cap = 3 * q.a + 6 if cap is None else cap
-    for total in range(hard_cap + 1):
+    for total in range(3 * q.a + 6 + 1):
         got = feasible(total)
         if got is not None:
             return MinBeadsResult(total, got)
-    if cap is not None:
-        return None
-    raise SearchError("bead demand search exceeded its cap; malformed quotient")
+    raise SearchError("bead demand search exceeded its budget; malformed quotient")

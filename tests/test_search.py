@@ -43,6 +43,7 @@ from planecover.structure import (
     QuotientError,
     QuotientGraph,
     StructureError,
+    bead_sharing_excluded,
     negative_lift_triangular,
     quotient_graph,
     quotient_skeleton,
@@ -510,11 +511,15 @@ def test_double_lens_needs_four_beads():
 
 def test_double_lens_demand_breakdown():
     q = double_lens()
-    # without the sharing constraint three beads would do: check that the
-    # returned placement satisfies the demands exactly
+    # without the sharing constraint three beads would do: the returned
+    # placement meets every demand and pair, and no bead can go
     mb = min_beads(q)
     assert sum(mb.placement) == 4
-    assert min_beads(q, cap=3) is None
+    assert _placement_violations(q, q.outer_face, mb.placement) == []
+    for e in (e for e, b in enumerate(mb.placement) if b):
+        fewer = list(mb.placement)
+        fewer[e] -= 1
+        assert _placement_violations(q, q.outer_face, fewer)
 
 
 def test_a4_no_lenses_needs_three():
@@ -541,7 +546,7 @@ def test_nine_face_pair_fails_bead_demand():
     q, _ = quotient_graph(refine_faces(nine_face_pair()).h_embedding)
     assert q.total_beads == 3
     assert min_beads(q).total == 4
-    assert min_beads(q, cap=q.total_beads) is None
+    assert min_beads(q).total > q.total_beads
 
 
 @functools.cache
@@ -562,21 +567,22 @@ def _fixture_quotients():
 
 
 def _reference_cases():
-    caps = (None, *range(9))
     theta = _theta()
-    for q, f in _quotient_outer_pairs(4) + [(theta, f) for f in range(len(theta.faces))]:
-        yield from ((q, f, cap) for cap in caps)
-    yield from ((double_lens(), None, cap) for cap in caps)
+    yield from _quotient_outer_pairs(4)
+    yield from ((theta, f) for f in range(len(theta.faces)))
+    yield double_lens(), None
     for q in _fixture_quotients():
-        for f in (None, *range(len(q.faces))):
-            yield from ((q, f, cap) for cap in (*caps, q.total_beads))
+        yield from ((q, f) for f in (None, *range(len(q.faces))))
 
 
 def test_min_beads_matches_reference():
     # the pruned search must find the placement the unpruned one finds first
     cases = list(_reference_cases())
     mismatches = [c for c in cases if min_beads(*c) != reference_min_beads(*c)]
-    assert len(cases) > 700
+    # the 50 (quotient, outer face) pairs of enumerate_quotients(4), the
+    # theta's 3, the double lens, and the 5 fixture quotients with each of
+    # their 17 faces outer and with their own outer face
+    assert len(cases) == 50 + 3 + 1 + 17 + 5 == 76
     assert not mismatches, f"{len(mismatches)} mismatches, first {mismatches[0]}"
 
 
@@ -610,14 +616,9 @@ def _placement_violations(q, outer: int, placement) -> list:
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
-def test_min_beads_cap_and_placement_properties(data):
+def test_min_beads_placement_properties(data):
     q, outer = data.draw(st.sampled_from(_quotient_outer_pairs(4)), label="quotient, outer face")
-    cap = data.draw(st.integers(0, 10), label="cap")
     best = min_beads(q, outer)
-    capped = min_beads(q, outer, cap=cap)
-    assert (capped is None) == (cap < best.total)
-    if capped is not None:
-        assert capped == best
     assert sum(best.placement) == best.total and min(best.placement) >= 0
     assert _placement_violations(q, outer, best.placement) == []
     # the total is least: taking any one bead away breaks a demand or a pair
@@ -625,6 +626,69 @@ def test_min_beads_cap_and_placement_properties(data):
         fewer = list(best.placement)
         fewer[e] -= 1
         assert _placement_violations(q, outer, fewer)
+
+
+def _outer_faces_passing_filters(q: QuotientGraph) -> list:
+    """The outer faces of a beaded quotient that the analyzer's last two
+    filters pass: no internal face is a hexagon (a fragment face has length
+    3m, m being half the quotient face's length plus the beads on it) and
+    no two faces other than the outer one share too many beads."""
+    beads = [b for _, _, b in q.edges]
+    thirds = [len(s) // 2 + sum(beads[e] for e in s) for s in q.face_edge_sides]
+    return [
+        i
+        for i in range(len(q.faces))
+        if all(thirds[j] != 2 for j in range(len(q.faces)) if j != i)
+        and not any(
+            i not in pair and bead_sharing_excluded(sum(beads[e] for e in es), *(thirds[f] for f in pair))
+            for pair, es in q.face_pair_edges.items()
+        )
+    ]
+
+
+@functools.cache
+def _spherical_quotients(a_max: int) -> list:
+    """Every spherical rotation of every quotient shape with at most a_max
+    white vertices, bead-free."""
+    return [
+        q
+        for a in range(1, a_max + 1)
+        for _, simple_edges in _quotient_matrices(a)
+        for q in spherical_rotations(a, tuple((u, v, 0) for u, v in simple_edges))
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_class_that_passes_the_filters_meets_its_bead_demand(data):
+    # the analyzer has no bead-demand step: once an outer face passes the
+    # hexagon and bead-sharing filters, the class's own beads are a
+    # placement min_beads accepts.  Every quotient 2-face carries a bead,
+    # since a bead-free digon would itself be a bead.
+    q = data.draw(st.sampled_from(_spherical_quotients(4)), label="rotation")
+    # about half the edges bead-free, so that bead-free 4-faces come up
+    counts = st.one_of(st.just(0), st.integers(1, 3))
+    beads = data.draw(st.lists(counts, min_size=len(q.edges), max_size=len(q.edges)), label="beads")
+    for sides in q.face_edge_sides:
+        if len(sides) == 2 and not beads[sides[0]] + beads[sides[1]]:
+            beads[sides[0]] = 1
+    beaded = QuotientGraph(q.a, tuple((u, v, b) for (u, v, _), b in zip(q.edges, beads)), q.rotation, 0)
+    for i in _outer_faces_passing_filters(beaded):
+        assert _placement_violations(beaded, i, beads) == []
+        assert min_beads(beaded, i).total <= sum(beads)
+
+
+def test_the_filter_restatement_passes_what_the_analyzer_passes():
+    # the fold-six fragment passes exactly one (rotation, outer face)
+    # choice, and the restated filters find that one
+    from planecover.fixtures import fold_six_fragment
+
+    g = fold_six_fragment().graph
+    sk = quotient_skeleton(g)
+    passing = [(q, i) for q in spherical_rotations(sk.a, sk.edges) for i in _outer_faces_passing_filters(q)]
+    assert len(passing) == analyze_fragment_candidate(g)["embeddings"]["passing"] == 1
+    ((q, i),) = passing
+    assert _placement_violations(q, i, [b for _, _, b in q.edges]) == []
 
 
 def test_face_pair_edges_are_the_edges_between_two_faces():
