@@ -10,7 +10,7 @@ vertex slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class BoundsError(ValueError):
@@ -44,8 +44,7 @@ def interior_triangle_bound(h: int, m: int) -> tuple[int, int]:
     return interior, bound
 
 
-@dataclass(frozen=True)
-class LongCycleBounds:
+class LongCycleBounds(NamedTuple):
     per_pair_upper: int
     total_upper: int
     lower_strict: int  # total length is strictly greater than this
@@ -70,8 +69,7 @@ def long_cycle_bounds(n: int, h: int, t: int) -> LongCycleBounds:
     return LongCycleBounds(3 * slack, 12 * slack, 6 * n)
 
 
-@dataclass(frozen=True)
-class FoldVerdict:
+class FoldVerdict(NamedTuple):
     n: int
     h: int
     t: int

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -134,6 +133,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    import hashlib  # only derive needs it, so the other commands do not load it
+
     vobj = _load_json(args.voltage, args.fixture)
     va = pio.voltage_from_obj(vobj)
     g, proj = derive(va)

@@ -17,8 +17,8 @@ once per cotree level, reusing each voltage prefix's orbits.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .embedding import PlaneEmbedding
 from .graphs import (
@@ -33,8 +33,7 @@ class CoverError(ValueError):
     """Structurally invalid cover/semi-cover input."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """Where and how the neighbor condition failed."""
 
     vertex: int
@@ -45,19 +44,20 @@ class Violation:
         return f"vertex {self.vertex}: {self.reason} (neighbor images {list(self.neighbor_images)})"
 
 
-@dataclass(frozen=True)
-class CoverProjection:
+class _CoverProjectionFields(NamedTuple):
     source: LabeledGraph
     base: BaseGraph
     vertex_map: tuple[int, ...]  # source vertex -> base vertex id
 
-    def __post_init__(self):
-        if len(self.vertex_map) != self.source.n:
+
+class CoverProjection(_CoverProjectionFields):
+    def __new__(cls, source: LabeledGraph, base: BaseGraph, vertex_map):
+        if len(vertex_map) != source.n:
             raise CoverError("vertex_map length does not match the source graph")
+        return super().__new__(cls, source, base, vertex_map)
 
 
-@dataclass(frozen=True)
-class CoverVerdict:
+class CoverVerdict(NamedTuple):
     ok: bool
     fold: int | None = None
     per_component_folds: tuple[int, ...] = ()
@@ -115,18 +115,19 @@ def verify_cover(source: LabeledGraph, base: BaseGraph, vertex_map) -> CoverVerd
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SemiCover:
+class _SemiCoverFields(NamedTuple):
+    embedding: PlaneEmbedding
+    base: BaseGraph
+    vertex_map: tuple[int, ...] | None = None
+
+
+class SemiCover(_SemiCoverFields):
     """A plane graph with a projection claim onto a base.
 
     Interior vertices must satisfy the bijective neighbor condition,
     outer-face vertices only the injective one.  The vertex map defaults
     to the one induced by labels.
     """
-
-    embedding: PlaneEmbedding
-    base: BaseGraph
-    vertex_map: tuple[int, ...] | None = None
 
     @cached_property
     def projection(self) -> CoverProjection:
@@ -139,8 +140,7 @@ class SemiCover:
         return self.embedding.graph
 
 
-@dataclass(frozen=True)
-class SemiCoverVerdict:
+class SemiCoverVerdict(NamedTuple):
     ok: bool
     violation: Violation | None = None
 
@@ -168,25 +168,27 @@ def verify_semicover(sc: SemiCover) -> SemiCoverVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VoltageAssignment:
-    """A permutation of the sheets per base edge, on the fixed orientation
-    from the lower to the higher vertex id.  Traversing an edge backwards
-    applies the inverse."""
-
+class _VoltageAssignmentFields(NamedTuple):
     base: BaseGraph
     n: int
     perms: tuple[tuple[int, ...], ...]  # indexed by base edge id
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class VoltageAssignment(_VoltageAssignmentFields):
+    """A permutation of the sheets per base edge, on the fixed orientation
+    from the lower to the higher vertex id.  Traversing an edge backwards
+    applies the inverse."""
+
+    def __new__(cls, base: BaseGraph, n: int, perms):
+        if n < 1:
             raise CoverError("fold must be at least 1")
-        if len(self.perms) != self.base.graph.m:
+        if len(perms) != base.graph.m:
             raise CoverError("one permutation per base edge required")
-        ident = tuple(range(self.n))
-        for p in self.perms:
+        ident = tuple(range(n))
+        for p in perms:
             if tuple(sorted(p)) != ident:
-                raise CoverError(f"{p!r} is not a permutation of 0..{self.n - 1}")
+                raise CoverError(f"{p!r} is not a permutation of 0..{n - 1}")
+        return super().__new__(cls, base, n, perms)
 
 
 def identity_assignment(base: BaseGraph, n: int) -> VoltageAssignment:

@@ -10,8 +10,8 @@ computed: every downstream predicate reads face walks and label sequences.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .graphs import (
     BaseGraph,
@@ -80,13 +80,14 @@ def _canonical_rotation(seq: tuple) -> tuple:
     return best
 
 
-@dataclass(frozen=True)
-class FaceWalk:
-    """One face of an embedding: a closed walk of darts."""
-
+class _FaceWalkFields(NamedTuple):
     darts: tuple[int, ...]
     vertices: tuple[int, ...]  # tail of each dart, in walk order
     labels: tuple[int, ...]
+
+
+class FaceWalk(_FaceWalkFields):
+    """One face of an embedding: a closed walk of darts."""
 
     @property
     def length(self) -> int:
@@ -107,18 +108,21 @@ class FaceWalk:
         return (self.length, _canonical_rotation(self.vertices), _canonical_rotation(self.darts))
 
 
-@dataclass(frozen=True)
-class PlaneEmbedding:
-    """A spherical rotation system with a designated outer face."""
-
+class _PlaneEmbeddingFields(NamedTuple):
     graph: LabeledGraph
     rotation: tuple[tuple[int, ...], ...]
-    outer_face: int = 0
+    outer_face: int
 
-    def __post_init__(self):
+
+class PlaneEmbedding(_PlaneEmbeddingFields):
+    """A spherical rotation system with a designated outer face."""
+
+    def __new__(cls, graph: LabeledGraph, rotation, outer_face: int = 0):
+        self = super().__new__(cls, graph, rotation, outer_face)
         faces = self.faces  # validates the rotation and Euler's formula
-        if not (0 <= self.outer_face < len(faces)):
-            raise EmbeddingError(f"outer face id {self.outer_face} out of range")
+        if not (0 <= outer_face < len(faces)):
+            raise EmbeddingError(f"outer face id {outer_face} out of range")
+        return self
 
     @cached_property
     def faces(self) -> tuple[FaceWalk, ...]:
@@ -196,8 +200,7 @@ def reembed_with_outer(emb: PlaneEmbedding, face_id: int) -> PlaneEmbedding:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KuratowskiWitness:
+class KuratowskiWitness(NamedTuple):
     """A verified subdivision of K5 or K33 inside a non-planar graph."""
 
     kind: str  # "K5" or "K33"
@@ -528,8 +531,7 @@ def all_triangles(g: LabeledGraph) -> list[tuple[int, int, int]]:
     return sorted(set(out))
 
 
-@dataclass(frozen=True)
-class FaceConditionReport:
+class FaceConditionReport(NamedTuple):
     """Face-level conditions on an embedded cover.
 
     Fold number and triangular face count are raw statistics (the

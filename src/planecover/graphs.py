@@ -14,8 +14,8 @@ once per process.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 ALPHABET = (0, 1, -1, 2, -2, 3, -3)
 K4_LABELS = (0, -1, -2, -3)
@@ -36,8 +36,13 @@ def labels_adjacent(a: int, b: int) -> bool:
     return a != b and a != -b
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class _LabeledGraphFields(NamedTuple):
+    labels: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+    simple: bool
+
+
+class LabeledGraph(_LabeledGraphFields):
     """Immutable multigraph with a label per vertex.
 
     ``labels[v]`` is the label of vertex ``v`` (vertices are 0..n-1) and
@@ -46,14 +51,10 @@ class LabeledGraph:
     that parallel edges are forbidden.
     """
 
-    labels: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    simple: bool = True
-
-    def __post_init__(self):
-        n = len(self.labels)
+    def __new__(cls, labels, edges, simple: bool = True):
+        n = len(labels)
         norm = []
-        for e in self.edges:
+        for e in edges:
             u, v = e
             if u == v:
                 raise GraphError(f"loop at vertex {u}")
@@ -61,10 +62,9 @@ class LabeledGraph:
                 raise GraphError(f"edge {e} out of range for {n} vertices")
             norm.append((u, v) if u < v else (v, u))
         norm.sort()
-        if self.simple and any(norm[i] == norm[i + 1] for i in range(len(norm) - 1)):
+        if simple and any(norm[i] == norm[i + 1] for i in range(len(norm) - 1)):
             raise GraphError("parallel edges in a graph declared simple")
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "edges", tuple(norm))
+        return super().__new__(cls, tuple(labels), tuple(norm), simple)
 
     @property
     def n(self) -> int:
@@ -228,12 +228,13 @@ _BASE_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class BaseGraph:
-    """One of the two fixed base graphs, with deterministic vertex order."""
-
+class _BaseGraphFields(NamedTuple):
     kind: str
     graph: LabeledGraph
+
+
+class BaseGraph(_BaseGraphFields):
+    """One of the two fixed base graphs, with deterministic vertex order."""
 
     @cached_property
     def label_to_vertex(self) -> dict[int, int]:
@@ -294,8 +295,7 @@ def base_triangle(base: BaseGraph, labels) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleComponent:
+class CycleComponent(NamedTuple):
     """One connected component of the lift of a base triangle."""
 
     vertices: tuple[int, ...]

@@ -33,7 +33,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .covers import (
     conjugacy_representatives,
@@ -87,15 +87,17 @@ class SearchError(ValueError):
 _FIXED_SPEC_FIELDS = {"filters": ["connected", "planar"], "dedup": True}
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class _SearchSpecFields(NamedTuple):
     base: str
     n: int
-    budget: int = 10**9
+    budget: int
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class SearchSpec(_SearchSpecFields):
+    def __new__(cls, base: str, n: int, budget: int = 10**9):
+        if n < 1:
             raise SearchError("fold must be at least 1")
+        return super().__new__(cls, base, n, budget)
 
     @classmethod
     def from_obj(cls, obj, budget: int | None = None) -> SearchSpec:
@@ -707,8 +709,7 @@ def enumerate_quotients(a_max: int) -> list[QuotientGraph]:
     return out
 
 
-@dataclass(frozen=True)
-class MinBeadsResult:
+class MinBeadsResult(NamedTuple):
     total: int
     placement: tuple[int, ...]
 

@@ -12,8 +12,8 @@ fragments to their cubic bipartite quotients.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .covers import CoverError, SemiCover, label_projection, verify_cover
 from .embedding import (
@@ -51,8 +51,7 @@ class QuotientError(StructureError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PatternResult:
+class PatternResult(NamedTuple):
     """Outcome of matching a face walk against the admissible label order.
 
     Non-triangular faces of a K4-cover fragment must read
@@ -100,8 +99,7 @@ def face_label_pattern(face_labels) -> PatternResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Bead:
+class Bead(NamedTuple):
     """K4 minus the (0, -k) edge: a 4-vertex block of a string."""
 
     zero: int
@@ -114,19 +112,20 @@ class Bead:
         return frozenset((self.zero, self.kvert) + self.inner)
 
 
-@dataclass(frozen=True)
-class StringDesc:
+class _StringDescFields(NamedTuple):
+    beads: tuple[Bead, ...]
+    type_label: int
+    neg_terminal: tuple[int, int]  # (first bead zero, external -k vertex)
+    zero_terminal: tuple[int, int]  # (last bead kvert, external 0 vertex)
+
+
+class StringDesc(_StringDescFields):
     """Maximal chain of beads plus its two terminal edges.
 
     Beads are listed from the black end (the external -k vertex the first
     bead's zero attaches to) to the white end (the external 0 the last
     bead's -k vertex attaches to); all beads share the type label.
     """
-
-    beads: tuple[Bead, ...]
-    type_label: int
-    neg_terminal: tuple[int, int]  # (first bead zero, external -k vertex)
-    zero_terminal: tuple[int, int]  # (last bead kvert, external 0 vertex)
 
     @cached_property
     def vertex_set(self) -> frozenset[int]:
@@ -247,8 +246,7 @@ def is_necklace(emb: PlaneEmbedding, beads=None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Trapezium:
+class Trapezium(NamedTuple):
     """A (1,2,3) triangle with -i and -k attached by four edges."""
 
     type_label: int  # j
@@ -300,15 +298,16 @@ def detect_trapezia(sc: SemiCover) -> list[Trapezium]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FaceRefinement:
     """How the ambient embedding's faces subdivide the fragment's faces."""
 
-    h_vertices: tuple[int, ...]
-    h_embedding: PlaneEmbedding
-    h_vmap: dict[int, int]  # ambient vertex id -> fragment vertex id
-    h_outer: int  # fragment face id containing the ambient outer face
-    triangles_in_face: dict[int, tuple[tuple[int, int, int], ...]]  # fragment face -> (1,2,3) triangles
+    def __init__(self, h_vertices, h_embedding, h_vmap, h_outer, triangles_in_face):
+        self.h_vertices: tuple[int, ...] = h_vertices
+        self.h_embedding: PlaneEmbedding = h_embedding
+        self.h_vmap: dict[int, int] = h_vmap  # ambient vertex id -> fragment vertex id
+        self.h_outer: int = h_outer  # fragment face id containing the ambient outer face
+        # fragment face -> (1,2,3) triangles
+        self.triangles_in_face: dict[int, tuple[tuple[int, int, int], ...]] = triangles_in_face
 
 
 def refine_faces(sc: SemiCover) -> FaceRefinement:
@@ -378,8 +377,7 @@ def refine_faces(sc: SemiCover) -> FaceRefinement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupportedTriangle:
+class SupportedTriangle(NamedTuple):
     """One (1,2,3) triangle in a face, with its attachment data."""
 
     triangle: tuple[int, int, int]
@@ -392,8 +390,7 @@ class SupportedTriangle:
     configuration: int | None  # 1..3 for minimal supported triangles
 
 
-@dataclass(frozen=True)
-class SupportReport:
+class SupportReport(NamedTuple):
     string_positions: tuple[int, ...]  # spine vertices, bottom (0 end) first
     triangles: tuple[SupportedTriangle, ...]
 
@@ -549,8 +546,7 @@ INTERIOR_CONDITION_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class FaceRecord:
+class FaceRecord(NamedTuple):
     face_id: int
     length: int
     labels: tuple[int, ...]
@@ -560,8 +556,7 @@ class FaceRecord:
     beads: tuple[int, ...]  # indices into the bead list, by inner vertex
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Everything the exclusion predicates need about one fragment."""
 
     faces: tuple[FaceRecord, ...]
@@ -702,8 +697,7 @@ def admissibility_report(sc: SemiCover) -> StructureReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExclusionVerdict:
+class ExclusionVerdict(NamedTuple):
     necklace: bool
     two_internal_faces: bool
     bead_sharing: tuple[tuple[int, int, int, int], ...]  # (face, face, m, shared)
@@ -766,19 +760,20 @@ def check_exclusions(report: StructureReport) -> ExclusionVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
+class _QuotientGraphFields(NamedTuple):
+    a: int
+    edges: tuple[tuple[int, int, int], ...]  # (white, black, beads)
+    rotation: tuple[tuple[int, ...], ...]
+    outer_face: int
+
+
+class QuotientGraph(_QuotientGraphFields):
     """Cubic bipartite plane multigraph with bead counts on edges.
 
     Vertices 0..a-1 are the surviving 0-vertices (white); a..2a-1 are the
     contracted (-1,-2,-3) triangles (black).  Each edge remembers how many
     beads its string carried.
     """
-
-    a: int
-    edges: tuple[tuple[int, int, int], ...]  # (white, black, beads)
-    rotation: tuple[tuple[int, ...], ...]
-    outer_face: int
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -829,8 +824,7 @@ class QuotientGraph:
         return 2 * self.a, len(self.edges), len(self.faces)
 
 
-@dataclass(frozen=True)
-class QuotientSkeleton:
+class QuotientSkeleton(NamedTuple):
     """Graph-level quotient of a fragment: no embedding involved yet."""
 
     a: int
@@ -999,4 +993,4 @@ def quotient_graph(h_emb: PlaneEmbedding, beads=None) -> tuple[QuotientGraph, di
             raise QuotientError("quotient face census does not match the fragment")
     if h_emb.outer_face not in face_map:
         raise QuotientError("outer face of the fragment vanished in the quotient")
-    return replace(q, outer_face=face_map[h_emb.outer_face]), face_map
+    return QuotientGraph(q.a, q.edges, q.rotation, face_map[h_emb.outer_face]), face_map

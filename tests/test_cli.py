@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -542,3 +543,57 @@ def test_search_huge_fold_is_a_budget_refusal(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "budget refused" in err and "e+467" in err and "Traceback" not in err
+
+
+#: Exit code and sha256 of the JSON that ``analyze`` and ``quotient`` write
+#: for each semi-cover fixture the structure benchmark feeds them (None:
+#: the command rejects the input with exit 3 and writes nothing).  The
+#: format-3 certificate digests in test_orbit_scan.py pin ``search``.
+ANALYZE_QUOTIENT_DIGESTS = {
+    ("necklace4", "analyze"): (0, "f57346905c0eb25e73034e1d8a1eccdedb8cffa5ba8f193d3ce97e862098125e"),
+    ("necklace4", "quotient"): (3, None),
+    ("necklace3", "analyze"): (0, "12adc948b44a97f45574f27bfac6b9100b60d76b6c536f63a84c72d6eee6e644"),
+    ("necklace3", "quotient"): (3, None),
+    ("two_faces", "analyze"): (0, "8a68b83be1a17687592b71df94a22a3bcbee7a53a72897a05076cec3d581bd31"),
+    ("two_faces", "quotient"): (0, "e96736f731734a2bcbf5ac7cb4e8affc3e7cd6b34f80fe2a836cf3b67855153f"),
+    ("nine_face_pair", "analyze"): (0, "17f8c5da00ac326acbf960420c1f1fc78770d2c9960ee0f66751fd15490d2b03"),
+    ("nine_face_pair", "quotient"): (0, "0d9ae82938cb44004ff2a2d09fd274b79a9be494d8c1ced68f4199a9205f73da"),
+    ("fold_six_fragment", "analyze"): (0, "14f951c53ed59c3f263a3fff1f10e79636ddc71d0f185b4f7f2c01b65a68a60c"),
+    ("fold_six_fragment", "quotient"): (0, "9ee7f86c32464545bac4aad28387ec1589226fcb61f34217dfbe54948759fe4e"),
+    ("hexagon_cover", "analyze"): (0, "205204be9fbf5879b3062ed5b9af4fde5ebaff45abc74c72d186ecae3e9d61ee"),
+    ("hexagon_cover", "quotient"): (3, None),
+    ("single_bead", "analyze"): (3, None),
+    ("single_bead", "quotient"): (3, None),
+    ("hub_violation", "analyze"): (1, "792c5f53c9e9b648f87b05b829f20fc035cd33335144eecb7a1d9f498d366938"),
+    ("hub_violation", "quotient"): (3, None),
+    ("two_trapezia", "analyze"): (1, "e153dedc46489150f1f6b5a64a7572ac6251356ca0f46fafa993e2b409957dd7"),
+    ("two_trapezia", "quotient"): (0, "e96736f731734a2bcbf5ac7cb4e8affc3e7cd6b34f80fe2a836cf3b67855153f"),
+    ("crowded_face", "analyze"): (1, "c2532cb98d3e59a0a37dab61cf6e3471be3708b723876c22cd79ce7005588446"),
+    ("crowded_face", "quotient"): (0, "8a0005d0d17fe06871975e827d5f7a90911b5e5a4c42649c4b9b02253da977d0"),
+    ("support_case1", "analyze"): (1, "dc6a232b95e7e281d56710e90018216fba8448bf86eb5552bf4a185715a08b9e"),
+    ("support_case1", "quotient"): (3, None),
+    ("support_case2", "analyze"): (1, "43f7f241d26c5423c5140f385603bff2af60916a7577d68150801bb0ef0ea108"),
+    ("support_case2", "quotient"): (3, None),
+    ("support_case3", "analyze"): (1, "43f7f241d26c5423c5140f385603bff2af60916a7577d68150801bb0ef0ea108"),
+    ("support_case3", "quotient"): (3, None),
+}
+
+
+def test_analyze_and_quotient_output_digests(tmp_path, capsys):
+    got = {}
+    for name, cmd in ANALYZE_QUOTIENT_DIGESTS:
+        out = tmp_path / f"{name}.{cmd}.json"
+        rc = main([cmd, "--fixture", name, "--out", str(out)])
+        got[name, cmd] = (rc, hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None)
+    capsys.readouterr()
+    assert got == ANALYZE_QUOTIENT_DIGESTS
+
+
+def test_derive_output_digest(tmp_path, capsys):
+    vp = _write(tmp_path, "volt.json", K4_DOUBLE_VOLTAGE)
+    out = tmp_path / "derived.json"
+    assert main(["derive", vp, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "333563858e9147c0adf077a4ec91b374de4231afdf94c447fa61b4ea08bd99ff"
+    )

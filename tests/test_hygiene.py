@@ -4,7 +4,9 @@ Every name a module of ``planecover`` imports is used in it (the package
 ``__init__`` re-exports and is exempt), every function, class and method
 the package defines is referenced somewhere in ``src/``, ``tests/`` or
 ``perfbench/`` as a name, an attribute or an import, and every parameter
-of a package function is read in its body.
+of a package function is read in its body.  No module imports
+``dataclasses``: its import and the code each decoration generates cost
+start-up time on every CLI run.
 """
 
 from __future__ import annotations
@@ -104,3 +106,18 @@ def test_every_parameter_is_read():
                     if p not in used and p not in ("self", "cls")
                 ]
     assert not unread, unread
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in _modules():
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                found.append(f"{path.name}: line {node.lineno}")
+    assert not found, found

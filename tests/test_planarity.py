@@ -4,6 +4,7 @@ edge-list form ``planar_edges``, against the bare networkx LR test of
 ``oracles.lr_planar``; networkx stays out of the import path."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -139,18 +140,30 @@ def test_planarity_raises_when_networkx_disagrees(monkeypatch):
         planarity(LabeledGraph((0,) * 6, tuple((i, j + 3) for i in range(3) for j in range(3))))
 
 
-def test_import_leaves_networkx_out():
-    # analyze and bounds need no networkx; building an embedding does
+def test_import_leaves_networkx_out(tmp_path):
+    # analyze, quotient, bounds and a fold-2 search need no networkx, and
+    # neither they nor the import load dataclasses (with inspect) or
+    # hashlib; derive loads hashlib, and building an embedding networkx
+    volt = tmp_path / "volt.json"
+    volt.write_text('{"base": "k4", "n": 2, "edges": [{"from": 1, "to": 2, "perm": [1, 0]}]}')
     code = (
-        "import sys\n"
+        "import json, os, sys\n"
         "import planecover\n"
         "from planecover.cli import main\n"
-        "main(['analyze', '--fixture', 'nine_face_pair'])\n"
-        "main(['bounds', '12'])\n"
-        "print('networkx' in sys.modules)\n"
+        "def loaded():\n"
+        "    return sorted({'dataclasses', 'inspect', 'hashlib', 'networkx'} & set(sys.modules))\n"
+        "seen = [loaded()]\n"
+        "main(['analyze', '--fixture', 'nine_face_pair', '--out', os.devnull])\n"
+        "main(['quotient', '--fixture', 'nine_face_pair', '--out', os.devnull])\n"
+        "main(['bounds', '12', '--out', os.devnull])\n"
+        "main(['search', '--fixture', 'spec-k1222-n2', '--out', os.devnull])\n"
+        "seen.append(loaded())\n"
+        f"main(['derive', {str(volt)!r}, '--out', os.devnull])\n"
+        "seen.append(loaded())\n"
         "planecover.planarity(planecover.make_base('k4').graph)\n"
-        "print('networkx' in sys.modules)\n"
+        "seen.append('networkx' in sys.modules)\n"
+        "print(json.dumps(seen))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split()[-2:] == ["False", "True"]
+    assert json.loads(out.stdout.splitlines()[-1]) == [[], [], ["hashlib"], True]
