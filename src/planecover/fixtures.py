@@ -292,7 +292,9 @@ def double_lens() -> QuotientGraph:
     if census != {2: 2, 4: 2}:
         raise AssertionError(f"double lens census {census}")
     outer = next(i for i, f in enumerate(q.faces) if len(f) == 2)
-    return QuotientGraph(a=2, edges=edges, rotation=rotation, outer_face=outer)
+    lens = QuotientGraph(a=2, edges=edges, rotation=rotation, outer_face=outer)
+    vars(lens)["faces"] = q.faces  # faces do not depend on the outer face
+    return lens
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .covers import (
     join_sheets,
     normalized_assignment,
 )
-from .embedding import PlaneEmbedding, adjacency_rows, planar_rows, planarity, trace_faces
+from .embedding import adjacency_rows, planar_rows, trace_faces
 from .graphs import (
     K4NEG,
     BaseGraph,
@@ -363,30 +363,17 @@ def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 
 
-#: The analyzer's graph-level gate, in order: (filter key, predicate).
-_GATES = (
-    ("not_k4", lambda g: not (g.n == 4 and g.m == 6)),
-    ("negative_lift_triangular", negative_lift_triangular),
-)
-
-
-def _gate_result(verdicts) -> dict:
-    """A fresh analyzer result with the graph-level gate's (filter key,
-    verdict) pairs recorded in order, up to and including the first that
-    fails, which becomes ``excluded_by``.  Verdicts are read lazily."""
-    result = {
-        "filters": {},
-        "excluded_by": [],
+def _gate_result(gate: dict) -> dict:
+    """A fresh analyzer result recording the graph-level gate's ordered
+    {filter key: verdict}, which ends at the first key that fails; that
+    key becomes ``excluded_by``."""
+    return {
+        "filters": dict(gate),
+        "excluded_by": [key for key, ok in gate.items() if not ok],
         "embeddings": {"structures": 0, "outer_choices": 0, "passing": 0},
         "quotient_censuses": [],
         "survivor": False,
     }
-    for key, ok in verdicts:
-        result["filters"][key] = ok
-        if not ok:
-            result["excluded_by"] = [key]
-            break
-    return result
 
 
 def spherical_rotations(a: int, edges):
@@ -456,8 +443,10 @@ def analyze_fragment_candidate(g: LabeledGraph) -> dict:
     The input is a connected cover of K4, as every class the scan visits
     is.  Such a cover is simple, cubic and bridgeless (each lifted edge
     lies on a lift of a base cycle), so it is 2-connected and the gate
-    does not test condition (g).  Its negative-lift test runs vertex by
-    vertex; ``search_k4_fragments`` decides it from the voltage instead.
+    does not test condition (g).  The gate records ``not_k4`` and, only
+    when that holds, the negative-lift test, which runs vertex by vertex;
+    ``search_k4_fragments`` decides the lift from the voltage instead and
+    records the same verdicts through the same routine.
 
     Embeddings are enumerated on the contracted quotient: an admissible
     embedding must make every 3-cycle facial, which pins the bead and
@@ -474,7 +463,10 @@ def analyze_fragment_candidate(g: LabeledGraph) -> dict:
 
 def _analyze(g: LabeledGraph, shapes: dict) -> dict:
     """``analyze_fragment_candidate`` with a shape table calls may share."""
-    result = _gate_result((key, holds(g)) for key, holds in _GATES)
+    gate = {"not_k4": not (g.n == 4 and g.m == 6)}
+    if gate["not_k4"]:
+        gate["negative_lift_triangular"] = negative_lift_triangular(g)
+    result = _gate_result(gate)
     if result["excluded_by"]:
         return result
     filters = result["filters"]
@@ -552,7 +544,9 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
     conjugation orbit, and pushes every class through the bare-fragment
     conditions over all its plane embeddings and outer-face choices.
     Entries gain the analyzer's verdict and their fold, and the quotient
-    censuses are merged per fold.
+    censuses are merged per fold.  Every fold takes the same per-class
+    step, so a fold-6 survivor's entry has the keys of any other; the
+    interior triangles a fold-6 fragment forces are counted by ``bounds``.
 
     The (-1,-2,-3) lift is all triangles exactly when the voltage (c12,
     c13, c23) on K4's cotree edges (1,2), (1,3), (2,3) has c13[i] ==
@@ -573,18 +567,17 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
         fold_censuses = set()
         for entry in record["candidates"]:
             c12, c13, c23 = entry["voltage"]
-            if any(c13[i] != c23[c12[i]] for i in range(h)):
-                # the gate's verdict, from the voltage; K4, fold 1's one
-                # class, meets the rule
-                analysis = _gate_result((("not_k4", True), ("negative_lift_triangular", False)))
-            else:
+            triangular = all(c13[i] == c23[c12[i]] for i in range(h))
+            if triangular:
                 g, _ = derive(normalized_assignment(base, h, entry["voltage"]))
                 analysis = _analyze(g, shapes)
+            else:
+                # the gate's lift verdict, from the voltage; K4, fold 1's
+                # one class, meets the rule, so this class is not K4
+                analysis = _gate_result({"not_k4": True, "negative_lift_triangular": triangular})
             censuses = analysis.pop("quotient_censuses")
             fold_censuses.update(tuple(sorted(c.items())) for c in censuses)
             entry.update(analysis, fold=h)
-            if h == 6 and entry["survivor"]:
-                entry["interior_triangle_check"] = _h6_survivor_check(g)
         record["survivors"] = [e["voltage"] for e in record["candidates"] if e["survivor"]]
         all_censuses.extend(dict(items) for items in sorted(fold_censuses))
         folds.append({"fold": h, **record})
@@ -603,22 +596,6 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
         "quotient_censuses": all_censuses,
         "timing": {"seconds": time.monotonic() - t0, "workers": workers},
     }
-
-
-def _h6_survivor_check(g: LabeledGraph) -> dict:
-    """For a fold-6 survivor: the forced interior-triangle count from its
-    outer face length must reach 3 (the necklace case being excluded)."""
-    from .bounds import interior_triangle_bound
-
-    emb = planarity(g)
-    out = []
-    if isinstance(emb, PlaneEmbedding):
-        for f in emb.faces:
-            if f.length > 3 and f.length % 3 == 0:
-                m = f.length // 3
-                if 3 * 6 >= 2 * m:
-                    out.append({"m": m, "bound": interior_triangle_bound(6, m)[1]})
-    return {"per_outer_m": out, "ok": all(e["bound"] >= 3 or e["m"] == 6 for e in out)}
 
 
 # ---------------------------------------------------------------------------

@@ -520,21 +520,6 @@ def _classify_configuration(g, tri, pos_index, inner_set) -> int | None:
 # Admissibility conditions
 # ---------------------------------------------------------------------------
 
-#: Conditions an embedded fragment must satisfy inside a genuine minimal
-#: cover.  Keys are stable identifiers used in reports and certificates.
-CONDITION_KEYS = (
-    "lift_cover",            # (a) connected genuine K4-cover, boundary a cycle of it
-    "triangles_facial",      # (b) every 3-cycle of the semi-cover bounds a face
-    "short_octahedral_facial",  # (c) cyclic octahedral lifts are triangular faces
-    "paths_reach_boundary",  # (d) path lifts end on the boundary; (1,2,3)/(-1,-2,-3) lifts are triangles
-    "not_k4",                # (e)
-    "positive_triangle",     # (f) at least one (1,2,3) triangle present
-    "two_connected",         # (g)
-    "face_patterns",         # (h) non-triangular faces read 0,a,b,0,a,b,...
-    "no_internal_hexagon",   # (i)
-    "triangle_capacity",     # (j) a 3m-gonal face holds t < 2m/3 triangles
-)
-
 #: Conditions that need interior data of the ambient semi-cover and are
 #: therefore skipped when analyzing a bare fragment.
 INTERIOR_CONDITION_KEYS = (
@@ -646,7 +631,9 @@ def admissibility_report(sc: SemiCover) -> StructureReport:
     conditions["positive_triangle"] = bool(positive_triangles(g))
     conditions["two_connected"] = h.n >= 4 and connectivity(h) >= 2
 
-    # Face-level records on the fragment embedding.
+    # (h), (i), (j) and the face-level records on the fragment embedding:
+    # non-triangular faces read 0,a,b,0,a,b,..., no internal face is a
+    # hexagon, and an internal 3m-gonal face holds t < 2m/3 triangles.
     beads = find_beads(h)
     bead_hosts = _bead_hosts(h_emb, beads)
     face_records = []
@@ -993,4 +980,6 @@ def quotient_graph(h_emb: PlaneEmbedding, beads=None) -> tuple[QuotientGraph, di
             raise QuotientError("quotient face census does not match the fragment")
     if h_emb.outer_face not in face_map:
         raise QuotientError("outer face of the fragment vanished in the quotient")
-    return QuotientGraph(q.a, q.edges, q.rotation, face_map[h_emb.outer_face]), face_map
+    out = QuotientGraph(q.a, q.edges, q.rotation, face_map[h_emb.outer_face])
+    vars(out)["faces"] = q.faces  # faces do not depend on the outer face
+    return out, face_map

@@ -134,6 +134,27 @@ def test_analyze_refines_faces_once(monkeypatch, tmp_path, capsys, name):
     assert len(calls) == 1
 
 
+def test_quotient_traces_its_faces_once(monkeypatch, tmp_path, capsys):
+    # the quotient keeps the faces it traced when its outer face is fixed,
+    # as does the double lens
+    from planecover import structure
+    from planecover.fixtures import double_lens
+
+    calls = []
+    trace_faces = structure.trace_faces
+
+    def counted(*args):
+        calls.append(args)
+        return trace_faces(*args)
+
+    monkeypatch.setattr(structure, "trace_faces", counted)
+    assert main(["quotient", "--fixture", "fold_six_fragment", "--out", str(tmp_path / "q.json")]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    double_lens().faces
+    assert len(calls) == 1
+
+
 def test_analyze_invalid_semicover_exits_one(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["analyze", "--fixture", "hub_violation", "--out", str(out)])

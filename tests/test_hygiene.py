@@ -1,12 +1,12 @@
 """Dead-code checks on the package, by the standard library's ``ast``.
 
 Every name a module of ``planecover`` imports is used in it (the package
-``__init__`` re-exports and is exempt), every function, class and method
-the package defines is referenced somewhere in ``src/``, ``tests/`` or
-``perfbench/`` as a name, an attribute or an import, and every parameter
-of a package function is read in its body.  No module imports
-``dataclasses``: its import and the code each decoration generates cost
-start-up time on every CLI run.
+``__init__`` re-exports and is exempt), every function, class, method
+and module-level constant the package defines is referenced somewhere in
+``src/``, ``tests/`` or ``perfbench/`` as a name read, an attribute or an
+import, and every parameter of a package function is read in its body.
+No module imports ``dataclasses``: its import and the code each
+decoration generates cost start-up time on every CLI run.
 """
 
 from __future__ import annotations
@@ -44,11 +44,18 @@ def _used_names(tree: ast.Module) -> set[str]:
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, bare name) of module-level functions and classes
-    and of the methods of module-level classes."""
+    """(qualified name, bare name) of module-level functions, classes and
+    constants and of the methods of module-level classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.name
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        else:
+            targets = [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                yield target.id, target.id
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
@@ -61,7 +68,8 @@ def _references() -> set[str]:
         for path in top.rglob("*.py"):
             for node in ast.walk(_parse(path)):
                 if isinstance(node, ast.Name):
-                    refs.add(node.id)
+                    if not isinstance(node.ctx, ast.Store):  # a name only assigned is dead
+                        refs.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     refs.add(node.attr)
                 elif isinstance(node, (ast.Import, ast.ImportFrom)):

@@ -141,11 +141,14 @@ def test_planarity_raises_when_networkx_disagrees(monkeypatch):
 
 
 def test_import_leaves_networkx_out(tmp_path):
-    # analyze, quotient, bounds and a fold-2 search need no networkx, and
-    # neither they nor the import load dataclasses (with inspect) or
-    # hashlib; derive loads hashlib, and building an embedding networkx
+    # analyze, quotient, bounds, a fold-2 covers search and a fold 1-4
+    # fragments search need no networkx, and neither they nor the import
+    # load dataclasses (with inspect) or hashlib; derive loads hashlib, and
+    # building an embedding networkx
     volt = tmp_path / "volt.json"
     volt.write_text('{"base": "k4", "n": 2, "edges": [{"from": 1, "to": 2, "perm": [1, 0]}]}')
+    fragments = tmp_path / "fragments.json"
+    fragments.write_text('{"mode": "fragments", "h_max": 4}')
     code = (
         "import json, os, sys\n"
         "import planecover\n"
@@ -157,6 +160,7 @@ def test_import_leaves_networkx_out(tmp_path):
         "main(['quotient', '--fixture', 'nine_face_pair', '--out', os.devnull])\n"
         "main(['bounds', '12', '--out', os.devnull])\n"
         "main(['search', '--fixture', 'spec-k1222-n2', '--out', os.devnull])\n"
+        f"main(['search', {str(fragments)!r}, '--out', os.devnull])\n"
         "seen.append(loaded())\n"
         f"main(['derive', {str(volt)!r}, '--out', os.devnull])\n"
         "seen.append(loaded())\n"

@@ -389,6 +389,31 @@ def test_nine_face_pair_enumerated_then_excluded(fragment_certificate):
     assert "bead_sharing" in entries[0]["excluded_by"]
 
 
+@pytest.mark.slow
+def test_fold_six_fragment_certificate():
+    # the fold bound of 6 is tight on the search itself: fold 6 has
+    # admissible fragments, the fold-six fixture's class among them, and
+    # its entries take the per-class step of every other fold
+    cert = search_k4_fragments(6, workers=2)
+    fold6 = cert["folds"][5]
+    assert [fold6[k] for k in ("visited", "connected", "planar", "classes")] == [
+        5_702_400, 5_373_568, 834_159, 43_690,
+    ]
+    assert len(fold6["survivors"]) == 66
+    assert Counter(key for e in fold6["candidates"] for key in e["excluded_by"]) == {
+        "negative_lift_triangular": 43_305,
+        "outer_face_nontriangular": 364,
+        "no_internal_hexagon": 355,
+        "bead_sharing": 75,
+        "two_internal_faces": 18,
+        "necklace": 3,
+    }
+    (entry,) = _entries_of_class(fold6, fx.fold_six_fragment().graph)
+    assert entry["survivor"]
+    assert entry["voltage"] == [[1, 2, 3, 0, 5, 4], [0, 1, 3, 4, 2, 5], [4, 0, 1, 3, 5, 2]]
+    assert not any("interior_triangle_check" in e for f in cert["folds"] for e in f["candidates"])
+
+
 def test_fragment_search_budget_guard():
     with pytest.raises(SearchError):
         search_k4_fragments(7)
@@ -835,12 +860,16 @@ def test_fold_four_analyzers_agree_everywhere():
         assert analyze_fragment_candidate(g)["survivor"] == analyze_fragment_direct(g)["survivor"]
 
 
-def test_direct_oracle_gate_matches_library_gate():
+def test_direct_oracle_gate_matches_library_gate(monkeypatch):
     # the direct analyzer runs its own not-K4 and negative triangle tests;
     # they must reject exactly what the library's gate does.  Neither tests
     # 2-connectivity: every scan class is a connected cover of K4, which is
-    # 2-connected, and the path fails the negative triangle test first
-    from planecover.search import _GATES, _gate_result, _scan
+    # 2-connected, and the path fails the negative triangle test first.
+    # The library's gate is read as the analyzer hands it to _gate_result
+    from planecover.search import _gate_result, _scan
+
+    gates = []
+    monkeypatch.setattr(search, "_gate_result", lambda gate: gates.append(gate) or _gate_result(gate))
 
     path = LabeledGraph((0, -1, -2, -3, 0), ((0, 1), (1, 2), (2, 3), (3, 4)))
     graphs = [path]
@@ -849,7 +878,8 @@ def test_direct_oracle_gate_matches_library_gate():
         graphs += [derive(normalized_assignment(K4, n, v))[0] for v, _ in classes]
     seen = set()
     for g in graphs:
-        excluded_by = _gate_result((key, holds(g)) for key, holds in _GATES)["excluded_by"]
+        analyze_fragment_candidate(g)
+        excluded_by = _gate_result(gates[-1])["excluded_by"]
         want = excluded_by[0] if excluded_by else None
         assert _gate_failure(g) == want
         seen.add(want)
