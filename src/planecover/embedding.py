@@ -212,147 +212,147 @@ def _lr_planar(adj: list[int]) -> bool:
     """Brandes' left-right planarity test ("The Left-Right Planarity
     Test", 2009), verdict only, on bitmask adjacency rows.
 
-    An iterative orientation DFS directs tree edges away from the roots
-    and back edges towards them, with lowpoints and nesting depths; an
-    iterative testing DFS takes out-edges by nesting depth and keeps a
-    stack of conflict pairs [left low, left high, right low, right high]
-    of return-edge ids (-1: empty).  ``ref`` links each interval from its
-    high end down to its low end, with a spare last slot for the writes
-    made through a -1; the links Brandes adds only to orient the
-    embedding, from edges that have left every interval, are left out.
+    Both DFS phases climb back through ``up`` (the tree parent), with no
+    DFS stack.  The orientation takes each vertex's next neighbour from
+    ``left``; orienting (v, w) clears v from ``left[w]``, so each edge
+    taken is a tree edge or a back edge to an ancestor, whose lowpoints
+    and nesting depth are set at once.  ``low2`` is kept per vertex, for
+    its tree edge.  The testing DFS takes out-edges by nesting depth and
+    stacks conflict pairs [left low, left high, right low, right high] of
+    return-edge ids (-1: empty) on an empty pair that is never popped.
+    ``ref`` links each interval from its high end down (a -1 writes its
+    spare last slot), without Brandes' links that only orient an embedding.
     """
     n = len(adj)
-    height, parent = [-1] * n, [-1] * n  # parent: the tree edge into a vertex
+    m = sum(map(int.bit_count, adj)) >> 1
+    height, parent, up = [-1] * n, [-1] * n, [-1] * n  # the tree edge into a vertex, its tail
+    left, low2, e = adj[:], [0] * n, -1  # e: the last edge id given out
     out: list[list[int]] = [[] for _ in range(n)]
-    tail, head, low, low2, nest = [], [], [], [], []
-    roots = []
-    for root in range(n):
-        if height[root] >= 0:
+    head, low, nest = [0] * m, [0] * (m + 1), [0] * m  # low[m]: a root's dummy parent edge
+    for v in range(n):  # v: each new root, then the DFS's current vertex
+        if height[v] >= 0:
             continue
-        height[root] = 0
-        roots.append(root)
-        stack = [[root, adj[root]]]
-        while stack:
-            top = stack[-1]
-            v, rest = top
+        height[v], parent[v] = 0, m
+        while True:
+            rest = left[v]
             if rest:
                 bit = rest & -rest
-                top[1] = rest ^ bit
+                left[v] = rest ^ bit
                 w = bit.bit_length() - 1
-                hv, hw = height[v], height[w]
-                if hw >= 0 and (hw >= hv or tail[parent[v]] == w):
-                    continue  # oriented already, from w or as v's parent edge
-                e = len(head)
-                tail.append(v)
-                head.append(w)
+                left[w] ^= 1 << v  # w never looks back along (v, w)
+                e += 1
+                head[e] = w
                 out[v].append(e)
-                low.append(hv if hw < 0 else hw)
-                low2.append(hv)
-                nest.append(0)
+                hv, hw = height[v], height[w]
                 if hw < 0:
-                    parent[w], height[w] = e, hv + 1
-                    stack.append([w, adj[w]])
+                    parent[w], up[w], height[w] = e, v, hv + 1
+                    low[e] = low2[w] = hv
+                    v = w
                     continue
-            else:
-                stack.pop()
-                e = parent[v]
-                if e < 0:
-                    continue
-                v = tail[e]
-            # e = (v, w) is done: its nesting depth, then v's parent edge's lowpoints
-            nest[e] = 2 * low[e] + (low2[e] < height[v])
-            p = parent[v]
-            if p < 0:
+                low[e], nest[e] = hw, 2 * hw  # a back edge, folded into v's parent edge
+                lp = low[parent[v]]
+                if hw < lp:
+                    low[parent[v]], low2[v] = hw, lp
+                elif lp < hw < low2[v]:
+                    low2[v] = hw
                 continue
-            if low[e] < low[p]:
-                low2[p], low[p] = min(low[p], low2[e]), low[e]
-            elif low[e] > low[p]:
-                low2[p] = min(low2[p], low[e])
-            else:
-                low2[p] = min(low2[p], low2[e])
-
-    m = len(head)
-    ref, bottom = [-1] * (m + 1), [None] * m
-    S: list[list[int]] = []
-
-    def conflicting(high: int, e: int) -> bool:
-        return high >= 0 and low[high] > low[e]
-
-    def add_constraints(ei: int, e: int) -> bool:
-        P = [-1, -1, -1, -1]
-        while True:  # merge the return edges of ei into P's right interval
-            Q = S.pop()
-            if Q[0] >= 0 or Q[1] >= 0:
-                Q[:2], Q[2:] = Q[2:], Q[:2]
-                if Q[0] >= 0 or Q[1] >= 0:
-                    return False
-            if low[Q[2]] > low[e]:  # else aligned with e's lowest return edge: dropped
-                if P[2] < 0 and P[3] < 0:
-                    P[3] = Q[3]
-                else:
-                    ref[P[2]] = Q[3]
-                P[2] = Q[2]
-            if (S[-1] if S else None) is bottom[ei]:
+            w, v = v, up[v]
+            if v < 0:
                 break
-        while S and (conflicting(S[-1][1], ei) or conflicting(S[-1][3], ei)):
-            Q = S.pop()  # conflicting return edges of earlier siblings: into P's left
-            if conflicting(Q[3], ei):
-                Q[:2], Q[2:] = Q[2:], Q[:2]
-                if conflicting(Q[3], ei):
-                    return False
-            ref[P[2]] = Q[3]
-            if Q[2] >= 0:
-                P[2] = Q[2]
-            if P[0] < 0 and P[1] < 0:
-                P[1] = Q[1]
-            else:
-                ref[P[0]] = Q[1]
-            P[0] = Q[0]
-        if P != [-1, -1, -1, -1]:
-            S.append(P)
-        return True
-
-    def remove_back_edges(u: int) -> None:
-        while S:  # drop the pairs whose lowest return edge ends at u
-            P = S[-1]
-            lows = [low[x] for x in (P[0], P[2]) if x >= 0]
-            if min(lows) != height[u]:
-                break
-            S.pop()
-        if S:  # trim the next pair's intervals
-            P = S[-1]
-            for hi in (1, 3):
-                while P[hi] >= 0 and head[P[hi]] == u:
-                    P[hi] = ref[P[hi]]
-                if P[hi] < 0:
-                    P[hi - 1] = -1
+            f = parent[w]  # the tree edge (v, w) is done
+            lf, l2 = low[f], low2[w]
+            nest[f] = 2 * lf + (l2 < height[v])
+            p = parent[v]
+            lp = low[p]
+            if lf < lp:
+                low[p], low2[v] = lf, (lp if lp < l2 else l2)
+            else:  # lf, or l2 on a tie, may be the new second lowpoint
+                l2 = lf if lf > lp else l2
+                if l2 < low2[v]:
+                    low2[v] = l2
 
     for edges in out:
-        edges.sort(key=nest.__getitem__)
-    pos = [0] * n
-    for root in roots:
-        stack = [root]
-        while stack:
-            v = stack[-1]
+        if len(edges) > 1:
+            edges.sort(key=nest.__getitem__)
+    low[m] = -1  # low[-1]: an empty interval's high end conflicts with nothing
+    ref, bottom, pos = [-1] * (m + 1), [None] * n, [0] * n
+    S = [[-1, -1, -1, -1]]  # never empty: its bottom pair conflicts with nothing
+    for v in range(n):
+        if up[v] >= 0:
+            continue
+        while True:
             i = pos[v]
-            if i < len(out[v]):
-                ei = out[v][i]
-                bottom[ei] = S[-1] if S else None
-                if parent[head[ei]] == ei:
-                    stack.append(head[ei])  # ei is integrated once its head is done
+            edges = out[v]
+            if i < len(edges):
+                ei = edges[i]
+                w = head[ei]
+                if parent[w] == ei:
+                    bottom[w] = S[-1]
+                    v = w  # ei is integrated once w is done
                     continue
-                S.append([-1, -1, ei, ei])
+                pos[v] = i + 1
+                if i == 0:
+                    S.append([-1, -1, ei, ei])
+                    continue
+                pl = ph = -1  # a later back edge is its own pair, merged at once
+                rl = rh = ei if low[ei] > low[parent[v]] else -1
             else:
-                stack.pop()
-                ei = parent[v]
-                if ei < 0:
-                    continue
-                v = tail[ei]
-                remove_back_edges(v)
+                w, v = v, up[v]
+                if v < 0:
+                    break
+                hv = height[v]
+                while True:  # drop the pairs whose lowest return edge ends at v
+                    a, _, c, _ = P = S[-1]
+                    if (low[c] if a < 0 else low[a] if c < 0 else min(low[a], low[c])) != hv:
+                        break
+                    S.pop()
+                for hi in (1, 3):  # trim the next pair's intervals
+                    h = P[hi]
+                    while h >= 0 and head[h] == v:
+                        h = ref[h]
+                    P[hi] = h
+                    if h < 0:
+                        P[hi - 1] = -1
                 i = pos[v]
-            if i > 0 and low[ei] < height[v] and not add_constraints(ei, parent[v]):
-                return False  # ei has a return edge below v that fits no side
-            pos[v] = i + 1
+                pos[v] = i + 1
+                ei = parent[w]
+                if i == 0 or low[ei] >= hv:
+                    continue
+                # merge the return edges of ei into the new pair's right (rl, rh)
+                le, b = low[parent[v]], bottom[w]
+                pl = ph = rl = rh = -1
+                while S[-1] is not b:
+                    ql, qh, sl, sh = S.pop()
+                    if ql >= 0 or qh >= 0:
+                        if sl >= 0 or sh >= 0:
+                            return False
+                        sl, sh = ql, qh
+                    if low[sl] > le:  # else aligned with e's lowest return edge: dropped
+                        if rl < 0 and rh < 0:
+                            rh = sh
+                        else:
+                            ref[rl] = sh
+                        rl = sl
+            lei = low[ei]
+            while True:  # conflicting return edges of earlier siblings: into its left
+                ql, qh, sl, sh = S[-1]
+                if low[sh] > lei:
+                    if low[qh] > lei:
+                        return False
+                    ql, qh, sl, sh = sl, sh, ql, qh
+                elif low[qh] <= lei:
+                    break
+                S.pop()
+                ref[rl] = sh
+                if sl >= 0:
+                    rl = sl
+                if pl < 0 and ph < 0:
+                    ph = qh
+                else:
+                    ref[pl] = qh
+                pl = ql
+            if pl >= 0 or ph >= 0 or rl >= 0 or rh >= 0:
+                S.append([pl, ph, rl, rh])
     return True
 
 

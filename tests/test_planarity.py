@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from oracles import lr_planar
 
 from planecover import embedding, search
-from planecover.embedding import EmbeddingError, planar_edges, planar_rows, planarity
+from planecover.covers import derived_edges
+from planecover.embedding import EmbeddingError, adjacency_rows, planar_edges, planar_rows, planarity
 from planecover.graphs import LabeledGraph, make_base
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -102,12 +103,16 @@ def _subdivided(rng, base_edges, nverts):
     return nverts, [(perm[u], perm[v]) for u, v in edges]
 
 
+#: the Kuratowski graphs, as (edge list, vertex count)
+_KURATOWSKI = {
+    "K5": (list(itertools.combinations(range(5), 2)), 5),
+    "K33": ([(i, 3 + j) for i in range(3) for j in range(3)], 6),
+}
+
+
 @pytest.mark.parametrize("kind", ["K5", "K33"])
 def test_subdivided_kuratowski_graphs(kind):
-    if kind == "K5":
-        base, nverts = list(itertools.combinations(range(5), 2)), 5
-    else:
-        base, nverts = [(i, 3 + j) for i in range(3) for j in range(3)], 6
+    base, nverts = _KURATOWSKI[kind]
     rng = random.Random(5)
     for _ in range(100):
         n, edges = _subdivided(rng, base, nverts)
@@ -129,6 +134,70 @@ def test_deep_graphs_need_no_recursion():
     assert _agrees(side * side, _grid(side))
     corners = [(0, side * side - 1), (side - 1, side * side - side)]
     assert not _agrees(side * side, _grid(side) + corners)
+
+
+def _union(parts):
+    """Disjoint union of (vertex count, edge list) parts, each part's
+    vertices numbered after the previous part's."""
+    edges, offset = [], 0
+    for nverts, part in parts:
+        edges += [(u + offset, v + offset) for u, v in part]
+        offset += nverts
+    return offset, edges
+
+
+def _relabeled(parts, rng):
+    """The parts with their vertex ids permuted within each part, so that
+    the parts keep their order among the ids (and so the DFS roots)."""
+    out = []
+    for nverts, part in parts:
+        perm = list(range(nverts))
+        rng.shuffle(perm)
+        out.append((nverts, [(perm[u], perm[v]) for u, v in part]))
+    return out
+
+
+#: planar components: isolated vertices, a triangle with a pendant path,
+#: K4, a 6-cycle and the 3x3 grid
+_PLANAR_PARTS = [
+    (1, []),
+    (5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]),
+    (4, list(itertools.combinations(range(4), 2))),
+    (1, []),
+    (6, [(i, (i + 1) % 6) for i in range(6)]),
+    (9, _grid(3)),
+]
+
+
+@pytest.mark.parametrize("kind", ["K5", "K33"])
+@pytest.mark.parametrize("place", [0, 3, len(_PLANAR_PARTS)])  # first, in the middle, last
+def test_one_non_planar_component_decides_the_union(kind, place):
+    # each DFS root starts on the state the earlier components left
+    base, nverts = _KURATOWSKI[kind]
+    rng = random.Random(place)
+    for relabeling in range(4):
+        parts = _PLANAR_PARTS if relabeling == 0 else _relabeled(_PLANAR_PARTS, rng)
+        bad = _subdivided(rng, base, nverts)
+        assert not _agrees(*_union(parts[:place] + [bad] + parts[place:]))
+        assert _agrees(*_union(parts))
+
+
+def test_planar_rows_agrees_with_networkx_on_random_k4_covers_at_folds_5_to_7():
+    # 20-28-vertex covers, past the fold <= 4 scan inputs checked above
+    base = make_base("k4")
+    rng = random.Random(24)
+    verdicts = []
+    for n in (5, 6, 7):
+        for _ in range(70):
+            perms = [
+                tuple(rng.sample(range(n), n)) if e in base.cotree_edges else tuple(range(n))
+                for e in range(base.graph.m)
+            ]
+            edges = derived_edges(base.graph.edges, n, perms)
+            got = planar_rows(adjacency_rows(4 * n, edges), len(edges))
+            assert got == lr_planar(LabeledGraph((0,) * (4 * n), tuple(edges), simple=False)), (n, perms)
+            verdicts.append(got)
+    assert verdicts.count(True) > 10 and verdicts.count(False) > 100
 
 
 def test_planarity_raises_when_networkx_disagrees(monkeypatch):
