@@ -14,6 +14,10 @@ from .covers import SemiCover, VoltageAssignment
 from .embedding import PlaneEmbedding, make_embedding
 from .graphs import GraphError, LabeledGraph, make_base
 
+#: The largest fold a voltage file may give: reading builds the n-sheet
+#: identity at once, and 10**5 sheets give at most 700,000 derived vertices.
+MAX_FOLD = 10**5
+
 
 class FormatError(ValueError):
     """Input file does not match the expected schema."""
@@ -97,8 +101,8 @@ def voltage_from_obj(obj: dict) -> VoltageAssignment:
     try:
         base = make_base(obj["base"])
         n = obj["n"]
-        if type(n) is not int:
-            raise ValueError(f"fold 'n' must be an integer, not {n!r}")
+        if type(n) is not int or n > MAX_FOLD:
+            raise ValueError(f"fold 'n' must be an integer up to {MAX_FOLD}, not {n!r}")
         perms = dict.fromkeys(base.graph.edges, tuple(range(n)))
         given = {}
         for e in obj["edges"]:

@@ -29,6 +29,7 @@ satisfy: the shape exclusions and the bead-sharing threshold that
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -410,31 +411,31 @@ def spherical_rotations(a: int, edges):
             yield q
 
 
-def _shape_rotations(shapes: dict, a: int, edges):
-    """``spherical_rotations(a, edges)`` up to order and reflection.
-    ``shapes`` maps the greatest degree matrix of each shape met so far
-    to the rotations of the matrix's own edge list; the graph takes them
-    through the row and column orders that give its matrix, pairing
-    parallel edges in order, and traces its own faces.  That map is a
-    colour-preserving isomorphism, so reflection pairs stay together."""
+@functools.cache
+def _shape(key) -> tuple[QuotientGraph, ...]:
+    """The spherical quotients, faces traced, of the shape with greatest
+    degree matrix ``key``, on its bead-free ``_matrix_edges(key)``: one
+    table per process, which the analyzer and ``enumerate_quotients`` share."""
+    own = tuple((u, v, 0) for u, v in _matrix_edges(key))
+    return tuple(spherical_rotations(len(key), own))
+
+
+def _shape_key(a: int, edges) -> tuple:
+    """The greatest degree matrix of a cubic bicoloured multigraph with a
+    white vertices and (white, black, beads) edges, over all a! row orders,
+    and for each edge of ``_matrix_edges`` of that matrix the graph's edge
+    it maps to.  The map, rows and columns in the orders that give the
+    matrix and parallel edges in order, is a colour-preserving isomorphism."""
     mat = [[0] * a for _ in range(a)]
     for u, v, _ in edges:
         mat[u][v - a] += 1
     key, columns, rows = max(
         (*_column_sorted([mat[i] for i in rows]), rows) for rows in itertools.permutations(range(a))
     )
-    if key not in shapes:
-        own = tuple((u, v, 0) for u, v in _matrix_edges(key))
-        shapes[key] = [q.rotation for q in spherical_rotations(a, own)]
-    edge_of = [
+    edge_of = tuple(
         e for i in rows for j in columns for e, (u, v, _) in enumerate(edges) if (u, v) == (i, a + j)
-    ]
-    vertex_of = (*rows, *(a + j for j in columns))
-    for own_rotation in shapes[key]:
-        rotation = [()] * (2 * a)
-        for v, ids in zip(vertex_of, own_rotation):
-            rotation[v] = tuple(edge_of[e] for e in ids)
-        yield QuotientGraph(a=a, edges=edges, rotation=tuple(rotation), outer_face=0)
+    )
+    return key, edge_of
 
 
 def analyze_fragment_candidate(g: LabeledGraph) -> dict:
@@ -454,15 +455,9 @@ def analyze_fragment_candidate(g: LabeledGraph) -> dict:
     (bead reflections change nothing any condition can see).  Every
     quotient face corresponds to a non-triangular fragment face of length
     3(k + beads) where 2k is the quotient face length; triangular outer
-    choices are excluded wholesale by the boundary condition.  The
-    rotations come from a shape table built for this call
-    (``_shape_rotations``).
+    choices are excluded wholesale by the boundary condition.  Faces come
+    from the shape's table ``_shape``, beads carried on by ``_shape_key``.
     """
-    return _analyze(g, {})
-
-
-def _analyze(g: LabeledGraph, shapes: dict) -> dict:
-    """``analyze_fragment_candidate`` with a shape table calls may share."""
     gate = {"not_k4": not (g.n == 4 and g.m == 6)}
     if gate["not_k4"]:
         gate["negative_lift_triangular"] = negative_lift_triangular(g)
@@ -491,13 +486,13 @@ def _analyze(g: LabeledGraph, shapes: dict) -> dict:
         result["excluded_by"] = [face_count_exclusion(2)]
         return result
 
-    beads = [b for _, _, b in sk.edges]
+    key, edge_of = _shape_key(sk.a, sk.edges)
+    beads = [sk.edges[e][2] for e in edge_of]
     n_tri_faces = 2 * len(sk.beads) + len(sk.black_triangles)
+    quotients = _shape(key)
     passing = 0
     outer_choices = 0
-    structures = 0
-    for q in _shape_rotations(shapes, sk.a, sk.edges):
-        structures += 1
+    for q in quotients:
         face_beads = [sum(beads[e] for e in sides) for sides in q.face_edge_sides]
         thirds = [len(f) // 2 + face_beads[i] for i, f in enumerate(q.faces)]
         censuses.append(census_to_obj(q.census))
@@ -523,7 +518,7 @@ def _analyze(g: LabeledGraph, shapes: dict) -> dict:
             # one bead or 4-face with none a hexagon
             passing += 1
     result["embeddings"] = {
-        "structures": structures,
+        "structures": len(quotients),
         "outer_choices": outer_choices,
         "passing": passing,
     }
@@ -551,13 +546,12 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
     The (-1,-2,-3) lift is all triangles exactly when the voltage (c12,
     c13, c23) on K4's cotree edges (1,2), (1,3), (2,3) has c13[i] ==
     c23[c12[i]] on every sheet i; only the classes that meet this rule are
-    derived and analyzed, each quotient shape enumerated once per call.
+    derived and analyzed, each quotient shape enumerated once per process.
     """
     if not 1 <= h_max <= 6:
         raise SearchError("fragment search covers folds 1 to 6")
     t0 = time.monotonic()
     base = make_base(K4NEG)
-    shapes = {}
     folds = []
     all_censuses = []
     for h in range(1, h_max + 1):
@@ -570,7 +564,7 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
             triangular = all(c13[i] == c23[c12[i]] for i in range(h))
             if triangular:
                 g, _ = derive(normalized_assignment(base, h, entry["voltage"]))
-                analysis = _analyze(g, shapes)
+                analysis = analyze_fragment_candidate(g)
             else:
                 # the gate's lift verdict, from the voltage; K4, fold 1's
                 # one class, meets the rule, so this class is not K4
@@ -641,8 +635,8 @@ def _matrix_edges(mat) -> tuple:
 
 def _quotient_matrices(a: int):
     """Each isomorphism class of connected cubic bicoloured multigraphs
-    with a white vertices, as its degree matrix and edge list, in
-    decreasing order of the matrix.
+    with a white vertices, as its degree matrix (its edges are
+    ``_matrix_edges`` of it), in decreasing order of the matrix.
 
     Entry (i, j) counts the edges from white vertex i to black vertex
     a + j, and a colour-preserving isomorphism permutes the rows and the
@@ -656,9 +650,8 @@ def _quotient_matrices(a: int):
     for mat in _degree_matrices(a):
         if any(_column_sorted(rows)[0] > mat for rows in itertools.permutations(mat)):
             continue
-        edges = _matrix_edges(mat)
-        if is_connected(LabeledGraph(labels, edges, simple=False)):
-            yield mat, edges
+        if is_connected(LabeledGraph(labels, _matrix_edges(mat), simple=False)):
+            yield mat
 
 
 def enumerate_quotients(a_max: int) -> list[QuotientGraph]:
@@ -666,23 +659,20 @@ def enumerate_quotients(a_max: int) -> list[QuotientGraph]:
     0-vertices, one entry per isomorphism class and face census.
 
     The classes come from ``_quotient_matrices``, each with its first
-    spherical rotation system of each face census.  The two-vertex triple
-    edge is left out: a fragment has at least three internal
-    non-triangular faces, which forces at least two 0-vertices in the
-    quotient.
+    spherical rotation system of each face census in the table
+    ``_shape``.  The two-vertex triple edge is left out: a fragment has at
+    least three internal non-triangular faces, which forces at least two
+    0-vertices in the quotient.
     """
     if a_max > 4:
         raise SearchError("quotient enumeration is budgeted for a <= 4")
     out = []
     for a in range(2, a_max + 1):
-        for _, simple_edges in _quotient_matrices(a):
-            edges = tuple((u, v, 0) for u, v in simple_edges)
-            seen_census = set()
-            for q in spherical_rotations(a, edges):
-                census = tuple(sorted(len(f) for f in q.faces))
-                if census not in seen_census:
-                    seen_census.add(census)
-                    out.append(q)
+        for mat in _quotient_matrices(a):
+            first = {}
+            for q in _shape(mat):
+                first.setdefault(tuple(q.census.items()), q)
+            out.extend(first.values())
     return out
 
 

@@ -5,18 +5,26 @@ and raises nothing.
 A mutation swaps a value for one of another JSON type, drops or appends a
 list entry, or shifts an integer.  Covers-mode search runs under a budget
 that admits fold 4 and refuses fold 5, so a shifted fold stays small.
+The files no small mutation reaches are cases of their own.
 """
 
 import copy
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecover import fixtures as fx
 from planecover import io as pio
 from planecover.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SEMICOVERS = (
     "necklace4", "necklace3", "two_faces", "nine_face_pair", "fold_six_fragment",
@@ -98,3 +106,31 @@ def test_mutated_fixtures_exit_cleanly(data):
             Path(files[-1]).write_text(pio.dumps(obj), encoding="utf-8")
         out = ["--out", str(Path(tmp) / "out.json")] if has_out else []
         assert main([command, *files, *extra, *out]) in (0, 1, 2, 3)
+
+
+# command and input file: a voltage file whose fold is far beyond what
+# derive builds, refused before any permutation is formed
+HUGE_CASES = (
+    ("derive", {"base": "k4", "n": 10**9, "edges": []}),
+    ("derive", {"base": "k1222", "n": pio.MAX_FOLD + 1, "edges": []}),
+)
+
+
+def _limit_memory():
+    # 2 GB of address space: a fold of 10**9 would need more than that
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+
+@pytest.mark.parametrize("command, obj", HUGE_CASES, ids=["derive-n-1e9", "derive-n-past-the-limit"])
+def test_huge_inputs_exit_cleanly(tmp_path, command, obj):
+    # run in a child under a memory limit and a time limit, so that a fold
+    # built in full fails there instead of taking the test run's memory
+    path = tmp_path / "input.json"
+    path.write_text(pio.dumps(obj), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "planecover.cli", command, str(path)],
+        env=env, capture_output=True, text=True, preexec_fn=_limit_memory, timeout=120,
+    )
+    assert out.returncode == 3, out.stderr
+    assert "'n' must be an integer up to" in out.stderr and "Traceback" not in out.stderr

@@ -162,9 +162,12 @@ def test_fragment_search_computes_each_fragment_fact_once(monkeypatch):
     # analyzer and the quotient skeleton; the gate decides the (-1,-2,-3)
     # lift locally, so no lift is built at all.  Only the classes that
     # meet the voltage rule are derived, and each quotient shape's
-    # rotations are enumerated once
-    from planecover import structure
+    # rotations are enumerated once per process: a second search, the
+    # analyzer on every class and a second quotient enumeration trace no
+    # face, and read the same table
+    from planecover import embedding, structure
 
+    search._shape.cache_clear()
     calls = {"find_cycles_covering": Counter(), "find_beads": Counter()}
     for module in (search, structure):
         for name, counter in calls.items():
@@ -174,7 +177,7 @@ def test_fragment_search_computes_each_fragment_fact_once(monkeypatch):
                     return _f(g, *args)
 
                 monkeypatch.setattr(module, name, counted)
-    derived, enumerated = [], []
+    derived, enumerated, traced = [], [], []
 
     def counted_derive(assignment, _f=search.derive):
         derived.append(tuple(assignment.perms))
@@ -186,6 +189,12 @@ def test_fragment_search_computes_each_fragment_fact_once(monkeypatch):
 
     monkeypatch.setattr(search, "derive", counted_derive)
     monkeypatch.setattr(search, "spherical_rotations", counted_rotations)
+    for module in (search, structure, embedding):
+        def counted_trace(*args, _f=module.trace_faces):
+            traced.append(args)
+            return _f(*args)
+
+        monkeypatch.setattr(module, "trace_faces", counted_trace)
     cert = search_k4_fragments(4)
     entries = [e for fold in cert["folds"] for e in fold["candidates"]]
     assert not calls["find_cycles_covering"]
@@ -196,6 +205,17 @@ def test_fragment_search_computes_each_fragment_fact_once(monkeypatch):
     assert len(derived) == len(set(derived)) == 33
     assert sum(_meets_voltage_rule(e["voltage"]) for e in entries) == 33
     assert len(enumerated) == len(set(enumerated)) == 2
+    assert traced
+    traced.clear()
+    assert _strip_timing(search_k4_fragments(4)) == _strip_timing(cert)
+    for g in _fold_classes(4):
+        analyze_fragment_candidate(g)
+    assert not traced
+    quotients = enumerate_quotients(4)
+    traced.clear()
+    assert enumerate_quotients(4) == quotients
+    assert not traced
+    assert len(enumerated) == len(set(enumerated))
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4])
@@ -271,38 +291,33 @@ def test_fragment_search_entries_are_the_analyzer_results(fragment_certificate, 
     assert analyzed == {1: 1, 2: 3, 3: 6, 4: 23, 5: 69}[h]
 
 
-def _face_signature(q: QuotientGraph) -> tuple:
-    """(length, beads, edge ids) of each face, sorted: the same for a
-    rotation system and its reflection."""
-    beads = [b for _, _, b in q.edges]
+def _face_signature(q: QuotientGraph, beads, edge_of) -> tuple:
+    """(length, beads, edge ids through ``edge_of``) of each face, sorted:
+    the same for a rotation system and its reflection.  ``beads`` is
+    indexed by q's own edges."""
     return tuple(
         sorted(
-            (len(f), sum(beads[e] for e in sides), tuple(sorted(sides)))
+            (len(f), sum(beads[e] for e in sides), tuple(sorted(edge_of[e] for e in sides)))
             for f, sides in zip(q.faces, q.face_edge_sides)
         )
     )
 
 
-def _shape_key(a: int, edges):
-    """The key under which ``search._shape_rotations`` keeps the graph's
-    shape."""
-    shapes = {}
-    list(search._shape_rotations(shapes, a, edges))
-    (key,) = shapes
-    return key
-
-
 def _check_carried_rotations(graphs) -> None:
     # the graphs share a shape key exactly when the matrix oracle puts
-    # them in one class, and the rotations carried back from the shape
-    # are the graph's own, up to order and reflection
+    # them in one class, and the faces of the shape's table entries,
+    # carried through edge_of with the graph's beads on the shape's
+    # edges, are the graph's own faces, up to order and reflection
     pairs = set()
-    shapes = {}
     for a, edges in graphs:
-        pairs.add((_shape_key(a, edges), matrix_canonical(_degree_matrix(a, edges))))
-        carried = list(search._shape_rotations(shapes, a, edges))
-        direct = list(spherical_rotations(a, edges))
-        assert Counter(map(_face_signature, carried)) == Counter(map(_face_signature, direct))
+        key, edge_of = search._shape_key(a, edges)
+        assert sorted(edge_of) == list(range(len(edges)))
+        pairs.add((key, matrix_canonical(_degree_matrix(a, edges))))
+        beads = [edges[e][2] for e in edge_of]
+        carried = Counter(_face_signature(q, beads, edge_of) for q in search._shape(key))
+        own = [b for _, _, b in edges]
+        direct = Counter(_face_signature(q, own, range(len(edges))) for q in spherical_rotations(a, edges))
+        assert carried == direct
     assert len(pairs) == len({k for k, _ in pairs}) == len({c for _, c in pairs})
 
 
@@ -474,7 +489,7 @@ def test_quotient_classes_match_matrix_oracle(a):
     first = {}
     for m in mats:
         first.setdefault(matrix_canonical(m), m)
-    assert [m for m, _ in _quotient_matrices(a)] == list(first.values())
+    assert list(_quotient_matrices(a)) == list(first.values())
 
 
 @pytest.mark.parametrize("a", [1, 2, 3, 4])
@@ -678,8 +693,8 @@ def _spherical_quotients(a_max: int) -> list:
     return [
         q
         for a in range(1, a_max + 1)
-        for _, simple_edges in _quotient_matrices(a)
-        for q in spherical_rotations(a, tuple((u, v, 0) for u, v in simple_edges))
+        for mat in _quotient_matrices(a)
+        for q in search._shape(mat)
     ]
 
 
@@ -784,8 +799,8 @@ def test_min_beads_matches_reference_at_five_white_vertices():
     # the reference, whose cost climbs steeply with the total (up to 10)
     quotients = [
         q
-        for _, simple_edges in _quotient_matrices(5)
-        for q in spherical_rotations(5, tuple((u, v, 0) for u, v in simple_edges))
+        for mat in _quotient_matrices(5)
+        for q in search._shape(mat)
     ]
     cases = [(q, f) for q in quotients for f in range(len(q.faces))]
     assert (len(quotients), len(cases)) == (130, 910)
