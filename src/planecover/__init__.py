@@ -31,14 +31,11 @@ from .embedding import (
     cover_face_conditions,
     is_peripheral,
     is_planar,
-    make_embedding,
     planarity,
-    reembed_with_outer,
 )
 from .graphs import (
     BaseGraph,
     LabeledGraph,
-    canonical_form,
     connectivity,
     find_cycles_covering,
     labels_adjacent,

@@ -28,7 +28,7 @@ from .covers import (
     verify_semicover,
 )
 from .embedding import EmbeddingError, PlaneEmbedding, planarity
-from .graphs import GraphError, canonical_form, make_base
+from .graphs import GraphError, make_base
 from .search import (
     BudgetExceeded,
     SearchError,
@@ -133,8 +133,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    import hashlib  # only derive needs it, so the other commands do not load it
-
     vobj = _load_json(args.voltage, args.fixture)
     va = pio.voltage_from_obj(vobj)
     g, proj = derive(va)
@@ -142,7 +140,6 @@ def cmd_derive(args) -> int:
     out = {
         "voltage": vobj,
         "graph": pio.graph_to_obj(g),
-        "canonical": hashlib.sha256(canonical_form(g)).hexdigest()[:16],
         "vertex_map": list(proj.vertex_map),
         "fold": verdict.fold,
         "per_component_folds": list(verdict.per_component_folds),

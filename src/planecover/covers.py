@@ -9,9 +9,10 @@ tree is the apex star; setting its voltages to the identity removes the
 fiber-relabeling redundancy.  On such a normalized assignment the
 fundamental cycle of a cotree edge carries that edge's own voltage, so
 the derived graph is connected iff the cotree voltages act transitively
-on the sheets.  ``sheets_transitive`` decides that by folding
-``join_sheets`` over the voltages, and the orbit scan calls the same step
-once per cotree level, reusing each voltage prefix's orbits.
+on the sheets.  ``join_sheets`` merges the sheet orbits of one more
+voltage; the orbit scan calls it once per cotree level, reusing each
+voltage prefix's orbits, so a voltage is connected when its orbits are
+one.
 """
 
 from __future__ import annotations
@@ -191,11 +192,6 @@ class VoltageAssignment(_VoltageAssignmentFields):
         return super().__new__(cls, base, n, perms)
 
 
-def identity_assignment(base: BaseGraph, n: int) -> VoltageAssignment:
-    ident = tuple(range(n))
-    return VoltageAssignment(base, n, tuple(ident for _ in range(base.graph.m)))
-
-
 def normalized_assignment(base: BaseGraph, n: int, cotree_perms) -> VoltageAssignment:
     """Assignment with identity on the spanning tree and the given
     permutations on the cotree edges (in cotree edge order)."""
@@ -246,44 +242,21 @@ def join_sheets(orbits: tuple[int, ...], p) -> tuple[int, ...]:
     return orbits
 
 
-def sheets_transitive(perms, n: int) -> bool:
-    """True iff the group generated by the permutations acts transitively
-    on the n sheets: joining them one by one leaves one orbit."""
-    orbits = tuple(1 << i for i in range(n))
-    for p in perms:
-        orbits = join_sheets(orbits, p)
-    return orbits[0] == (1 << n) - 1
-
-
 def is_connected_cover(v: VoltageAssignment) -> bool:
     """True iff the derived graph is connected."""
     return is_connected(derive(v)[0])
 
 
-def lift_subgraph(proj: CoverProjection, sub_labels, sub_edges=None) -> tuple[LabeledGraph, dict[int, int]]:
-    """Preimage of a base subgraph under the projection.
-
-    ``sub_labels`` names the base vertices (by label); ``sub_edges``
-    optionally restricts to specific base edges (as label pairs),
-    defaulting to all base edges among the chosen vertices.
-    """
+def lift_subgraph(proj: CoverProjection, sub_labels) -> tuple[LabeledGraph, dict[int, int]]:
+    """Preimage of the base subgraph induced on the vertices that
+    ``sub_labels`` names (by label): the source vertices over them and
+    the source edges over base edges among them."""
     base = proj.base
     try:
         sub_vs = {base.label_to_vertex[lab] for lab in sub_labels}
     except KeyError as exc:
         raise CoverError(f"label {exc.args[0]!r} not in base") from exc
-    if sub_edges is None:
-        allowed = {
-            (u, w) for u, w in base.graph.edges if u in sub_vs and w in sub_vs
-        }
-    else:
-        allowed = set()
-        for la, lb in sub_edges:
-            a, b = base.label_to_vertex[la], base.label_to_vertex[lb]
-            e = (a, b) if a < b else (b, a)
-            if e not in base.graph.edge_set or a not in sub_vs or b not in sub_vs:
-                raise CoverError(f"edge {(la, lb)!r} not contained in the base subgraph")
-            allowed.add(e)
+    allowed = {(u, w) for u, w in base.graph.edges if u in sub_vs and w in sub_vs}
     g = proj.source
     vmap = proj.vertex_map
     keep = [v for v in range(g.n) if vmap[v] in sub_vs]

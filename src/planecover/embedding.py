@@ -152,9 +152,6 @@ class PlaneEmbedding(_PlaneEmbeddingFields):
                 out[d] = i
         return out
 
-    def face_lengths(self) -> list[int]:
-        return sorted(f.length for f in self.faces)
-
     def boundary_vertices(self) -> frozenset[int]:
         return self.outer.vertex_set
 
@@ -170,29 +167,18 @@ class PlaneEmbedding(_PlaneEmbeddingFields):
         g = self.graph
         keep = set(vertices)
         sub, vmap = g.induced_subgraph(keep)
+        if not sub.simple:
+            raise EmbeddingError("restrict requires a simple subgraph")
         emap = {}
         for old_id, (u, v) in enumerate(g.edges):
             if u in keep and v in keep:
-                emap[old_id] = sub.edges.index((vmap[u], vmap[v])) if sub.simple else None
-        if not sub.simple or None in emap.values():
-            raise EmbeddingError("restrict requires a simple subgraph")
+                emap[old_id] = sub.edges.index((vmap[u], vmap[v]))
         rot = []
         for v in range(g.n):
             if v in keep:
                 rot.append(tuple(emap[e] for e in self.rotation[v] if e in emap))
         emb = PlaneEmbedding(sub, tuple(rot), 0)
         return emb, vmap, emap
-
-
-def make_embedding(graph: LabeledGraph, rotation, outer_face: int | None = None) -> PlaneEmbedding:
-    """Build and validate an embedding; the default outer face is face 0,
-    the lexicographically least face walk."""
-    return PlaneEmbedding(graph, tuple(tuple(r) for r in rotation), outer_face or 0)
-
-
-def reembed_with_outer(emb: PlaneEmbedding, face_id: int) -> PlaneEmbedding:
-    """Same rotation system with the outer face reassigned."""
-    return PlaneEmbedding(emb.graph, emb.rotation, face_id)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +466,7 @@ def planarity(g: LabeledGraph) -> PlaneEmbedding | KuratowskiWitness:
         rotation = []
         for v in range(g.n):
             rotation.append(tuple(edge_id[(v, u) if v < u else (u, v)] for u in data[v]))
-        return make_embedding(g, rotation)
+        return PlaneEmbedding(g, tuple(rotation))
     try:
         sub = nx.algorithms.planarity.get_counterexample(G)
     except nx.NetworkXException as exc:

@@ -15,7 +15,7 @@ import sys
 from importlib import resources
 
 from .covers import SemiCover, derive, label_projection, normalized_assignment, verify_cover
-from .embedding import PlaneEmbedding, planarity, reembed_with_outer
+from .embedding import PlaneEmbedding, planarity
 from .graphs import K4NEG, LabeledGraph, make_base
 from . import io as pio
 from .structure import QuotientGraph
@@ -32,11 +32,11 @@ def _embed(g: LabeledGraph, outer_length: int | None = None) -> PlaneEmbedding:
         candidates = [i for i, f in enumerate(emb.faces) if f.length == outer_length]
         if not candidates:
             raise AssertionError(f"no face of length {outer_length} to pick as outer")
-        emb = reembed_with_outer(emb, candidates[0])
+        emb = PlaneEmbedding(emb.graph, emb.rotation, candidates[0])
     else:
         nontri = [i for i, f in enumerate(emb.faces) if f.length > 3]
         if nontri:
-            emb = reembed_with_outer(emb, nontri[0])
+            emb = PlaneEmbedding(emb.graph, emb.rotation, nontri[0])
     return emb
 
 
@@ -191,7 +191,7 @@ def two_trapezia() -> SemiCover:
     # the outer face must be the one without triangle content
     for i, f in enumerate(emb.faces):
         if f.length == 9 and not any(g2.labels[v] > 0 for u in f.vertices for v in g2.adj[u]):
-            emb = reembed_with_outer(emb, i)
+            emb = PlaneEmbedding(emb.graph, emb.rotation, i)
             break
     return SemiCover(emb, _K1222)
 
@@ -214,7 +214,7 @@ def crowded_face() -> SemiCover:
     emb = _embed(g2, outer_length=9)
     for i, f in enumerate(emb.faces):
         if f.length == 9 and not any(g2.labels[v] > 0 for u in f.vertices for v in g2.adj[u]):
-            emb = reembed_with_outer(emb, i)
+            emb = PlaneEmbedding(emb.graph, emb.rotation, i)
             break
     return SemiCover(emb, _K1222)
 
@@ -250,7 +250,7 @@ def support_case(case: int) -> SemiCover:
     outer = next(
         i for i, f in enumerate(emb.faces) if {2, 7} <= f.vertex_set
     )
-    return SemiCover(reembed_with_outer(emb, outer), _K1222)
+    return SemiCover(PlaneEmbedding(emb.graph, emb.rotation, outer), _K1222)
 
 
 def fold_six_fragment() -> SemiCover:
@@ -307,39 +307,15 @@ def _k4_double_cover():
     return derive(va)
 
 
-def _search_spec(name: str) -> dict:
-    specs = {
-        "k1222-n2": {
-            "mode": "covers",
-            "base": "k1222",
-            "n": 2,
-            "filters": ["connected", "planar"],
-            "dedup": True,
-            "budget": 10**9,
-        },
-        "k4-n1": {
-            "mode": "covers",
-            "base": "k4",
-            "n": 1,
-            "filters": ["connected", "planar"],
-            "dedup": True,
-            "budget": 10**9,
-        },
-        "k4-n2": {
-            "mode": "covers",
-            "base": "k4",
-            "n": 2,
-            "filters": ["connected", "planar"],
-            "dedup": True,
-            "budget": 10**9,
-        },
-        "k4-h-le-5": {
-            "mode": "fragments",
-            "h_max": 5,
-            "budget": 10**9,
-        },
+def _covers_spec(base: str, n: int) -> dict:
+    return {
+        "mode": "covers",
+        "base": base,
+        "n": n,
+        "filters": ["connected", "planar"],
+        "dedup": True,
+        "budget": 10**9,
     }
-    return specs[name]
 
 
 def fixture_objects() -> dict[str, dict]:
@@ -367,8 +343,9 @@ def fixture_objects() -> dict[str, dict]:
     out["k4-double.graph"] = pio.graph_to_obj(dbl)
     out["k4-double.map"] = pio.vertex_map_to_obj(proj.vertex_map)
     out["k4-double.broken-map"] = pio.vertex_map_to_obj(list(proj.vertex_map[:-1]) + [0])
-    for name in ("k1222-n2", "k4-n1", "k4-n2", "k4-h-le-5"):
-        out[f"spec-{name}"] = _search_spec(name)
+    for base, n in (("k1222", 2), ("k4", 1), ("k4", 2)):
+        out[f"spec-{base}-n{n}"] = _covers_spec(base, n)
+    out["spec-k4-h-le-5"] = {"mode": "fragments", "h_max": 5, "budget": 10**9}
     return out
 
 
@@ -392,15 +369,13 @@ def load_fixture_obj(name: str) -> dict:
         return json.load(fh)
 
 
-def regen(target_dir=None) -> list[str]:
+def regen() -> list[str]:
     """Rewrite the golden fixture files from the constructors."""
     import pathlib
 
-    objs = fixture_objects()
-    base = pathlib.Path(target_dir) if target_dir else pathlib.Path(__file__).parent / "fixtures"
-    base.mkdir(parents=True, exist_ok=True)
+    base = pathlib.Path(__file__).parent / "fixtures"
     written = []
-    for name, obj in objs.items():
+    for name, obj in fixture_objects().items():
         path = base / f"{name}.json"
         path.write_text(pio.dumps(obj), encoding="utf-8")
         written.append(str(path))

@@ -39,7 +39,6 @@ def labels_adjacent(a: int, b: int) -> bool:
 class _LabeledGraphFields(NamedTuple):
     labels: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    simple: bool
 
 
 class LabeledGraph(_LabeledGraphFields):
@@ -47,11 +46,10 @@ class LabeledGraph(_LabeledGraphFields):
 
     ``labels[v]`` is the label of vertex ``v`` (vertices are 0..n-1) and
     ``edges`` is a sorted tuple of normalized ``(u, v)`` pairs with
-    ``u < v``; repeated pairs encode parallel edges.  ``simple`` declares
-    that parallel edges are forbidden.
+    ``u < v``; repeated pairs encode parallel edges.
     """
 
-    def __new__(cls, labels, edges, simple: bool = True):
+    def __new__(cls, labels, edges):
         n = len(labels)
         norm = []
         for e in edges:
@@ -62,9 +60,7 @@ class LabeledGraph(_LabeledGraphFields):
                 raise GraphError(f"edge {e} out of range for {n} vertices")
             norm.append((u, v) if u < v else (v, u))
         norm.sort()
-        if simple and any(norm[i] == norm[i + 1] for i in range(len(norm) - 1)):
-            raise GraphError("parallel edges in a graph declared simple")
-        return super().__new__(cls, tuple(labels), tuple(norm), simple)
+        return super().__new__(cls, tuple(labels), tuple(norm))
 
     @property
     def n(self) -> int:
@@ -96,6 +92,11 @@ class LabeledGraph(_LabeledGraphFields):
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
+    @cached_property
+    def simple(self) -> bool:
+        """No two edges join the same pair of vertices."""
+        return len(self.edge_set) == self.m
+
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -106,20 +107,12 @@ class LabeledGraph(_LabeledGraphFields):
         """Every edge joins vertices whose labels are adjacent in the base."""
         return all(labels_adjacent(self.labels[u], self.labels[v]) for u, v in self.edges)
 
-    def relabel_vertices(self, perm: list[int]) -> "LabeledGraph":
-        """Image under a vertex renumbering (perm maps old id to new id)."""
-        labels = [0] * self.n
-        for v in range(self.n):
-            labels[perm[v]] = self.labels[v]
-        edges = [(perm[u], perm[v]) for u, v in self.edges]
-        return LabeledGraph(tuple(labels), tuple(edges), self.simple)
-
     def induced_subgraph(self, vertices) -> tuple["LabeledGraph", dict[int, int]]:
         """Induced subgraph plus the old-id -> new-id map."""
         keep = sorted(set(vertices))
         new_id = {v: i for i, v in enumerate(keep)}
         edges = [(new_id[u], new_id[v]) for u, v in self.edges if u in new_id and v in new_id]
-        return LabeledGraph(tuple(self.labels[v] for v in keep), tuple(edges), self.simple), new_id
+        return LabeledGraph(tuple(self.labels[v] for v in keep), tuple(edges)), new_id
 
 
 def _component(g: LabeledGraph, start: int) -> list[int]:
@@ -319,7 +312,6 @@ def find_cycles_covering(g: LabeledGraph, base_cycle, base: BaseGraph) -> list[C
     lifted = LabeledGraph(
         g.labels,
         tuple(e for e in g.edges if frozenset((g.labels[e[0]], g.labels[e[1]])) in pairs),
-        simple=False,
     )
     comps = []
     for comp in connected_components(lifted):
@@ -374,6 +366,10 @@ def _certificate(g: LabeledGraph, colors: list[int]) -> bytes:
     return repr((g.n, labels, edges)).encode()
 
 
+# No module of the package calls canonical_form.  It stays here only
+# because the benchmark's workloads import it from this module; moving it
+# to the test oracles (ROADMAP item 6) waits on the benchmark change of
+# ROADMAP item 1, which drops that import.
 def canonical_form(g: LabeledGraph) -> bytes:
     """Canonical byte string: equal iff a label-preserving isomorphism
     maps one graph onto the other.

@@ -11,7 +11,7 @@ import json
 from typing import Any
 
 from .covers import SemiCover, VoltageAssignment
-from .embedding import PlaneEmbedding, make_embedding
+from .embedding import PlaneEmbedding
 from .graphs import GraphError, LabeledGraph, make_base
 
 #: The largest fold a voltage file may give: reading builds the n-sheet
@@ -50,8 +50,7 @@ def graph_from_obj(obj: dict) -> LabeledGraph:
             raise FormatError("every edge must be a pair of integer vertex ids")
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad graph object: {exc}") from exc
-    simple = len(set(tuple(sorted(e)) for e in edges)) == len(edges)
-    return LabeledGraph(tuple(labels), tuple(edges), simple=simple)
+    return LabeledGraph(tuple(labels), tuple(edges))
 
 
 def embedding_to_obj(emb: PlaneEmbedding) -> dict:
@@ -75,7 +74,7 @@ def embedding_from_obj(obj: dict) -> PlaneEmbedding:
         raise FormatError("every rotation entry must be an edge id 0..m-1")
     if outer is not None and type(outer) is not int:
         raise FormatError(f"outer_face must be an integer face id, not {outer!r}")
-    return make_embedding(g, rotation, outer)
+    return PlaneEmbedding(g, tuple(rotation), outer or 0)
 
 
 def semicover_to_obj(sc: SemiCover) -> dict:
@@ -146,8 +145,8 @@ _LABEL_COLORS = {
 }
 
 
-def graph_to_dot(g: LabeledGraph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: LabeledGraph) -> str:
+    lines = ["graph G {"]
     for v in range(g.n):
         color = _LABEL_COLORS.get(g.labels[v], "gray")
         lines.append(
@@ -176,8 +175,8 @@ def quotient_to_obj(q) -> dict:
     }
 
 
-def report_to_obj(report, exclusions=None) -> dict:
-    obj = {
+def report_to_obj(report, exclusions) -> dict:
+    return {
         "faces": [
             {
                 "face_id": f.face_id,
@@ -207,13 +206,11 @@ def report_to_obj(report, exclusions=None) -> dict:
         "necklace": report.necklace,
         "conditions": dict(report.conditions),
         "outer_face": report.h_outer,
-    }
-    if exclusions is not None:
-        obj["exclusions"] = {
+        "exclusions": {
             "necklace": exclusions.necklace,
             "two_internal_faces": exclusions.two_internal_faces,
             "bead_sharing": [list(x) for x in exclusions.bead_sharing],
             "excluded": exclusions.excluded,
             "reasons": list(exclusions.reasons()),
-        }
-    return obj
+        },
+    }

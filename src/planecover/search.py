@@ -650,7 +650,7 @@ def _quotient_matrices(a: int):
     for mat in _degree_matrices(a):
         if any(_column_sorted(rows)[0] > mat for rows in itertools.permutations(mat)):
             continue
-        if is_connected(LabeledGraph(labels, _matrix_edges(mat), simple=False)):
+        if is_connected(LabeledGraph(labels, _matrix_edges(mat))):
             yield mat
 
 

@@ -331,7 +331,7 @@ def refine_faces(sc: SemiCover) -> FaceRefinement:
         (dart_face[2 * eid], dart_face[2 * eid + 1])
         for eid in range(g.m)
         if eid not in h_edge_ids and dart_face[2 * eid] != dart_face[2 * eid + 1]
-    ), simple=False)
+    ))
     region = {f: comp[0] for comp in connected_components(face_graph) for f in comp}
 
     # Identify each region with the fragment face holding its darts.

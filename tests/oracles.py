@@ -32,7 +32,10 @@ gate is checked against the components of that lift.  The reference
 bead-demand search is the unpruned placement search that ``min_beads``
 replaced: it checks the face demands and the bead-sharing pairs only at
 the leaves, and counts the beads two faces share from their own edge
-sets, not through the search module's helpers.
+sets, not through the search module's helpers.  The small helpers only
+the tests need live here too: the identity assignment, the transitivity
+test that folds ``join_sheets`` over a voltage, an embedding's sorted
+face lengths and a vertex renumbering of a graph.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ from planecover.covers import (
     conjugacy_representatives,
     derive,
     derived_edges,
+    join_sheets,
     normalized_assignment,
-    sheets_transitive,
 )
 from planecover.embedding import (
     PlaneEmbedding,
@@ -61,6 +64,7 @@ from planecover.embedding import (
 )
 from planecover.graphs import (
     K4NEG,
+    BaseGraph,
     LabeledGraph,
     canonical_form,
     find_cycles_covering,
@@ -84,6 +88,34 @@ from planecover.structure import (
     find_beads,
     quotient_graph,
 )
+
+
+def identity_assignment(base: BaseGraph, n: int) -> VoltageAssignment:
+    """The n-sheet assignment with the identity on every base edge."""
+    ident = tuple(range(n))
+    return VoltageAssignment(base, n, tuple(ident for _ in range(base.graph.m)))
+
+
+def sheets_transitive(perms, n: int) -> bool:
+    """True iff the group generated by the permutations acts transitively
+    on the n sheets: joining them one by one leaves one orbit."""
+    orbits = tuple(1 << i for i in range(n))
+    for p in perms:
+        orbits = join_sheets(orbits, p)
+    return orbits[0] == (1 << n) - 1
+
+
+def face_lengths(emb: PlaneEmbedding) -> list[int]:
+    """The lengths of an embedding's faces, sorted."""
+    return sorted(f.length for f in emb.faces)
+
+
+def relabel_vertices(g: LabeledGraph, perm) -> LabeledGraph:
+    """Image of g under a vertex renumbering (perm maps old id to new id)."""
+    labels = [0] * g.n
+    for v in range(g.n):
+        labels[perm[v]] = g.labels[v]
+    return LabeledGraph(tuple(labels), tuple((perm[u], perm[v]) for u, v in g.edges))
 
 
 def _adj_sets(g: LabeledGraph):

@@ -615,6 +615,7 @@ def test_derive_output_digest(tmp_path, capsys):
     out = tmp_path / "derived.json"
     assert main(["derive", vp, "--out", str(out)]) == 0
     capsys.readouterr()
+    assert "canonical" not in json.loads(out.read_text())
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "333563858e9147c0adf077a4ec91b374de4231afdf94c447fa61b4ea08bd99ff"
+        "6be13e8321bd23e010baa482223a5d964c70aa75acabdff00ed5a395431b12d5"
     )

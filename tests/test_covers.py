@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from oracles import orbit_sizes, permutation_order, triangle_net_voltage
+from oracles import (
+    identity_assignment,
+    orbit_sizes,
+    permutation_order,
+    sheets_transitive,
+    triangle_net_voltage,
+)
 
 from planecover.covers import (
     CoverError,
@@ -12,17 +18,15 @@ from planecover.covers import (
     VoltageAssignment,
     conjugacy_representatives,
     derive,
-    identity_assignment,
     is_connected_cover,
     join_sheets,
     label_projection,
     lift_subgraph,
     normalized_assignment,
-    sheets_transitive,
     verify_cover,
     verify_semicover,
 )
-from planecover.embedding import is_planar
+from planecover.embedding import PlaneEmbedding, is_planar
 from planecover.fixtures import hub_violation, necklace, single_bead
 from planecover.graphs import (
     LabeledGraph,
@@ -63,11 +67,10 @@ def test_collapsing_map_violation():
 
 
 def test_semicover_of_genuine_cover_any_outer():
-    from planecover.embedding import reembed_with_outer
-
     sc = necklace(4)
-    for fid in range(len(sc.embedding.faces)):
-        sc2 = SemiCover(reembed_with_outer(sc.embedding, fid), sc.base)
+    emb = sc.embedding
+    for fid in range(len(emb.faces)):
+        sc2 = SemiCover(PlaneEmbedding(emb.graph, emb.rotation, fid), sc.base)
         assert verify_semicover(sc2).ok
 
 
@@ -185,7 +188,7 @@ def test_lift_k4_part_of_k1222_cover():
 def test_lift_triangle_identity_net():
     va = normalized_assignment(K4, 3, [(0, 1, 2)] * 3)
     g, proj = derive(va)
-    lifted, _ = lift_subgraph(proj, (0, -1, -2), [(0, -1), (-1, -2), (0, -2)])
+    lifted, _ = lift_subgraph(proj, (0, -1, -2))
     comps = connected_components(lifted)
     # net voltage of (0,-1,-2) is the identity: three disjoint triangles
     net = triangle_net_voltage(va, (0, -1, -2))
@@ -197,7 +200,7 @@ def test_lift_triangle_identity_net():
 def test_lift_rejects_outside_subgraph():
     _, proj = derive(identity_assignment(K4, 1))
     with pytest.raises(CoverError):
-        lift_subgraph(proj, (0, -1), [(0, -3)])
+        lift_subgraph(proj, (0, -1, 1))
 
 
 def test_lift_cycle_lengths_match_net_voltage_orbits():

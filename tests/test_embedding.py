@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from oracles import lr_planar, planar_by_subdivision_search
+from oracles import face_lengths, lr_planar, planar_by_subdivision_search, relabel_vertices
 
 from planecover import embedding
 from planecover.covers import derive, normalized_assignment
@@ -14,11 +14,9 @@ from planecover.embedding import (
     cover_face_conditions,
     fold_from_single_long_face,
     is_peripheral,
-    make_embedding,
     planar_edges,
     planar_rows,
     planarity,
-    reembed_with_outer,
     validate_kuratowski,
 )
 from planecover.fixtures import hexagon_cover, necklace
@@ -38,7 +36,7 @@ def _octahedron():
 def test_k4_planar_four_triangles():
     emb = planarity(make_base("k4").graph)
     assert isinstance(emb, PlaneEmbedding)
-    assert emb.face_lengths() == [3, 3, 3, 3]
+    assert face_lengths(emb) == [3, 3, 3, 3]
 
 
 def test_k5_witness():
@@ -70,13 +68,13 @@ def test_planarity_requires_connected():
 
 def test_faces_octahedron():
     emb = planarity(_octahedron())
-    assert emb.face_lengths() == [3] * 8
+    assert face_lengths(emb) == [3] * 8
 
 
 def test_faces_cube_double_cover():
     cube, _ = derive(normalized_assignment(make_base("k4"), 2, [(1, 0)] * 3))
     emb = planarity(cube)
-    assert emb.face_lengths() == [4] * 6
+    assert face_lengths(emb) == [4] * 6
 
 
 def test_faces_sum_and_euler():
@@ -89,7 +87,7 @@ def test_faces_sum_and_euler():
 def test_malformed_rotation_rejected():
     g = make_base("k4").graph
     with pytest.raises(EmbeddingError):
-        make_embedding(g, [(0, 1), (0, 3, 4), (1, 2, 5), (2, 4, 5)])
+        PlaneEmbedding(g, ((0, 1), (0, 3, 4), (1, 2, 5), (2, 4, 5)))
     # genus-1 rotation of K4 is rejected by the Euler check
     rots = None
     emb = planarity(g)
@@ -100,7 +98,7 @@ def test_malformed_rotation_rejected():
         trial = [list(r) for r in base_rot]
         trial[v] = trial[v][::-1]
         try:
-            make_embedding(g, trial)
+            PlaneEmbedding(g, tuple(map(tuple, trial)))
         except EmbeddingError:
             found_bad = True
     assert found_bad
@@ -108,13 +106,13 @@ def test_malformed_rotation_rejected():
 
 def test_reembed_involution_and_face_multiset():
     emb = planarity(make_base("k4").graph)
-    other = reembed_with_outer(emb, (emb.outer_face + 1) % len(emb.faces))
-    assert other.face_lengths() == emb.face_lengths()
-    back = reembed_with_outer(other, emb.outer_face)
+    other = PlaneEmbedding(emb.graph, emb.rotation, (emb.outer_face + 1) % len(emb.faces))
+    assert face_lengths(other) == face_lengths(emb)
+    back = PlaneEmbedding(other.graph, other.rotation, emb.outer_face)
     assert back == emb
     assert len(other.faces) == 4
     with pytest.raises(EmbeddingError):
-        reembed_with_outer(emb, 99)
+        PlaneEmbedding(emb.graph, emb.rotation, 99)
 
 
 def test_internal_nontriangular_count_changes_by_one():
@@ -122,7 +120,7 @@ def test_internal_nontriangular_count_changes_by_one():
     emb = necklace(3).embedding
     counts = set()
     for fid in range(len(emb.faces)):
-        e2 = reembed_with_outer(emb, fid)
+        e2 = PlaneEmbedding(emb.graph, emb.rotation, fid)
         counts.add(
             sum(1 for i, f in enumerate(e2.faces) if i != fid and f.length > 3)
         )
@@ -132,11 +130,11 @@ def test_internal_nontriangular_count_changes_by_one():
 def test_face_multiset_stable_under_relabeling_3connected():
     rng = random.Random(5)
     for g in (make_base("k4").graph, _octahedron()):
-        ref = planarity(g).face_lengths()
+        ref = face_lengths(planarity(g))
         for _ in range(10):
             perm = list(range(g.n))
             rng.shuffle(perm)
-            assert planarity(g.relabel_vertices(perm)).face_lengths() == ref
+            assert face_lengths(planarity(relabel_vertices(g, perm))) == ref
 
 
 def test_is_peripheral():

@@ -10,14 +10,13 @@ import itertools
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import connectivity_by_cut_search, negative_lift_by_components
+from oracles import connectivity_by_cut_search, negative_lift_by_components, sheets_transitive
 
 from planecover import graphs, search, structure
 from planecover.covers import (
     conjugacy_representatives,
     derive,
     normalized_assignment,
-    sheets_transitive,
 )
 from planecover.graphs import ALPHABET, LabeledGraph, connectivity, make_base
 from planecover.search import voltage_orbits
@@ -85,7 +84,7 @@ def _labelled_multigraphs(draw):
         n = 2
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
     edges += draw(st.lists(pairs, max_size=n))
-    return LabeledGraph(tuple(labels), tuple(edges), simple=False)
+    return LabeledGraph(tuple(labels), tuple(edges))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

@@ -4,7 +4,9 @@ Every name a module of ``planecover`` imports is used in it (the package
 ``__init__`` re-exports and is exempt), every function, class, method
 and module-level constant the package defines is referenced somewhere in
 ``src/``, ``tests/`` or ``perfbench/`` as a name read, an attribute or an
-import, and every parameter of a package function is read in its body.
+import, a definition that only ``tests/`` references is a module-level
+name the package exports (test-only helpers live in ``tests/oracles.py``),
+and every parameter of a package function is read in its body.
 No module imports ``dataclasses``: its import and the code each
 decoration generates cost start-up time on every CLI run.
 """
@@ -62,10 +64,12 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name
 
 
-def _references() -> set[str]:
+def _references(tops=SCANNED, skip=None) -> set[str]:
     refs: set[str] = set()
-    for top in SCANNED:
+    for top in tops:
         for path in top.rglob("*.py"):
+            if path == skip:
+                continue
             for node in ast.walk(_parse(path)):
                 if isinstance(node, ast.Name):
                     if not isinstance(node.ctx, ast.Store):  # a name only assigned is dead
@@ -97,6 +101,22 @@ def test_every_definition_is_referenced():
         if name not in refs
     ]
     assert not dead, dead
+
+
+def test_no_test_only_code_in_the_package():
+    # a definition that only tests/ references is test code and belongs in
+    # tests/oracles.py, unless it is a module-level name the package
+    # exports; the package __init__'s own imports do not count as uses
+    init = PACKAGE / "__init__.py"
+    exported = set(_imported_names(_parse(init)))
+    refs = _references((ROOT / "src", ROOT / "perfbench"), skip=init)
+    test_only = [
+        f"{path.name}: {qual}"
+        for path in _modules()
+        for qual, name in _definitions(_parse(path))
+        if name not in refs and (qual != name or name not in exported)
+    ]
+    assert not test_only, test_only
 
 
 def test_every_parameter_is_read():

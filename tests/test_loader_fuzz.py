@@ -9,6 +9,7 @@ The files no small mutation reaches are cases of their own.
 """
 
 import copy
+import json
 import os
 import resource
 import subprocess
@@ -121,16 +122,34 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
 
 
-@pytest.mark.parametrize("command, obj", HUGE_CASES, ids=["derive-n-1e9", "derive-n-past-the-limit"])
-def test_huge_inputs_exit_cleanly(tmp_path, command, obj):
+def _run_cli(tmp_path, command, obj, timeout, *args):
     # run in a child under a memory limit and a time limit, so that a fold
     # built in full fails there instead of taking the test run's memory
     path = tmp_path / "input.json"
     path.write_text(pio.dumps(obj), encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-m", "planecover.cli", command, str(path)],
-        env=env, capture_output=True, text=True, preexec_fn=_limit_memory, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "planecover.cli", command, str(path), *args],
+        env=env, capture_output=True, text=True, preexec_fn=_limit_memory, timeout=timeout,
     )
+
+
+@pytest.mark.parametrize("command, obj", HUGE_CASES, ids=["derive-n-1e9", "derive-n-past-the-limit"])
+def test_huge_inputs_exit_cleanly(tmp_path, command, obj):
+    out = _run_cli(tmp_path, command, obj, 120)
     assert out.returncode == 3, out.stderr
     assert "'n' must be an integer up to" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_derive_of_many_identical_components_is_prompt(tmp_path):
+    # the 10-sheet identity over K4 is ten disjoint copies of K4: derive
+    # builds and checks it at once, with no search over the symmetries of
+    # identical components
+    out_path = tmp_path / "out.json"
+    obj = {"base": "k4", "n": 10, "edges": []}
+    out = _run_cli(tmp_path, "derive", obj, 30, "--out", str(out_path))
+    assert out.returncode == 0, out.stderr
+    derived = json.loads(out_path.read_text(encoding="utf-8"))
+    assert "canonical" not in derived
+    assert derived["valid"] and derived["fold"] is None
+    assert derived["per_component_folds"] == [1] * 10

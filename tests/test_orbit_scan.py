@@ -11,6 +11,7 @@ from oracles import (
     format_one_fragments,
     format_two_fragments,
     reference_scan_chunk,
+    sheets_transitive,
 )
 
 from planecover import embedding, graphs, search
@@ -20,7 +21,6 @@ from planecover.covers import (
     conjugacy_representatives,
     derive,
     normalized_assignment,
-    sheets_transitive,
 )
 from planecover.graphs import canonical_form, make_base
 from planecover.search import (

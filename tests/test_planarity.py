@@ -28,7 +28,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def _agrees(nverts: int, edges) -> bool:
     """planar_edges' verdict, after checking it against the oracle."""
     got = planar_edges(nverts, edges)
-    assert got == lr_planar(LabeledGraph((0,) * nverts, tuple(edges), simple=False)), edges
+    assert got == lr_planar(LabeledGraph((0,) * nverts, tuple(edges))), edges
     return got
 
 
@@ -195,7 +195,7 @@ def test_planar_rows_agrees_with_networkx_on_random_k4_covers_at_folds_5_to_7():
             ]
             edges = derived_edges(base.graph.edges, n, perms)
             got = planar_rows(adjacency_rows(4 * n, edges), len(edges))
-            assert got == lr_planar(LabeledGraph((0,) * (4 * n), tuple(edges), simple=False)), (n, perms)
+            assert got == lr_planar(LabeledGraph((0,) * (4 * n), tuple(edges))), (n, perms)
             verdicts.append(got)
     assert verdicts.count(True) > 10 and verdicts.count(False) > 100
 
@@ -211,9 +211,9 @@ def test_planarity_raises_when_networkx_disagrees(monkeypatch):
 
 def test_import_leaves_networkx_out(tmp_path):
     # analyze, quotient, bounds, a fold-2 covers search and a fold 1-4
-    # fragments search need no networkx, and neither they nor the import
-    # load dataclasses (with inspect) or hashlib; derive loads hashlib, and
-    # building an embedding networkx
+    # fragments search need no networkx, and neither they, derive nor the
+    # import load dataclasses (with inspect) or hashlib; building an
+    # embedding loads networkx
     volt = tmp_path / "volt.json"
     volt.write_text('{"base": "k4", "n": 2, "edges": [{"from": 1, "to": 2, "perm": [1, 0]}]}')
     fragments = tmp_path / "fragments.json"
@@ -239,4 +239,4 @@ def test_import_leaves_networkx_out(tmp_path):
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout.splitlines()[-1]) == [[], [], ["hashlib"], True]
+    assert json.loads(out.stdout.splitlines()[-1]) == [[], [], [], True]

@@ -11,6 +11,7 @@ gives an equal record of the same class; and the two places that build a
 import pickle
 
 import pytest
+from oracles import identity_assignment
 
 from planecover import fixtures as fx
 from planecover import structure
@@ -20,7 +21,6 @@ from planecover.covers import (
     CoverVerdict,
     SemiCover,
     VoltageAssignment,
-    identity_assignment,
     label_projection,
     verify_cover,
 )
