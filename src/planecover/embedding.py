@@ -352,27 +352,41 @@ def adjacency_rows(nverts: int, edges) -> list[int]:
     return rows
 
 
+def has_thin_edge(rows: list[int], vertices, within: int = -1) -> bool:
+    """Whether some edge from a vertex of ``vertices`` to a vertex of the
+    bitmask ``within`` has endpoints with fewer than two common neighbours
+    in the bitmask adjacency rows ``rows``.
+
+    In a triangulation with V >= 4 every edge lies on two facial triangles
+    with distinct third vertices, so a thin edge rules one out.  The rule
+    reads only the rows of the edge's endpoints: once those rows are
+    final, so is the verdict on the edge.
+    """
+    for u in vertices:
+        row = rows[u]
+        rest = row & within
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if (row & rows[bit.bit_length() - 1]).bit_count() < 2:
+                return True
+    return False
+
+
 def planar_rows(rows: list[int], m: int) -> bool:
     """Planarity of the simple graph with bitmask adjacency rows ``rows``
     and ``m`` edges: the package's one planarity decision.
 
     A simple planar graph with V >= 3 has at most 3V - 6 edges, and one
-    with exactly 3V - 6 is a triangulation: for V >= 4 every edge then
-    lies on two facial triangles with distinct third vertices, so its
-    endpoints have two common neighbours.  Graphs failing either count are
-    rejected before the left-right test runs.
+    with exactly 3V - 6 is a triangulation, which has no thin edge
+    (:func:`has_thin_edge`).  Graphs failing either count are rejected
+    before the left-right test runs.
     """
     nverts = len(rows)
     if nverts >= 3 and m > 3 * nverts - 6:
         return False
-    if nverts >= 4 and m == 3 * nverts - 6:
-        for row in rows:
-            rest = row
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                if (row & rows[bit.bit_length() - 1]).bit_count() < 2:
-                    return False
+    if nverts >= 4 and m == 3 * nverts - 6 and has_thin_edge(rows, range(nverts)):
+        return False
     return _lr_planar(rows)
 
 

@@ -38,8 +38,8 @@ def graph_from_obj(obj: dict) -> LabeledGraph:
     try:
         verts = obj["vertices"]
         ids = [v["id"] for v in verts]
-        if sorted(ids) != list(range(len(ids))):
-            raise FormatError("vertex ids must be 0..n-1")
+        if not all(type(x) is int for x in ids) or sorted(ids) != list(range(len(ids))):
+            raise FormatError("vertex ids must be the integers 0..n-1")
         labels = [0] * len(ids)
         for v in verts:
             labels[v["id"]] = v["label"]
@@ -106,7 +106,7 @@ def voltage_from_obj(obj: dict) -> VoltageAssignment:
         given = {}
         for e in obj["edges"]:
             edge = (e["from"], e["to"])
-            if edge not in perms:
+            if not all(type(x) is int for x in edge) or edge not in perms:
                 raise ValueError(f"{list(edge)} is not a base edge from the lower to the higher id")
             if edge in given:
                 raise ValueError(f"edge {list(edge)} is given twice")

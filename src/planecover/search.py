@@ -43,8 +43,9 @@ from .covers import (
     join_sheets,
     normalized_assignment,
 )
-from .embedding import adjacency_rows, planar_rows, trace_faces
+from .embedding import adjacency_rows, has_thin_edge, planar_rows, trace_faces
 from .graphs import (
+    K1222,
     K4NEG,
     BaseGraph,
     LabeledGraph,
@@ -105,8 +106,9 @@ class SearchSpec(_SearchSpecFields):
         """Parse a covers-mode spec object; ``budget`` replaces the
         object's own when given."""
         n = spec_int(obj, "n")
-        if not isinstance(obj.get("base"), str):
-            raise SearchError("search spec lacks a 'base' name")
+        base = obj.get("base")
+        if base not in (K1222, K4NEG):
+            raise SearchError(f"search spec 'base' must be {K1222!r} or {K4NEG!r}, not {base!r}")
         for key, value in _FIXED_SPEC_FIELDS.items():
             given = obj.get(key, value)
             if type(given) is not type(value) or given != value:
@@ -115,7 +117,7 @@ class SearchSpec(_SearchSpecFields):
                     f"{given!r}: covers mode keeps the connected planar covers, one per class"
                 )
         return cls(
-            base=obj["base"],
+            base=base,
             n=n,
             budget=spec_int(obj, "budget", 10**9) if budget is None else budget,
         )
@@ -225,9 +227,16 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
     order: by voltage.
 
     The tuples come in lexicographic order, so the scan keeps one level
-    per cotree edge (the derived graph's adjacency rows and sheet orbits)
-    and rebuilds only the levels from the first coordinate that changed: a
-    level ORs in its edge's lifted rows and joins its voltage to the orbits.
+    per cotree edge (the derived graph's adjacency rows, sheet orbits and
+    a dead flag) and rebuilds only the levels from the first coordinate
+    that changed: a level ORs in its edge's lifted rows and joins its
+    voltage to the orbits.  Once the orbits are one, every completion is
+    transitive and deeper levels share them.  When every cover has 3V - 6
+    edges it is planar only if it is a triangulation; a derived vertex's
+    row is final once its base vertex's last cotree edge is in, and a thin
+    edge between final vertices (``has_thin_edge``) makes the prefix dead:
+    every completion is non-planar, so deeper levels skip their rows and
+    the leaf skips ``planar_rows``.
     """
     g = base.graph
     nverts = g.n * n
@@ -247,6 +256,16 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
     ]
     rows = [adjacency_rows(nverts, derived_edges(tree, n, perms[:1] * len(tree)))] * (depth + 2)
     orbits = [tuple(1 << i for i in range(n))] * (depth + 2)
+    # at level k, the first k cotree edges in: fresh[k] lists the derived
+    # vertices whose rows become final there, final[k] is the bitmask of all
+    # final ones; both stay empty unless the thin-edge rule applies
+    fresh = [[] for _ in range(depth + 2)]
+    if nverts >= 4 and m == 3 * nverts - 6:
+        last = {b: k + 1 for k, e in enumerate(cotree) for b in g.edges[e]}
+        for b in range(g.n):
+            fresh[last.get(b, 0)].extend(range(b * n, b * n + n))
+    final = list(itertools.accumulate(sum(1 << v for v in vs) for vs in fresh))
+    dead = [has_thin_edge(rows[0], fresh[0], final[0])] * (depth + 2)
     prev = (None,) * (depth + 1)
     for volt, cent, stab in voltage_orbits(n, firsts, depth):
         weight = cent // stab
@@ -255,13 +274,18 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
             k += 1
         for k in range(k, depth + 1):
             p = volt[k]
-            rows[k + 1] = [a | b for a, b in zip(rows[k], lifts[k][p])]
-            orbits[k + 1] = join_sheets(orbits[k], p)
+            o = orbits[k]
+            orbits[k + 1] = o if o[0] == one_orbit else join_sheets(o, p)
+            if dead[k]:
+                dead[k + 1] = True
+                continue
+            rows[k + 1] = level = [a | b for a, b in zip(rows[k], lifts[k][p])]
+            dead[k + 1] = has_thin_edge(level, fresh[k + 1], final[k + 1])
         prev = volt
         if orbits[-1][0] != one_orbit:
             continue
         connected_count += weight
-        if not planar_rows(rows[-1], m):
+        if dead[-1] or not planar_rows(rows[-1], m):
             continue
         planar_count += weight
         classes.append((volt, weight))

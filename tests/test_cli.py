@@ -312,6 +312,7 @@ def test_trapezium_face_quotient_failure_is_handled(tmp_path, capsys):
             "filters": ["connected", "planar", "admissible", "exclusions"],
         },
         {"mode": "covers", "base": "k4", "n": 2, "dedup": False},
+        {"mode": "covers", "base": "k5", "n": 2},
     ],
     ids=[
         "empty",
@@ -325,6 +326,7 @@ def test_trapezium_face_quotient_failure_is_handled(tmp_path, capsys):
         "filters-connected-only",
         "filters-structural",
         "dedup-false",
+        "unknown-base",
     ],
 )
 def test_search_malformed_spec_exits_three(tmp_path, capsys, spec):
@@ -332,6 +334,7 @@ def test_search_malformed_spec_exits_three(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert rc == 3
     assert "error: " in err and "Traceback" not in err
+    assert "scanning" not in err  # refused before the scan's progress line
     # a covers spec may restate the fixed fields only with their one value
     for field in ("filters", "dedup"):
         if isinstance(spec, dict) and field in spec:
@@ -396,6 +399,14 @@ def _k4_double_cover_with(*edges):
     return {"base": "k4", "n": 2, "edges": list(edges)}
 
 
+def _k4_with_bool_ids():
+    """K4 with vertex ids 0 and 1 written as false and true."""
+    obj = pio.graph_to_obj(make_base("k4").graph)
+    for v, b in zip(obj["vertices"], (False, True)):
+        v["id"] = b
+    return obj
+
+
 def _necklace_with_map(kind=int, drop=0):
     """The necklace4 fixture with its label projection as an explicit
     vertex map, its entries of the given type, the last ``drop`` left out."""
@@ -429,6 +440,8 @@ def _necklace_with_map(kind=int, drop=0):
         ("derive", {"base": "k4", "n": True, "edges": []}),
         ("derive", {"base": "k4", "n": "2", "edges": []}),
         ("derive", _k4_double_cover_with({"from": 0, "to": 1, "perm": [1.0, 0.0]})),
+        ("derive", _k4_double_cover_with({"from": True, "to": 2, "perm": [1, 0]})),
+        ("embed", _k4_with_bool_ids()),
         ("analyze", _necklace_with_map(kind=float)),
         ("analyze", _necklace_with_map(drop=1)),
     ],
@@ -451,6 +464,8 @@ def _necklace_with_map(kind=int, drop=0):
         "derive-n-a-bool",
         "derive-n-a-string",
         "derive-perm-of-floats",
+        "derive-edge-end-a-bool",
+        "embed-vertex-ids-bools",
         "analyze-map-of-floats",
         "analyze-map-too-short",
     ],

@@ -54,18 +54,26 @@ def test_orbit_scan_matches_brute_force_k1222_n2():
 
 def test_k1222_n2_scan_leaves_four_covers_to_the_lr_test(monkeypatch):
     # every connected fold-2 cover has 14 vertices and 36 = 3V - 6 edges,
-    # so the triangulation pre-check decides all but four of them
-    lr = embedding._lr_planar
-    calls = []
+    # so it is planar only if it is a triangulation: the thin-edge rule on
+    # voltage prefixes leaves four of the 4,095 to the leaf decision, and
+    # those four pass its triangulation pre-check to the LR test
+    lr, rows = embedding._lr_planar, search.planar_rows
+    calls, leaves = [], []
 
     def counted(adj):
         calls.append(adj)
         return lr(adj)
 
+    def leaf(adj, m):
+        leaves.append(adj)
+        return rows(adj, m)
+
     monkeypatch.setattr(embedding, "_lr_planar", counted)
+    monkeypatch.setattr(search, "planar_rows", leaf)
     got = _scan_chunk(make_base("k1222"), 2, conjugacy_representatives(2))
     assert got[2] == 0
     assert len(calls) == 4
+    assert len(leaves) == 4
 
 
 @pytest.mark.slow

@@ -19,7 +19,14 @@ from oracles import lr_planar
 
 from planecover import embedding, search
 from planecover.covers import derived_edges
-from planecover.embedding import EmbeddingError, adjacency_rows, planar_edges, planar_rows, planarity
+from planecover.embedding import (
+    EmbeddingError,
+    adjacency_rows,
+    has_thin_edge,
+    planar_edges,
+    planar_rows,
+    planarity,
+)
 from planecover.graphs import LabeledGraph, make_base
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -87,6 +94,43 @@ def test_planar_edges_agrees_with_networkx_on_cubic_graphs():
         for seed in range(8)
     ]
     assert verdicts.count(True) > 20 and verdicts.count(False) > 20
+
+
+@st.composite
+def _triangulation_sized(draw):
+    """(vertex count, edge list) with exactly 3V - 6 distinct edges: a
+    stacked triangulation (planar), one with an edge moved, or random
+    edges; vertex ids and edge order shuffled."""
+    n = draw(st.integers(4, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    kind = draw(st.sampled_from(["stacked", "moved", "random"]))
+    if kind == "random":
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=3 * n - 6, max_size=3 * n - 6, unique=True))
+    else:
+        edges, faces = [(0, 1), (1, 2), (0, 2)], [(0, 1, 2), (0, 1, 2)]
+        for v in range(3, n):
+            a, b, c = faces.pop(draw(st.integers(0, len(faces) - 1)))
+            edges += [(a, v), (b, v), (c, v)]
+            faces += [(a, b, v), (b, c, v), (a, c, v)]
+        if kind == "moved" and n > 4:
+            edges.pop(draw(st.integers(0, len(edges) - 1)))
+            edges.append(draw(st.sampled_from([e for e in pairs if e not in edges])))
+    perm = draw(st.permutations(range(n)))
+    return n, draw(st.permutations([(perm[u], perm[v]) for u, v in edges]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_triangulation_sized(), st.data())
+def test_thin_edge_between_final_vertices_rules_out_planarity(graph, data):
+    # the scan's prefix rule: once every edge at both ends of a thin edge is
+    # in, no completion to 3V - 6 edges is planar
+    n, edges = graph
+    prefix = edges[: data.draw(st.integers(0, len(edges)))]
+    degree = [sum(v in e for e in edges) for v in range(n)]
+    final = [v for v in range(n) if sum(v in e for e in prefix) == degree[v]]
+    if has_thin_edge(adjacency_rows(n, prefix), final, sum(1 << v for v in final)):
+        assert not planar_rows(adjacency_rows(n, edges), len(edges))
+        assert not lr_planar(LabeledGraph((0,) * n, tuple(edges)))
 
 
 def _subdivided(rng, base_edges, nverts):
