@@ -2,10 +2,11 @@
 
 Covers are enumerated through normalized voltage assignments (spanning
 tree fixed to the identity).  Sheet relabeling acts on them by
-simultaneous conjugation of the cotree voltages, so the scan visits one
-tuple per conjugation orbit: the first cotree voltage runs over conjugacy
-class representatives, and each later one over orbit representatives of
-the stabilizer of the voltages before it.  Both bases have pairwise
+simultaneous conjugation of the cotree voltages, so one walk of the tree
+of voltage prefixes visits one tuple per conjugation orbit: the first
+cotree voltage runs over conjugacy class representatives, and each later
+one over orbit representatives of the stabilizer of the prefix before
+it (``_orbit_reps``).  Both bases have pairwise
 distinct vertex labels, so a label-preserving isomorphism of derived
 graphs fixes every fiber, agrees along the identity tree edges, and is
 one sheet permutation: distinct orbits give covers in distinct
@@ -167,23 +168,18 @@ def _conjugate(g, p) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _orbit_tuples(group, perms, depth: int):
-    """One tuple per orbit of ``group`` acting on ``depth``-tuples of
-    ``perms`` by simultaneous conjugation, with the tuple's stabilizer.
+def _orbit_reps(group, perms):
+    """One voltage per orbit of ``group`` acting on ``perms`` by
+    conjugation, with its stabilizer in ``group``.
 
-    ``perms`` must be in increasing order.  Each coordinate is taken as
-    the least of its orbit under the stabilizer of the coordinates before
-    it, so every yielded tuple is the lexicographic least of its orbit.
-    Yields (tuple, stabilizer) pairs.
+    ``perms`` must be in increasing order; each yielded voltage is the
+    least of its orbit.  Yields (voltage, stabilizer) pairs.
     """
-    if depth == 0:
-        yield (), group
-        return
     if len(group) == 1 or len(perms) <= 2:
         # conjugation acts trivially: the group is trivial, or it lies in
         # S_n for n <= 2, which is abelian
-        for rest in itertools.product(perms, repeat=depth):
-            yield rest, group
+        for p in perms:
+            yield p, group
         return
     seen = set()
     for p in perms:
@@ -195,25 +191,7 @@ def _orbit_tuples(group, perms, depth: int):
             seen.add(q)
             if q == p:
                 stabilizer.append(g)
-        for rest, final in _orbit_tuples(tuple(stabilizer), perms, depth - 1):
-            yield (p, *rest), final
-
-
-def voltage_orbits(n: int, firsts, depth: int):
-    """Orbits of normalized cotree voltages under sheet relabeling.
-
-    For each first voltage ``c`` in ``firsts`` (conjugacy class
-    representatives), yields one ``(c, t_1, ..., t_depth)`` per orbit of
-    the centralizer of ``c`` acting by simultaneous conjugation, as
-    (voltage, centralizer size, stabilizer size).  The voltage is the
-    least of its orbit, and the orbit holds centralizer size / stabilizer
-    size of the tuples that start with ``c``.
-    """
-    perms = tuple(itertools.permutations(range(n)))
-    for first in firsts:
-        centralizer = tuple(g for g in perms if _conjugate(g, first) == first)
-        for rest, stabilizer in _orbit_tuples(centralizer, perms, depth):
-            yield (first, *rest), len(centralizer), len(stabilizer)
+        yield p, tuple(stabilizer)
 
 
 def _scan_chunk(base: BaseGraph, n: int, firsts):
@@ -226,17 +204,20 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
     assignment count) for each class of connected planar covers, in scan
     order: by voltage.
 
-    The tuples come in lexicographic order, so the scan keeps one level
-    per cotree edge (the derived graph's adjacency rows, sheet orbits and
-    a dead flag) and rebuilds only the levels from the first coordinate
-    that changed: a level ORs in its edge's lifted rows and joins its
-    voltage to the orbits.  Once the orbits are one, every completion is
-    transitive and deeper levels share them.  When every cover has 3V - 6
-    edges it is planar only if it is a triangulation; a derived vertex's
-    row is final once its base vertex's last cotree edge is in, and a thin
-    edge between final vertices (``has_thin_edge``) makes the prefix dead:
-    every completion is non-planar, so deeper levels skip their rows and
-    the leaf skips ``planar_rows``.
+    The scan walks the tree of voltage prefixes depth first, one level per
+    cotree edge; a prefix's children are the ``_orbit_reps`` of its
+    stabilizer (a first voltage's, of its centralizer), and a child's
+    weight, the size of its orbit, is its parent's times the index of its
+    stabilizer.  Each prefix ORs its edge's lifted rows into its parent's
+    adjacency rows and joins its voltage to the sheet orbits; once the
+    orbits are one, every completion is transitive.  When every cover has
+    3V - 6 edges it is planar only if it is a triangulation; a derived
+    vertex's row is final once its base vertex's last cotree edge is in,
+    and a thin edge between final vertices (``has_thin_edge``) makes the
+    prefix dead: every completion is non-planar, so deeper prefixes skip
+    their rows and leaves skip ``planar_rows``.  A dead prefix whose orbits
+    are one is counted whole, its weight times (n!)^k for the k cotree
+    edges left: every completion is connected and none planar.
     """
     g = base.graph
     nverts = g.n * n
@@ -254,41 +235,44 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
         {p: adjacency_rows(nverts, derived_edges((g.edges[e],), n, (p,))) for p in perms}
         for e in cotree
     ]
-    rows = [adjacency_rows(nverts, derived_edges(tree, n, perms[:1] * len(tree)))] * (depth + 2)
-    orbits = [tuple(1 << i for i in range(n))] * (depth + 2)
-    # at level k, the first k cotree edges in: fresh[k] lists the derived
-    # vertices whose rows become final there, final[k] is the bitmask of all
-    # final ones; both stay empty unless the thin-edge rule applies
+    # with the first k cotree edges in, fresh[k] lists the derived vertices
+    # whose rows become final, final[k] is the bitmask of all final ones;
+    # both stay empty unless the thin-edge rule applies
     fresh = [[] for _ in range(depth + 2)]
     if nverts >= 4 and m == 3 * nverts - 6:
         last = {b: k + 1 for k, e in enumerate(cotree) for b in g.edges[e]}
         for b in range(g.n):
             fresh[last.get(b, 0)].extend(range(b * n, b * n + n))
     final = list(itertools.accumulate(sum(1 << v for v in vs) for vs in fresh))
-    dead = [has_thin_edge(rows[0], fresh[0], final[0])] * (depth + 2)
-    prev = (None,) * (depth + 1)
-    for volt, cent, stab in voltage_orbits(n, firsts, depth):
-        weight = cent // stab
-        k = 0
-        while volt[k] == prev[k]:
-            k += 1
-        for k in range(k, depth + 1):
-            p = volt[k]
-            o = orbits[k]
-            orbits[k + 1] = o if o[0] == one_orbit else join_sheets(o, p)
-            if dead[k]:
-                dead[k + 1] = True
-                continue
-            rows[k + 1] = level = [a | b for a, b in zip(rows[k], lifts[k][p])]
-            dead[k + 1] = has_thin_edge(level, fresh[k + 1], final[k + 1])
-        prev = volt
-        if orbits[-1][0] != one_orbit:
-            continue
-        connected_count += weight
-        if dead[-1] or not planar_rows(rows[-1], m):
-            continue
-        planar_count += weight
-        classes.append((volt, weight))
+
+    def visit(k, volt, group, weight, rows, orbits, dead):
+        # cotree edge k takes the last voltage of ``volt``, whose parent
+        # prefix has the given rows, orbits and dead flag; ``group`` is the
+        # stabilizer of ``volt`` and ``weight`` the size of its orbit
+        nonlocal connected_count, planar_count
+        p = volt[-1]
+        if orbits[0] != one_orbit:
+            orbits = join_sheets(orbits, p)
+        if not dead:
+            rows = [a | b for a, b in zip(rows, lifts[k][p])]
+            dead = has_thin_edge(rows, fresh[k + 1], final[k + 1])
+        transitive = orbits[0] == one_orbit
+        if k == depth or dead and transitive:
+            if transitive:
+                connected_count += weight * len(perms) ** (depth - k)
+                if not dead and planar_rows(rows, m):
+                    planar_count += weight
+                    classes.append((volt, weight))
+            return
+        for q, stabilizer in _orbit_reps(group, perms):
+            index = len(group) // len(stabilizer)
+            visit(k + 1, (*volt, q), stabilizer, weight * index, rows, orbits, dead)
+
+    rows = adjacency_rows(nverts, derived_edges(tree, n, perms[:1] * len(tree)))
+    dead = has_thin_edge(rows, fresh[0], final[0])
+    for first in firsts:
+        centralizer = tuple(h for h in perms if _conjugate(h, first) == first)
+        visit(0, (first,), centralizer, 1, rows, tuple(1 << i for i in range(n)), dead)
     return visited, connected_count, planar_count, classes
 
 

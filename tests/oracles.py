@@ -34,8 +34,13 @@ replaced: it checks the face demands and the bead-sharing pairs only at
 the leaves, and counts the beads two faces share from their own edge
 sets, not through the search module's helpers.  The small helpers only
 the tests need live here too: the identity assignment, the transitivity
-test that folds ``join_sheets`` over a voltage, an embedding's sorted
-face lengths and a vertex renumbering of a graph.
+test that folds ``join_sheets`` over a voltage, the orbit tuples of a
+fold, an embedding's sorted face lengths and a vertex renumbering of a
+graph.  The orbit tuples are the leaves of the scan's prefix tree, found
+by a short recursion over the package's per-level rule ``_orbit_reps``,
+so the orbit counts that the tests check against P. and M. Hall's hold
+that rule; the scan's own weights are checked against M. Hall's
+transitive-triple counts directly.
 """
 
 from __future__ import annotations
@@ -74,9 +79,10 @@ from planecover.graphs import (
 from planecover.search import (
     MinBeadsResult,
     SearchError,
+    _conjugate,
+    _orbit_reps,
     estimate_nodes,
     search_k4_fragments,
-    voltage_orbits,
 )
 from planecover.structure import (
     QuotientError,
@@ -103,6 +109,32 @@ def sheets_transitive(perms, n: int) -> bool:
     for p in perms:
         orbits = join_sheets(orbits, p)
     return orbits[0] == (1 << n) - 1
+
+
+def voltage_orbits(n: int, firsts, depth: int):
+    """Orbits of normalized cotree voltages under sheet relabeling: for
+    each first voltage ``c`` in ``firsts`` (conjugacy class
+    representatives), one ``(c, t_1, ..., t_depth)`` per orbit of the
+    centralizer of ``c`` acting by simultaneous conjugation, each t_i from
+    ``_orbit_reps`` of the stabilizer of the coordinates before it.
+
+    Yields (voltage, centralizer size, stabilizer size).  The voltage is
+    the least of its orbit, and the orbit holds centralizer size /
+    stabilizer size of the tuples that start with ``c``.
+    """
+    perms = tuple(itertools.permutations(range(n)))
+
+    def extend(volt, group, left):
+        if left == 0:
+            yield volt, len(group)
+            return
+        for p, stabilizer in _orbit_reps(group, perms):
+            yield from extend((*volt, p), stabilizer, left - 1)
+
+    for first in firsts:
+        centralizer = tuple(g for g in perms if _conjugate(g, first) == first)
+        for volt, stab in extend((first,), centralizer, depth):
+            yield volt, len(centralizer), stab
 
 
 def face_lengths(emb: PlaneEmbedding) -> list[int]:

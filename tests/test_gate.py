@@ -10,7 +10,12 @@ import itertools
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import connectivity_by_cut_search, negative_lift_by_components, sheets_transitive
+from oracles import (
+    connectivity_by_cut_search,
+    negative_lift_by_components,
+    sheets_transitive,
+    voltage_orbits,
+)
 
 from planecover import graphs, search, structure
 from planecover.covers import (
@@ -19,7 +24,6 @@ from planecover.covers import (
     normalized_assignment,
 )
 from planecover.graphs import ALPHABET, LabeledGraph, connectivity, make_base
-from planecover.search import voltage_orbits
 from planecover.structure import negative_lift_triangular
 
 K4 = make_base("k4")

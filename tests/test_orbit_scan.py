@@ -4,6 +4,7 @@ the format-1 and format-2 certificates and the pinned certificate bytes."""
 import functools
 import hashlib
 import math
+from collections import Counter
 
 import pytest
 from oracles import (
@@ -12,6 +13,7 @@ from oracles import (
     format_two_fragments,
     reference_scan_chunk,
     sheets_transitive,
+    voltage_orbits,
 )
 
 from planecover import embedding, graphs, search
@@ -29,7 +31,6 @@ from planecover.search import (
     enumerate_covers,
     enumerate_quotients,
     search_k4_fragments,
-    voltage_orbits,
 )
 
 def _both_scans(kind, n):
@@ -56,24 +57,27 @@ def test_k1222_n2_scan_leaves_four_covers_to_the_lr_test(monkeypatch):
     # every connected fold-2 cover has 14 vertices and 36 = 3V - 6 edges,
     # so it is planar only if it is a triangulation: the thin-edge rule on
     # voltage prefixes leaves four of the 4,095 to the leaf decision, and
-    # those four pass its triangulation pre-check to the LR test
-    lr, rows = embedding._lr_planar, search.planar_rows
-    calls, leaves = [], []
+    # those four pass its triangulation pre-check to the LR test.  A dead
+    # prefix whose sheet orbits are one is counted whole, so the walk
+    # expands 483 prefixes, not the 4,096 leaves, and joins sheet orbits
+    # 24 times
+    calls = {}
 
-    def counted(adj):
-        calls.append(adj)
-        return lr(adj)
+    def count(module, name):
+        real = getattr(module, name)
 
-    def leaf(adj, m):
-        leaves.append(adj)
-        return rows(adj, m)
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
 
-    monkeypatch.setattr(embedding, "_lr_planar", counted)
-    monkeypatch.setattr(search, "planar_rows", leaf)
+        monkeypatch.setattr(module, name, counted)
+
+    count(embedding, "_lr_planar")
+    for name in ("planar_rows", "_orbit_reps", "join_sheets"):
+        count(search, name)
     got = _scan_chunk(make_base("k1222"), 2, conjugacy_representatives(2))
-    assert got[2] == 0
-    assert len(calls) == 4
-    assert len(leaves) == 4
+    assert got[:3] == (4096, 4095, 0)
+    assert calls == {"_lr_planar": 4, "planar_rows": 4, "_orbit_reps": 483, "join_sheets": 24}
 
 
 @pytest.mark.slow
@@ -110,6 +114,34 @@ def test_hall_orbit_sum_identity(n):
                 weighted += math.factorial(n) // stab
         assert (orbits, transitive) == ORBIT_COUNTS[length][n], length
         assert weighted == HALL_TRANSITIVE_TUPLES[length][n], length
+
+
+def _centralizer_order(c) -> int:
+    """|C(c)| in S_n from the cycle type of c: the product over cycle
+    lengths k of k^m * m!, m the number of k-cycles."""
+    lengths, seen = [], set()
+    for start in range(len(c)):
+        j, k = start, 0
+        while j not in seen:
+            seen.add(j)
+            j, k = c[j], k + 1
+        if k:
+            lengths.append(k)
+    return math.prod(k**m * math.factorial(m) for k, m in Counter(lengths).items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_scan_weights_sum_to_hall_transitive_triples(n):
+    # the walk's weights, products of stabilizer indices along each path:
+    # a first voltage c's connected count, times the n!/|C(c)| conjugates
+    # of c, summed over the cycle types gives every transitive triple of
+    # S_n, K4 having three cotree edges
+    k4 = make_base("k4")
+    total = sum(
+        math.factorial(n) // _centralizer_order(c) * _scan_chunk(k4, n, [c])[1]
+        for c in conjugacy_representatives(n)
+    )
+    assert total == HALL_TRANSITIVE_TUPLES[3][n]
 
 
 # -- format 3 against formats 2 and 1 --------------------------------------
