@@ -17,7 +17,6 @@ one.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
@@ -75,10 +74,13 @@ def label_projection(source: LabeledGraph, base: BaseGraph) -> CoverProjection:
 
 
 def verify_cover(source: LabeledGraph, base: BaseGraph, vertex_map) -> CoverVerdict:
-    """Check the bijective neighbor condition and equal fiber sizes.
+    """Check the bijective neighbor condition.
 
-    Returns the fold number on success; on a connected source with
-    unequal fibers or any local failure, reports the offending vertex.
+    Returns the fold number on success, or reports the offending vertex.
+    The condition fixes the fold: over each base edge xy the source edges
+    match the fibers of x and y one to one (two vertices of one fiber with
+    the same neighbor over y would repeat an image at that neighbor), so
+    each component meets every fiber of the connected base equally often.
     Disconnected sources report per-component folds instead of one fold.
     """
     vertex_map = tuple(vertex_map)
@@ -94,21 +96,10 @@ def verify_cover(source: LabeledGraph, base: BaseGraph, vertex_map) -> CoverVerd
             return CoverVerdict(False, violation=Violation(v, "neighbor images repeat", images))
         if set(images) != target:
             return CoverVerdict(False, violation=Violation(v, "neighbor images miss the base neighborhood", images))
-    fibers = Counter(vertex_map)
-    sizes = {fibers[b] for b in range(base.graph.n)}
     if is_connected(source):
-        if len(sizes) != 1:
-            worst = max(range(source.n), key=lambda v: fibers[vertex_map[v]])
-            return CoverVerdict(False, violation=Violation(worst, "unequal fiber sizes on a connected source", ()))
-        return CoverVerdict(True, fold=sizes.pop())
-    folds = []
-    for comp in connected_components(source):
-        sub_fibers = Counter(vertex_map[v] for v in comp)
-        comp_sizes = set(sub_fibers.values())
-        if len(comp_sizes) != 1 or len(sub_fibers) != base.graph.n:
-            return CoverVerdict(False, violation=Violation(comp[0], "component is not a cover", ()))
-        folds.append(comp_sizes.pop())
-    return CoverVerdict(True, fold=None, per_component_folds=tuple(folds))
+        return CoverVerdict(True, fold=source.n // base.graph.n)
+    folds = tuple(len(comp) // base.graph.n for comp in connected_components(source))
+    return CoverVerdict(True, fold=None, per_component_folds=folds)
 
 
 # ---------------------------------------------------------------------------
@@ -119,21 +110,17 @@ def verify_cover(source: LabeledGraph, base: BaseGraph, vertex_map) -> CoverVerd
 class _SemiCoverFields(NamedTuple):
     embedding: PlaneEmbedding
     base: BaseGraph
-    vertex_map: tuple[int, ...] | None = None
 
 
 class SemiCover(_SemiCoverFields):
-    """A plane graph with a projection claim onto a base.
+    """A plane graph whose vertex labels project it onto a base.
 
     Interior vertices must satisfy the bijective neighbor condition,
-    outer-face vertices only the injective one.  The vertex map defaults
-    to the one induced by labels.
+    outer-face vertices only the injective one.
     """
 
     @cached_property
     def projection(self) -> CoverProjection:
-        if self.vertex_map is not None:
-            return CoverProjection(self.embedding.graph, self.base, tuple(self.vertex_map))
         return label_projection(self.embedding.graph, self.base)
 
     @property
@@ -152,7 +139,7 @@ def verify_semicover(sc: SemiCover) -> SemiCoverVerdict:
     vmap = sc.projection.vertex_map
     if set(vmap) != set(range(sc.base.graph.n)):
         raise CoverError("vertex_map is not onto the base")
-    boundary = sc.embedding.boundary_vertices()
+    boundary = sc.embedding.outer.vertex_set
     base_adj = [set(a) for a in sc.base.graph.adj]
     for v in range(g.n):
         images = tuple(sorted(vmap[u] for u in g.adj[v]))

@@ -152,9 +152,6 @@ class PlaneEmbedding(_PlaneEmbeddingFields):
                 out[d] = i
         return out
 
-    def boundary_vertices(self) -> frozenset[int]:
-        return self.outer.vertex_set
-
     def restrict(self, vertices) -> tuple["PlaneEmbedding", dict[int, int], dict[int, int]]:
         """Embedding induced on a vertex subset.
 

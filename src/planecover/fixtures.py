@@ -187,13 +187,7 @@ def two_trapezia() -> SemiCover:
     edges += [(w1, w2), (w1, w3), (w2, w3)]
     edges += [(w2, il3), (w1, il3), (w1, is2), (w3, is2)]  # type 1 in F1
     g2 = LabeledGraph(tuple(labels), tuple(edges))
-    emb = _embed(g2, outer_length=9)
-    # the outer face must be the one without triangle content
-    for i, f in enumerate(emb.faces):
-        if f.length == 9 and not any(g2.labels[v] > 0 for u in f.vertices for v in g2.adj[u]):
-            emb = PlaneEmbedding(emb.graph, emb.rotation, i)
-            break
-    return SemiCover(emb, _K1222)
+    return SemiCover(_embed(g2, outer_length=9), _K1222)
 
 
 def crowded_face() -> SemiCover:
@@ -211,12 +205,7 @@ def crowded_face() -> SemiCover:
     labels += [1, 2, 3]
     edges += [(b1, b2), (b1, b3), (b2, b3), (b1, pl), (b2, is1), (b3, il2)]
     g2 = LabeledGraph(tuple(labels), tuple(edges))
-    emb = _embed(g2, outer_length=9)
-    for i, f in enumerate(emb.faces):
-        if f.length == 9 and not any(g2.labels[v] > 0 for u in f.vertices for v in g2.adj[u]):
-            emb = PlaneEmbedding(emb.graph, emb.rotation, i)
-            break
-    return SemiCover(emb, _K1222)
+    return SemiCover(_embed(g2, outer_length=9), _K1222)
 
 
 def support_case(case: int) -> SemiCover:

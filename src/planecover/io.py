@@ -78,20 +78,21 @@ def embedding_from_obj(obj: dict) -> PlaneEmbedding:
 
 
 def semicover_to_obj(sc: SemiCover) -> dict:
-    obj = {"base": sc.base.kind, "embedding": embedding_to_obj(sc.embedding)}
-    if sc.vertex_map is not None:
-        obj["vertex_map"] = list(sc.vertex_map)
-    return obj
+    return {"base": sc.base.kind, "embedding": embedding_to_obj(sc.embedding)}
 
 
 def semicover_from_obj(obj: dict) -> SemiCover:
+    """Semi-cover from JSON.  Its projection is its vertex labels; a
+    ``vertex_map`` given beside them must restate that projection."""
     try:
         base = make_base(obj["base"])
         emb = embedding_from_obj(obj["embedding"])
     except (KeyError, TypeError, GraphError) as exc:
         raise FormatError(f"bad semicover object: {exc}") from exc
-    vmap = vertex_map_from_obj(obj) if "vertex_map" in obj else None
-    return SemiCover(emb, base, vmap)
+    sc = SemiCover(emb, base)
+    if "vertex_map" in obj and vertex_map_from_obj(obj) != sc.projection.vertex_map:
+        raise FormatError("vertex_map differs from the projection the vertex labels give")
+    return sc
 
 
 def voltage_from_obj(obj: dict) -> VoltageAssignment:
@@ -205,7 +206,7 @@ def report_to_obj(report, exclusions) -> dict:
         ],
         "necklace": report.necklace,
         "conditions": dict(report.conditions),
-        "outer_face": report.h_outer,
+        "outer_face": report.h_embedding.outer_face,
         "exclusions": {
             "necklace": exclusions.necklace,
             "two_internal_faces": exclusions.two_internal_faces,

@@ -504,9 +504,8 @@ def analyze_fragment_candidate(g: LabeledGraph) -> dict:
         face_beads = [sum(beads[e] for e in sides) for sides in q.face_edge_sides]
         thirds = [len(f) // 2 + face_beads[i] for i, f in enumerate(q.faces)]
         censuses.append(census_to_obj(q.census))
-        outer_choices += n_tri_faces  # triangular fragment faces as outer
-        if n_tri_faces:
-            excluded_by.add("outer_face_nontriangular")
+        outer_choices += n_tri_faces  # triangular fragment faces as outer, a or more
+        excluded_by.add("outer_face_nontriangular")
         for i in range(len(q.faces)):
             outer_choices += 1
             internal = [j for j in range(len(q.faces)) if j != i]

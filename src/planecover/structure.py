@@ -86,8 +86,6 @@ def face_label_pattern(face_labels) -> PatternResult:
             return PatternResult("mismatch", position=(i + 1) % k)
         if labs[(i + 2) % k] == 0:
             return PatternResult("mismatch", position=(i + 2) % k)
-    if len(zeros) != k // 3:
-        return PatternResult("mismatch", position=zeros[1])
     pairs = tuple(
         (labs[(start + off + 1) % k], labs[(start + off + 2) % k]) for off in range(0, k, 3)
     )
@@ -298,16 +296,13 @@ def detect_trapezia(sc: SemiCover) -> list[Trapezium]:
 # ---------------------------------------------------------------------------
 
 
-class FaceRefinement:
+class FaceRefinement(NamedTuple):
     """How the ambient embedding's faces subdivide the fragment's faces."""
 
-    def __init__(self, h_vertices, h_embedding, h_vmap, h_outer, triangles_in_face):
-        self.h_vertices: tuple[int, ...] = h_vertices
-        self.h_embedding: PlaneEmbedding = h_embedding
-        self.h_vmap: dict[int, int] = h_vmap  # ambient vertex id -> fragment vertex id
-        self.h_outer: int = h_outer  # fragment face id containing the ambient outer face
-        # fragment face -> (1,2,3) triangles
-        self.triangles_in_face: dict[int, tuple[tuple[int, int, int], ...]] = triangles_in_face
+    h_embedding: PlaneEmbedding  # outer: the fragment face holding the ambient outer face
+    h_vmap: dict[int, int]  # ambient vertex id -> fragment vertex id
+    # fragment face -> (1,2,3) triangles
+    triangles_in_face: dict[int, tuple[tuple[int, int, int], ...]]
 
 
 def refine_faces(sc: SemiCover) -> FaceRefinement:
@@ -361,13 +356,9 @@ def refine_faces(sc: SemiCover) -> FaceRefinement:
             raise StructureError(f"triangle {tri} spans multiple fragment faces")
         tri_in_face.setdefault(faces_touching.pop(), []).append(tri)
 
-    h_outer = group[emb.outer_face]
-    h_emb = PlaneEmbedding(h_emb.graph, h_emb.rotation, h_outer)
     return FaceRefinement(
-        h_vertices=h_vertices,
-        h_embedding=h_emb,
+        h_embedding=PlaneEmbedding(h_emb.graph, h_emb.rotation, group[emb.outer_face]),
         h_vmap=vmap,
-        h_outer=h_outer,
         triangles_in_face={k: tuple(v) for k, v in tri_in_face.items()},
     )
 
@@ -550,7 +541,6 @@ class StructureReport(NamedTuple):
     necklace: bool  # graph-level: the fragment is one cyclic bead chain
     bead_faces: tuple[tuple[int, int], ...]  # per bead: its two host faces
     conditions: dict
-    h_outer: int
     h_embedding: PlaneEmbedding  # the fragment embedding the refinement built
 
     @property
@@ -641,7 +631,7 @@ def admissibility_report(sc: SemiCover) -> StructureReport:
     hexagon_ok = True
     capacity_ok = True
     for i, f in enumerate(h_emb.faces):
-        internal = i != ref.h_outer
+        internal = i != h_emb.outer_face
         pattern = face_label_pattern(f.labels)
         tris = len(ref.triangles_in_face.get(i, ()))
         if f.length > 3 and pattern.kind != "pattern":
@@ -674,7 +664,6 @@ def admissibility_report(sc: SemiCover) -> StructureReport:
         necklace=is_necklace(h_emb, beads),
         bead_faces=tuple(bead_hosts),
         conditions=conditions,
-        h_outer=ref.h_outer,
         h_embedding=h_emb,
     )
 

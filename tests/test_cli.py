@@ -7,7 +7,7 @@ from planecover import cli
 from planecover import fixtures as fx
 from planecover import io as pio
 from planecover.cli import main
-from planecover.graphs import make_base
+from planecover.graphs import LabeledGraph, make_base
 
 
 def _write(tmp_path, name, obj):
@@ -27,6 +27,25 @@ def test_verify_cube_double_cover(capsys):
     rc = main(["verify", "--fixture", "k4-double", "--base", "k4"])
     assert rc == 0
     assert "fold 2" in capsys.readouterr().out
+
+
+def test_verify_disconnected_cover_reports_each_fold(tmp_path, capsys):
+    # K4 beside the two-fold cube, projected by labels
+    k4 = make_base("k4")
+    dbl = pio.graph_from_obj(fx.load_fixture_obj("k4-double.graph"))
+    g = LabeledGraph(
+        k4.graph.labels + dbl.labels,
+        k4.graph.edges + tuple((u + 4, v + 4) for u, v in dbl.edges),
+    )
+    vmap = [k4.label_to_vertex[lab] for lab in g.labels]
+    rc = main([
+        "verify",
+        _write(tmp_path, "g.json", pio.graph_to_obj(g)),
+        _write(tmp_path, "m.json", pio.vertex_map_to_obj(vmap)),
+        "--base", "k4",
+    ])
+    assert rc == 0
+    assert "folds [1, 2]" in capsys.readouterr().out
 
 
 def test_verify_broken_map(tmp_path, capsys):
@@ -480,6 +499,24 @@ def test_malformed_input_exits_three(tmp_path, capsys, command, obj):
 def test_analyze_accepts_an_explicit_vertex_map(tmp_path, capsys):
     # the map the malformed cases above spoil is itself accepted
     assert main(["analyze", _write(tmp_path, "sc.json", _necklace_with_map())]) == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "quotient"])
+def test_vertex_map_other_than_the_labels_exits_three(tmp_path, capsys, command):
+    # two_faces with the labels of a -1 and a -2 vertex swapped, and its
+    # true projection restated as the vertex map: the labels no longer
+    # give a semi-cover, and a file is read under its labels alone
+    obj = fx.load_fixture_obj("two_faces")
+    verts = obj["embedding"]["vertices"]
+    label_to_vertex = make_base(obj["base"]).label_to_vertex
+    obj["vertex_map"] = [label_to_vertex[v["label"]] for v in verts]
+    a = next(v for v in verts if v["label"] == -1)
+    b = next(v for v in verts if v["label"] == -2)
+    a["label"], b["label"] = -2, -1
+    rc = main([command, _write(tmp_path, "sc.json", obj)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "vertex_map" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

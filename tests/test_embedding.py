@@ -166,6 +166,19 @@ def test_cover_face_conditions_long_face_violation():
     assert rep.long_face_violations
 
 
+def test_cover_face_conditions_short_lift_violation():
+    # the triangular bipyramid over (0, 1, 2) with apexes 3 and -3 is K5
+    # without the 3 -- -3 edge, label-consistent over K(1,2,2,2); its
+    # (0, 1, 2) triangle separates the apexes, so it bounds no face
+    g = LabeledGraph(
+        (0, 1, 2, 3, -3), tuple(e for e in itertools.combinations(range(5), 2) if e != (3, 4))
+    )
+    rep = cover_face_conditions(planarity(g), make_base("k1222"), fold=1)
+    assert not rep.short_lifts_facial
+    assert rep.short_lift_violations == ((0, 1, 2),)
+    assert rep.no_long_triangle_face
+
+
 def test_identity_cover_error_path():
     # the identity projection of the base is not planar, so the face
     # conditions can never be evaluated on it

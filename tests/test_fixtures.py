@@ -5,6 +5,7 @@ import pytest
 from planecover import fixtures as fx
 from planecover import io as pio
 from planecover.covers import verify_semicover
+from planecover.structure import refine_faces
 
 
 def test_goldens_match_constructors():
@@ -32,6 +33,14 @@ def test_semicover_fixture_loads():
     sc = pio.semicover_from_obj(fx.load_fixture_obj("necklace4"))
     assert verify_semicover(sc).ok
     assert sc.base.kind == "k4"
+
+
+@pytest.mark.parametrize("name", ["two_trapezia", "crowded_face"])
+def test_outer_face_holds_no_positive_triangle(name):
+    # the (1,2,3) triangles lie in internal fragment faces
+    ref = refine_faces(getattr(fx, name)())
+    assert ref.triangles_in_face
+    assert ref.h_embedding.outer_face not in ref.triangles_in_face
 
 
 def test_unknown_fixture():

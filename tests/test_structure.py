@@ -19,6 +19,7 @@ from planecover.fixtures import (
 )
 from planecover.graphs import LabeledGraph, make_base
 from planecover.structure import (
+    PatternResult,
     QuotientError,
     StructureError,
     admissibility_report,
@@ -56,6 +57,12 @@ def test_pattern_mismatch_zero_spacing():
     res = face_label_pattern((0, -1, 0, -2, -3, -1))
     assert res.kind == "mismatch"
     assert res.position is not None
+
+
+def test_pattern_mismatch_inside_a_block():
+    # a block must start at a 0 and go on with two non-zero labels
+    assert face_label_pattern((0, -1, -2, -1, -2, -3)) == PatternResult("mismatch", position=3)
+    assert face_label_pattern((0, -1, -2, 0, 0, -2)) == PatternResult("mismatch", position=4)
 
 
 def test_pattern_rejects_foreign_labels():
@@ -196,7 +203,7 @@ def test_support_empty_face():
     internal = [
         i
         for i, f in enumerate(ref.h_embedding.faces)
-        if f.length > 3 and i != ref.h_outer
+        if f.length > 3 and i != ref.h_embedding.outer_face
     ]
     string = next(s for s in strings if s.type_label == -3)
     rep = triangles_supported_on_string(sc, string, internal[0], ref)
