@@ -13,7 +13,6 @@ from .bounds import (
     long_cycle_bounds,
 )
 from .covers import (
-    CoverProjection,
     SemiCover,
     VoltageAssignment,
     derive,

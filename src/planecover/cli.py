@@ -20,7 +20,6 @@ from . import io as pio
 from .bounds import BoundsError, fold_verdict
 from .covers import (
     CoverError,
-    CoverProjection,
     derive,
     lift_subgraph,
     normalized_assignment,
@@ -112,13 +111,16 @@ def _check_directory(path: str | None) -> None:
         raise InputError(f"output directory not usable: {probe} is not a directory")
 
 
-def cmd_verify(args) -> int:
-    gobj = _load_json(args.graph, args.fixture, ".graph")
-    mobj = _load_json(args.map, args.fixture, ".map")
-    g = pio.graph_from_obj(gobj)
-    vmap = pio.vertex_map_from_obj(mobj)
+def _load_cover(args):
+    """The graph, base and vertex map the command names, and their cover verdict."""
+    g = pio.graph_from_obj(_load_json(args.graph, args.fixture, ".graph"))
+    vmap = pio.vertex_map_from_obj(_load_json(args.map, args.fixture, ".map"))
     base = make_base(args.base)
-    verdict = verify_cover(g, base, vmap)
+    return g, base, vmap, verify_cover(g, base, vmap)
+
+
+def cmd_verify(args) -> int:
+    *_, verdict = _load_cover(args)
     if verdict.ok:
         if verdict.fold is not None:
             print(f"valid cover of {args.base}: fold {verdict.fold}")
@@ -135,12 +137,12 @@ def cmd_verify(args) -> int:
 def cmd_derive(args) -> int:
     vobj = _load_json(args.voltage, args.fixture)
     va = pio.voltage_from_obj(vobj)
-    g, proj = derive(va)
-    verdict = verify_cover(g, va.base, proj.vertex_map)
+    g, vmap = derive(va)
+    verdict = verify_cover(g, va.base, vmap)
     out = {
         "voltage": vobj,
         "graph": pio.graph_to_obj(g),
-        "vertex_map": list(proj.vertex_map),
+        "vertex_map": list(vmap),
         "fold": verdict.fold,
         "per_component_folds": list(verdict.per_component_folds),
         "valid": verdict.ok,
@@ -151,19 +153,14 @@ def cmd_derive(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    gobj = _load_json(args.graph, args.fixture, ".graph")
-    mobj = _load_json(args.map, args.fixture, ".map")
-    g = pio.graph_from_obj(gobj)
-    vmap = pio.vertex_map_from_obj(mobj)
-    base = make_base(args.base)
     try:
         labels = [int(x) for x in args.labels.split(",")]
     except ValueError as exc:
         raise InputError(f"--labels must be comma-separated integers: {args.labels!r}") from exc
-    verdict = verify_cover(g, base, vmap)
+    g, base, vmap, verdict = _load_cover(args)
     if not verdict.ok:
         raise InputError(f"not a cover: {verdict.violation}")
-    lifted, _ = lift_subgraph(CoverProjection(g, base, vmap), labels)
+    lifted, _ = lift_subgraph(g, base, vmap, labels)
     _write_out(args, pio.dumps(pio.graph_to_obj(lifted)))
     print(f"lift has {lifted.n} vertices, {lifted.m} edges", file=sys.stderr)
     return EXIT_OK

@@ -1,8 +1,9 @@
 """Covers, semi-covers, and permutation voltage assignments.
 
-A graph G covers a base K when some onto vertex map sends the neighbors
-of every vertex bijectively onto the neighbors of its image.  Plane
-semi-covers relax the condition to injectivity on the outer face.  All
+A graph G covers a base K when some onto vertex map, a tuple of base
+vertex ids, sends the neighbors of every vertex bijectively onto the
+neighbors of its image.  A plane semi-cover's map is its vertex labels,
+and it relaxes the condition to injectivity on the outer face alone.  All
 n-fold covers of a base arise from a permutation per edge (a voltage
 assignment).  Both bases are cones over the apex 0, so their spanning
 tree is the apex star; setting its voltages to the identity removes the
@@ -44,19 +45,6 @@ class Violation(NamedTuple):
         return f"vertex {self.vertex}: {self.reason} (neighbor images {list(self.neighbor_images)})"
 
 
-class _CoverProjectionFields(NamedTuple):
-    source: LabeledGraph
-    base: BaseGraph
-    vertex_map: tuple[int, ...]  # source vertex -> base vertex id
-
-
-class CoverProjection(_CoverProjectionFields):
-    def __new__(cls, source: LabeledGraph, base: BaseGraph, vertex_map):
-        if len(vertex_map) != source.n:
-            raise CoverError("vertex_map length does not match the source graph")
-        return super().__new__(cls, source, base, vertex_map)
-
-
 class CoverVerdict(NamedTuple):
     ok: bool
     fold: int | None = None
@@ -64,13 +52,36 @@ class CoverVerdict(NamedTuple):
     violation: Violation | None = None
 
 
-def label_projection(source: LabeledGraph, base: BaseGraph) -> CoverProjection:
+def label_projection(source: LabeledGraph, base: BaseGraph) -> tuple[int, ...]:
     """The projection induced by vertex labels (the usual convention)."""
     try:
-        vmap = tuple(base.label_to_vertex[lab] for lab in source.labels)
+        return tuple(base.label_to_vertex[lab] for lab in source.labels)
     except KeyError as exc:
         raise CoverError(f"source label {exc.args[0]!r} missing from base {base.kind!r}") from exc
-    return CoverProjection(source, base, vmap)
+
+
+def _neighbor_violation(source: LabeledGraph, base: BaseGraph, vertex_map, boundary) -> Violation | None:
+    """The first vertex whose neighbors do not map bijectively onto its
+    image's base neighbors, or None; those in ``boundary`` need only map
+    injectively into them."""
+    if len(vertex_map) != source.n:
+        raise CoverError("vertex_map length does not match the source graph")
+    for v, b in enumerate(vertex_map):
+        if not 0 <= b < base.graph.n:
+            raise CoverError(f"vertex {v} maps to {b}, which is not a vertex id of base {base.kind!r}")
+    missing = sorted(set(range(base.graph.n)) - set(vertex_map))
+    if missing:
+        raise CoverError(f"no vertex projects onto base labels {[base.graph.labels[b] for b in missing]}")
+    base_adj = [set(a) for a in base.graph.adj]
+    for v in range(source.n):
+        images = tuple(sorted(vertex_map[u] for u in source.adj[v]))
+        image_set = set(images)
+        target = base_adj[vertex_map[v]]
+        if len(images) != len(image_set) or not image_set <= target:
+            return Violation(v, "neighbor images not injective into the base neighborhood", images)
+        if v not in boundary and image_set != target:
+            return Violation(v, "interior vertex not bijective onto the base neighborhood", images)
+    return None
 
 
 def verify_cover(source: LabeledGraph, base: BaseGraph, vertex_map) -> CoverVerdict:
@@ -83,19 +94,9 @@ def verify_cover(source: LabeledGraph, base: BaseGraph, vertex_map) -> CoverVerd
     each component meets every fiber of the connected base equally often.
     Disconnected sources report per-component folds instead of one fold.
     """
-    vertex_map = tuple(vertex_map)
-    if len(vertex_map) != source.n:
-        raise CoverError("vertex_map length does not match the source graph")
-    if set(vertex_map) != set(range(base.graph.n)):
-        raise CoverError("vertex_map is not onto the base")
-    base_adj = [set(a) for a in base.graph.adj]
-    for v in range(source.n):
-        images = tuple(sorted(vertex_map[u] for u in source.adj[v]))
-        target = base_adj[vertex_map[v]]
-        if len(images) != len(set(images)):
-            return CoverVerdict(False, violation=Violation(v, "neighbor images repeat", images))
-        if set(images) != target:
-            return CoverVerdict(False, violation=Violation(v, "neighbor images miss the base neighborhood", images))
+    violation = _neighbor_violation(source, base, vertex_map, frozenset())
+    if violation is not None:
+        return CoverVerdict(False, violation=violation)
     if is_connected(source):
         return CoverVerdict(True, fold=source.n // base.graph.n)
     folds = tuple(len(comp) // base.graph.n for comp in connected_components(source))
@@ -120,7 +121,7 @@ class SemiCover(_SemiCoverFields):
     """
 
     @cached_property
-    def projection(self) -> CoverProjection:
+    def projection(self) -> tuple[int, ...]:
         return label_projection(self.embedding.graph, self.base)
 
     @property
@@ -128,27 +129,10 @@ class SemiCover(_SemiCoverFields):
         return self.embedding.graph
 
 
-class SemiCoverVerdict(NamedTuple):
-    ok: bool
-    violation: Violation | None = None
-
-
-def verify_semicover(sc: SemiCover) -> SemiCoverVerdict:
+def verify_semicover(sc: SemiCover) -> CoverVerdict:
     """Interior-bijective, boundary-injective neighbor conditions."""
-    g = sc.graph
-    vmap = sc.projection.vertex_map
-    if set(vmap) != set(range(sc.base.graph.n)):
-        raise CoverError("vertex_map is not onto the base")
-    boundary = sc.embedding.outer.vertex_set
-    base_adj = [set(a) for a in sc.base.graph.adj]
-    for v in range(g.n):
-        images = tuple(sorted(vmap[u] for u in g.adj[v]))
-        target = base_adj[vmap[v]]
-        if len(images) != len(set(images)) or not set(images) <= target:
-            return SemiCoverVerdict(False, Violation(v, "neighbor images not injective into the base neighborhood", images))
-        if v not in boundary and set(images) != target:
-            return SemiCoverVerdict(False, Violation(v, "interior vertex not bijective onto the base neighborhood", images))
-    return SemiCoverVerdict(True)
+    violation = _neighbor_violation(sc.graph, sc.base, sc.projection, sc.embedding.outer.vertex_set)
+    return CoverVerdict(violation is None, violation=violation)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +191,13 @@ def derived_edges(base_edges, n: int, perms) -> list[tuple[int, int]]:
     ]
 
 
-def derive(v: VoltageAssignment) -> tuple[LabeledGraph, CoverProjection]:
-    """Derived graph on (base vertex, sheet) pairs plus its projection."""
+def derive(v: VoltageAssignment) -> tuple[LabeledGraph, tuple[int, ...]]:
+    """Derived graph on (base vertex, sheet) pairs plus its vertex map."""
     base_g = v.base.graph
     n = v.n
     ordered_labels = tuple(base_g.labels[b] for b in range(base_g.n) for _ in range(n))
     source = LabeledGraph(ordered_labels, tuple(derived_edges(base_g.edges, n, v.perms)))
-    vmap = tuple(b for b in range(base_g.n) for _ in range(n))
-    return source, CoverProjection(source, v.base, vmap)
+    return source, tuple(b for b in range(base_g.n) for _ in range(n))
 
 
 def join_sheets(orbits: tuple[int, ...], p) -> tuple[int, ...]:
@@ -234,18 +217,15 @@ def is_connected_cover(v: VoltageAssignment) -> bool:
     return is_connected(derive(v)[0])
 
 
-def lift_subgraph(proj: CoverProjection, sub_labels) -> tuple[LabeledGraph, dict[int, int]]:
-    """Preimage of the base subgraph induced on the vertices that
-    ``sub_labels`` names (by label): the source vertices over them and
-    the source edges over base edges among them."""
-    base = proj.base
+def lift_subgraph(g: LabeledGraph, base: BaseGraph, vmap, sub_labels) -> tuple[LabeledGraph, dict[int, int]]:
+    """Preimage under ``vmap`` of the base subgraph induced on the
+    vertices that ``sub_labels`` names (by label): the source vertices
+    over them and the source edges over base edges among them."""
     try:
         sub_vs = {base.label_to_vertex[lab] for lab in sub_labels}
     except KeyError as exc:
         raise CoverError(f"label {exc.args[0]!r} not in base") from exc
     allowed = {(u, w) for u, w in base.graph.edges if u in sub_vs and w in sub_vs}
-    g = proj.source
-    vmap = proj.vertex_map
     keep = [v for v in range(g.n) if vmap[v] in sub_vs]
     new_id = {v: i for i, v in enumerate(keep)}
     edges = []

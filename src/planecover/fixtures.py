@@ -49,7 +49,7 @@ def _assert_census(emb: PlaneEmbedding, expected: dict[int, int]):
 
 
 def _assert_cover(g: LabeledGraph, fold: int):
-    verdict = verify_cover(g, _K4, label_projection(g, _K4).vertex_map)
+    verdict = verify_cover(g, _K4, label_projection(g, _K4))
     if not verdict.ok or verdict.fold != fold:
         raise AssertionError(f"fixture is not a {fold}-fold cover: {verdict}")
 
@@ -291,11 +291,6 @@ def double_lens() -> QuotientGraph:
 # ---------------------------------------------------------------------------
 
 
-def _k4_double_cover():
-    va = normalized_assignment(_K4, 2, [(1, 0), (1, 0), (1, 0)])
-    return derive(va)
-
-
 def _covers_spec(base: str, n: int) -> dict:
     return {
         "mode": "covers",
@@ -328,10 +323,10 @@ def fixture_objects() -> dict[str, dict]:
     ident = make_base("k1222").graph
     out["k1222-identity.graph"] = pio.graph_to_obj(ident)
     out["k1222-identity.map"] = pio.vertex_map_to_obj(range(7))
-    dbl, proj = _k4_double_cover()
+    dbl, vmap = derive(normalized_assignment(_K4, 2, [(1, 0)] * 3))
     out["k4-double.graph"] = pio.graph_to_obj(dbl)
-    out["k4-double.map"] = pio.vertex_map_to_obj(proj.vertex_map)
-    out["k4-double.broken-map"] = pio.vertex_map_to_obj(list(proj.vertex_map[:-1]) + [0])
+    out["k4-double.map"] = pio.vertex_map_to_obj(vmap)
+    out["k4-double.broken-map"] = pio.vertex_map_to_obj(vmap[:-1] + (0,))
     for base, n in (("k1222", 2), ("k4", 1), ("k4", 2)):
         out[f"spec-{base}-n{n}"] = _covers_spec(base, n)
     out["spec-k4-h-le-5"] = {"mode": "fragments", "h_max": 5, "budget": 10**9}

@@ -90,7 +90,7 @@ def semicover_from_obj(obj: dict) -> SemiCover:
     except (KeyError, TypeError, GraphError) as exc:
         raise FormatError(f"bad semicover object: {exc}") from exc
     sc = SemiCover(emb, base)
-    if "vertex_map" in obj and vertex_map_from_obj(obj) != sc.projection.vertex_map:
+    if "vertex_map" in obj and vertex_map_from_obj(obj) != sc.projection:
         raise FormatError("vertex_map differs from the projection the vertex labels give")
     return sc
 

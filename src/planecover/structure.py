@@ -584,7 +584,7 @@ def admissibility_report(sc: SemiCover) -> StructureReport:
     outer_walk = emb.outer
     boundary_in_h = all(g.labels[v] in _K4_LABEL_SET for v in outer_walk.vertices)
     try:  # a fold is reported exactly for a connected cover
-        verdict_a = verify_cover(h, k4, label_projection(h, k4).vertex_map).fold is not None
+        verdict_a = verify_cover(h, k4, label_projection(h, k4)).fold is not None
     except CoverError:
         verdict_a = False
     conditions["lift_cover"] = verdict_a and boundary_in_h and outer_walk.is_simple_cycle()

@@ -136,8 +136,8 @@ def test_criterion_8_voltage_round_trip():
         perms = list(itertools.permutations(range(n)))
         for volt in itertools.product(perms, repeat=3):
             va = normalized_assignment(K4, n, volt)
-            g, proj = derive(va)
-            verdict = verify_cover(g, K4, proj.vertex_map)
+            g, vmap = derive(va)
+            verdict = verify_cover(g, K4, vmap)
             assert verdict.ok
             if is_connected(g):
                 assert verdict.fold == n

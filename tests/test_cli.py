@@ -7,6 +7,8 @@ from planecover import cli
 from planecover import fixtures as fx
 from planecover import io as pio
 from planecover.cli import main
+from planecover.covers import SemiCover
+from planecover.embedding import planarity
 from planecover.graphs import LabeledGraph, make_base
 
 
@@ -54,7 +56,33 @@ def test_verify_broken_map(tmp_path, capsys):
     rc = main(["verify", g, m, "--base", "k4"])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "vertex" in out
+    assert out == (
+        "not a cover: vertex 1: neighbor images not injective into the base "
+        "neighborhood (neighbor images [0, 1, 2])\n"
+    )
+
+
+def test_verify_names_a_map_entry_off_the_base(tmp_path, capsys):
+    # the k4-double map with its last entry 9: onto the base, but 9 is no
+    # K4 vertex id
+    g = _write(tmp_path, "g.json", fx.load_fixture_obj("k4-double.graph"))
+    m = _write(tmp_path, "m.json", {"vertex_map": [0, 0, 1, 1, 2, 2, 3, 9]})
+    rc = main(["verify", g, m, "--base", "k4"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "vertex 7 maps to 9, which is not a vertex id of base 'k4'" in err
+    assert "onto" not in err
+
+
+def test_analyze_names_the_base_labels_a_semicover_misses(tmp_path, capsys):
+    # a k4 semi-cover that is one (0, -1, -2) triangle: no vertex lies over -3
+    tri = planarity(LabeledGraph((0, -1, -2), ((0, 1), (0, 2), (1, 2))))
+    sc = _write(tmp_path, "sc.json", pio.semicover_to_obj(SemiCover(tri, make_base("k4"))))
+    rc = main(["analyze", sc])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "no vertex projects onto base labels [-3]" in err
+    assert "vertex_map" not in err
 
 
 def test_verify_parse_error(tmp_path, capsys):
@@ -239,6 +267,20 @@ def test_derive_and_lift(tmp_path, capsys):
     assert main(["lift", g, m, "--base", "k4", "--labels", "0,-1,-2,-3", "--out", str(lifted)]) == 0
     obj = json.loads(lifted.read_text())
     assert len(obj["vertices"]) == 8
+
+
+def test_lift_reads_the_given_map_not_the_labels(tmp_path, capsys):
+    # the k4-double cover under a map that swaps base ids 1 and 2; K4 is
+    # complete, so the map is still a cover, and base ids 0, 1, 3 now lie
+    # under the vertices labelled 0, -2 and -3
+    g = _write(tmp_path, "g.json", fx.load_fixture_obj("k4-double.graph"))
+    m = _write(tmp_path, "m.json", {"vertex_map": [0, 0, 2, 2, 1, 1, 3, 3]})
+    lifted = tmp_path / "lift.json"
+    assert main(["verify", g, m, "--base", "k4"]) == 0
+    assert main(["lift", g, m, "--base", "k4", "--labels", "0,-1,-3", "--out", str(lifted)]) == 0
+    obj = json.loads(lifted.read_text())
+    assert sorted(v["label"] for v in obj["vertices"]) == [-3, -3, -2, -2, 0, 0]
+    assert len(obj["edges"]) == 6
 
 
 def test_export_dot(tmp_path):

@@ -13,7 +13,6 @@ from oracles import (
 
 from planecover.covers import (
     CoverError,
-    CoverProjection,
     SemiCover,
     VoltageAssignment,
     conjugacy_representatives,
@@ -48,8 +47,8 @@ def test_identity_cover_fold_one():
 
 
 def test_cube_double_cover_verifies():
-    cube, proj = derive(normalized_assignment(K4, 2, [(1, 0)] * 3))
-    verdict = verify_cover(cube, K4, proj.vertex_map)
+    cube, vmap = derive(normalized_assignment(K4, 2, [(1, 0)] * 3))
+    verdict = verify_cover(cube, K4, vmap)
     assert verdict.ok and verdict.fold == 2
 
 
@@ -80,6 +79,16 @@ def test_single_bead_semicover():
     assert verify_semicover(sc).ok
 
 
+def test_boundary_is_the_only_difference_between_the_checks():
+    # the single bead is a semi-cover; under the same projection it is not
+    # a cover, and the check fails at a vertex of its outer face
+    sc = single_bead()
+    assert verify_semicover(sc).ok
+    verdict = verify_cover(sc.graph, sc.base, sc.projection)
+    assert not verdict.ok
+    assert verdict.violation.vertex in sc.embedding.outer.vertex_set
+
+
 def test_interior_duplicate_label_violation():
     sc = hub_violation()
     verdict = verify_semicover(sc)
@@ -88,9 +97,9 @@ def test_interior_duplicate_label_violation():
 
 
 def test_derive_identity_two_components():
-    g, proj = derive(identity_assignment(K4, 2))
+    g, vmap = derive(identity_assignment(K4, 2))
     assert len(connected_components(g)) == 2
-    verdict = verify_cover(g, K4, proj.vertex_map)
+    verdict = verify_cover(g, K4, vmap)
     assert verdict.ok and verdict.fold is None
     assert verdict.per_component_folds == (1, 1)
 
@@ -105,8 +114,8 @@ def test_derive_round_trip_all_n2():
     perms = list(itertools.permutations(range(2)))
     for volt in itertools.product(perms, repeat=3):
         va = normalized_assignment(K4, 2, volt)
-        g, proj = derive(va)
-        verdict = verify_cover(g, K4, proj.vertex_map)
+        g, vmap = derive(va)
+        verdict = verify_cover(g, K4, vmap)
         assert verdict.ok
         if is_connected(g):
             assert verdict.fold == 2
@@ -169,26 +178,26 @@ def test_join_sheets_folds_to_the_apex_components():
 
 
 def test_lift_whole_base():
-    cube, proj = derive(normalized_assignment(K4, 2, [(1, 0)] * 3))
-    lifted, _ = lift_subgraph(proj, (0, -1, -2, -3))
+    cube, vmap = derive(normalized_assignment(K4, 2, [(1, 0)] * 3))
+    lifted, _ = lift_subgraph(cube, K4, vmap, (0, -1, -2, -3))
     assert canonical_form(lifted) == canonical_form(cube)
 
 
 def test_lift_k4_part_of_k1222_cover():
     perms = [(1, 0)] * 12
     va = normalized_assignment(K1222, 2, perms)
-    g, proj = derive(va)
-    lifted, _ = lift_subgraph(proj, (0, -1, -2, -3))
+    g, vmap = derive(va)
+    lifted, _ = lift_subgraph(g, K1222, vmap, (0, -1, -2, -3))
     for comp in connected_components(lifted):
         sub, _ = lifted.induced_subgraph(comp)
-        verdict = verify_cover(sub, K4, label_projection(sub, K4).vertex_map)
+        verdict = verify_cover(sub, K4, label_projection(sub, K4))
         assert verdict.ok
 
 
 def test_lift_triangle_identity_net():
     va = normalized_assignment(K4, 3, [(0, 1, 2)] * 3)
-    g, proj = derive(va)
-    lifted, _ = lift_subgraph(proj, (0, -1, -2))
+    g, vmap = derive(va)
+    lifted, _ = lift_subgraph(g, K4, vmap, (0, -1, -2))
     comps = connected_components(lifted)
     # net voltage of (0,-1,-2) is the identity: three disjoint triangles
     net = triangle_net_voltage(va, (0, -1, -2))
@@ -198,9 +207,9 @@ def test_lift_triangle_identity_net():
 
 
 def test_lift_rejects_outside_subgraph():
-    _, proj = derive(identity_assignment(K4, 1))
+    g, vmap = derive(identity_assignment(K4, 1))
     with pytest.raises(CoverError):
-        lift_subgraph(proj, (0, -1, 1))
+        lift_subgraph(g, K4, vmap, (0, -1, 1))
 
 
 def test_lift_cycle_lengths_match_net_voltage_orbits():
@@ -236,8 +245,8 @@ def test_conjugacy_representatives():
 def test_collapsing_adjacent_vertices_violation():
     # remap one vertex of the cube cover onto its neighbor's base vertex;
     # the map stays onto but local bijectivity breaks at a witness vertex
-    cube, proj = derive(normalized_assignment(K4, 2, [(1, 0)] * 3))
-    vmap = list(proj.vertex_map)
+    cube, vmap = derive(normalized_assignment(K4, 2, [(1, 0)] * 3))
+    vmap = list(vmap)
     vmap[2] = 0  # a fiber-of-(-1) vertex collapsed onto the 0 fiber
     verdict = verify_cover(cube, K4, vmap)
     assert not verdict.ok

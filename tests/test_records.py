@@ -17,11 +17,9 @@ from planecover import fixtures as fx
 from planecover import structure
 from planecover.bounds import FoldVerdict, fold_verdict
 from planecover.covers import (
-    CoverProjection,
     CoverVerdict,
     SemiCover,
     VoltageAssignment,
-    label_projection,
     verify_cover,
 )
 from planecover.embedding import FaceWalk, PlaneEmbedding
@@ -52,7 +50,6 @@ CASES = [
     (PlaneEmbedding, lambda: fx.two_faces().embedding, ("faces", "dart_face")),
     (FaceWalk, lambda: fx.two_faces().embedding.faces[0], ("vertex_set", "edge_ids")),
     (SemiCover, fx.two_faces, ("projection",)),
-    (CoverProjection, lambda: label_projection(make_base("k4").graph, make_base("k4")), ()),
     (VoltageAssignment, lambda: identity_assignment(make_base("k4"), 2), ()),
     (SearchSpec, lambda: SearchSpec("k1222", 2), ()),
     (QuotientGraph, fx.double_lens, ("faces", "census", "face_pair_edges")),
