@@ -118,11 +118,18 @@ class PlaneEmbedding(_PlaneEmbeddingFields):
     """A spherical rotation system with a designated outer face."""
 
     def __new__(cls, graph: LabeledGraph, rotation, outer_face: int = 0):
-        self = super().__new__(cls, graph, rotation, outer_face)
-        faces = self.faces  # validates the rotation and Euler's formula
-        if not (0 <= outer_face < len(faces)):
+        # tracing the faces validates the rotation and Euler's formula
+        return super().__new__(cls, graph, rotation, 0).with_outer_face(outer_face)
+
+    def with_outer_face(self, outer_face: int) -> PlaneEmbedding:
+        """This embedding with face ``outer_face`` outer.  The faces do not
+        depend on the outer face, so they are carried over, not traced
+        again."""
+        if not (0 <= outer_face < len(self.faces)):
             raise EmbeddingError(f"outer face id {outer_face} out of range")
-        return self
+        emb = self._replace(outer_face=outer_face)
+        vars(emb)["faces"] = self.faces  # the cached_property's slot
+        return emb
 
     @cached_property
     def faces(self) -> tuple[FaceWalk, ...]:

@@ -32,11 +32,11 @@ def _embed(g: LabeledGraph, outer_length: int | None = None) -> PlaneEmbedding:
         candidates = [i for i, f in enumerate(emb.faces) if f.length == outer_length]
         if not candidates:
             raise AssertionError(f"no face of length {outer_length} to pick as outer")
-        emb = PlaneEmbedding(emb.graph, emb.rotation, candidates[0])
+        emb = emb.with_outer_face(candidates[0])
     else:
         nontri = [i for i, f in enumerate(emb.faces) if f.length > 3]
         if nontri:
-            emb = PlaneEmbedding(emb.graph, emb.rotation, nontri[0])
+            emb = emb.with_outer_face(nontri[0])
     return emb
 
 
@@ -239,7 +239,7 @@ def support_case(case: int) -> SemiCover:
     outer = next(
         i for i, f in enumerate(emb.faces) if {2, 7} <= f.vertex_set
     )
-    return SemiCover(PlaneEmbedding(emb.graph, emb.rotation, outer), _K1222)
+    return SemiCover(emb.with_outer_face(outer), _K1222)
 
 
 def fold_six_fragment() -> SemiCover:
@@ -346,10 +346,16 @@ def fixture_path(name: str):
 
 
 def load_fixture_obj(name: str) -> dict:
-    names = fixture_names()
-    if name not in names:
-        raise KeyError(f"unknown fixture {name!r}; known: {', '.join(names)}")
-    with fixture_path(name).open("r", encoding="utf-8") as fh:
+    """The bundled golden file named ``name``; KeyError for any name that
+    is not a bundled file's plain name, a path through the directory too."""
+    path = fixture_path(name)
+    try:
+        fh = path.open("r", encoding="utf-8") if path.name == f"{name}.json" else None
+    except (OSError, ValueError):  # no such file, or no name a file can have
+        fh = None
+    if fh is None:
+        raise KeyError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")
+    with fh:
         return json.load(fh)
 
 

@@ -605,12 +605,20 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
 
 
 def _degree_matrices(a: int):
-    """The a-by-a nonnegative matrices with row and column sums 3 and
-    non-increasing rows (the greatest matrix of a class has them), in
-    decreasing lexicographic order."""
+    """The a-by-a nonnegative matrices with row and column sums 3 whose
+    rows, and whose columns read top-down as tuples, are non-increasing
+    (the greatest matrix of a class has both), in decreasing lexicographic
+    order.
+
+    Rows are placed top-down, each no greater than the one above; a pair
+    of adjacent columns stays tied while every row so far has equal
+    entries in them, and a row that puts a tied pair's right entry above
+    its left one is skipped.  An untied pair already differs at a row
+    where the left column is greater, so later rows cannot disorder it.
+    """
     all_rows = sorted((r for r in itertools.product(range(4), repeat=a) if sum(r) == 3), reverse=True)
 
-    def rows(columns_left, start):
+    def rows(columns_left, start, tied):
         # each row takes 3 from the 3a the columns start with, so they are
         # spent exactly when a rows are placed
         if not any(columns_left):
@@ -618,12 +626,15 @@ def _degree_matrices(a: int):
             return
         for k in range(start, len(all_rows)):
             row = all_rows[k]
-            if all(x <= c for x, c in zip(row, columns_left)):
+            if all(x <= c for x, c in zip(row, columns_left)) and not any(
+                t and x < y for t, x, y in zip(tied, row, row[1:])
+            ):
                 left = tuple(c - x for c, x in zip(columns_left, row))
-                for rest in rows(left, k):
+                still = tuple(t and x == y for t, x, y in zip(tied, row, row[1:]))
+                for rest in rows(left, k, still):
                     yield (row, *rest)
 
-    yield from rows((3,) * a, 0)
+    yield from rows((3,) * a, 0, (True,) * (a - 1))
 
 
 def _column_sorted(rows) -> tuple:
@@ -649,9 +660,13 @@ def _quotient_matrices(a: int):
     a + j, and a colour-preserving isomorphism permutes the rows and the
     columns, so a class is kept as its lexicographically greatest matrix
     with no graph isomorphism test (orderly generation: R. C. Read, "Every
-    one a winner", 1978).  Under one row order, sorting the columns in
-    decreasing order gives the greatest image.  Connectivity is a class
-    invariant, so it is tested on the kept matrix alone.
+    one a winner", 1978).  Sorting the rows in decreasing order gives no
+    smaller image, and under one row order, sorting the columns in
+    decreasing order gives the greatest image, so the greatest matrix has
+    non-increasing rows and columns and ``_degree_matrices``, which
+    yields only such matrices, yields it; each candidate is kept when no
+    row order gives a greater image.  Connectivity is a class invariant,
+    so it is tested on the kept matrix alone.
     """
     labels = (0,) * a + (-1,) * a
     for mat in _degree_matrices(a):
@@ -683,6 +698,46 @@ def enumerate_quotients(a_max: int) -> list[QuotientGraph]:
     return out
 
 
+def _matching_bound(edge_faces, demands) -> int:
+    """The least bead total that meets ``demands``, face by face, when no
+    two faces are kept from sharing beads: the summed demands less the
+    most beads that can each meet two units of them.
+
+    A bead on an edge counts toward the faces on its two sides, so it
+    meets two units only when both sides have demand left, or one face
+    twice across an edge with that face on both sides; together such
+    beads meet at most a face's demand of its units.  The most of them is
+    found by an exhaustive recursion over the demands left (at most a + 2
+    faces, each needing at most 2), in which one unit of the first face
+    with demand goes unpaired or is met together with a unit of a
+    partner.  Every other unit takes one bead of its own on any edge of
+    its face, so this total is reached, and no placement, with sharing
+    forbidden or not, has fewer beads.
+    """
+    partners = [set() for _ in demands]
+    for fa, fb in edge_faces:
+        if demands[fa] and demands[fb]:
+            partners[fa].add(fb)
+            partners[fb].add(fa)
+
+    @functools.cache
+    def paired(left: tuple) -> int:
+        f = next((f for f, d in enumerate(left) if d), None)
+        if f is None:
+            return 0
+        rest = list(left)
+        rest[f] -= 1
+        best = paired(tuple(rest))
+        for g in partners[f]:
+            if rest[g]:
+                both = rest.copy()
+                both[g] -= 1
+                best = max(best, 1 + paired(tuple(both)))
+        return best
+
+    return sum(demands) - paired(tuple(demands))
+
+
 class MinBeadsResult(NamedTuple):
     total: int
     placement: tuple[int, ...]
@@ -699,7 +754,13 @@ def min_beads(q: QuotientGraph, outer_face: int | None = None) -> MinBeadsResult
     a quotient that needs more is malformed and raises SearchError, as
     does an outer face that is not one of the quotient's faces.
 
-    For each total from 0 up, beads are placed edge by edge in edge order,
+    The search starts at the total ``_matching_bound`` gives for the
+    demands alone.  No placement below it meets the demands, even with
+    sharing allowed, and a search at such a total finds only placements
+    that meet them, so it would find none: the first total with a
+    placement, and the placement found, are those of a start at 0.
+
+    For each total from there up, beads are placed edge by edge in edge order,
     fewest first, from tables built once per call: each edge's faces, its
     short internal pair when its two sides are two such faces (read from
     ``face_pair_edges``), and the faces and pairs whose last edge it is.
@@ -779,7 +840,7 @@ def min_beads(q: QuotientGraph, outer_face: int | None = None) -> MinBeadsResult
                 return got
         return None
 
-    for total in range(3 * q.a + 6 + 1):
+    for total in range(_matching_bound(edge_faces, demands), 3 * q.a + 6 + 1):
         got = go(0, total, sum(demands))
         if got is not None:
             return MinBeadsResult(total, got)

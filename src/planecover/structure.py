@@ -357,7 +357,7 @@ def refine_faces(sc: SemiCover) -> FaceRefinement:
         tri_in_face.setdefault(faces_touching.pop(), []).append(tri)
 
     return FaceRefinement(
-        h_embedding=PlaneEmbedding(h_emb.graph, h_emb.rotation, group[emb.outer_face]),
+        h_embedding=h_emb.with_outer_face(group[emb.outer_face]),
         h_vmap=vmap,
         triangles_in_face={k: tuple(v) for k, v in tri_in_face.items()},
     )

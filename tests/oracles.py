@@ -25,14 +25,19 @@ library's analyzer does without, and runs it through the reference
 bead-demand search below.  Isomorphism is checked by explicit
 backtracking and, for quotient degree matrices, by trying every row and
 column permutation of every matrix, generated without the package's
-restriction to non-increasing rows.  The net voltage around a base
+restriction to non-increasing rows and columns.  The package's generator
+before it sorted the columns, and the orderly test that kept the first
+matrix of each class it yields, are the reference for the classes the
+package keeps.  The net voltage around a base
 triangle is composed edge by edge, so its cycle lengths check the lift
 lengths that ``find_cycles_covering`` reports, and the local negative-lift
 gate is checked against the components of that lift.  The reference
 bead-demand search is the unpruned placement search that ``min_beads``
 replaced: it checks the face demands and the bead-sharing pairs only at
 the leaves, and counts the beads two faces share from their own edge
-sets, not through the search module's helpers.  The small helpers only
+sets, not through the search module's helpers.  The least bead total
+that meets the face demands alone, sharing allowed, is found by trying
+every multiset of edges, smallest first.  The small helpers only
 the tests need live here too: the identity assignment, the transitivity
 test that folds ``join_sheets`` over a voltage, the orbit tuples of a
 fold, an embedding's sorted face lengths and a vertex renumbering of a
@@ -739,6 +744,41 @@ def degree_matrices(a: int):
     yield from rows(tuple([3] * a), a)
 
 
+def row_sorted_degree_matrices(a: int):
+    """The matrices of ``degree_matrices`` with non-increasing rows, in
+    decreasing lexicographic order: the package's generator before it
+    also required non-increasing columns."""
+    all_rows = sorted((r for r in itertools.product(range(4), repeat=a) if sum(r) == 3), reverse=True)
+
+    def rows(columns_left, start):
+        if not any(columns_left):
+            yield ()
+            return
+        for k in range(start, len(all_rows)):
+            row = all_rows[k]
+            if all(x <= c for x, c in zip(row, columns_left)):
+                left = tuple(c - x for c, x in zip(columns_left, row))
+                for rest in rows(left, k):
+                    yield (row, *rest)
+
+    yield from rows((3,) * a, 0)
+
+
+def class_leading_matrices(a: int):
+    """The first matrix of ``row_sorted_degree_matrices`` in each class of
+    connected bicoloured multigraphs: the ones no row order with columns
+    sorted in decreasing order makes greater, connected by union-find."""
+    for mat in row_sorted_degree_matrices(a):
+        if any(
+            tuple(zip(*sorted(zip(*rows), reverse=True))) > mat
+            for rows in itertools.permutations(mat)
+        ):
+            continue
+        edges = [(i, a + j) for i in range(a) for j in range(a) for _ in range(mat[i][j])]
+        if _components_union_find(2 * a, edges, frozenset()) == 1:
+            yield mat
+
+
 def matrix_canonical(mat) -> tuple:
     """Least image of a square matrix under all row and column
     permutations: equal iff the bicoloured multigraphs with these degree
@@ -749,6 +789,27 @@ def matrix_canonical(mat) -> tuple:
         for pr in itertools.permutations(range(a))
         for pc in itertools.permutations(range(a))
     )
+
+
+def bead_demands(q: QuotientGraph, outer: int) -> list[int]:
+    """The beads each face needs: two on an internal 2-face, one on an
+    internal 4-face or the outer 2-face."""
+    return [
+        (1 if len(s) == 2 else 0) if f == outer else {2: 2, 4: 1}.get(len(s), 0)
+        for f, s in enumerate(q.face_edge_sides)
+    ]
+
+
+def demands_only_min_beads(q: QuotientGraph, outer: int) -> int:
+    """The least bead total meeting every face demand with bead sharing
+    allowed: every multiset of edges of each size in turn, a bead counting
+    toward each side of its edge."""
+    demands = bead_demands(q, outer)
+    for total in itertools.count():
+        for beads in itertools.combinations_with_replacement(range(len(q.edges)), total):
+            on = Counter(beads)
+            if all(sum(on[e] for e in s) >= d for s, d in zip(q.face_edge_sides, demands)):
+                return total
 
 
 def reference_min_beads(q: QuotientGraph, outer_face: int | None = None) -> MinBeadsResult:

@@ -344,6 +344,17 @@ def test_search_worker_count_below_one_exits_three(tmp_path, capsys, workers):
     assert "--workers" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["../fixtures/two_faces", "no_such_fixture"])
+def test_a_fixture_name_that_is_not_a_bundled_plain_name_exits_3(tmp_path, name, capsys):
+    # ../fixtures/two_faces resolves to a bundled file, but only a plain
+    # name picks a fixture
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--fixture", name, "--out", str(out)]) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"unknown fixture {name!r}; known: crowded_face," in err and "Traceback" not in err
+
+
 def test_trapezium_face_quotient_failure_is_handled(tmp_path, capsys):
     # a black triangle with a corner joined to no 0-vertex has no quotient:
     # analyze reports a null census, quotient rejects the input

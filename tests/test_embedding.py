@@ -84,6 +84,19 @@ def test_faces_sum_and_euler():
         assert g.n - g.m + len(emb.faces) == 2
 
 
+def test_with_outer_face_keeps_the_faces_and_checks_the_id():
+    emb = planarity(necklace(4).graph)
+    for i in range(len(emb.faces)):
+        moved = emb.with_outer_face(i)
+        assert moved == PlaneEmbedding(emb.graph, emb.rotation, i)
+        assert moved.faces is emb.faces and moved.outer == emb.faces[i]
+    for i in (-1, len(emb.faces)):
+        with pytest.raises(EmbeddingError, match="out of range"):
+            emb.with_outer_face(i)
+        with pytest.raises(EmbeddingError, match="out of range"):
+            PlaneEmbedding(emb.graph, emb.rotation, i)
+
+
 def test_malformed_rotation_rejected():
     g = make_base("k4").graph
     with pytest.raises(EmbeddingError):

@@ -23,6 +23,12 @@ def test_goldens_round_trip_bytes():
         assert pio.dumps(json.loads(text)) == text
 
 
+@pytest.mark.parametrize("name", ["../fixtures/two_faces", "two_faces.json", "", "two_faces\x00"])
+def test_only_a_bundled_plain_name_loads(name):
+    with pytest.raises(KeyError, match="unknown fixture .*; known: crowded_face, "):
+        fx.load_fixture_obj(name)
+
+
 def test_graph_json_round_trip():
     obj = fx.load_fixture_obj("k4-double.graph")
     g = pio.graph_from_obj(obj)

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from oracles import (
     _gate_failure,
     analyze_fragment_direct,
+    bead_demands,
+    class_leading_matrices,
     connectivity_by_cut_search,
     degree_matrices,
+    demands_only_min_beads,
     enumerate_covers_unnormalized,
     matrix_canonical,
     reference_min_beads,
@@ -495,8 +498,21 @@ def test_quotient_classes_match_matrix_oracle(a):
 
 @pytest.mark.parametrize("a", [1, 2, 3, 4])
 def test_degree_matrices_are_the_oracle_matrices_with_non_increasing_rows(a):
-    want = [m for m in degree_matrices(a) if all(m[i] >= m[i + 1] for i in range(a - 1))]
+    # the columns, read top-down as tuples, are non-increasing too
+    want = [
+        m
+        for m in degree_matrices(a)
+        if all(r >= s for r, s in itertools.pairwise(m))
+        and all(c >= d for c, d in itertools.pairwise(zip(*m)))
+    ]
     assert list(_degree_matrices(a)) == want
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_quotient_matrices_are_the_row_sorted_generators_class_leaders(a):
+    # the column-sorted generator loses no class and keeps the same matrix
+    # of each; a = 5 takes about 0.1 s in the reference, a = 6 about 4 s
+    assert list(_quotient_matrices(a)) == list(class_leading_matrices(a))
 
 
 def _theta() -> QuotientGraph:
@@ -581,6 +597,25 @@ def test_no_demands_no_beads():
         outer_face=0,
     )
     assert min_beads(fake).total == 0
+
+
+def test_a_bead_counts_twice_for_a_face_on_both_sides_of_its_edge():
+    # an internal 2-face whose two sides are one edge, beside an outer one:
+    # a spherical quotient has no such face, since both ends of the edge
+    # would have degree one, so the faces are given directly.  One bead on
+    # the internal face's edge meets both units of its demand, and the
+    # search starts at the bound that counts it so.
+    fake = SimpleNamespace(
+        a=1,
+        edges=((0, 1, 0), (0, 1, 0)),
+        faces=((0, 1), (2, 3)),
+        face_edge_sides=((0, 0), (1, 1)),
+        edge_faces=((0, 0), (1, 1)),
+        face_pair_edges={},
+        outer_face=0,
+    )
+    assert _matching_bound(fake, 0) == demands_only_min_beads(fake, 0) == 2
+    assert min_beads(fake) == reference_min_beads(fake) == (2, (1, 1))
 
 
 def test_nine_face_pair_fails_bead_demand():
@@ -769,17 +804,22 @@ def test_min_beads_is_independent_of_edge_labels(data):
     assert _placement_violations(r, r_outer, carried) == []
 
 
-def test_min_beads_counts_every_edge_two_short_faces_share():
+def _pendant_quotient() -> QuotientGraph:
     # 4-faces A = 0 and B = 1 share edges 0 and 6; the 4-faces P = 2 and
-    # Q = 3 each run along a pendant edge (3 and 7).  No cubic quotient
-    # needs a second shared edge counted: two short faces share two edges
-    # only in the a = 2 quotient {2, 2, 4, 4}, where every bead A and B
-    # share leaves a 2-face short.  Here, with P or Q outer, a bead on edge
-    # 6 meets A and B and a pendant bead meets the other face, but A and B
-    # may not share a bead at length 9.
+    # Q = 3 each run along a pendant edge (3 and 7)
     edges = ((0, 3, 0), (1, 3, 0), (1, 3, 0), (2, 3, 0), (0, 4, 0), (0, 4, 0), (1, 4, 0), (0, 5, 0))
     rotation = ((0, 4, 7, 5), (1, 2, 6), (3,), (0, 2, 3, 1), (4, 6, 5), (7,))
-    q = QuotientGraph(3, edges, rotation, 0)
+    return QuotientGraph(3, edges, rotation, 0)
+
+
+def test_min_beads_counts_every_edge_two_short_faces_share():
+    # No cubic quotient needs a second shared edge counted: two short faces
+    # share two edges only in the a = 2 quotient {2, 2, 4, 4}, where every
+    # bead A and B share leaves a 2-face short.  Here, with P or Q outer, a
+    # bead on edge 6 meets A and B and a pendant bead meets the other face,
+    # but A and B may not share a bead at length 9.
+    q = _pendant_quotient()
+    edges = q.edges
     assert [sorted(s) for s in q.face_edge_sides] == [[0, 2, 5, 6], [0, 1, 4, 6], [1, 2, 3, 3], [4, 5, 7, 7]]
     assert q.face_pair_edges[0, 1] == (0, 6)
     for outer, pendant, want in ((2, 7, (0, 0, 0, 0, 0, 1, 1, 0)), (3, 3, (0, 0, 1, 0, 0, 0, 1, 0))):
@@ -793,18 +833,45 @@ def test_min_beads_counts_every_edge_two_short_faces_share():
         assert _placement_violations(q, outer, first_edge_only) == [("sharing", 0, 1)]
 
 
+def _matching_bound(q, outer) -> int:
+    return search._matching_bound(q.edge_faces, bead_demands(q, outer))
+
+
+def test_matching_bound_is_the_least_total_for_the_demands_alone():
+    # without the sharing rule the bound is exact: at a <= 3, on the theta
+    # and on the pendant quotient, it is the brute-force least total
+    theta = _theta()
+    cases = [
+        *_quotient_outer_pairs(3),
+        *((theta, f) for f in range(len(theta.faces))),
+        (_pendant_quotient(), 2),
+        (_pendant_quotient(), 3),
+    ]
+    assert len(cases) == 14 + 3 + 2
+    assert [_matching_bound(*c) for c in cases] == [demands_only_min_beads(*c) for c in cases]
+
+
+@functools.cache
+def _a5_outer_pairs() -> list:
+    return [(q, f) for mat in _quotient_matrices(5) for q in search._shape(mat) for f in range(len(q.faces))]
+
+
+def test_matching_bound_never_exceeds_the_least_total():
+    # min_beads starts at the bound, so a bound above the least total would
+    # change its results; the a = 5 pairs take about 0.5 s
+    cases = [*_quotient_outer_pairs(4), *_a5_outer_pairs(), (_pendant_quotient(), 2), (_pendant_quotient(), 3)]
+    assert len(cases) == 50 + 910 + 2
+    over = [c for c in cases if _matching_bound(*c) > min_beads(*c).total]
+    assert not over, f"{len(over)} pairs, first {over[0]}"
+
+
 @pytest.mark.slow
 def test_min_beads_matches_reference_at_five_white_vertices():
     # every spherical rotation of every a = 5 quotient shape, each face
     # outer in turn: about 11 minutes on a 2-core VM, nearly all of it in
     # the reference, whose cost climbs steeply with the total (up to 10)
-    quotients = [
-        q
-        for mat in _quotient_matrices(5)
-        for q in search._shape(mat)
-    ]
-    cases = [(q, f) for q in quotients for f in range(len(q.faces))]
-    assert (len(quotients), len(cases)) == (130, 910)
+    cases = _a5_outer_pairs()
+    assert (len({id(q) for q, _ in cases}), len(cases)) == (130, 910)
     mismatches = [c for c in cases if min_beads(*c) != reference_min_beads(*c)]
     assert not mismatches, f"{len(mismatches)} mismatches, first {mismatches[0]}"
 
