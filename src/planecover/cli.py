@@ -190,8 +190,7 @@ def cmd_analyze(args) -> int:
     sc = pio.semicover_from_obj(obj)
     verdict = verify_semicover(sc)
     report = admissibility_report(sc)
-    exclusions = check_exclusions(report)
-    out = pio.report_to_obj(report, exclusions)
+    out = pio.report_to_obj(report, check_exclusions(report))
     out["semicover_valid"] = verdict.ok
     if verdict.violation is not None:
         out["semicover_violation"] = str(verdict.violation)
@@ -204,7 +203,7 @@ def cmd_analyze(args) -> int:
     failed = [k for k, v in report.conditions.items() if v is False]
     print(
         f"semicover valid: {verdict.ok}; conditions failed: {failed or 'none'}; "
-        f"exclusions: {list(exclusions.reasons()) or 'none'}"
+        f"exclusions: {out['exclusions']['reasons'] or 'none'}"
     )
     if not verdict.ok:
         print(f"invalid semi-cover: {verdict.violation}")

@@ -177,6 +177,8 @@ def quotient_to_obj(q) -> dict:
 
 
 def report_to_obj(report, exclusions) -> dict:
+    reasons, sharing = exclusions
+    shape = [r for r in reasons if r != "no_internal_hexagon"]  # that one is condition (h)
     return {
         "faces": [
             {
@@ -208,10 +210,10 @@ def report_to_obj(report, exclusions) -> dict:
         "conditions": dict(report.conditions),
         "outer_face": report.h_embedding.outer_face,
         "exclusions": {
-            "necklace": exclusions.necklace,
-            "two_internal_faces": exclusions.two_internal_faces,
-            "bead_sharing": [list(x) for x in exclusions.bead_sharing],
-            "excluded": exclusions.excluded,
-            "reasons": list(exclusions.reasons()),
+            "necklace": "necklace" in shape,
+            "two_internal_faces": "two_internal_faces" in shape,
+            "bead_sharing": [list(x) for x in sharing],
+            "excluded": bool(shape),
+            "reasons": shape,
         },
     }

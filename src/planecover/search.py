@@ -60,6 +60,8 @@ from .structure import (
     QuotientGraph,
     bead_sharing_excluded,
     face_count_exclusion,
+    face_exclusions,
+    face_floor,
     negative_lift_triangular,
     quotient_skeleton,
 )
@@ -464,7 +466,8 @@ def analyze_fragment_candidate(g: LabeledGraph) -> dict:
     quotient face corresponds to a non-triangular fragment face of length
     3(k + beads) where 2k is the quotient face length; triangular outer
     choices are excluded wholesale by the boundary condition.  Faces come
-    from the shape's table ``_shape``, beads carried on by ``_shape_key``.
+    from the shape's table ``_shape``, beads carried on by ``_shape_key``,
+    and each outer face takes the first reason ``face_exclusions`` gives.
     """
     gate = {"not_k4": not (g.n == 4 and g.m == 6)}
     if gate["not_k4"]:
@@ -501,29 +504,18 @@ def analyze_fragment_candidate(g: LabeledGraph) -> dict:
     passing = 0
     outer_choices = 0
     for q in quotients:
-        face_beads = [sum(beads[e] for e in sides) for sides in q.face_edge_sides]
-        thirds = [len(f) // 2 + face_beads[i] for i, f in enumerate(q.faces)]
+        thirds = {i: len(s) // 2 + sum(beads[e] for e in s) for i, s in enumerate(q.face_edge_sides)}
+        shared = {pair: sum(beads[e] for e in edge_ids) for pair, edge_ids in q.face_pair_edges.items()}
         censuses.append(census_to_obj(q.census))
-        outer_choices += n_tri_faces  # triangular fragment faces as outer, a or more
+        outer_choices += len(thirds) + n_tri_faces  # and the triangular fragment faces, a or more
         excluded_by.add("outer_face_nontriangular")
-        for i in range(len(q.faces)):
-            outer_choices += 1
-            internal = [j for j in range(len(q.faces)) if j != i]
-            if any(thirds[j] == 2 for j in internal):
-                excluded_by.add("no_internal_hexagon")
-                continue
-            # faces that share no edge share no bead, which no threshold forbids
-            if any(
-                i not in (fa, fb)
-                and bead_sharing_excluded(sum(beads[e] for e in edge_ids), thirds[fa], thirds[fb])
-                for (fa, fb), edge_ids in q.face_pair_edges.items()
-            ):
-                excluded_by.add("bead_sharing")
-                continue
-            # the class's own beads are now a placement min_beads accepts: a
-            # bead-free 2-face would be a bead, and an internal 2-face with
-            # one bead or 4-face with none a hexagon
-            passing += 1
+        for i in thirds:
+            reasons, _ = face_exclusions(thirds, i, shared)
+            if reasons:
+                excluded_by.add(reasons[0])
+            else:
+                # the class's own beads are a placement min_beads accepts
+                passing += 1
     result["embeddings"] = {
         "structures": len(quotients),
         "outer_choices": outer_choices,
@@ -746,13 +738,17 @@ class MinBeadsResult(NamedTuple):
 def min_beads(q: QuotientGraph, outer_face: int | None = None) -> MinBeadsResult:
     """Minimum bead count meeting every face demand of the quotient.
 
-    Internal 2-faces need two beads and internal 4-faces one (their
-    fragment faces must reach length nine); an outer 2-face needs one; a
-    bead counts toward the two faces flanking its edge; and no two
-    internal short faces may share beads up to the forbidden threshold.
-    A placement always exists; the search is budgeted at 3a + 6 beads, and
-    a quotient that needs more is malformed and raises SearchError, as
-    does an outer face that is not one of the quotient's faces.
+    A quotient 2k-face with b beads on its edges (a bead counts toward the
+    faces on both sides of its edge) has m = k + b, so it demands
+    ``face_floor`` less k beads when positive: two on an internal 2-face,
+    one on an internal 4-face or an outer 2-face.  No two internal faces
+    may break ``bead_sharing_excluded``; checking only pairs of internal
+    2- and 4-faces is exact, not a relaxation, since a face's m counts
+    every bead it shares: m_a >= k_a + shared, so shared >=
+    max(m_a, m_b, 3) - 2 needs k <= 2 on both faces.  A placement always
+    exists; the search is budgeted at 3a + 6 beads, and a quotient that
+    needs more is malformed and raises SearchError, as does an outer face
+    that is not one of the quotient's faces.
 
     The search starts at the total ``_matching_bound`` gives for the
     demands alone.  No placement below it meets the demands, even with
@@ -780,11 +776,8 @@ def min_beads(q: QuotientGraph, outer_face: int | None = None) -> MinBeadsResult
         raise SearchError(f"outer face {outer!r} is not one of the quotient's {len(faces)} faces")
     ne = len(q.edges)
     edge_faces = q.edge_faces
-    demands = [
-        (1 if len(f) == 2 else 0) if fid == outer else {2: 2, 4: 1}.get(len(f), 0)
-        for fid, f in enumerate(faces)
-    ]
     half = [len(f) // 2 for f in faces]
+    demands = [max(0, face_floor(fid != outer) - k) for fid, k in enumerate(half)]
     last_edge = {f: e for e, fs in enumerate(edge_faces) for f in fs}
     closing = [[] for _ in range(ne)]
     for f, e in last_edge.items():

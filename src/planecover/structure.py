@@ -11,7 +11,7 @@ fragments to their cubic bipartite quotients.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
@@ -543,10 +543,6 @@ class StructureReport(NamedTuple):
     conditions: dict
     h_embedding: PlaneEmbedding  # the fragment embedding the refinement built
 
-    @property
-    def internal_nontriangular(self) -> tuple[FaceRecord, ...]:
-        return tuple(f for f in self.faces if f.internal and f.length > 3)
-
 
 def _bead_hosts(h_emb: PlaneEmbedding, beads) -> list[tuple[int, int]]:
     """For each bead, the two faces its inner vertices lie on."""
@@ -622,13 +618,13 @@ def admissibility_report(sc: SemiCover) -> StructureReport:
     conditions["two_connected"] = h.n >= 4 and connectivity(h) >= 2
 
     # (h), (i), (j) and the face-level records on the fragment embedding:
-    # non-triangular faces read 0,a,b,0,a,b,..., no internal face is a
-    # hexagon, and an internal 3m-gonal face holds t < 2m/3 triangles.
+    # non-triangular faces read 0,a,b,0,a,b,..., every face meets its
+    # ``face_floor`` (no internal hexagon), and an internal 3m-gonal face
+    # holds t < 2m/3 triangles.
     beads = find_beads(h)
     bead_hosts = _bead_hosts(h_emb, beads)
     face_records = []
     patterns_ok = True
-    hexagon_ok = True
     capacity_ok = True
     for i, f in enumerate(h_emb.faces):
         internal = i != h_emb.outer_face
@@ -636,8 +632,6 @@ def admissibility_report(sc: SemiCover) -> StructureReport:
         tris = len(ref.triangles_in_face.get(i, ()))
         if f.length > 3 and pattern.kind != "pattern":
             patterns_ok = False
-        if internal and f.length == 6:
-            hexagon_ok = False
         if internal and f.length > 3 and f.length % 3 == 0:
             if 3 * tris >= 2 * (f.length // 3):
                 capacity_ok = False
@@ -653,7 +647,8 @@ def admissibility_report(sc: SemiCover) -> StructureReport:
             )
         )
     conditions["face_patterns"] = patterns_ok
-    conditions["no_internal_hexagon"] = hexagon_ok
+    reasons, _ = face_exclusions(*_face_structure(face_records, bead_hosts, h_emb.outer_face))
+    conditions["no_internal_hexagon"] = "no_internal_hexagon" not in reasons
     conditions["triangle_capacity"] = capacity_ok
 
     strings = detect_strings(h_emb, beads)
@@ -673,21 +668,9 @@ def admissibility_report(sc: SemiCover) -> StructureReport:
 # ---------------------------------------------------------------------------
 
 
-class ExclusionVerdict(NamedTuple):
-    necklace: bool
-    two_internal_faces: bool
-    bead_sharing: tuple[tuple[int, int, int, int], ...]  # (face, face, m, shared)
-    excluded: bool
-
-    def reasons(self) -> tuple[str, ...]:
-        out = []
-        if self.necklace:
-            out.append("necklace")
-        if self.two_internal_faces:
-            out.append("two_internal_faces")
-        if self.bead_sharing:
-            out.append("bead_sharing")
-        return tuple(out)
+def face_floor(internal: bool) -> int:
+    """The least m of a face: an internal one is no hexagon, the outer one no triangle."""
+    return 3 if internal else 2
 
 
 def face_count_exclusion(internal: int) -> str | None:
@@ -698,37 +681,59 @@ def face_count_exclusion(internal: int) -> str | None:
 
 def bead_sharing_excluded(shared: int, m_a: int, m_b: int) -> bool:
     """True iff two internal faces of lengths 3*m_a and 3*m_b share too many
-    beads: faces of length at most 3m (m >= 3) may not share m - 2."""
+    beads: faces of length at most 3m (m >= 3) may not share m - 2.
+
+    Only two faces that are short in the quotient can break it.  A
+    quotient face of length 2k is a fragment face with m = k plus every
+    bead on its edges, the shared ones among them, so m_a >= k_a + shared;
+    and shared >= max(m_a, m_b, 3) - 2 >= m_a - 2 then gives k_a <= 2, and
+    likewise k_b <= 2: both faces have quotient length at most 4.
+    """
     return shared >= max(m_a, m_b, 3) - 2
 
 
-def check_exclusions(report: StructureReport) -> ExclusionVerdict:
-    """Shape-level exclusions on an admissible fragment.
+def face_exclusions(m, outer, shared) -> tuple[tuple[str, ...], tuple[tuple[int, int, int, int], ...]]:
+    """The one admissibility rule on a fragment's faces: every face meets
+    its ``face_floor``, ``face_count_exclusion`` finds no shape, and no two
+    internal faces break ``bead_sharing_excluded``.
 
-    The internal non-triangular faces may not number one or two, and no
-    two of them may share too many beads.  Any hit disqualifies the
-    fragment.
+    ``m`` maps each non-triangular face to its m (a fragment face of
+    length L has m = ceil(L/3); a quotient 2k-face with b beads has
+    m = k + b), ``outer`` is the outer face, and ``shared`` maps face pairs
+    (fa < fb) to the beads they share; pairs sharing none may be left out.
+    Returns the reasons broken, in the order outer_face_nontriangular,
+    no_internal_hexagon, necklace or two_internal_faces, bead_sharing, and
+    the pairs over the threshold as (face, face, max(m_a, m_b, 3), shared).
     """
-    internal = report.internal_nontriangular
-    shape = face_count_exclusion(len(internal))
-
-    shared_fired = []
-    for fa, fb in itertools.combinations(internal, 2):
-        shared = sum(
-            1
-            for hosts in report.bead_faces
-            if set(hosts) == {fa.face_id, fb.face_id}
-        )
-        la = -(-fa.length // 3)
-        lb = -(-fb.length // 3)
-        if bead_sharing_excluded(shared, la, lb):
-            shared_fired.append((fa.face_id, fb.face_id, max(la, lb, 3), shared))
-    return ExclusionVerdict(
-        necklace=shape == "necklace",
-        two_internal_faces=shape == "two_internal_faces",
-        bead_sharing=tuple(shared_fired),
-        excluded=shape is not None or bool(shared_fired),
+    reasons = []
+    if outer in m and m[outer] < face_floor(False):
+        reasons.append("outer_face_nontriangular")
+    floor = face_floor(True)
+    if any(mf < floor for f, mf in m.items() if f != outer):
+        reasons.append("no_internal_hexagon")
+    shape = face_count_exclusion(len(m) - (outer in m))
+    if shape is not None:
+        reasons.append(shape)
+    pairs = tuple(
+        (fa, fb, max(m[fa], m[fb], 3), k)
+        for (fa, fb), k in shared.items()
+        if k and outer not in (fa, fb) and bead_sharing_excluded(k, m[fa], m[fb])
     )
+    if pairs:
+        reasons.append("bead_sharing")
+    return tuple(reasons), pairs
+
+
+def _face_structure(faces, bead_faces, outer) -> tuple:
+    """``face_exclusions``' arguments for a fragment's face records."""
+    m = {f.face_id: -(-f.length // 3) for f in faces if f.length > 3}
+    shared = Counter(hosts for hosts in bead_faces if hosts[0] != hosts[1])
+    return m, outer, dict(sorted(shared.items()))
+
+
+def check_exclusions(report: StructureReport) -> tuple:
+    """``face_exclusions`` of an analyzed fragment's faces."""
+    return face_exclusions(*_face_structure(report.faces, report.bead_faces, report.h_embedding.outer_face))
 
 
 # ---------------------------------------------------------------------------

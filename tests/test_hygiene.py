@@ -8,12 +8,17 @@ import, a definition that only ``tests/`` references is a module-level
 name the package exports (test-only helpers live in ``tests/oracles.py``),
 and every parameter of a package function is read in its body.
 No module imports ``dataclasses``: its import and the code each
-decoration generates cost start-up time on every CLI run.
+decoration generates cost start-up time on every CLI run.  And a failing
+Hypothesis test under the repository's pytest settings is reported as a
+failure, not as an error that ends the session.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -149,3 +154,28 @@ def test_no_module_imports_dataclasses():
             if any(m.split(".")[0] == "dataclasses" for m in modules):
                 found.append(f"{path.name}: line {node.lineno}")
     assert not found, found
+
+
+def test_a_failing_property_test_is_reported_as_a_failure(tmp_path):
+    # with every warning an error, Hypothesis's report hook once raised a
+    # DeprecationWarning of its own, which ended the session with an
+    # INTERNALERROR before the tests after the failing one ran
+    (tmp_path / "test_property.py").write_text(textwrap.dedent(
+        """
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=5, database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x != x
+
+        def test_after():
+            pass
+        """
+    ))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml")]
+    cmd += ["--rootdir", str(tmp_path), str(tmp_path)]
+    run = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert "FAILED" in run.stdout and "test_fails" in run.stdout

@@ -767,6 +767,95 @@ def test_the_filter_restatement_passes_what_the_analyzer_passes():
     assert _placement_violations(q, i, [b for _, _, b in q.edges]) == []
 
 
+def _restated_verdict(q: QuotientGraph, outer: int, beads) -> str | None:
+    """The first reason the rule gives an outer face, read off
+    ``_placement_violations``: a face demand unmet is a face below its
+    floor, the outer face's first, and then a short internal pair over the
+    sharing threshold."""
+    broken = _placement_violations(q, outer, beads)
+    if ("demand", outer) in broken:
+        return "outer_face_nontriangular"
+    if any(kind == "demand" for kind, *_ in broken):
+        return "no_internal_hexagon"
+    return "bead_sharing" if broken else None
+
+
+def _gated_classes(h: int, voltages) -> list:
+    """The derived graphs of the fold-h classes that pass the gate."""
+    return [derive(normalized_assignment(K4, h, v))[0] for v in voltages if _meets_voltage_rule(v)]
+
+
+def _check_rule_verdicts(monkeypatch, graphs) -> Counter:
+    """Check that the analyzer's verdict on each (rotation, outer face) of
+    each class is the restated rule's on the class's own beads, carried to
+    the shape's rotations, and that the passing ones are the ones it
+    counts; returns how often each verdict came up."""
+    verdicts = []
+    rule = search.face_exclusions
+
+    def recorded(*args):
+        reasons, pairs = rule(*args)
+        verdicts.append(reasons[0] if reasons else None)
+        return reasons, pairs
+
+    monkeypatch.setattr(search, "face_exclusions", recorded)
+    seen = Counter()
+    for g in graphs:
+        verdicts.clear()
+        passing = analyze_fragment_candidate(g)["embeddings"]["passing"]
+        want = []
+        try:
+            sk = quotient_skeleton(g)
+        except QuotientError:
+            sk = None  # a closed bead chain, which the analyzer excludes by its shape
+        if sk is not None and sk.a > 1:
+            key, edge_of = search._shape_key(sk.a, sk.edges)
+            beads = [sk.edges[e][2] for e in edge_of]
+            want = [_restated_verdict(q, i, beads) for q in search._shape(key) for i in range(len(q.faces))]
+        assert verdicts == want
+        assert passing == want.count(None)
+        seen.update(want)
+    return seen
+
+
+def test_analyzer_verdicts_are_the_restated_rule(fragment_certificate, monkeypatch):
+    # every gate-passing class at folds 1-5 (624 + 24 pairs, none
+    # passing), and the fold-six fragment's 8 pairs, one of them passing
+    graphs = [
+        g
+        for fold in fragment_certificate["folds"]
+        for g in _gated_classes(fold["fold"], [e["voltage"] for e in fold["candidates"]])
+    ]
+    assert len(graphs) == 1 + 3 + 6 + 23 + 69
+    graphs.append(fx.fold_six_fragment().graph)
+    assert _check_rule_verdicts(monkeypatch, graphs) == {"no_internal_hexagon": 630, "bead_sharing": 25, None: 1}
+
+
+@pytest.mark.slow
+def test_analyzer_verdicts_are_the_restated_rule_at_fold_six(monkeypatch):
+    voltages = [e["voltage"] for e in enumerate_covers(SearchSpec("k4", 6), workers=2)["candidates"]]
+    graphs = _gated_classes(6, voltages)
+    assert len(graphs) == 385
+    assert _check_rule_verdicts(monkeypatch, graphs) == {"no_internal_hexagon": 5105, "bead_sharing": 132, None: 141}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.just(0), st.integers(1, 3)), min_size=15, max_size=15))
+def test_only_two_short_faces_can_share_too_many_beads(beads):
+    # a face's m counts every bead it shares, so m_a >= len_a/2 + shared,
+    # and shared >= max(m_a, m_b, 3) - 2 then needs len/2 <= 2 on both
+    # faces: min_beads, which checks only pairs of internal 2- and
+    # 4-faces, is exact.  Every spherical rotation at a <= 5 takes the
+    # first 3a beads.
+    rotations = _spherical_quotients(5)
+    assert len(rotations) == 174
+    for q in rotations:
+        m = [len(s) // 2 + sum(beads[e] for e in s) for s in q.face_edge_sides]
+        for (fa, fb), es in q.face_pair_edges.items():
+            if bead_sharing_excluded(sum(beads[e] for e in es), m[fa], m[fb]):
+                assert len(q.faces[fa]) <= 4 and len(q.faces[fb]) <= 4
+
+
 def test_face_pair_edges_are_the_edges_between_two_faces():
     for q in [*enumerate_quotients(4), _theta(), double_lens()]:
         sides = q.face_edge_sides

@@ -27,6 +27,7 @@ from planecover.structure import (
     detect_beads,
     detect_strings,
     detect_trapezia,
+    face_exclusions,
     face_label_pattern,
     find_beads,
     is_necklace,
@@ -101,9 +102,10 @@ def test_shared_beads_found():
     # the nine-face pair shares exactly m-2 = 1 bead between its 9-faces
     sc = nine_face_pair()
     rep = admissibility_report(sc)
-    exc = check_exclusions(rep)
-    assert len(exc.bead_sharing) == 1
-    fa, fb, m, shared = exc.bead_sharing[0]
+    reasons, sharing = check_exclusions(rep)
+    assert reasons == ("bead_sharing",)
+    assert len(sharing) == 1
+    fa, fb, m, shared = sharing[0]
     assert m == 3 and shared == 1
 
 
@@ -234,9 +236,9 @@ def test_necklace_full_suite():
     # a bare ring has no (1,2,3) triangles and its octahedral paths
     # cannot reach the boundary, so the interior conditions fail
     assert not c["positive_triangle"]
-    exc = check_exclusions(rep)
-    assert exc.necklace and exc.excluded
-    assert exc.reasons() == ("necklace",)
+    reasons, sharing = check_exclusions(rep)
+    assert reasons == ("necklace",)
+    assert sharing == ()
 
 
 def test_internal_hexagon_violation():
@@ -256,9 +258,25 @@ def test_triangle_capacity_violation():
 
 def test_two_faces_exclusion():
     rep = admissibility_report(two_faces())
-    exc = check_exclusions(rep)
-    assert exc.two_internal_faces
-    assert len(rep.internal_nontriangular) == 2
+    reasons, _ = check_exclusions(rep)
+    assert "two_internal_faces" in reasons
+    assert sum(f.internal and f.length > 3 for f in rep.faces) == 2
+
+
+def test_face_rule_reasons_come_in_a_fixed_order():
+    # m per non-triangular face, the outer face, the beads each pair shares
+    m = {0: 1, 1: 2, 2: 3}
+    assert face_exclusions(m, 0, {(1, 2): 1}) == (
+        ("outer_face_nontriangular", "no_internal_hexagon", "two_internal_faces", "bead_sharing"),
+        ((1, 2, 3, 1),),
+    )
+    # a triangular outer face is no key of m; the outer face shares freely
+    assert face_exclusions({1: 4}, 0, {}) == (("necklace",), ())
+    assert face_exclusions({0: 2, 1: 3, 2: 3, 3: 3}, 0, {(0, 1): 5}) == ((), ())
+    # faces of length up to 3m may not share m - 2 beads, and none at m = 3
+    m = {0: 2, 1: 4, 2: 4, 3: 5}
+    assert face_exclusions(m, 0, {(1, 2): 1, (2, 3): 3}) == (("bead_sharing",), ((2, 3, 5, 3),))
+    assert face_exclusions(m, 0, {(1, 2): 2}) == (("bead_sharing",), ((1, 2, 4, 2),))
 
 
 def test_fragment_missing_a_base_label_is_no_cover():
