@@ -61,7 +61,7 @@ def _load_json(path: str | None, fixture: str | None, fixture_suffix: str = ""):
         try:
             return fx.load_fixture_obj(fixture + fixture_suffix)
         except KeyError as exc:
-            raise InputError(str(exc)) from exc
+            raise InputError(exc.args[0]) from exc
     if path is None:
         raise InputError("an input path or --fixture is required")
     try:

@@ -356,15 +356,17 @@ def adjacency_rows(nverts: int, edges) -> list[int]:
     return rows
 
 
-def has_thin_edge(rows: list[int], vertices, within: int = -1) -> bool:
+def has_thin_edge(rows: list[int], vertices, within: int, known: int, need: int) -> bool:
     """Whether some edge from a vertex of ``vertices`` to a vertex of the
-    bitmask ``within`` has endpoints with fewer than two common neighbours
-    in the bitmask adjacency rows ``rows``.
+    bitmask ``within`` has fewer than ``need`` common neighbours in the
+    bitmask ``known``, in the bitmask adjacency rows ``rows``.
 
     In a triangulation with V >= 4 every edge lies on two facial triangles
-    with distinct third vertices, so a thin edge rules one out.  The rule
-    reads only the rows of the edge's endpoints: once those rows are
-    final, so is the verdict on the edge.
+    with distinct third vertices, so an edge with fewer than two common
+    neighbours (``known`` every vertex, ``need`` 2) rules one out.  A
+    caller that knows only part of the graph passes the vertices whose
+    adjacency to both ends is final as ``known`` and lowers ``need`` by
+    the most common neighbours the rest can still add.
     """
     for u in vertices:
         row = rows[u]
@@ -372,7 +374,7 @@ def has_thin_edge(rows: list[int], vertices, within: int = -1) -> bool:
         while rest:
             bit = rest & -rest
             rest ^= bit
-            if (row & rows[bit.bit_length() - 1]).bit_count() < 2:
+            if (row & rows[bit.bit_length() - 1] & known).bit_count() < need:
                 return True
     return False
 
@@ -389,7 +391,7 @@ def planar_rows(rows: list[int], m: int) -> bool:
     nverts = len(rows)
     if nverts >= 3 and m > 3 * nverts - 6:
         return False
-    if nverts >= 4 and m == 3 * nverts - 6 and has_thin_edge(rows, range(nverts)):
+    if nverts >= 4 and m == 3 * nverts - 6 and has_thin_edge(rows, range(nverts), -1, -1, 2):
         return False
     return _lr_planar(rows)
 

@@ -196,6 +196,42 @@ def _orbit_reps(group, perms):
         yield p, tuple(stabilizer)
 
 
+def _thin_edge_checks(base: BaseGraph, n: int) -> list[list[tuple]]:
+    """For each level k of the scan, with the spanning tree and the first
+    k cotree edges in, the ``has_thin_edge`` arguments of the base edges
+    whose triangle bound changes at k: (the edge's first fibre, the
+    bitmask of its second, the bitmask of its known fibres, need).
+
+    In a derived graph of a simple base, u_i has exactly one neighbour in
+    fibre z for each base edge uz.  So a common neighbour of a lifted edge
+    u_i-w_j lies over a common base neighbour z of u and w, one at most per
+    z, and once uz and wz are both in, whether it exists never changes.
+    The count over those known fibres plus the number of z with uz or wz
+    still open bounds the edge's final common-neighbour count from above;
+    ``has_thin_edge`` fires when the known count is below need, 2 less the
+    open count.  The bound changes only when the edge goes in or a z
+    becomes known, and the rows of known fibres never change, so checking
+    at those levels is enough.  An edge with two or more open z cannot
+    fire and is left out; once every z is known, need is 2.
+    """
+    g = base.graph
+    at = [[0] * g.n for _ in range(g.n)]  # the level at which a base edge goes in
+    for k, e in enumerate(base.cotree_edges, 1):
+        u, w = g.edges[e]
+        at[u][w] = at[w][u] = k
+    fibre = [((1 << n) - 1) << (b * n) for b in range(g.n)]
+    checks = [[] for _ in range(len(base.cotree_edges) + 1)]
+    for u, w in g.edges:
+        known_at = [(max(at[u][z], at[w][z]), z) for z in g.adj[u] if z in g.adj[w]]
+        for k in sorted({at[u][w], *(j for j, _ in known_at if j > at[u][w])}):
+            known = [z for j, z in known_at if j <= k]
+            need = 2 - len(known_at) + len(known)
+            if need > 0:
+                known_mask = sum(fibre[z] for z in known)
+                checks[k].append((range(u * n, u * n + n), fibre[w], known_mask, need))
+    return checks
+
+
 def _scan_chunk(base: BaseGraph, n: int, firsts):
     """Scan the normalized assignments with the given first-cotree voltages.
 
@@ -213,13 +249,12 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
     stabilizer.  Each prefix ORs its edge's lifted rows into its parent's
     adjacency rows and joins its voltage to the sheet orbits; once the
     orbits are one, every completion is transitive.  When every cover has
-    3V - 6 edges it is planar only if it is a triangulation; a derived
-    vertex's row is final once its base vertex's last cotree edge is in,
-    and a thin edge between final vertices (``has_thin_edge``) makes the
-    prefix dead: every completion is non-planar, so deeper prefixes skip
-    their rows and leaves skip ``planar_rows``.  A dead prefix whose orbits
-    are one is counted whole, its weight times (n!)^k for the k cotree
-    edges left: every completion is connected and none planar.
+    3V - 6 edges it is planar only if it is a triangulation, so a lifted
+    edge whose triangle bound (``_thin_edge_checks``) is below two makes
+    the prefix dead: every completion is non-planar, so deeper prefixes
+    skip their rows and leaves skip ``planar_rows``.  A dead prefix whose
+    orbits are one is counted whole, its weight times (n!)^k for the k
+    cotree edges left: every completion is connected and none planar.
     """
     g = base.graph
     nverts = g.n * n
@@ -237,15 +272,9 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
         {p: adjacency_rows(nverts, derived_edges((g.edges[e],), n, (p,))) for p in perms}
         for e in cotree
     ]
-    # with the first k cotree edges in, fresh[k] lists the derived vertices
-    # whose rows become final, final[k] is the bitmask of all final ones;
-    # both stay empty unless the thin-edge rule applies
-    fresh = [[] for _ in range(depth + 2)]
+    checks = [()] * (depth + 2)
     if nverts >= 4 and m == 3 * nverts - 6:
-        last = {b: k + 1 for k, e in enumerate(cotree) for b in g.edges[e]}
-        for b in range(g.n):
-            fresh[last.get(b, 0)].extend(range(b * n, b * n + n))
-    final = list(itertools.accumulate(sum(1 << v for v in vs) for vs in fresh))
+        checks = _thin_edge_checks(base, n)
 
     def visit(k, volt, group, weight, rows, orbits, dead):
         # cotree edge k takes the last voltage of ``volt``, whose parent
@@ -257,7 +286,7 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
             orbits = join_sheets(orbits, p)
         if not dead:
             rows = [a | b for a, b in zip(rows, lifts[k][p])]
-            dead = has_thin_edge(rows, fresh[k + 1], final[k + 1])
+            dead = any(has_thin_edge(rows, *c) for c in checks[k + 1])
         transitive = orbits[0] == one_orbit
         if k == depth or dead and transitive:
             if transitive:
@@ -271,7 +300,7 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
             visit(k + 1, (*volt, q), stabilizer, weight * index, rows, orbits, dead)
 
     rows = adjacency_rows(nverts, derived_edges(tree, n, perms[:1] * len(tree)))
-    dead = has_thin_edge(rows, fresh[0], final[0])
+    dead = any(has_thin_edge(rows, *c) for c in checks[0])
     for first in firsts:
         centralizer = tuple(h for h in perms if _conjugate(h, first) == first)
         visit(0, (first,), centralizer, 1, rows, tuple(1 << i for i in range(n)), dead)

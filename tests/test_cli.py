@@ -94,6 +94,14 @@ def test_verify_parse_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_unknown_fixture_message_is_unquoted(capsys):
+    # the KeyError's message, not its repr
+    rc = main(["derive", "--fixture", "nonexistent"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: unknown fixture 'nonexistent'; known: crowded_face,")
+
+
 def test_search_k4_n2(tmp_path, capsys):
     out = tmp_path / "cert.json"
     rc = main(["search", "--fixture", "spec-k4-n2", "--out", str(out)])

@@ -55,12 +55,12 @@ def test_orbit_scan_matches_brute_force_k1222_n2():
 
 def test_k1222_n2_scan_leaves_four_covers_to_the_lr_test(monkeypatch):
     # every connected fold-2 cover has 14 vertices and 36 = 3V - 6 edges,
-    # so it is planar only if it is a triangulation: the thin-edge rule on
-    # voltage prefixes leaves four of the 4,095 to the leaf decision, and
-    # those four pass its triangulation pre-check to the LR test.  A dead
-    # prefix whose sheet orbits are one is counted whole, so the walk
-    # expands 483 prefixes, not the 4,096 leaves, and joins sheet orbits
-    # 24 times
+    # so it is planar only if it is a triangulation: the triangle bound of
+    # each lifted edge on voltage prefixes leaves four of the 4,095 to the
+    # leaf decision, and those four pass its triangulation pre-check to the
+    # LR test.  A dead prefix whose sheet orbits are one is counted whole,
+    # so the walk expands 104 prefixes, not the 4,096 leaves, and joins
+    # sheet orbits 24 times
     calls = {}
 
     def count(module, name):
@@ -77,7 +77,7 @@ def test_k1222_n2_scan_leaves_four_covers_to_the_lr_test(monkeypatch):
         count(search, name)
     got = _scan_chunk(make_base("k1222"), 2, conjugacy_representatives(2))
     assert got[:3] == (4096, 4095, 0)
-    assert calls == {"_lr_planar": 4, "planar_rows": 4, "_orbit_reps": 483, "join_sheets": 24}
+    assert calls == {"_lr_planar": 4, "planar_rows": 4, "_orbit_reps": 104, "join_sheets": 24}
 
 
 @pytest.mark.slow

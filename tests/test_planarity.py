@@ -122,15 +122,45 @@ def _triangulation_sized(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_triangulation_sized(), st.data())
 def test_thin_edge_between_final_vertices_rules_out_planarity(graph, data):
-    # the scan's prefix rule: once every edge at both ends of a thin edge is
-    # in, no completion to 3V - 6 edges is planar
+    # once every edge at both ends of a thin edge is in, every vertex is
+    # known to the rule and the edge needs two common neighbours: no
+    # completion to 3V - 6 edges is planar
     n, edges = graph
     prefix = edges[: data.draw(st.integers(0, len(edges)))]
     degree = [sum(v in e for e in edges) for v in range(n)]
     final = [v for v in range(n) if sum(v in e for e in prefix) == degree[v]]
-    if has_thin_edge(adjacency_rows(n, prefix), final, sum(1 << v for v in final)):
+    if has_thin_edge(adjacency_rows(n, prefix), final, sum(1 << v for v in final), -1, 2):
         assert not planar_rows(adjacency_rows(n, edges), len(edges))
         assert not lr_planar(LabeledGraph((0,) * n, tuple(edges)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["k4", "k1222"]), st.integers(1, 3), st.data())
+def test_prefix_triangle_bound_holds_for_every_completion(kind, n, data):
+    # the scan's prefix rule, search._thin_edge_checks: at each level, each
+    # listed lifted edge's bound (common neighbours in the known fibres plus
+    # the open ones, 2 - need) is at least its common-neighbour count in the
+    # completed derived graph; and a leaf is dead exactly when the
+    # completed graph has a thin edge
+    base = make_base(kind)
+    g = base.graph
+    perms = list(itertools.permutations(range(n)))
+    edges = [g.edges[e] for e in (*base.spanning_tree_edges, *base.cotree_edges)]
+    volts = [perms[0]] * len(base.spanning_tree_edges)
+    volts += [data.draw(st.sampled_from(perms)) for _ in base.cotree_edges]
+    nverts, tree = g.n * n, len(base.spanning_tree_edges)
+    full = adjacency_rows(nverts, derived_edges(edges, n, volts))
+    dead = False
+    for k, level in enumerate(search._thin_edge_checks(base, n)):
+        rows = adjacency_rows(nverts, derived_edges(edges[: tree + k], n, volts[: tree + k]))
+        for vertices, within, known, need in level:
+            for u in vertices:
+                assert (rows[u] & within).bit_count() == 1  # the edge is in
+                w = (rows[u] & within).bit_length() - 1
+                bound = (rows[u] & rows[w] & known).bit_count() + 2 - need
+                assert bound >= (full[u] & full[w]).bit_count()
+            dead = dead or has_thin_edge(rows, vertices, within, known, need)
+    assert dead == has_thin_edge(full, range(nverts), -1, -1, 2)
 
 
 def _subdivided(rng, base_edges, nverts):
