@@ -26,9 +26,6 @@ from .covers import (
 from .embedding import (
     KuratowskiWitness,
     PlaneEmbedding,
-    fold_from_single_long_face,
-    cover_face_conditions,
-    is_peripheral,
     is_planar,
     planarity,
 )
@@ -54,14 +51,11 @@ from .structure import (
     StructureReport,
     admissibility_report,
     check_exclusions,
-    detect_beads,
     detect_strings,
-    detect_trapezia,
     face_label_pattern,
     is_necklace,
     quotient_graph,
     refine_faces,
-    triangles_supported_on_string,
 )
 
 __version__ = "0.1.0"

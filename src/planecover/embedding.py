@@ -9,17 +9,10 @@ computed: every downstream predicate reads face walks and label sequences.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 from typing import NamedTuple
 
-from .graphs import (
-    BaseGraph,
-    GraphError,
-    LabeledGraph,
-    find_cycles_covering,
-    is_connected,
-)
+from .graphs import GraphError, LabeledGraph, is_connected
 
 
 class EmbeddingError(ValueError):
@@ -495,33 +488,8 @@ def planarity(g: LabeledGraph) -> PlaneEmbedding | KuratowskiWitness:
 
 
 # ---------------------------------------------------------------------------
-# Cycle predicates and face conditions
+# Triangles
 # ---------------------------------------------------------------------------
-
-
-def _is_cycle_of(g: LabeledGraph, cycle) -> bool:
-    k = len(cycle)
-    if k < 3 or len(set(cycle)) != k:
-        return False
-    return all(g.has_edge(cycle[i], cycle[(i + 1) % k]) for i in range(k))
-
-
-def is_peripheral(g: LabeledGraph, cycle) -> bool:
-    """Chordless cycle whose vertex deletion leaves the graph connected."""
-    cycle = tuple(cycle)
-    if not _is_cycle_of(g, cycle):
-        raise GraphError(f"{cycle!r} is not a cycle of the graph")
-    k = len(cycle)
-    for i, j in itertools.combinations(range(k), 2):
-        if abs(i - j) in (1, k - 1):
-            continue
-        if g.has_edge(cycle[i], cycle[j]):
-            return False
-    rest = [v for v in range(g.n) if v not in set(cycle)]
-    if not rest:
-        return True
-    sub, _ = g.induced_subgraph(rest)
-    return is_connected(sub)
 
 
 def triangle_faces(emb: PlaneEmbedding) -> set[frozenset[int]]:
@@ -535,67 +503,3 @@ def all_triangles(g: LabeledGraph) -> list[tuple[int, int, int]]:
             if g.has_edge(u, w) and g.has_edge(v, w):
                 out.append((u, v, w))
     return sorted(set(out))
-
-
-class FaceConditionReport(NamedTuple):
-    """Face-level conditions on an embedded cover.
-
-    Fold number and triangular face count are raw statistics (the
-    chosen-cover minimality and triangle-maximality properties are global
-    claims over all covers and cannot be decided on one instance);
-    short_lifts_facial demands every length-3 lift of a base triangle to
-    bound a face, and no_long_triangle_face forbids faces that are long
-    cycles over a single base triangle.
-    """
-
-    fold: int
-    triangular_faces: int
-    short_lifts_facial: bool
-    short_lift_violations: tuple[tuple[int, ...], ...]
-    no_long_triangle_face: bool
-    long_face_violations: tuple[int, ...]
-
-
-def cover_face_conditions(emb: PlaneEmbedding, base: BaseGraph, fold: int) -> FaceConditionReport:
-    """Check the face conditions for an embedded cover of the base."""
-    g = emb.graph
-    if not g.is_label_consistent():
-        raise GraphError("embedded graph is not label-consistent")
-    tri_faces = triangle_faces(emb)
-    short_viol = []
-    long_lift_cycles = set()
-    for t in base.triangles:
-        for comp in find_cycles_covering(g, t, base):
-            if comp.kind != "cycle":
-                continue
-            if comp.length > 3:
-                long_lift_cycles.add(frozenset(comp.edges))
-            elif comp.length == 3 and frozenset(comp.vertices) not in tri_faces:
-                short_viol.append(comp.vertices)
-    long_viol = [
-        i
-        for i, f in enumerate(emb.faces)
-        if f.length > 3
-        and f.is_simple_cycle()
-        and frozenset(g.edges[e] for e in f.edge_ids) in long_lift_cycles
-    ]
-    return FaceConditionReport(
-        fold=fold,
-        triangular_faces=sum(1 for f in emb.faces if f.length == 3),
-        short_lifts_facial=not short_viol,
-        short_lift_violations=tuple(short_viol),
-        no_long_triangle_face=not long_viol,
-        long_face_violations=tuple(long_viol),
-    )
-
-
-def fold_from_single_long_face(m: int) -> int:
-    """Fold number forced on a cover of K(1,2,2,2) whose faces are one
-    3m-gon and triangles elsewhere.
-
-    With 7n vertices and 18n edges Euler gives 11n + 2 faces; equating
-    total face length 3(11n + 1) + 3m with 36n yields n = m + 1.
-    """
-    if m < 2:
-        raise ValueError("the long face must have length at least 6 (m >= 2)")
-    return m + 1

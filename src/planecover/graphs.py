@@ -103,10 +103,6 @@ class LabeledGraph(_LabeledGraphFields):
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edge_set
 
-    def is_label_consistent(self) -> bool:
-        """Every edge joins vertices whose labels are adjacent in the base."""
-        return all(labels_adjacent(self.labels[u], self.labels[v]) for u, v in self.edges)
-
     def induced_subgraph(self, vertices) -> tuple["LabeledGraph", dict[int, int]]:
         """Induced subgraph plus the old-id -> new-id map."""
         keep = sorted(set(vertices))
@@ -367,9 +363,9 @@ def _certificate(g: LabeledGraph, colors: list[int]) -> bytes:
 
 
 # No module of the package calls canonical_form.  It stays here only
-# because the benchmark's workloads import it from this module; moving it
-# to the test oracles (ROADMAP item 6) waits on the benchmark change of
-# ROADMAP item 1, which drops that import.
+# because the benchmark's workloads import it from this module; its move
+# to the test oracles is part of the benchmark change of ROADMAP item 1a,
+# which drops that import.
 def canonical_form(g: LabeledGraph) -> bytes:
     """Canonical byte string: equal iff a label-preserving isomorphism
     maps one graph onto the other.

@@ -196,7 +196,8 @@ def _orbit_reps(group, perms):
         yield p, tuple(stabilizer)
 
 
-def _thin_edge_checks(base: BaseGraph, n: int) -> list[list[tuple]]:
+@functools.cache
+def _thin_edge_checks(base: BaseGraph, n: int) -> tuple[tuple[tuple, ...], ...]:
     """For each level k of the scan, with the spanning tree and the first
     k cotree edges in, the ``has_thin_edge`` arguments of the base edges
     whose triangle bound changes at k: (the edge's first fibre, the
@@ -212,7 +213,8 @@ def _thin_edge_checks(base: BaseGraph, n: int) -> list[list[tuple]]:
     open count.  The bound changes only when the edge goes in or a z
     becomes known, and the rows of known fibres never change, so checking
     at those levels is enough.  An edge with two or more open z cannot
-    fire and is left out; once every z is known, need is 2.
+    fire and is left out; once every z is known, need is 2.  Built once
+    per base and fold.
     """
     g = base.graph
     at = [[0] * g.n for _ in range(g.n)]  # the level at which a base edge goes in
@@ -229,7 +231,7 @@ def _thin_edge_checks(base: BaseGraph, n: int) -> list[list[tuple]]:
             if need > 0:
                 known_mask = sum(fibre[z] for z in known)
                 checks[k].append((range(u * n, u * n + n), fibre[w], known_mask, need))
-    return checks
+    return tuple(map(tuple, checks))
 
 
 def _scan_chunk(base: BaseGraph, n: int, firsts):
@@ -276,11 +278,19 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
     if nverts >= 4 and m == 3 * nverts - 6:
         checks = _thin_edge_checks(base, n)
 
-    def visit(k, volt, group, weight, rows, orbits, dead):
-        # cotree edge k takes the last voltage of ``volt``, whose parent
-        # prefix has the given rows, orbits and dead flag; ``group`` is the
-        # stabilizer of ``volt`` and ``weight`` the size of its orbit
-        nonlocal connected_count, planar_count
+    rows = adjacency_rows(nverts, derived_edges(tree, n, perms[:1] * len(tree)))
+    dead = any(has_thin_edge(rows, *c) for c in checks[0])
+    orbits = tuple(1 << i for i in range(n))
+    # the prefixes still to visit, the next one last: cotree edge k takes
+    # the last voltage of ``volt``, whose parent prefix has the given rows,
+    # orbits and dead flag; ``group`` is the stabilizer of ``volt`` and
+    # ``weight`` the size of its orbit
+    stack = [
+        (0, (first,), tuple(h for h in perms if _conjugate(h, first) == first), 1, rows, orbits, dead)
+        for first in reversed(firsts)
+    ]
+    while stack:
+        k, volt, group, weight, rows, orbits, dead = stack.pop()
         p = volt[-1]
         if orbits[0] != one_orbit:
             orbits = join_sheets(orbits, p)
@@ -294,16 +304,12 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
                 if not dead and planar_rows(rows, m):
                     planar_count += weight
                     classes.append((volt, weight))
-            return
-        for q, stabilizer in _orbit_reps(group, perms):
-            index = len(group) // len(stabilizer)
-            visit(k + 1, (*volt, q), stabilizer, weight * index, rows, orbits, dead)
-
-    rows = adjacency_rows(nverts, derived_edges(tree, n, perms[:1] * len(tree)))
-    dead = any(has_thin_edge(rows, *c) for c in checks[0])
-    for first in firsts:
-        centralizer = tuple(h for h in perms if _conjugate(h, first) == first)
-        visit(0, (first,), centralizer, 1, rows, tuple(1 << i for i in range(n)), dead)
+            continue
+        children = [
+            (k + 1, (*volt, q), stabilizer, weight * (len(group) // len(stabilizer)), rows, orbits, dead)
+            for q, stabilizer in _orbit_reps(group, perms)
+        ]
+        stack += reversed(children)
     return visited, connected_count, planar_count, classes
 
 

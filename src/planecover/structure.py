@@ -3,7 +3,7 @@
 Inside a putative planar cover of K(1,2,2,2), each long octahedral cycle
 bounds a domain containing a semi-cover G' whose K4-labelled part H is a
 3-regular cover of K4.  This module detects the combinatorial gadgets of
-that situation (beads, strings, necklaces, trapezia), checks the
+that situation (beads, strings, necklaces), checks the
 admissibility conditions every such fragment must satisfy, evaluates the
 exclusion predicates that rule whole shapes out, and contracts admissible
 fragments to their cubic bipartite quotients.
@@ -110,14 +110,7 @@ class Bead(NamedTuple):
         return frozenset((self.zero, self.kvert) + self.inner)
 
 
-class _StringDescFields(NamedTuple):
-    beads: tuple[Bead, ...]
-    type_label: int
-    neg_terminal: tuple[int, int]  # (first bead zero, external -k vertex)
-    zero_terminal: tuple[int, int]  # (last bead kvert, external 0 vertex)
-
-
-class StringDesc(_StringDescFields):
+class StringDesc(NamedTuple):
     """Maximal chain of beads plus its two terminal edges.
 
     Beads are listed from the black end (the external -k vertex the first
@@ -125,23 +118,10 @@ class StringDesc(_StringDescFields):
     bead's -k vertex attaches to); all beads share the type label.
     """
 
-    @cached_property
-    def vertex_set(self) -> frozenset[int]:
-        out = set()
-        for b in self.beads:
-            out |= b.vertices
-        out.add(self.neg_terminal[1])
-        out.add(self.zero_terminal[1])
-        return frozenset(out)
-
-    def path_from_zero_end(self) -> tuple[int, ...]:
-        """Spine of the string from its 0-terminal up to its -k-terminal,
-        omitting the inner vertices (both lie off the spine)."""
-        out = [self.zero_terminal[1]]
-        for b in reversed(self.beads):
-            out.extend((b.kvert, b.zero))
-        out.append(self.neg_terminal[1])
-        return tuple(out)
+    beads: tuple[Bead, ...]
+    type_label: int
+    neg_terminal: tuple[int, int]  # (first bead zero, external -k vertex)
+    zero_terminal: tuple[int, int]  # (last bead kvert, external 0 vertex)
 
 
 def find_beads(g: LabeledGraph) -> list[Bead]:
@@ -161,21 +141,6 @@ def find_beads(g: LabeledGraph) -> list[Bead]:
                     if set(g.adj[x]) <= {y, z, k} and set(g.adj[y]) <= {x, z, k}:
                         beads.append(Bead(z, (x, y), k, g.labels[k]))
     return sorted(beads, key=lambda b: (b.zero, b.inner))
-
-
-def detect_beads(emb: PlaneEmbedding) -> list[Bead]:
-    """Beads of an embedded fragment.
-
-    Also checks that the two inner vertices of every bead lie on two
-    distinct non-triangular faces of the embedding.
-    """
-    beads = find_beads(emb.graph)
-    for b, (fa, fb) in zip(beads, _bead_hosts(emb, beads)):
-        if fa == fb:
-            raise StructureError(
-                f"both inner vertices of bead at zero {b.zero} lie on one face"
-            )
-    return beads
 
 
 def _external_neighbor(g: LabeledGraph, bead: Bead, v: int) -> int:
@@ -240,19 +205,8 @@ def is_necklace(emb: PlaneEmbedding, beads=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Trapezia
+# Positive triangles
 # ---------------------------------------------------------------------------
-
-
-class Trapezium(NamedTuple):
-    """A (1,2,3) triangle with -i and -k attached by four edges."""
-
-    type_label: int  # j
-    triangle: tuple[int, int, int]  # vertices labelled 1, 2, 3 in order
-    neg_i: int
-    neg_k: int
-    i_label: int
-    k_label: int
 
 
 def positive_triangles(g: LabeledGraph) -> list[tuple[int, int, int]]:
@@ -266,31 +220,6 @@ def positive_triangles(g: LabeledGraph) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-def detect_trapezia(sc: SemiCover) -> list[Trapezium]:
-    """All trapezium subgraphs (any type) in a semi-cover."""
-    g = sc.graph
-    out = []
-    for v1, v2, v3 in positive_triangles(g):
-        by_label = {1: v1, 2: v2, 3: v3}
-        for j in (1, 2, 3):
-            i, k = sorted(_POS_SET - {j})
-            vi, vj, vk = by_label[i], by_label[j], by_label[k]
-            negk = [
-                v
-                for v in g.adj[vj]
-                if g.labels[v] == -k and g.has_edge(v, vi)
-            ]
-            negi = [
-                v
-                for v in g.adj[vj]
-                if g.labels[v] == -i and g.has_edge(v, vk)
-            ]
-            for x in negk:
-                for y in negi:
-                    out.append(Trapezium(j, (v1, v2, v3), y, x, i, k))
-    return sorted(out, key=lambda t: (t.triangle, t.type_label))
-
-
 # ---------------------------------------------------------------------------
 # Face refinement: faces of the ambient graph grouped by fragment face
 # ---------------------------------------------------------------------------
@@ -300,7 +229,6 @@ class FaceRefinement(NamedTuple):
     """How the ambient embedding's faces subdivide the fragment's faces."""
 
     h_embedding: PlaneEmbedding  # outer: the fragment face holding the ambient outer face
-    h_vmap: dict[int, int]  # ambient vertex id -> fragment vertex id
     # fragment face -> (1,2,3) triangles
     triangles_in_face: dict[int, tuple[tuple[int, int, int], ...]]
 
@@ -314,7 +242,7 @@ def refine_faces(sc: SemiCover) -> FaceRefinement:
     h_vertices = tuple(v for v in range(g.n) if g.labels[v] in _K4_LABEL_SET)
     if not h_vertices:
         raise StructureError("no K4-labelled vertices present")
-    h_emb, vmap, emap = emb.restrict(h_vertices)
+    h_emb, _, emap = emb.restrict(h_vertices)
     h_edge_ids = set(emap)
 
     # Faces sharing a non-fragment edge lie in the same fragment face
@@ -358,153 +286,8 @@ def refine_faces(sc: SemiCover) -> FaceRefinement:
 
     return FaceRefinement(
         h_embedding=h_emb.with_outer_face(group[emb.outer_face]),
-        h_vmap=vmap,
         triangles_in_face={k: tuple(v) for k, v in tri_in_face.items()},
     )
-
-
-# ---------------------------------------------------------------------------
-# Triangles supported on a string
-# ---------------------------------------------------------------------------
-
-
-class SupportedTriangle(NamedTuple):
-    """One (1,2,3) triangle in a face, with its attachment data."""
-
-    triangle: tuple[int, int, int]
-    attachments: tuple[int, ...]  # attachment vertices, ambient ids
-    on_string: bool  # every attachment lies on the string
-    span: tuple[int, int] | None  # (bottom, top) positions along the string
-    bottom_label: int | None
-    top_label: int | None
-    minimal: bool
-    configuration: int | None  # 1..3 for minimal supported triangles
-
-
-class SupportReport(NamedTuple):
-    string_positions: tuple[int, ...]  # spine vertices, bottom (0 end) first
-    triangles: tuple[SupportedTriangle, ...]
-
-
-def triangles_supported_on_string(
-    sc: SemiCover, string: StringDesc, face_id: int, ref: FaceRefinement
-) -> SupportReport:
-    """Attachment analysis for the (1,2,3) triangles inside one face.
-
-    Positions along the string run upward from the 0-terminal to the
-    -k-terminal; a triangle is supported when all its attachment vertices
-    lie on the string, and supported triangles are ordered by attachment
-    interval nesting, with minimal ones classified into the three possible
-    local configurations.  The string is given in fragment vertex ids, as
-    :func:`detect_strings` returns it on the fragment embedding.
-    """
-    g = sc.graph
-    h_to_ambient = {sub: amb for amb, sub in ref.h_vmap.items()}
-    spine = tuple(h_to_ambient[v] for v in string.path_from_zero_end())
-    string_vertices = {h_to_ambient[v] for v in string.vertex_set}
-    inner_pairs = [tuple(h_to_ambient[x] for x in b.inner) for b in string.beads]
-
-    face_walk = ref.h_embedding.faces[face_id]
-    face_vs_ambient = {h_to_ambient[v] for v in face_walk.vertex_set}
-    if not face_vs_ambient & string_vertices:
-        raise StructureError("the string does not bound the given face")
-
-    # Insert the face-side inner vertex of each bead into the spine order;
-    # walking up from the 0-terminal each bead reads kvert, inner, zero.
-    positions: list[int] = []
-    for idx, v in enumerate(spine):
-        positions.append(v)
-        if idx % 2 == 1 and (idx - 1) // 2 < len(inner_pairs):
-            pair = inner_pairs[len(inner_pairs) - 1 - (idx - 1) // 2]
-            face_side = [x for x in pair if x in face_vs_ambient]
-            if len(face_side) == 1:
-                positions.append(face_side[0])
-    pos_index = {v: i for i, v in enumerate(positions)}
-
-    tris = ref.triangles_in_face.get(face_id, ())
-    entries = []
-    spans = {}
-    for tri in tris:
-        tri_set = set(tri)
-        attach = sorted({u for v in tri for u in g.adj[v] if u not in tri_set})
-        on_string = bool(attach) and all(u in string_vertices for u in attach)
-        here = sorted(pos_index[u] for u in attach if u in pos_index)
-        span = (here[0], here[-1]) if here else None
-        spans[tri] = (span, on_string)
-        entries.append((tri, attach, on_string, span))
-
-    inner_set = {x for pair in inner_pairs for x in pair}
-    out = []
-    for tri, attach, on_string, span in entries:
-        minimal = False
-        config = None
-        if on_string and span is not None:
-            minimal = not any(
-                other != tri
-                and sp is not None
-                and o_on
-                and span[0] <= sp[0]
-                and sp[1] <= span[1]
-                and sp != span
-                for other, (sp, o_on) in spans.items()
-            )
-            if minimal:
-                config = _classify_configuration(g, tri, pos_index, inner_set)
-        out.append(
-            SupportedTriangle(
-                triangle=tri,
-                attachments=tuple(attach),
-                on_string=on_string,
-                span=span,
-                bottom_label=None if span is None else g.labels[positions[span[0]]],
-                top_label=None if span is None else g.labels[positions[span[1]]],
-                minimal=minimal,
-                configuration=config,
-            )
-        )
-    return SupportReport(tuple(positions), tuple(out))
-
-
-def _classify_configuration(g, tri, pos_index, inner_set) -> int | None:
-    """Which of the three minimal-triangle pictures is present.
-
-    The two inner vertices served by the triangle sit on consecutive
-    beads; the free choices are whether the lower triangle vertex takes
-    its -k attachment from above or below, and whether the upper one takes
-    its 0 attachment from above or below.
-    """
-    inner_attach: dict[int, set[int]] = {}
-    for v in tri:
-        for u in g.adj[v]:
-            if u in pos_index and u in inner_set:
-                inner_attach.setdefault(u, set()).add(v)
-    served = [u for u, vs in inner_attach.items() if len(vs) == 2]
-    if len(served) != 2:
-        return None
-    served.sort(key=lambda u: pos_index[u])
-    low, up = served
-    kv = next(iter(inner_attach[low] & inner_attach[up]), None)
-    if kv is None:
-        return None
-    jv = (inner_attach[up] - {kv}).pop()
-    iv = (inner_attach[low] - {kv}).pop()
-    i_negk = [
-        u
-        for u in g.adj[iv]
-        if u in pos_index and g.labels[u] in _NEG_SET and u not in served
-    ]
-    j_zero = [u for u in g.adj[jv] if u in pos_index and g.labels[u] == 0]
-    if len(i_negk) != 1 or len(j_zero) != 1:
-        return None
-    ik_above = pos_index[i_negk[0]] > pos_index[up]
-    j0_above = pos_index[j_zero[0]] > pos_index[up]
-    if j0_above and ik_above:
-        return 1
-    if j0_above and not ik_above:
-        return 2
-    if not j0_above and not ik_above:
-        return 3
-    return None
 
 
 # ---------------------------------------------------------------------------

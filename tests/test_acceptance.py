@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from lemmas import detect_trapezia, fold_from_single_long_face, triangles_supported_on_string
 from oracles import (
     connectivity_by_cut_search,
     orbit_sizes,
@@ -24,7 +25,7 @@ from oracles import (
 
 from planecover.bounds import check_face_census_identity, fold_verdict
 from planecover.covers import derive, normalized_assignment, verify_cover
-from planecover.embedding import is_planar, fold_from_single_long_face
+from planecover.embedding import is_planar
 from planecover.fixtures import (
     double_lens,
     necklace,
@@ -38,9 +39,7 @@ from planecover.structure import (
     admissibility_report,
     check_exclusions,
     detect_strings,
-    detect_trapezia,
     refine_faces,
-    triangles_supported_on_string,
 )
 
 K4 = make_base("k4")

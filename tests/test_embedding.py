@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from lemmas import cover_face_conditions, fold_from_single_long_face, is_peripheral
 from oracles import face_lengths, lr_planar, planar_by_subdivision_search, relabel_vertices
 
 from planecover import embedding
@@ -11,9 +12,6 @@ from planecover.embedding import (
     KuratowskiWitness,
     PlaneEmbedding,
     adjacency_rows,
-    cover_face_conditions,
-    fold_from_single_long_face,
-    is_peripheral,
     planar_edges,
     planar_rows,
     planarity,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemmas import is_label_consistent
 from oracles import connectivity_by_cut_search, isomorphic, relabel_vertices
 
 from planecover.covers import derive, normalized_assignment
@@ -249,6 +250,6 @@ def test_find_cycles_covering_rejects_non_triangle():
 
 
 def test_label_consistency():
-    assert make_base("k1222").graph.is_label_consistent()
+    assert is_label_consistent(make_base("k1222").graph)
     bad = LabeledGraph((1, -1), ((0, 1),))
-    assert not bad.is_label_consistent()
+    assert not is_label_consistent(bad)

@@ -2,6 +2,7 @@
 the format-1 and format-2 certificates and the pinned certificate bytes."""
 
 import functools
+import gc
 import hashlib
 import math
 from collections import Counter
@@ -28,6 +29,7 @@ from planecover.graphs import canonical_form, make_base
 from planecover.search import (
     SearchSpec,
     _scan_chunk,
+    _thin_edge_checks,
     enumerate_covers,
     enumerate_quotients,
     search_k4_fragments,
@@ -78,6 +80,30 @@ def test_k1222_n2_scan_leaves_four_covers_to_the_lr_test(monkeypatch):
     got = _scan_chunk(make_base("k1222"), 2, conjugacy_representatives(2))
     assert got[:3] == (4096, 4095, 0)
     assert calls == {"_lr_planar": 4, "planar_rows": 4, "_orbit_reps": 104, "join_sheets": 24}
+
+
+def test_a_scan_leaves_no_cyclic_garbage():
+    # the scan's tables are freed when it returns, not left for the cyclic
+    # collector: with the collector off, a covers scan and a fragment
+    # search leave nothing unreachable behind
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        enumerate_covers(SearchSpec("k1222", 2))
+        assert gc.collect() == 0
+        search_k4_fragments(4)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_thin_edge_table_is_built_once_per_base_and_fold():
+    base = make_base("k1222")
+    checks = _thin_edge_checks(base, 2)
+    assert _thin_edge_checks(make_base("k1222"), 2) is checks
+    assert type(checks) is tuple and all(type(level) is tuple for level in checks)
 
 
 @pytest.mark.slow

@@ -53,7 +53,7 @@ CASES = [
     (VoltageAssignment, lambda: identity_assignment(make_base("k4"), 2), ()),
     (SearchSpec, lambda: SearchSpec("k1222", 2), ()),
     (QuotientGraph, fx.double_lens, ("faces", "census", "face_pair_edges")),
-    (StringDesc, lambda: detect_strings(fx.two_faces().embedding)[0], ("vertex_set",)),
+    (StringDesc, lambda: detect_strings(fx.two_faces().embedding)[0], ()),
     (Bead, lambda: find_beads(fx.necklace(3).graph)[0], ("vertices",)),
     (MinBeadsResult, lambda: min_beads(fx.double_lens()), ()),
     (PatternResult, lambda: face_label_pattern((0, -1, -2, 0, -2, -3)), ()),

@@ -2,6 +2,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from lemmas import detect_beads, detect_trapezia, string_vertices, triangles_supported_on_string
 from oracles import relabel_vertices
 
 from planecover.covers import SemiCover
@@ -24,16 +25,13 @@ from planecover.structure import (
     StructureError,
     admissibility_report,
     check_exclusions,
-    detect_beads,
     detect_strings,
-    detect_trapezia,
     face_exclusions,
     face_label_pattern,
     find_beads,
     is_necklace,
     quotient_graph,
     refine_faces,
-    triangles_supported_on_string,
 )
 
 K4 = make_base("k4")
@@ -218,7 +216,7 @@ def test_support_rejects_wrong_face():
     strings = detect_strings(ref.h_embedding)
     string = next(s for s in strings if s.type_label == -3)
     tri_faces = [
-        i for i, f in enumerate(ref.h_embedding.faces) if string.vertex_set & {v for v in f.vertex_set}
+        i for i, f in enumerate(ref.h_embedding.faces) if string_vertices(string) & {v for v in f.vertex_set}
     ]
     bad = next(i for i, f in enumerate(ref.h_embedding.faces) if i not in tri_faces)
     with pytest.raises(StructureError):
