@@ -45,7 +45,6 @@ def interior_triangle_bound(h: int, m: int) -> tuple[int, int]:
 
 
 class LongCycleBounds(NamedTuple):
-    per_pair_upper: int
     total_upper: int
     lower_strict: int  # total length is strictly greater than this
 
@@ -66,7 +65,7 @@ def long_cycle_bounds(n: int, h: int, t: int) -> LongCycleBounds:
     if n < h + t:
         raise BoundsError(f"fold {n} below the fragment demand h + t = {h + t}")
     slack = 2 * n - 2 * h - 2 * t
-    return LongCycleBounds(3 * slack, 12 * slack, 6 * n)
+    return LongCycleBounds(12 * slack, 6 * n)
 
 
 class FoldVerdict(NamedTuple):

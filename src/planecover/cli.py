@@ -41,7 +41,6 @@ from .structure import (
     QuotientError,
     StructureError,
     admissibility_report,
-    check_exclusions,
     quotient_graph,
     refine_faces,
 )
@@ -190,7 +189,7 @@ def cmd_analyze(args) -> int:
     sc = pio.semicover_from_obj(obj)
     verdict = verify_semicover(sc)
     report = admissibility_report(sc)
-    out = pio.report_to_obj(report, check_exclusions(report))
+    out = pio.report_to_obj(report)
     out["semicover_valid"] = verdict.ok
     if verdict.violation is not None:
         out["semicover_violation"] = str(verdict.violation)

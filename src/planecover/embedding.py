@@ -90,10 +90,6 @@ class FaceWalk(_FaceWalkFields):
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
-    @cached_property
-    def edge_ids(self) -> tuple[int, ...]:
-        return tuple(d // 2 for d in self.darts)
-
     def is_simple_cycle(self) -> bool:
         return len(set(self.vertices)) == len(self.vertices)
 
@@ -127,6 +123,8 @@ class PlaneEmbedding(_PlaneEmbeddingFields):
     @cached_property
     def faces(self) -> tuple[FaceWalk, ...]:
         g = self.graph
+        if not g.m:  # no dart to trace a face from
+            raise EmbeddingError("an embedding needs at least one edge")
         raw = trace_faces(g.n, g.edges, self.rotation)
         if g.n - g.m + len(raw) != 2:
             raise EmbeddingError(
@@ -495,11 +493,3 @@ def planarity(g: LabeledGraph) -> PlaneEmbedding | KuratowskiWitness:
 def triangle_faces(emb: PlaneEmbedding) -> set[frozenset[int]]:
     return {f.vertex_set for f in emb.faces if f.length == 3}
 
-
-def all_triangles(g: LabeledGraph) -> list[tuple[int, int, int]]:
-    out = []
-    for u, v in g.edges:
-        for w in range(v + 1, g.n):
-            if g.has_edge(u, w) and g.has_edge(v, w):
-                out.append((u, v, w))
-    return sorted(set(out))

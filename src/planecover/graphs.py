@@ -6,9 +6,10 @@ symbols 0, +-1, +-2, +-3.  The apex vertex of K(1,2,2,2) is labelled 0;
 the six octahedron vertices are labelled so that i and -i are the unique
 non-adjacent pairs.  Covers of the K4 subgraph reuse {0, -1, -2, -3}.
 Connectedness and components go through one component search,
-``_component``, and the capped vertex connectivity through one
-cut-vertex search, ``_has_cut_vertex``; the two base graphs are built
-once per process.
+``_component``, the capped vertex connectivity through one cut-vertex
+search, ``_has_cut_vertex``, and triangles through one enumeration,
+``LabeledGraph.triangles``, which each graph runs at most once; the two
+base graphs are built once per process.
 """
 
 from __future__ import annotations
@@ -91,6 +92,17 @@ class LabeledGraph(_LabeledGraphFields):
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
+
+    @cached_property
+    def triangles(self) -> tuple[tuple[int, int, int], ...]:
+        """Vertex triples u < v < w that are pairwise adjacent, sorted: the
+        one triangle enumeration of the package."""
+        out = set()
+        for u, v in self.edges:
+            for w in range(v + 1, self.n):
+                if self.has_edge(u, w) and self.has_edge(v, w):
+                    out.add((u, v, w))
+        return tuple(sorted(out))
 
     @cached_property
     def simple(self) -> bool:
@@ -243,12 +255,8 @@ class BaseGraph(_BaseGraphFields):
     @cached_property
     def triangles(self) -> tuple[tuple[int, int, int], ...]:
         """All triangles of the base, as sorted label triples."""
-        g = self.graph
-        out = []
-        for a, b, c in itertools.combinations(range(g.n), 3):
-            if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
-                out.append(tuple(sorted((g.labels[a], g.labels[b], g.labels[c]))))
-        return tuple(sorted(out))
+        labels = self.graph.labels
+        return tuple(sorted(tuple(sorted(labels[v] for v in t)) for t in self.graph.triangles))
 
     @cached_property
     def octahedral_triangles(self) -> tuple[tuple[int, int, int], ...]:

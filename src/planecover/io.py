@@ -176,8 +176,8 @@ def quotient_to_obj(q) -> dict:
     }
 
 
-def report_to_obj(report, exclusions) -> dict:
-    reasons, sharing = exclusions
+def report_to_obj(report) -> dict:
+    reasons, sharing = report.exclusions
     shape = [r for r in reasons if r != "no_internal_hexagon"]  # that one is condition (h)
     return {
         "faces": [

@@ -16,12 +16,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .covers import CoverError, SemiCover, label_projection, verify_cover
-from .embedding import (
-    PlaneEmbedding,
-    all_triangles,
-    trace_faces,
-    triangle_faces,
-)
+from .embedding import PlaneEmbedding, trace_faces, triangle_faces
 from .graphs import (
     K4_LABELS,
     K4NEG,
@@ -55,18 +50,18 @@ class PatternResult(NamedTuple):
     """Outcome of matching a face walk against the admissible label order.
 
     Non-triangular faces of a K4-cover fragment must read
-    0, a1, b1, 0, a2, b2, ... with a_i, b_i in {-1, -2, -3}; triangles are
-    reported as such, and anything else carries the first bad position.
+    0, a1, b1, 0, a2, b2, ... with a_i, b_i in {-1, -2, -3}, m times;
+    triangles are reported as such.
     """
 
     kind: str  # "triangle", "pattern", or "mismatch"
     m: int = 0
-    pairs: tuple[tuple[int, int], ...] = ()
-    position: int | None = None
 
 
 def face_label_pattern(face_labels) -> PatternResult:
-    """Match a cyclic label sequence against the 0,a,b repetition."""
+    """Match a cyclic label sequence against the 0,a,b repetition: its
+    length is a multiple of 3 and its zeros are exactly every third
+    position."""
     labs = tuple(face_labels)
     if not set(labs) <= _K4_LABEL_SET:
         bad = next(l for l in labs if l not in _K4_LABEL_SET)
@@ -75,21 +70,9 @@ def face_label_pattern(face_labels) -> PatternResult:
     if k == 3:
         return PatternResult("triangle")
     zeros = [i for i, l in enumerate(labs) if l == 0]
-    if not zeros or k % 3 != 0:
-        return PatternResult("mismatch", position=zeros[0] if zeros else 0)
-    start = zeros[0]
-    for off in range(0, k, 3):
-        i = (start + off) % k
-        if labs[i] != 0:
-            return PatternResult("mismatch", position=i)
-        if labs[(i + 1) % k] == 0:
-            return PatternResult("mismatch", position=(i + 1) % k)
-        if labs[(i + 2) % k] == 0:
-            return PatternResult("mismatch", position=(i + 2) % k)
-    pairs = tuple(
-        (labs[(start + off + 1) % k], labs[(start + off + 2) % k]) for off in range(0, k, 3)
-    )
-    return PatternResult("pattern", m=k // 3, pairs=pairs)
+    if k % 3 or not zeros or zeros != list(range(zeros[0] % 3, k, 3)):
+        return PatternResult("mismatch")
+    return PatternResult("pattern", m=k // 3)
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +154,9 @@ def _open_strings(g: LabeledGraph, beads) -> list[tuple[tuple[Bead, ...], int, i
     return out
 
 
-def detect_strings(emb: PlaneEmbedding, beads=None) -> list[StringDesc]:
-    """Maximal strings of an embedded fragment (empty for a necklace);
-    ``beads``, when given, is the fragment's ``find_beads`` list."""
-    if beads is None:
-        beads = find_beads(emb.graph)
+def detect_strings(h: LabeledGraph, beads) -> list[StringDesc]:
+    """Maximal strings of a fragment (empty for a necklace); ``beads`` is
+    the fragment's ``find_beads`` list."""
     strings = [
         StringDesc(
             beads=chain,
@@ -183,25 +164,22 @@ def detect_strings(emb: PlaneEmbedding, beads=None) -> list[StringDesc]:
             neg_terminal=(chain[0].zero, below),
             zero_terminal=(chain[-1].kvert, above),
         )
-        for chain, below, above in _open_strings(emb.graph, beads)
+        for chain, below, above in _open_strings(h, beads)
     ]
     return sorted(strings, key=lambda s: s.beads[0].zero)
 
 
-def is_necklace(emb: PlaneEmbedding, beads=None) -> bool:
-    """True iff the whole fragment is one cyclic chain of beads;
-    ``beads``, when given, is the fragment's ``find_beads`` list.
+def is_necklace(h: LabeledGraph, beads) -> bool:
+    """True iff the whole fragment is one cyclic chain of beads; ``beads``
+    is the fragment's ``find_beads`` list.
 
     Once every vertex lies on a bead and no chain is open, each bead's 0
     is joined to the -k vertex of another, so the beads form closed
     chains; they form one exactly when the fragment is connected.
     """
-    g = emb.graph
-    if beads is None:
-        beads = find_beads(g)
-    if not beads or set().union(*(b.vertices for b in beads)) != set(range(g.n)):
+    if not beads or set().union(*(b.vertices for b in beads)) != set(range(h.n)):
         return False
-    return not _open_strings(g, beads) and is_connected(g)
+    return not _open_strings(h, beads) and is_connected(h)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +190,7 @@ def is_necklace(emb: PlaneEmbedding, beads=None) -> bool:
 def positive_triangles(g: LabeledGraph) -> list[tuple[int, int, int]]:
     """Vertex-disjoint (1,2,3) triangles, as (v1, v2, v3) by label."""
     out = []
-    for t in all_triangles(g):
+    for t in g.triangles:
         labs = tuple(g.labels[v] for v in t)
         if set(labs) == _POS_SET:
             ordered = tuple(v for _, v in sorted(zip(labs, t)))
@@ -322,9 +300,9 @@ class StructureReport(NamedTuple):
     beads: tuple[Bead, ...]
     strings: tuple[StringDesc, ...]
     necklace: bool  # graph-level: the fragment is one cyclic bead chain
-    bead_faces: tuple[tuple[int, int], ...]  # per bead: its two host faces
     conditions: dict
     h_embedding: PlaneEmbedding  # the fragment embedding the refinement built
+    exclusions: tuple  # face_exclusions of the fragment's faces
 
 
 def _bead_hosts(h_emb: PlaneEmbedding, beads) -> list[tuple[int, int]]:
@@ -370,9 +348,7 @@ def admissibility_report(sc: SemiCover) -> StructureReport:
 
     # (b) all 3-cycles of the ambient graph are facial.
     facial = triangle_faces(emb)
-    conditions["triangles_facial"] = all(
-        frozenset(t) in facial for t in all_triangles(g)
-    )
+    conditions["triangles_facial"] = all(frozenset(t) in facial for t in g.triangles)
 
     # (c)/(d) lifts of octahedral triangles.
     k1222 = make_base("k1222")
@@ -395,9 +371,9 @@ def admissibility_report(sc: SemiCover) -> StructureReport:
     conditions["short_octahedral_facial"] = short_ok
     conditions["paths_reach_boundary"] = paths_ok
 
-    # (e), (f), (g)
+    # (e), (f), (g); the refinement placed every (1,2,3) triangle in a face
     conditions["not_k4"] = not (h.n == 4 and h.m == 6)
-    conditions["positive_triangle"] = bool(positive_triangles(g))
+    conditions["positive_triangle"] = bool(ref.triangles_in_face)
     conditions["two_connected"] = h.n >= 4 and connectivity(h) >= 2
 
     # (h), (i), (j) and the face-level records on the fragment embedding:
@@ -430,19 +406,20 @@ def admissibility_report(sc: SemiCover) -> StructureReport:
             )
         )
     conditions["face_patterns"] = patterns_ok
-    reasons, _ = face_exclusions(*_face_structure(face_records, bead_hosts, h_emb.outer_face))
-    conditions["no_internal_hexagon"] = "no_internal_hexagon" not in reasons
+    m = {f.face_id: -(-f.length // 3) for f in face_records if f.length > 3}
+    shared = Counter(hosts for hosts in bead_hosts if hosts[0] != hosts[1])
+    exclusions = face_exclusions(m, h_emb.outer_face, dict(sorted(shared.items())))
+    conditions["no_internal_hexagon"] = "no_internal_hexagon" not in exclusions[0]
     conditions["triangle_capacity"] = capacity_ok
 
-    strings = detect_strings(h_emb, beads)
     return StructureReport(
         faces=tuple(face_records),
         beads=tuple(beads),
-        strings=tuple(strings),
-        necklace=is_necklace(h_emb, beads),
-        bead_faces=tuple(bead_hosts),
+        strings=tuple(detect_strings(h, beads)),
+        necklace=is_necklace(h, beads),
         conditions=conditions,
         h_embedding=h_emb,
+        exclusions=exclusions,
     )
 
 
@@ -507,16 +484,14 @@ def face_exclusions(m, outer, shared) -> tuple[tuple[str, ...], tuple[tuple[int,
     return tuple(reasons), pairs
 
 
-def _face_structure(faces, bead_faces, outer) -> tuple:
-    """``face_exclusions``' arguments for a fragment's face records."""
-    m = {f.face_id: -(-f.length // 3) for f in faces if f.length > 3}
-    shared = Counter(hosts for hosts in bead_faces if hosts[0] != hosts[1])
-    return m, outer, dict(sorted(shared.items()))
-
-
+# No module of the package calls check_exclusions.  It stays here only
+# because the benchmark's workloads import it from this module; its
+# removal is part of the benchmark change of ROADMAP item 1a, which drops
+# that import.
 def check_exclusions(report: StructureReport) -> tuple:
-    """``face_exclusions`` of an analyzed fragment's faces."""
-    return face_exclusions(*_face_structure(report.faces, report.bead_faces, report.h_embedding.outer_face))
+    """``face_exclusions`` of an analyzed fragment's faces, as
+    ``admissibility_report`` computed them."""
+    return report.exclusions
 
 
 # ---------------------------------------------------------------------------
@@ -583,10 +558,6 @@ class QuotientGraph(_QuotientGraphFields):
     def total_beads(self) -> int:
         return sum(b for _, _, b in self.edges)
 
-    def counts(self) -> tuple[int, int, int]:
-        """(vertices, edges, faces) -- always (2a, 3a, a+2)."""
-        return 2 * self.a, len(self.edges), len(self.faces)
-
 
 class QuotientSkeleton(NamedTuple):
     """Graph-level quotient of a fragment: no embedding involved yet."""
@@ -636,7 +607,7 @@ def quotient_skeleton(h: LabeledGraph, beads=None) -> QuotientSkeleton:
     whites = [v for v in range(h.n) if h.labels[v] == 0 and v not in bead_vertices]
     neg_tris = [
         t
-        for t in all_triangles(h)
+        for t in h.triangles
         if set(h.labels[v] for v in t) == _NEG_SET and not set(t) & bead_vertices
     ]
     if not whites or not neg_tris:

@@ -19,7 +19,7 @@ import itertools
 from typing import NamedTuple
 
 from planecover.covers import SemiCover
-from planecover.embedding import PlaneEmbedding, triangle_faces
+from planecover.embedding import FaceWalk, PlaneEmbedding, triangle_faces
 from planecover.graphs import (
     K4_LABELS,
     BaseGraph,
@@ -95,6 +95,11 @@ class FaceConditionReport(NamedTuple):
     long_face_violations: tuple[int, ...]
 
 
+def face_edge_ids(face: FaceWalk) -> tuple[int, ...]:
+    """The edge ids of a face walk, in walk order: dart d runs along edge d // 2."""
+    return tuple(d // 2 for d in face.darts)
+
+
 def cover_face_conditions(emb: PlaneEmbedding, base: BaseGraph, fold: int) -> FaceConditionReport:
     """Check the face conditions for an embedded cover of the base."""
     g = emb.graph
@@ -116,7 +121,7 @@ def cover_face_conditions(emb: PlaneEmbedding, base: BaseGraph, fold: int) -> Fa
         for i, f in enumerate(emb.faces)
         if f.length > 3
         and f.is_simple_cycle()
-        and frozenset(g.edges[e] for e in f.edge_ids) in long_lift_cycles
+        and frozenset(g.edges[e] for e in face_edge_ids(f)) in long_lift_cycles
     ]
     return FaceConditionReport(
         fold=fold,
@@ -247,7 +252,7 @@ def triangles_supported_on_string(
     lie on the string, and supported triangles are ordered by attachment
     interval nesting, with minimal ones classified into the three possible
     local configurations.  The string is given in fragment vertex ids, as
-    ``detect_strings`` returns it on the fragment embedding.
+    ``detect_strings`` returns it on the fragment graph.
     """
     g = sc.graph
     # the fragment numbers the K4-labelled vertices in increasing order

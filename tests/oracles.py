@@ -68,7 +68,6 @@ from planecover.covers import (
 from planecover.embedding import (
     PlaneEmbedding,
     _canonical_rotation,
-    all_triangles,
     planar_edges,
     triangle_faces,
 )
@@ -618,7 +617,7 @@ def analyze_fragment_direct(g: LabeledGraph) -> dict:
         return result
     censuses = result["quotient_censuses"]
 
-    triangles = [frozenset(t) for t in all_triangles(g)]
+    triangles = [frozenset(t) for t in g.triangles]
     beads = find_beads(g)
 
     structures = [_embedding_from_state(g, state) for state, _ in _rotation_structures(g)]

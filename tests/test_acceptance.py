@@ -39,6 +39,7 @@ from planecover.structure import (
     admissibility_report,
     check_exclusions,
     detect_strings,
+    find_beads,
     refine_faces,
 )
 
@@ -164,7 +165,8 @@ def test_criterion_9_structural_fixtures():
     traps = detect_trapezia(sc)
     assert len(traps) == 1 and traps[0].type_label == 2
     ref = refine_faces(sc)
-    string = next(s for s in detect_strings(ref.h_embedding) if s.type_label == -3)
+    h = ref.h_embedding.graph
+    string = next(s for s in detect_strings(h, find_beads(h)) if s.type_label == -3)
     face_id = next(f for f, ts in ref.triangles_in_face.items() if ts)
     rep = triangles_supported_on_string(sc, string, face_id, ref)
     (t,) = rep.triangles

@@ -32,7 +32,6 @@ def test_interior_triangle_bound():
 
 def test_long_cycle_bounds():
     b = long_cycle_bounds(12, 6, 3)
-    assert b.per_pair_upper == 18
     assert b.total_upper == 72
     assert b.lower_strict == 72
     assert b.contradiction

@@ -171,6 +171,39 @@ def test_analyze_runs_one_bead_search(monkeypatch, tmp_path, capsys, name):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ("nine_face_pair", "two_faces", "fold_six_fragment"))
+def test_analyze_derives_each_fact_once(monkeypatch, tmp_path, capsys, name):
+    # one face-rule run and one (1,2,3) triangle search per report, and one
+    # triangle enumeration per graph: the ambient graph and the fragment.
+    # The base graphs enumerate theirs once per process, before the count
+    from functools import cached_property
+
+    from planecover import structure
+
+    for kind in ("k4", "k1222"):
+        make_base(kind).triangles
+    calls = {"face_exclusions": 0, "positive_triangles": 0}
+    for fname in calls:
+        def counted(*args, _original=getattr(structure, fname), _name=fname):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(structure, fname, counted)
+    enumerated = []
+    triangles = LabeledGraph.triangles.func
+
+    def counted_triangles(g):
+        enumerated.append(g)
+        return triangles(g)
+
+    prop = cached_property(counted_triangles)
+    prop.__set_name__(LabeledGraph, "triangles")
+    monkeypatch.setattr(LabeledGraph, "triangles", prop)
+    assert main(["analyze", "--fixture", name, "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == {"face_exclusions": 1, "positive_triangles": 1}
+    assert len(enumerated) == 2
+
+
 @pytest.mark.parametrize("name", SEMICOVER_FIXTURES)
 def test_analyze_refines_faces_once(monkeypatch, tmp_path, capsys, name):
     # the report keeps the fragment embedding that feeds the quotient census
@@ -433,6 +466,16 @@ def test_search_spec_without_fixed_fields_matches_the_bundled_spec(tmp_path):
         cert.pop("timing")
         certs.append(pio.dumps(cert))
     assert certs[0] == certs[1]
+
+
+def test_one_vertex_graph_is_refused_for_want_of_an_edge(tmp_path, capsys):
+    # face tracing starts from darts, so an edgeless graph has no face
+    g = _write(tmp_path, "g.json", pio.graph_to_obj(LabeledGraph((0,), ())))
+    assert main(["embed", g]) == 3
+    assert "error: an embedding needs at least one edge" in capsys.readouterr().err
+    sc = {"base": "k4", "embedding": {"vertices": [{"id": 0, "label": 0}], "edges": [], "rotation": [[]]}}
+    assert main(["analyze", _write(tmp_path, "sc.json", sc)]) == 3
+    assert "error: an embedding needs at least one edge" in capsys.readouterr().err
 
 
 def test_embed_malformed_edge_exits_three(tmp_path, capsys):

@@ -7,10 +7,12 @@ and module-level constant the package defines is referenced somewhere in
 import, and every parameter of a package function is read in its body.
 No definition is test-only: each is referenced in ``src/`` outside the
 package ``__init__`` or in ``perfbench/``, so exporting a name does not
-count as a use.  Test-only helpers live in ``tests/oracles.py`` and the
-checkers of the paper's structural lemmas in ``tests/lemmas.py``; the one
-named exception is the t rule ``bounds.interior_triangle_bound``, which
-the chain is yet to read.
+count as a use, and a method, property or record field counts as used
+only when it is read as an attribute there, outside its own definition.
+Test-only helpers live in ``tests/oracles.py`` and the checkers of the
+paper's structural lemmas in ``tests/lemmas.py``; the one named
+exception is the t rule ``bounds.interior_triangle_bound``, which the
+chain is yet to read.
 No module imports ``dataclasses``: its import and the code each
 decoration generates cost start-up time on every CLI run.  And a failing
 Hypothesis test under the repository's pytest settings is reported as a
@@ -23,6 +25,7 @@ import ast
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,18 +121,51 @@ def test_every_definition_is_referenced():
 TEST_ONLY_EXCEPTIONS = {"bounds.interior_triangle_bound"}
 
 
+def _members(tree: ast.Module):
+    """(qualified name, bare name, definition) of the methods, properties
+    and record fields of module-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                elif isinstance(item, ast.FunctionDef):
+                    name = item.name
+                else:
+                    continue
+                if not name.startswith("__"):
+                    yield f"{node.name}.{name}", name, item
+
+
+def _attributes_read(tree: ast.AST) -> Counter:
+    return Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
 def test_no_test_only_code_in_the_package():
     # a definition that only tests/ references is test code and belongs in
     # tests/oracles.py or tests/lemmas.py; the package __init__'s imports
-    # do not count as uses, so an export does not put a name on the chain
+    # do not count as uses, so an export does not put a name on the chain.
+    # A method, property or record field is used only when it is read as an
+    # attribute outside its own definition: a local variable, a parameter
+    # or a keyword argument of the same name is no use of it
     init = PACKAGE / "__init__.py"
-    refs = _references((ROOT / "src", ROOT / "perfbench"), skip=init)
-    test_only = [
-        f"{path.stem}.{qual}"
-        for path in _modules()
-        for qual, name in _definitions(_parse(path))
-        if name not in refs and f"{path.stem}.{qual}" not in TEST_ONLY_EXCEPTIONS
-    ]
+    chain = (ROOT / "src", ROOT / "perfbench")
+    refs = _references(chain, skip=init)
+    reads = sum(
+        (_attributes_read(_parse(p)) for top in chain for p in top.rglob("*.py") if p != init), Counter()
+    )
+    test_only = []
+    for path in _modules():
+        tree = _parse(path)
+        members = list(_members(tree))
+        unused = [qual for qual, name, item in members if reads[name] == _attributes_read(item)[name]]
+        member_names = {qual for qual, _, _ in members}
+        unused += [qual for qual, name in _definitions(tree) if qual not in member_names and name not in refs]
+        test_only += [f"{path.stem}.{qual}" for qual in unused if f"{path.stem}.{qual}" not in TEST_ONLY_EXCEPTIONS]
     assert not test_only, test_only
 
 

@@ -37,6 +37,10 @@ from planecover.structure import (
 )
 
 
+def _first_string(g):
+    return detect_strings(g, find_beads(g))[0]
+
+
 def _k4_identity_verdict():
     k4 = make_base("k4")
     return verify_cover(k4.graph, k4, range(4))
@@ -45,15 +49,15 @@ def _k4_identity_verdict():
 #: (record class, factory building a fresh record, names of cached or
 #: derived properties read on one of the two copies before comparing)
 CASES = [
-    (LabeledGraph, lambda: LabeledGraph((0, -1, -2), ((1, 0), (1, 2))), ("adj", "edge_set")),
+    (LabeledGraph, lambda: LabeledGraph((0, -1, -2), ((1, 0), (1, 2))), ("adj", "edge_set", "triangles")),
     (BaseGraph, lambda: BaseGraph("k4", make_base("k4").graph), ("cotree_edges", "triangles")),
     (PlaneEmbedding, lambda: fx.two_faces().embedding, ("faces", "dart_face")),
-    (FaceWalk, lambda: fx.two_faces().embedding.faces[0], ("vertex_set", "edge_ids")),
+    (FaceWalk, lambda: fx.two_faces().embedding.faces[0], ("vertex_set",)),
     (SemiCover, fx.two_faces, ("projection",)),
     (VoltageAssignment, lambda: identity_assignment(make_base("k4"), 2), ()),
     (SearchSpec, lambda: SearchSpec("k1222", 2), ()),
     (QuotientGraph, fx.double_lens, ("faces", "census", "face_pair_edges")),
-    (StringDesc, lambda: detect_strings(fx.two_faces().embedding)[0], ()),
+    (StringDesc, lambda: _first_string(fx.two_faces().graph), ()),
     (Bead, lambda: find_beads(fx.necklace(3).graph)[0], ("vertices",)),
     (MinBeadsResult, lambda: min_beads(fx.double_lens()), ()),
     (PatternResult, lambda: face_label_pattern((0, -1, -2, 0, -2, -3)), ()),

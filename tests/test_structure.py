@@ -1,5 +1,4 @@
 import random
-from types import SimpleNamespace
 
 import pytest
 from lemmas import detect_beads, detect_trapezia, string_vertices, triangles_supported_on_string
@@ -44,7 +43,6 @@ def test_pattern_valid_sequence():
     res = face_label_pattern((0, -1, -2, 0, -1, -3))
     assert res.kind == "pattern"
     assert res.m == 2
-    assert res.pairs == ((-1, -2), (-1, -3))
 
 
 def test_pattern_triangle_degenerate():
@@ -53,15 +51,13 @@ def test_pattern_triangle_degenerate():
 
 
 def test_pattern_mismatch_zero_spacing():
-    res = face_label_pattern((0, -1, 0, -2, -3, -1))
-    assert res.kind == "mismatch"
-    assert res.position is not None
+    assert face_label_pattern((0, -1, 0, -2, -3, -1)) == PatternResult("mismatch")
 
 
 def test_pattern_mismatch_inside_a_block():
     # a block must start at a 0 and go on with two non-zero labels
-    assert face_label_pattern((0, -1, -2, -1, -2, -3)) == PatternResult("mismatch", position=3)
-    assert face_label_pattern((0, -1, -2, 0, 0, -2)) == PatternResult("mismatch", position=4)
+    assert face_label_pattern((0, -1, -2, -1, -2, -3)) == PatternResult("mismatch")
+    assert face_label_pattern((0, -1, -2, 0, 0, -2)) == PatternResult("mismatch")
 
 
 def test_pattern_rejects_foreign_labels():
@@ -107,31 +103,36 @@ def test_shared_beads_found():
     assert m == 3 and shared == 1
 
 
+def _strings(h):
+    return detect_strings(h, find_beads(h))
+
+
 def test_strings_two_faces():
-    ref = refine_faces(two_faces())
-    strings = detect_strings(ref.h_embedding)
+    h = refine_faces(two_faces()).h_embedding.graph
+    strings = _strings(h)
     assert len(strings) == 3
     assert sorted(s.type_label for s in strings) == [-3, -2, -1]
     assert all(len(s.beads) == 1 for s in strings)
-    assert not is_necklace(ref.h_embedding)
+    assert not is_necklace(h, find_beads(h))
 
 
 def test_necklace_detection():
-    sc = necklace(4)
-    assert is_necklace(sc.embedding)
-    assert detect_strings(sc.embedding) == []
+    g = necklace(4).graph
+    assert is_necklace(g, find_beads(g))
+    assert _strings(g) == []
 
 
 def test_necklace_is_one_closed_chain():
     # two disjoint rings of beads have no open string but are not one necklace
     g = necklace(3).graph
     shifted = tuple((u + g.n, v + g.n) for u, v in g.edges)
-    twice = SimpleNamespace(graph=LabeledGraph(g.labels * 2, g.edges + shifted))
-    assert detect_strings(twice) == []
-    assert not is_necklace(twice)
+    twice = LabeledGraph(g.labels * 2, g.edges + shifted)
+    assert _strings(twice) == []
+    assert not is_necklace(twice, find_beads(twice))
     # a lone bead has no external edges at all
+    bead = single_bead().graph
     with pytest.raises(StructureError):
-        is_necklace(single_bead().embedding)
+        is_necklace(bead, find_beads(bead))
 
 
 def test_detection_invariant_under_relabeling():
@@ -143,7 +144,7 @@ def test_detection_invariant_under_relabeling():
         g2 = relabel_vertices(g, perm)
         emb2 = planarity(g2)
         assert len(detect_beads(emb2)) == 4
-        assert is_necklace(emb2)
+        assert is_necklace(g2, find_beads(g2))
 
 
 # -- trapezia ----------------------------------------------------------------
@@ -173,7 +174,7 @@ def test_two_disjoint_trapezia():
 
 def _support_of(sc):
     ref = refine_faces(sc)
-    strings = detect_strings(ref.h_embedding)
+    strings = _strings(ref.h_embedding.graph)
     face_id = next(f for f, ts in ref.triangles_in_face.items() if ts)
     string = next(s for s in strings if s.type_label == -3)
     return triangles_supported_on_string(sc, string, face_id, ref)
@@ -199,7 +200,7 @@ def test_minimal_configurations(case):
 def test_support_empty_face():
     sc = two_faces()
     ref = refine_faces(sc)
-    strings = detect_strings(ref.h_embedding)
+    strings = _strings(ref.h_embedding.graph)
     internal = [
         i
         for i, f in enumerate(ref.h_embedding.faces)
@@ -213,7 +214,7 @@ def test_support_empty_face():
 def test_support_rejects_wrong_face():
     sc = trapezium_face()
     ref = refine_faces(sc)
-    strings = detect_strings(ref.h_embedding)
+    strings = _strings(ref.h_embedding.graph)
     string = next(s for s in strings if s.type_label == -3)
     tri_faces = [
         i for i, f in enumerate(ref.h_embedding.faces) if string_vertices(string) & {v for v in f.vertex_set}
@@ -301,7 +302,7 @@ def test_quotient_two_faces_is_theta():
     assert len(q.edges) == 3
     assert all(u == 0 and v == 1 for u, v, _ in q.edges)
     assert q.census == {2: 3}
-    assert q.counts() == (2, 3, 3)
+    assert (2 * q.a, len(q.edges), len(q.faces)) == (2, 3, 3)
 
 
 def test_quotient_nine_face_pair():
@@ -310,14 +311,13 @@ def test_quotient_nine_face_pair():
     assert q.census == {2: 2, 4: 2}
     assert q.total_beads == 3
     assert len(q.faces[q.outer_face]) == 2  # the outer hexagon maps to a 2-face
-    assert q.counts() == (4, 6, 4)
+    assert (2 * q.a, len(q.edges), len(q.faces)) == (4, 6, 4)
 
 
 def test_quotient_counts_identity():
     for sc in (two_faces(), nine_face_pair()):
         q, _ = quotient_graph(refine_faces(sc).h_embedding)
-        V, E, F = q.counts()
-        assert (V, E, F) == (2 * q.a, 3 * q.a, q.a + 2)
+        assert (len(q.edges), len(q.faces)) == (3 * q.a, q.a + 2)
 
 
 def test_quotient_face_length_identity():
