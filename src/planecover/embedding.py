@@ -127,6 +127,8 @@ class PlaneEmbedding(_PlaneEmbeddingFields):
             raise EmbeddingError("an embedding needs at least one edge")
         raw = trace_faces(g.n, g.edges, self.rotation)
         if g.n - g.m + len(raw) != 2:
+            if not is_connected(g):  # a plane rotation gives 1 + (components)
+                raise EmbeddingError(f"an embedding needs a connected graph: V={g.n} E={g.m} F={len(raw)}")
             raise EmbeddingError(
                 f"rotation has genus > 0: V={g.n} E={g.m} F={len(raw)}"
             )

@@ -77,10 +77,6 @@ def embedding_from_obj(obj: dict) -> PlaneEmbedding:
     return PlaneEmbedding(g, tuple(rotation), outer or 0)
 
 
-def semicover_to_obj(sc: SemiCover) -> dict:
-    return {"base": sc.base.kind, "embedding": embedding_to_obj(sc.embedding)}
-
-
 def semicover_from_obj(obj: dict) -> SemiCover:
     """Semi-cover from JSON.  Its projection is its vertex labels; a
     ``vertex_map`` given beside them must restate that projection."""
@@ -119,10 +115,6 @@ def voltage_from_obj(obj: dict) -> VoltageAssignment:
         raise FormatError(f"bad voltage object: {exc}") from exc
     perms.update(given)
     return VoltageAssignment(base, n, tuple(perms.values()))
-
-
-def vertex_map_to_obj(vmap) -> dict:
-    return {"vertex_map": list(vmap)}
 
 
 def vertex_map_from_obj(obj: dict) -> tuple[int, ...]:

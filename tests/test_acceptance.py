@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from builders import necklace, nine_face_pair, trapezium_face, two_faces
 from lemmas import detect_trapezia, fold_from_single_long_face, triangles_supported_on_string
 from oracles import (
     connectivity_by_cut_search,
@@ -26,13 +27,7 @@ from oracles import (
 from planecover.bounds import check_face_census_identity, fold_verdict
 from planecover.covers import derive, normalized_assignment, verify_cover
 from planecover.embedding import is_planar
-from planecover.fixtures import (
-    double_lens,
-    necklace,
-    nine_face_pair,
-    trapezium_face,
-    two_faces,
-)
+from planecover.fixtures import double_lens
 from planecover.graphs import connectivity, find_cycles_covering, is_connected, make_base
 from planecover.search import SearchSpec, enumerate_covers, enumerate_quotients, min_beads
 from planecover.structure import (

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from builders import semicover_to_obj, vertex_map_to_obj
 
 from planecover import cli
 from planecover import fixtures as fx
@@ -43,7 +44,7 @@ def test_verify_disconnected_cover_reports_each_fold(tmp_path, capsys):
     rc = main([
         "verify",
         _write(tmp_path, "g.json", pio.graph_to_obj(g)),
-        _write(tmp_path, "m.json", pio.vertex_map_to_obj(vmap)),
+        _write(tmp_path, "m.json", vertex_map_to_obj(vmap)),
         "--base", "k4",
     ])
     assert rc == 0
@@ -77,7 +78,7 @@ def test_verify_names_a_map_entry_off_the_base(tmp_path, capsys):
 def test_analyze_names_the_base_labels_a_semicover_misses(tmp_path, capsys):
     # a k4 semi-cover that is one (0, -1, -2) triangle: no vertex lies over -3
     tri = planarity(LabeledGraph((0, -1, -2), ((0, 1), (0, 2), (1, 2))))
-    sc = _write(tmp_path, "sc.json", pio.semicover_to_obj(SemiCover(tri, make_base("k4"))))
+    sc = _write(tmp_path, "sc.json", semicover_to_obj(SemiCover(tri, make_base("k4"))))
     rc = main(["analyze", sc])
     err = capsys.readouterr().err
     assert rc == 3
@@ -476,6 +477,22 @@ def test_one_vertex_graph_is_refused_for_want_of_an_edge(tmp_path, capsys):
     sc = {"base": "k4", "embedding": {"vertices": [{"id": 0, "label": 0}], "edges": [], "rotation": [[]]}}
     assert main(["analyze", _write(tmp_path, "sc.json", sc)]) == 3
     assert "error: an embedding needs at least one edge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "quotient"])
+def test_a_disconnected_semicover_is_refused_by_name(tmp_path, capsys, command):
+    # two disjoint (0, -1, -2) triangles: V - E + F = 6 - 6 + 4 on their
+    # plane rotations, which is no genus but a second component
+    labels = (0, -1, -2, 0, -1, -2)
+    emb = {
+        "vertices": [{"id": v, "label": x} for v, x in enumerate(labels)],
+        "edges": [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]],
+        "rotation": [[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]],
+    }
+    rc = main([command, _write(tmp_path, "sc.json", {"base": "k4", "embedding": emb})])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "error: an embedding needs a connected graph: V=6 E=6 F=4\n"
 
 
 def test_embed_malformed_edge_exits_three(tmp_path, capsys):

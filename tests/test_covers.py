@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from builders import hub_violation, necklace, single_bead
 from oracles import (
     identity_assignment,
     orbit_sizes,
@@ -26,7 +27,6 @@ from planecover.covers import (
     verify_semicover,
 )
 from planecover.embedding import PlaneEmbedding, is_planar
-from planecover.fixtures import hub_violation, necklace, single_bead
 from planecover.graphs import (
     LabeledGraph,
     canonical_form,

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from builders import hexagon_cover, necklace
 from lemmas import cover_face_conditions, fold_from_single_long_face, is_peripheral
 from oracles import face_lengths, lr_planar, planar_by_subdivision_search, relabel_vertices
 
@@ -17,7 +18,6 @@ from planecover.embedding import (
     planarity,
     validate_kuratowski,
 )
-from planecover.fixtures import hexagon_cover, necklace
 from planecover.graphs import GraphError, LabeledGraph, make_base
 
 

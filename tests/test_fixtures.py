@@ -1,5 +1,6 @@
 import json
 
+import builders
 import pytest
 
 from planecover import fixtures as fx
@@ -9,11 +10,11 @@ from planecover.structure import refine_faces
 
 
 def test_goldens_match_constructors():
-    objs = fx.fixture_objects()
+    objs = builders.fixture_objects()
     assert set(objs) == set(fx.fixture_names())
     for name, obj in objs.items():
         golden = fx.load_fixture_obj(name)
-        assert golden == obj, f"golden {name} is stale; regenerate via python -m planecover.fixtures regen"
+        assert golden == obj, f"golden {name} is stale; regenerate via PYTHONPATH=src python tests/builders.py regen"
 
 
 def test_goldens_round_trip_bytes():
@@ -44,7 +45,7 @@ def test_semicover_fixture_loads():
 @pytest.mark.parametrize("name", ["two_trapezia", "crowded_face"])
 def test_outer_face_holds_no_positive_triangle(name):
     # the (1,2,3) triangles lie in internal fragment faces
-    ref = refine_faces(getattr(fx, name)())
+    ref = refine_faces(getattr(builders, name)())
     assert ref.triangles_in_face
     assert ref.h_embedding.outer_face not in ref.triangles_in_face
 
@@ -56,7 +57,7 @@ def test_unknown_fixture():
 
 def test_necklace_sizes():
     for b in (3, 4, 5):
-        sc = fx.necklace(b)
+        sc = builders.necklace(b)
         assert sc.graph.n == 4 * b
         assert sc.graph.m == 6 * b
         assert len(sc.embedding.faces) == 2 * b + 2

@@ -151,7 +151,7 @@ def test_canonical_form_label_sensitive():
 
 def test_canonical_form_many_relabelings():
     # 12-vertex cover: three beads in a ring
-    from planecover.fixtures import necklace
+    from builders import necklace
 
     g = necklace(3).graph
     rng = random.Random(7)

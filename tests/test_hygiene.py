@@ -9,8 +9,11 @@ No definition is test-only: each is referenced in ``src/`` outside the
 package ``__init__`` or in ``perfbench/``, so exporting a name does not
 count as a use, and a method, property or record field counts as used
 only when it is read as an attribute there, outside its own definition.
-Test-only helpers live in ``tests/oracles.py`` and the checkers of the
-paper's structural lemmas in ``tests/lemmas.py``; the one named
+A reference in the body of an ``if __name__ == "__main__":`` block is no
+use: no command and no import runs it.
+Test-only helpers live in ``tests/oracles.py``, the checkers of the
+paper's structural lemmas in ``tests/lemmas.py`` and the fixture
+constructors in ``tests/builders.py``; the one named
 exception is the t rule ``bounds.interior_triangle_bound``, which the
 chain is yet to read.
 No module imports ``dataclasses``: its import and the code each
@@ -53,6 +56,19 @@ def _imported_names(tree: ast.Module):
                 yield alias.asname or alias.name.split(".")[0]
 
 
+def _walk(tree: ast.AST):
+    """Every node of ``tree`` that ``ast.walk`` gives, but none in the
+    bodies of its ``if __name__ == "__main__":`` blocks."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            todo += [node.test, *node.orelse]
+        else:
+            todo += ast.iter_child_nodes(node)
+
+
 def _used_names(tree: ast.Module) -> set[str]:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
@@ -82,7 +98,7 @@ def _references(tops=SCANNED, skip=None) -> set[str]:
         for path in top.rglob("*.py"):
             if path == skip:
                 continue
-            for node in ast.walk(_parse(path)):
+            for node in _walk(_parse(path)):
                 if isinstance(node, ast.Name):
                     if not isinstance(node.ctx, ast.Store):  # a name only assigned is dead
                         refs.add(node.id)
@@ -140,15 +156,16 @@ def _members(tree: ast.Module):
 def _attributes_read(tree: ast.AST) -> Counter:
     return Counter(
         node.attr
-        for node in ast.walk(tree)
+        for node in _walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     )
 
 
 def test_no_test_only_code_in_the_package():
     # a definition that only tests/ references is test code and belongs in
-    # tests/oracles.py or tests/lemmas.py; the package __init__'s imports
-    # do not count as uses, so an export does not put a name on the chain.
+    # tests/oracles.py, tests/lemmas.py or tests/builders.py; the package
+    # __init__'s imports do not count as uses, so an export does not put a
+    # name on the chain, and no more does a __main__ block.
     # A method, property or record field is used only when it is read as an
     # attribute outside its own definition: a local variable, a parameter
     # or a keyword argument of the same name is no use of it
@@ -167,6 +184,25 @@ def test_no_test_only_code_in_the_package():
         unused += [qual for qual, name in _definitions(tree) if qual not in member_names and name not in refs]
         test_only += [f"{path.stem}.{qual}" for qual in unused if f"{path.stem}.{qual}" not in TEST_ONLY_EXCEPTIONS]
     assert not test_only, test_only
+
+
+def test_a_reference_in_a_main_block_is_no_use(tmp_path):
+    (tmp_path / "m.py").write_text(textwrap.dedent(
+        """
+        def regen():
+            return build.objects
+
+        if __name__ == "__main__":
+            regen()
+            build.fixtures
+        else:
+            build.loaded
+        """
+    ))
+    refs = _references((tmp_path,))
+    assert {"objects", "loaded"} <= refs
+    assert not {"regen", "fixtures"} & refs
+    assert _attributes_read(_parse(tmp_path / "m.py")) == Counter(["objects", "loaded"])
 
 
 def test_every_parameter_is_read():

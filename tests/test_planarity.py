@@ -284,26 +284,31 @@ def test_planarity_raises_when_networkx_disagrees(monkeypatch):
 
 
 def test_import_leaves_networkx_out(tmp_path):
-    # analyze, quotient, bounds, a fold-2 covers search and a fold 1-4
-    # fragments search need no networkx, and neither they, derive nor the
-    # import load dataclasses (with inspect) or hashlib; building an
-    # embedding loads networkx
+    # the chain commands need no networkx: analyze and quotient on
+    # semi-cover fixtures, bounds, the K1,2,2,2 fold-2 covers search and the
+    # fold 1-5 fragments search all exit 0 without loading it, and neither
+    # they, derive nor the import load dataclasses (with inspect) or
+    # hashlib; building an embedding loads networkx
     volt = tmp_path / "volt.json"
     volt.write_text('{"base": "k4", "n": 2, "edges": [{"from": 1, "to": 2, "perm": [1, 0]}]}')
-    fragments = tmp_path / "fragments.json"
-    fragments.write_text('{"mode": "fragments", "h_max": 4}')
+    chain = [
+        ["analyze", "--fixture", "nine_face_pair"],
+        ["analyze", "--fixture", "fold_six_fragment"],
+        ["quotient", "--fixture", "nine_face_pair"],
+        ["quotient", "--fixture", "two_faces"],
+        ["bounds", "12"],
+        ["search", "--fixture", "spec-k1222-n2"],
+        ["search", "--fixture", "spec-k4-h-le-5"],
+    ]
     code = (
-        "import json, os, sys\n"
+        "import contextlib, io, json, os, sys\n"
         "import planecover\n"
         "from planecover.cli import main\n"
         "def loaded():\n"
         "    return sorted({'dataclasses', 'inspect', 'hashlib', 'networkx'} & set(sys.modules))\n"
         "seen = [loaded()]\n"
-        "main(['analyze', '--fixture', 'nine_face_pair', '--out', os.devnull])\n"
-        "main(['quotient', '--fixture', 'nine_face_pair', '--out', os.devnull])\n"
-        "main(['bounds', '12', '--out', os.devnull])\n"
-        "main(['search', '--fixture', 'spec-k1222-n2', '--out', os.devnull])\n"
-        f"main(['search', {str(fragments)!r}, '--out', os.devnull])\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    seen.append([main([*argv, '--out', os.devnull]) for argv in {chain!r}])\n"
         "seen.append(loaded())\n"
         f"main(['derive', {str(volt)!r}, '--out', os.devnull])\n"
         "seen.append(loaded())\n"
@@ -313,4 +318,4 @@ def test_import_leaves_networkx_out(tmp_path):
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout.splitlines()[-1]) == [[], [], [], True]
+    assert json.loads(out.stdout.splitlines()[-1]) == [[], [0] * len(chain), [], [], True]

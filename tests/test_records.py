@@ -10,6 +10,7 @@ gives an equal record of the same class; and the two places that build a
 
 import pickle
 
+import builders
 import pytest
 from oracles import identity_assignment
 
@@ -51,14 +52,14 @@ def _k4_identity_verdict():
 CASES = [
     (LabeledGraph, lambda: LabeledGraph((0, -1, -2), ((1, 0), (1, 2))), ("adj", "edge_set", "triangles")),
     (BaseGraph, lambda: BaseGraph("k4", make_base("k4").graph), ("cotree_edges", "triangles")),
-    (PlaneEmbedding, lambda: fx.two_faces().embedding, ("faces", "dart_face")),
-    (FaceWalk, lambda: fx.two_faces().embedding.faces[0], ("vertex_set",)),
-    (SemiCover, fx.two_faces, ("projection",)),
+    (PlaneEmbedding, lambda: builders.two_faces().embedding, ("faces", "dart_face")),
+    (FaceWalk, lambda: builders.two_faces().embedding.faces[0], ("vertex_set",)),
+    (SemiCover, builders.two_faces, ("projection",)),
     (VoltageAssignment, lambda: identity_assignment(make_base("k4"), 2), ()),
     (SearchSpec, lambda: SearchSpec("k1222", 2), ()),
     (QuotientGraph, fx.double_lens, ("faces", "census", "face_pair_edges")),
-    (StringDesc, lambda: _first_string(fx.two_faces().graph), ()),
-    (Bead, lambda: find_beads(fx.necklace(3).graph)[0], ("vertices",)),
+    (StringDesc, lambda: _first_string(builders.two_faces().graph), ()),
+    (Bead, lambda: find_beads(builders.necklace(3).graph)[0], ("vertices",)),
     (MinBeadsResult, lambda: min_beads(fx.double_lens()), ()),
     (PatternResult, lambda: face_label_pattern((0, -1, -2, 0, -2, -3)), ()),
     (FoldVerdict, lambda: fold_verdict(12), ()),
@@ -105,7 +106,7 @@ def test_quotient_graph_keeps_edges_and_rotation_when_it_sets_the_outer_face(nam
         return made[-1]
 
     monkeypatch.setattr(structure, "QuotientGraph", recording)
-    h_emb = refine_faces(getattr(fx, name)()).h_embedding
+    h_emb = refine_faces(getattr(builders, name)()).h_embedding
     q, face_map = structure.quotient_graph(h_emb)
     first, last = made
     assert last is q

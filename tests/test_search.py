@@ -6,6 +6,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from builders import fold_six_fragment, necklace, nine_face_pair, two_faces
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -26,7 +27,7 @@ from planecover import fixtures as fx
 from planecover import io as pio
 from planecover import search
 from planecover.covers import derive, normalized_assignment
-from planecover.fixtures import double_lens, necklace, nine_face_pair, two_faces
+from planecover.fixtures import double_lens
 from planecover.graphs import LabeledGraph, canonical_form, make_base
 from planecover.search import (
     BudgetExceeded,
@@ -427,7 +428,7 @@ def test_fold_six_fragment_certificate():
         "two_internal_faces": 18,
         "necklace": 3,
     }
-    (entry,) = _entries_of_class(fold6, fx.fold_six_fragment().graph)
+    (entry,) = _entries_of_class(fold6, fold_six_fragment().graph)
     assert entry["survivor"]
     assert entry["voltage"] == [[1, 2, 3, 0, 5, 4], [0, 1, 3, 4, 2, 5], [4, 0, 1, 3, 5, 2]]
     assert not any("interior_triangle_check" in e for f in cert["folds"] for e in f["candidates"])
@@ -756,8 +757,6 @@ def test_a_class_that_passes_the_filters_meets_its_bead_demand(data):
 def test_the_filter_restatement_passes_what_the_analyzer_passes():
     # the fold-six fragment passes exactly one (rotation, outer face)
     # choice, and the restated filters find that one
-    from planecover.fixtures import fold_six_fragment
-
     g = fold_six_fragment().graph
     sk = quotient_skeleton(g)
     passing = [(q, i) for q in spherical_rotations(sk.a, sk.edges) for i in _outer_faces_passing_filters(q)]
@@ -826,7 +825,7 @@ def test_analyzer_verdicts_are_the_restated_rule(fragment_certificate, monkeypat
         for g in _gated_classes(fold["fold"], [e["voltage"] for e in fold["candidates"]])
     ]
     assert len(graphs) == 1 + 3 + 6 + 23 + 69
-    graphs.append(fx.fold_six_fragment().graph)
+    graphs.append(fold_six_fragment().graph)
     assert _check_rule_verdicts(monkeypatch, graphs) == {"no_internal_hexagon": 630, "bead_sharing": 25, None: 1}
 
 
@@ -1004,8 +1003,6 @@ def test_fold_six_fragment_survives():
     # positive control: the filter pipeline must not over-exclude; at
     # fold 6 a fragment with the two-lens quotient and four beads passes
     # exactly one embedding and outer-face choice
-    from planecover.fixtures import fold_six_fragment
-
     g = fold_six_fragment().graph
     res = analyze_fragment_candidate(g)
     assert res["survivor"]
@@ -1014,8 +1011,6 @@ def test_fold_six_fragment_survives():
 
 @pytest.mark.slow
 def test_fold_six_fragment_direct_agreement():
-    from planecover.fixtures import fold_six_fragment
-
     g = fold_six_fragment().graph
     assert analyze_fragment_direct(g)["survivor"]
 

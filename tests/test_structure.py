@@ -1,12 +1,7 @@
 import random
 
 import pytest
-from lemmas import detect_beads, detect_trapezia, string_vertices, triangles_supported_on_string
-from oracles import relabel_vertices
-
-from planecover.covers import SemiCover
-from planecover.embedding import PlaneEmbedding, planarity
-from planecover.fixtures import (
+from builders import (
     crowded_face,
     hexagon_cover,
     necklace,
@@ -17,6 +12,11 @@ from planecover.fixtures import (
     two_faces,
     two_trapezia,
 )
+from lemmas import detect_beads, detect_trapezia, string_vertices, triangles_supported_on_string
+from oracles import relabel_vertices
+
+from planecover.covers import SemiCover
+from planecover.embedding import PlaneEmbedding, planarity
 from planecover.graphs import LabeledGraph, make_base
 from planecover.structure import (
     PatternResult,
