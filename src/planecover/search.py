@@ -16,6 +16,15 @@ cycle-type representative, and the scan order, lexicographic by that
 voltage, is the certificate order.  Each orbit's lift and transitivity
 test are the ones ``covers`` defines.
 
+A base automorphism that maps the spanning tree onto itself changes the
+labels but carries each derived graph to an isomorphic one, and so to
+another class of the scan; K4 has five besides the identity, the
+relabellings of vertices 1, 2 and 3.  Planarity is an isomorphism
+invariant, so the scan shares each planarity verdict with the classes of
+the leaf's images (``_SharedVerdicts``).  Only the verdict is shared:
+classes stay label-preserving conjugation orbits, each with its own
+entry.
+
 One routine scans a fold: the budget check, the orbit scan and one
 certificate entry per isomorphism class of connected planar covers.  The
 two searches run it and nothing else selects what it keeps:
@@ -234,6 +243,119 @@ def _thin_edge_checks(base: BaseGraph, n: int) -> tuple[tuple[tuple, ...], ...]:
     return tuple(map(tuple, checks))
 
 
+@functools.cache
+def _tree_symmetries(base: BaseGraph) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, bool], ...]], ...]:
+    """The non-identity automorphisms σ of the base graph, labels ignored,
+    that map its spanning tree onto itself.  Each is a pair: σ as a tuple
+    of vertex images, and the map it induces on normalized voltages, which
+    gives for each cotree edge, in cotree order, the cotree edge whose
+    voltage it takes and whether that voltage is inverted.
+
+    Renaming every derived vertex (b, i) to (σb, i) carries the lift of
+    base edge (u, w), u < w, with voltage s to the lift of (σu, σw) with
+    voltage s, which is (σw, σu) with voltage s^-1 when σu > σw; tree edges
+    keep the identity.  So the image voltage's derived graph is isomorphic
+    to the voltage's.  Built once per base.
+    """
+    g = base.graph
+    edge_set = set(g.edges)
+    tree = {g.edges[e] for e in base.spanning_tree_edges}
+    position = {g.edges[e]: k for k, e in enumerate(base.cotree_edges)}
+    out = []
+    for s in itertools.islice(itertools.permutations(range(g.n)), 1, None):  # skip the identity, the first
+        image = {e: (s[e[0]], s[e[1]]) for e in g.edges}
+        ordered = {e: (min(f), max(f)) for e, f in image.items()}
+        if set(ordered.values()) != edge_set or {ordered[e] for e in tree} != tree:
+            continue
+        source = [None] * len(position)
+        for e, k in position.items():
+            source[position[ordered[e]]] = (k, image[e] != ordered[e])
+        out.append((s, tuple(source)))
+    return tuple(out)
+
+
+def _class_conjugators(perms, reps) -> dict:
+    """For each permutation p of ``perms`` (all of S_n): its conjugacy
+    class representative r in ``reps`` and the conjugators g with
+    g p g^-1 = r, in ``perms`` order.
+
+    p = g^-1 r g for each g and each representative r, so the table costs
+    n! times the number of classes conjugations.
+    """
+    table = {}
+    for g in perms:
+        g_inv = sorted(range(len(g)), key=g.__getitem__)
+        for r in reps:
+            table.setdefault(_conjugate(g_inv, r), (r, []))[1].append(g)
+    return table
+
+
+def _least_conjugate(volt, table) -> tuple:
+    """The scan's name for the conjugation orbit of the voltage tuple
+    ``volt``: its least conjugate whose first voltage is that voltage's
+    class representative, from the ``table`` of ``_class_conjugators``.
+
+    The conjugators that take the first voltage to its representative are
+    narrowed, voltage by voltage, to those that give the least image, so
+    the name is compared voltage by voltage as the scan orders its leaves.
+    """
+    first, group = table[volt[0]]
+    name = [first]
+    for p in volt[1:]:
+        images = [(_conjugate(g, p), g) for g in group]
+        least = min(images)[0]
+        group = [g for q, g in images if q == least]
+        name.append(least)
+    return tuple(name)
+
+
+class _SharedVerdicts:
+    """Planarity verdicts of one scan chunk, shared across the base's
+    tree symmetries (``_tree_symmetries``).
+
+    A symmetry's image of a leaf voltage has an isomorphic derived graph,
+    and planarity is an isomorphism invariant, so the leaf's verdict holds
+    for the class the scan names by the image's ``_least_conjugate``.  A
+    verdict is stored under that name only when this chunk visits it
+    later: its first voltage's class is one of the chunk's and it is
+    greater than the leaf.  The scan visits each stored name as a leaf
+    that reaches the planarity decision, and it takes the verdict out
+    there, so the memo holds only names still ahead of the walk.  A name
+    is kept as one integer, its voltages' positions in ``perms`` read as
+    base-n! digits, which is smaller than a tuple.
+    """
+
+    def __init__(self, base: BaseGraph, perms, firsts):
+        self.symmetries = [sigma for _, sigma in _tree_symmetries(base)]
+        self.table = _class_conjugators(perms, conjugacy_representatives(len(perms[0])))
+        self.inverse = {p: tuple(sorted(range(len(p)), key=p.__getitem__)) for p in perms}
+        self.position = {p: i for i, p in enumerate(perms)}
+        self.firsts = set(firsts)
+        self.verdicts = {}
+
+    def _key(self, volt) -> int:
+        key = 0
+        for p in volt:
+            key = key * len(self.position) + self.position[p]
+        return key
+
+    def pop(self, volt):
+        """The verdict stored for ``volt``, removed; None when none is."""
+        return self.verdicts.pop(self._key(volt), None)
+
+    def share(self, volt, planar: bool) -> None:
+        """Store ``planar``, the verdict of leaf ``volt``, under the name
+        of each image the chunk visits later."""
+        for sigma in self.symmetries:
+            image = [self.inverse[volt[k]] if inverted else volt[k] for k, inverted in sigma]
+            first = self.table[image[0]][0]
+            if first < volt[0] or first not in self.firsts:
+                continue
+            name = _least_conjugate(image, self.table)
+            if name > volt:
+                self.verdicts[self._key(name)] = planar
+
+
 def _scan_chunk(base: BaseGraph, n: int, firsts):
     """Scan the normalized assignments with the given first-cotree voltages.
 
@@ -257,6 +379,10 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
     skip their rows and leaves skip ``planar_rows``.  A dead prefix whose
     orbits are one is counted whole, its weight times (n!)^k for the k
     cotree edges left: every completion is connected and none planar.
+    Otherwise each leaf's planarity verdict is stored under the names of
+    its images by the base's tree symmetries that the chunk visits later,
+    and a leaf whose verdict is stored skips ``planar_rows``: at fold 4 of
+    K4, 143 of the 604 transitive leaves reach it.
     """
     g = base.graph
     nverts = g.n * n
@@ -275,8 +401,11 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
         for e in cotree
     ]
     checks = [()] * (depth + 2)
+    shared = None
     if nverts >= 4 and m == 3 * nverts - 6:
         checks = _thin_edge_checks(base, n)
+    elif n > 1:  # a fold-1 scan has one leaf
+        shared = _SharedVerdicts(base, perms, firsts)
 
     rows = adjacency_rows(nverts, derived_edges(tree, n, perms[:1] * len(tree)))
     dead = any(has_thin_edge(rows, *c) for c in checks[0])
@@ -301,7 +430,13 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
         if k == depth or dead and transitive:
             if transitive:
                 connected_count += weight * len(perms) ** (depth - k)
-                if not dead and planar_rows(rows, m):
+                # a live leaf takes the verdict an isomorphic leaf stored, if any
+                planar = not dead and (shared.pop(volt) if shared else None)
+                if planar is None:
+                    planar = planar_rows(rows, m)
+                    if shared:
+                        shared.share(volt, planar)
+                if planar:
                     planar_count += weight
                     classes.append((volt, weight))
             continue

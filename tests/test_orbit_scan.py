@@ -4,7 +4,9 @@ the format-1 and format-2 certificates and the pinned certificate bytes."""
 import functools
 import gc
 import hashlib
+import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -28,8 +30,12 @@ from planecover.covers import (
 from planecover.graphs import canonical_form, make_base
 from planecover.search import (
     SearchSpec,
+    _class_conjugators,
+    _conjugate,
+    _least_conjugate,
     _scan_chunk,
     _thin_edge_checks,
+    _tree_symmetries,
     enumerate_covers,
     enumerate_quotients,
     search_k4_fragments,
@@ -110,6 +116,114 @@ def test_thin_edge_table_is_built_once_per_base_and_fold():
 def test_orbit_scan_matches_brute_force_k4_n5():
     got, want = _both_scans("k4", 5)
     assert got == want
+
+
+# -- planarity verdicts shared across K4's tree symmetries ------------------
+
+
+def _brute_least_conjugate(volt, perms):
+    """The least conjugate of ``volt`` over all of S_n whose first voltage
+    is the class representative of ``volt[0]``."""
+    (first,) = {_conjugate(g, volt[0]) for g in perms} & set(conjugacy_representatives(len(volt[0])))
+    return min(tuple(_conjugate(g, p) for p in volt) for g in perms if _conjugate(g, volt[0]) == first)
+
+
+def _naming_cases():
+    rng = random.Random(37)
+    for n in (1, 2, 3):
+        yield from itertools.product(itertools.permutations(range(n)), repeat=3)
+    for n, count in ((4, 300), (5, 60)):
+        perms = list(itertools.permutations(range(n)))
+        for _ in range(count):
+            yield tuple(rng.choice(perms) for _ in range(3))
+
+
+def test_least_conjugate_is_the_brute_force_least_conjugate():
+    tables = {}
+    for volt in _naming_cases():
+        n = len(volt[0])
+        perms = tuple(itertools.permutations(range(n)))
+        if n not in tables:
+            tables[n] = _class_conjugators(perms, conjugacy_representatives(n))
+        assert _least_conjugate(volt, tables[n]) == _brute_least_conjugate(volt, perms), volt
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_least_conjugate_names_every_scan_leaf_by_itself(n):
+    perms = tuple(itertools.permutations(range(n)))
+    table = _class_conjugators(perms, conjugacy_representatives(n))
+    for volt, _, _ in voltage_orbits(n, conjugacy_representatives(n), 2):
+        assert _least_conjugate(volt, table) == volt
+
+
+def test_tree_symmetries_of_k4_are_explicit_isomorphisms():
+    # (b, i) -> (σb, i) sends the derived graph of every fold-3 voltage
+    # onto that of its image: an isomorphism, given vertex by vertex
+    k4 = make_base("k4")
+    symmetries = _tree_symmetries(k4)
+    assert sorted(s for s, _ in symmetries) == [
+        s for s in itertools.permutations(range(4)) if s[0] == 0 and s != (0, 1, 2, 3)
+    ]
+    n = 3
+    inverse = {p: tuple(p.index(i) for i in range(n)) for p in itertools.permutations(range(n))}
+    for volt in itertools.product(inverse, repeat=3):
+        edges = derive(normalized_assignment(k4, n, volt))[0].edges
+        for s, source in symmetries:
+            image = [inverse[volt[k]] if inverted else volt[k] for k, inverted in source]
+            moved = {frozenset((s[u // n] * n + u % n, s[w // n] * n + w % n)) for u, w in edges}
+            assert moved == set(map(frozenset, derive(normalized_assignment(k4, n, image))[0].edges))
+
+
+def _symmetry_classes(n: int) -> int:
+    """The transitive fold-n voltages of K4 up to conjugation and the tree
+    symmetries, counted with the brute-force least conjugate: a leaf whose
+    name no earlier leaf's images reached starts a class."""
+    perms = tuple(itertools.permutations(range(n)))
+    inverse = {p: tuple(p.index(i) for i in range(n)) for p in perms}
+    reached, classes = set(), 0
+    for volt, _, _ in voltage_orbits(n, conjugacy_representatives(n), 2):
+        if sheets_transitive(volt, n) and volt not in reached:
+            classes += 1
+            for _, source in _tree_symmetries(make_base("k4")):
+                image = [inverse[volt[k]] if inverted else volt[k] for k, inverted in source]
+                reached.add(_brute_least_conjugate(image, perms))
+    return classes
+
+
+@pytest.mark.parametrize(
+    "n, lr_calls", [(1, 1), (2, 3), (3, 14), (4, 143), pytest.param(5, 2567, marks=pytest.mark.slow)]
+)
+def test_fragment_scan_runs_one_lr_test_per_symmetry_class(monkeypatch, n, lr_calls):
+    # each class of transitive voltages under S_3 x conjugation is tested
+    # once, at its first leaf, and every verdict stored for a later leaf is
+    # taken out there; the classes are counted apart to fold 4
+    if n <= 4:
+        assert _symmetry_classes(n) == lr_calls
+    calls = []
+    memos = []
+    real = embedding._lr_planar
+    monkeypatch.setattr(embedding, "_lr_planar", lambda rows: calls.append(1) or real(rows))
+
+    class Recorded(search._SharedVerdicts):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+    monkeypatch.setattr(search, "_SharedVerdicts", Recorded)
+    search._scan(make_base("k4"), n)
+    assert len(calls) == lr_calls
+    assert len(memos) == (n > 1) and all(not memo.verdicts for memo in memos)
+
+
+def test_the_triangulation_rule_shares_no_verdict(monkeypatch):
+    # every connected fold-2 cover of K1,2,2,2 is triangulation-sized, so
+    # its scan builds no conjugator table and computes no symmetry
+    def refused(*args):
+        raise AssertionError("called under the triangulation rule")
+
+    monkeypatch.setattr(search, "_tree_symmetries", refused)
+    monkeypatch.setattr(search, "_class_conjugators", refused)
+    assert _scan_chunk(make_base("k1222"), 2, conjugacy_representatives(2))[:3] == (4096, 4095, 0)
 
 
 # Per tuple length, for n = 1..5 (pairs to n = 6): the transitive tuples of S_n (P. Hall,
