@@ -179,30 +179,59 @@ def _conjugate(g, p) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _orbit_reps(group, perms):
-    """One voltage per orbit of ``group`` acting on ``perms`` by
-    conjugation, with its stabilizer in ``group``.
+class _PermTables(NamedTuple):
+    perms: tuple[tuple[int, ...], ...]  # S_n in itertools.permutations order
+    index: dict[tuple[int, ...], int]  # each permutation's position in perms
+    inverse: tuple[int, ...]  # the index of each permutation's inverse
+    conj: tuple[tuple[int, ...], ...]  # conj[g][p]: the index of g p g^-1
+    rep: tuple[int, ...]  # the index of each permutation's class representative
+    conjugators: tuple[tuple[int, ...], ...]  # the g, ascending, with conj[g][p] == rep[p]
 
-    ``perms`` must be in increasing order; each yielded voltage is the
-    least of its orbit.  Yields (voltage, stabilizer) pairs.
+
+@functools.cache
+def _perm_tables(n: int) -> _PermTables:
+    """The scan's permutation arithmetic at fold ``n`` as index tables
+    (``_PermTables``), so the walk conjugates, inverts and names voltages
+    by lookups instead of building tuples.
+
+    ``perms`` is in lexicographic order, so comparing indices compares
+    the permutations, and index tuples compare as voltage tuples do; the
+    class representatives are those of ``conjugacy_representatives``.
+    The conjugation table has n!^2 entries, the (n!)^2 normalized
+    assignments of two cotree edges; each base has at least two, so the
+    budget check, which bounds (n!)^k for k cotree edges before the scan,
+    bounds the table too.  Built once per fold.
     """
-    if len(group) == 1 or len(perms) <= 2:
+    perms = tuple(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    inverse = tuple(index[tuple(sorted(range(n), key=p.__getitem__))] for p in perms)
+    conj = tuple(tuple(index[_conjugate(g, p)] for p in perms) for g in perms)
+    reps = {index[r] for r in conjugacy_representatives(n)}
+    conjugators = tuple(tuple(g for g, row in enumerate(conj) if row[p] in reps) for p in range(len(perms)))
+    rep = tuple(conj[gs[0]][p] for p, gs in enumerate(conjugators))
+    return _PermTables(perms, index, inverse, conj, rep, conjugators)
+
+
+def _orbit_reps(group, size: int, conj):
+    """One voltage per orbit of ``group`` acting by conjugation on the
+    ``size`` permutations of the fold, with its stabilizer in ``group``;
+    all are ``_perm_tables`` indices, conjugated by its ``conj`` table.
+    Each yielded voltage is the least of its orbit.  Yields (voltage,
+    stabilizer) pairs."""
+    if len(group) == 1 or size <= 2:
         # conjugation acts trivially: the group is trivial, or it lies in
         # S_n for n <= 2, which is abelian
-        for p in perms:
+        for p in range(size):
             yield p, group
         return
+    rows = [conj[g] for g in group]
     seen = set()
-    for p in perms:
+    for p in range(size):
         if p in seen:
             continue
-        stabilizer = []
-        for g in group:
-            q = _conjugate(g, p)
-            seen.add(q)
-            if q == p:
-                stabilizer.append(g)
-        yield p, tuple(stabilizer)
+        images = [row[p] for row in rows]
+        seen.update(images)
+        yield p, tuple(g for g, q in zip(group, images) if q == p)
 
 
 @functools.cache
@@ -274,37 +303,22 @@ def _tree_symmetries(base: BaseGraph) -> tuple[tuple[tuple[int, ...], tuple[tupl
     return tuple(out)
 
 
-def _class_conjugators(perms, reps) -> dict:
-    """For each permutation p of ``perms`` (all of S_n): its conjugacy
-    class representative r in ``reps`` and the conjugators g with
-    g p g^-1 = r, in ``perms`` order.
-
-    p = g^-1 r g for each g and each representative r, so the table costs
-    n! times the number of classes conjugations.
-    """
-    table = {}
-    for g in perms:
-        g_inv = sorted(range(len(g)), key=g.__getitem__)
-        for r in reps:
-            table.setdefault(_conjugate(g_inv, r), (r, []))[1].append(g)
-    return table
-
-
-def _least_conjugate(volt, table) -> tuple:
-    """The scan's name for the conjugation orbit of the voltage tuple
-    ``volt``: its least conjugate whose first voltage is that voltage's
-    class representative, from the ``table`` of ``_class_conjugators``.
+def _least_conjugate(volt, tables: _PermTables) -> tuple[int, ...]:
+    """The scan's name for the conjugation orbit of the voltage ``volt``,
+    a tuple of ``tables.perms`` indices: its least conjugate whose first
+    voltage is that voltage's class representative.
 
     The conjugators that take the first voltage to its representative are
     narrowed, voltage by voltage, to those that give the least image, so
     the name is compared voltage by voltage as the scan orders its leaves.
     """
-    first, group = table[volt[0]]
-    name = [first]
+    conj = tables.conj
+    group = tables.conjugators[volt[0]]
+    name = [tables.rep[volt[0]]]
     for p in volt[1:]:
-        images = [(_conjugate(g, p), g) for g in group]
-        least = min(images)[0]
-        group = [g for q, g in images if q == least]
+        images = [conj[g][p] for g in group]
+        least = min(images)
+        group = [g for g, q in zip(group, images) if q == least]
         name.append(least)
     return tuple(name)
 
@@ -320,23 +334,23 @@ class _SharedVerdicts:
     later: its first voltage's class is one of the chunk's and it is
     greater than the leaf.  The scan visits each stored name as a leaf
     that reaches the planarity decision, and it takes the verdict out
-    there, so the memo holds only names still ahead of the walk.  A name
-    is kept as one integer, its voltages' positions in ``perms`` read as
-    base-n! digits, which is smaller than a tuple.
+    there, so the memo holds only names still ahead of the walk.  Voltages
+    are index tuples into ``_perm_tables``, whose tables invert and name
+    the images; a name is kept as one integer, its indices read as base-n!
+    digits, which is smaller than a tuple.
     """
 
-    def __init__(self, base: BaseGraph, perms, firsts):
+    def __init__(self, base: BaseGraph, tables: _PermTables, firsts):
         self.symmetries = [sigma for _, sigma in _tree_symmetries(base)]
-        self.table = _class_conjugators(perms, conjugacy_representatives(len(perms[0])))
-        self.inverse = {p: tuple(sorted(range(len(p)), key=p.__getitem__)) for p in perms}
-        self.position = {p: i for i, p in enumerate(perms)}
+        self.tables = tables
+        self.size = len(tables.perms)
         self.firsts = set(firsts)
         self.verdicts = {}
 
     def _key(self, volt) -> int:
         key = 0
         for p in volt:
-            key = key * len(self.position) + self.position[p]
+            key = key * self.size + p
         return key
 
     def pop(self, volt):
@@ -346,12 +360,13 @@ class _SharedVerdicts:
     def share(self, volt, planar: bool) -> None:
         """Store ``planar``, the verdict of leaf ``volt``, under the name
         of each image the chunk visits later."""
+        inverse, rep = self.tables.inverse, self.tables.rep
         for sigma in self.symmetries:
-            image = [self.inverse[volt[k]] if inverted else volt[k] for k, inverted in sigma]
-            first = self.table[image[0]][0]
+            image = [inverse[volt[k]] if inverted else volt[k] for k, inverted in sigma]
+            first = rep[image[0]]
             if first < volt[0] or first not in self.firsts:
                 continue
-            name = _least_conjugate(image, self.table)
+            name = _least_conjugate(image, self.tables)
             if name > volt:
                 self.verdicts[self._key(name)] = planar
 
@@ -370,19 +385,23 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
     cotree edge; a prefix's children are the ``_orbit_reps`` of its
     stabilizer (a first voltage's, of its centralizer), and a child's
     weight, the size of its orbit, is its parent's times the index of its
-    stabilizer.  Each prefix ORs its edge's lifted rows into its parent's
-    adjacency rows and joins its voltage to the sheet orbits; once the
-    orbits are one, every completion is transitive.  When every cover has
-    3V - 6 edges it is planar only if it is a triangulation, so a lifted
-    edge whose triangle bound (``_thin_edge_checks``) is below two makes
-    the prefix dead: every completion is non-planar, so deeper prefixes
-    skip their rows and leaves skip ``planar_rows``.  A dead prefix whose
-    orbits are one is counted whole, its weight times (n!)^k for the k
-    cotree edges left: every completion is connected and none planar.
-    Otherwise each leaf's planarity verdict is stored under the names of
-    its images by the base's tree symmetries that the chunk visits later,
-    and a leaf whose verdict is stored skips ``planar_rows``: at fold 4 of
-    K4, 143 of the 604 transitive leaves reach it.
+    stabilizer.  The walk holds each voltage as its index in
+    ``_perm_tables(n)``, whose tables do its conjugations; a class's
+    voltage becomes permutation tuples only when it is recorded.  Each
+    prefix ORs its edge's lifted rows into its parent's adjacency rows and
+    joins its voltage to the sheet orbits; once the orbits are one, every
+    completion is transitive.  When every cover has 3V - 6 edges it is
+    planar only if it is a triangulation, so a lifted edge whose triangle
+    bound (``_thin_edge_checks``) is below two makes the prefix dead:
+    every completion is non-planar, so deeper prefixes skip their rows and
+    leaves skip ``planar_rows``.  A dead prefix whose orbits are one is
+    counted whole, its weight times (n!)^k for the k cotree edges left:
+    every completion is connected and none planar.  Otherwise each leaf's
+    planarity verdict is stored under the names of its images by the
+    base's tree symmetries that the chunk visits later
+    (``_SharedVerdicts``), and a leaf whose verdict is stored skips
+    ``planar_rows``: at fold 4 of K4, 143 of the 604 transitive leaves
+    reach it.
     """
     g = base.graph
     nverts = g.n * n
@@ -394,10 +413,13 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
     classes = []
     m = g.m * n  # each base edge lifts to n distinct edges
     one_orbit = (1 << n) - 1
-    perms = tuple(itertools.permutations(range(n)))
+    tables = _perm_tables(n)
+    perms, conj = tables.perms, tables.conj
+    size = len(perms)
+    firsts = [tables.index[first] for first in firsts]
     tree = [g.edges[e] for e in base.spanning_tree_edges]
     lifts = [
-        {p: adjacency_rows(nverts, derived_edges((g.edges[e],), n, (p,))) for p in perms}
+        [adjacency_rows(nverts, derived_edges((g.edges[e],), n, (p,))) for p in perms]
         for e in cotree
     ]
     checks = [()] * (depth + 2)
@@ -405,7 +427,7 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
     if nverts >= 4 and m == 3 * nverts - 6:
         checks = _thin_edge_checks(base, n)
     elif n > 1:  # a fold-1 scan has one leaf
-        shared = _SharedVerdicts(base, perms, firsts)
+        shared = _SharedVerdicts(base, tables, firsts)
 
     rows = adjacency_rows(nverts, derived_edges(tree, n, perms[:1] * len(tree)))
     dead = any(has_thin_edge(rows, *c) for c in checks[0])
@@ -415,21 +437,21 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
     # orbits and dead flag; ``group`` is the stabilizer of ``volt`` and
     # ``weight`` the size of its orbit
     stack = [
-        (0, (first,), tuple(h for h in perms if _conjugate(h, first) == first), 1, rows, orbits, dead)
+        (0, (first,), tuple(h for h in range(size) if conj[h][first] == first), 1, rows, orbits, dead)
         for first in reversed(firsts)
     ]
     while stack:
         k, volt, group, weight, rows, orbits, dead = stack.pop()
         p = volt[-1]
         if orbits[0] != one_orbit:
-            orbits = join_sheets(orbits, p)
+            orbits = join_sheets(orbits, perms[p])
         if not dead:
             rows = [a | b for a, b in zip(rows, lifts[k][p])]
             dead = any(has_thin_edge(rows, *c) for c in checks[k + 1])
         transitive = orbits[0] == one_orbit
         if k == depth or dead and transitive:
             if transitive:
-                connected_count += weight * len(perms) ** (depth - k)
+                connected_count += weight * size ** (depth - k)
                 # a live leaf takes the verdict an isomorphic leaf stored, if any
                 planar = not dead and (shared.pop(volt) if shared else None)
                 if planar is None:
@@ -438,11 +460,11 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
                         shared.share(volt, planar)
                 if planar:
                     planar_count += weight
-                    classes.append((volt, weight))
+                    classes.append((tuple(map(perms.__getitem__, volt)), weight))
             continue
         children = [
             (k + 1, (*volt, q), stabilizer, weight * (len(group) // len(stabilizer)), rows, orbits, dead)
-            for q, stabilizer in _orbit_reps(group, perms)
+            for q, stabilizer in _orbit_reps(group, size, conj)
         ]
         stack += reversed(children)
     return visited, connected_count, planar_count, classes

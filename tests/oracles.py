@@ -42,10 +42,11 @@ the tests need live here too: the identity assignment, the transitivity
 test that folds ``join_sheets`` over a voltage, the orbit tuples of a
 fold, an embedding's sorted face lengths and a vertex renumbering of a
 graph.  The orbit tuples are the leaves of the scan's prefix tree, found
-by a short recursion over the package's per-level rule ``_orbit_reps``,
-so the orbit counts that the tests check against P. and M. Hall's hold
-that rule; the scan's own weights are checked against M. Hall's
-transitive-triple counts directly.
+by a short recursion over a restatement of the scan's per-level rule on
+permutation tuples (``orbit_reps``), which shares no code with the scan's
+index tables, so the orbit counts that the tests check against P. and M.
+Hall's hold that rule apart from the scan; the scan's own weights are
+checked against M. Hall's transitive-triple counts directly.
 """
 
 from __future__ import annotations
@@ -83,8 +84,6 @@ from planecover.graphs import (
 from planecover.search import (
     MinBeadsResult,
     SearchError,
-    _conjugate,
-    _orbit_reps,
     estimate_nodes,
     search_k4_fragments,
 )
@@ -115,12 +114,46 @@ def sheets_transitive(perms, n: int) -> bool:
     return orbits[0] == (1 << n) - 1
 
 
+def conjugate(g, p) -> tuple[int, ...]:
+    """g p g^-1 as a permutation tuple: x goes to g[p[g^-1[x]]]."""
+    g_inv = [0] * len(g)
+    for i, j in enumerate(g):
+        g_inv[j] = i
+    return tuple(g[p[x]] for x in g_inv)
+
+
+def orbit_reps(group, perms):
+    """One permutation per orbit of ``group`` acting on ``perms`` by
+    conjugation, with its stabilizer in ``group``.
+
+    ``perms`` must be in increasing order; each yielded permutation is
+    the least of its orbit.  Yields (permutation, stabilizer) pairs.
+    """
+    if len(group) == 1 or len(perms) <= 2:
+        # conjugation acts trivially: the group is trivial, or it lies in
+        # S_n for n <= 2, which is abelian
+        for p in perms:
+            yield p, group
+        return
+    seen = set()
+    for p in perms:
+        if p in seen:
+            continue
+        stabilizer = []
+        for g in group:
+            q = conjugate(g, p)
+            seen.add(q)
+            if q == p:
+                stabilizer.append(g)
+        yield p, tuple(stabilizer)
+
+
 def voltage_orbits(n: int, firsts, depth: int):
     """Orbits of normalized cotree voltages under sheet relabeling: for
     each first voltage ``c`` in ``firsts`` (conjugacy class
     representatives), one ``(c, t_1, ..., t_depth)`` per orbit of the
     centralizer of ``c`` acting by simultaneous conjugation, each t_i from
-    ``_orbit_reps`` of the stabilizer of the coordinates before it.
+    ``orbit_reps`` of the stabilizer of the coordinates before it.
 
     Yields (voltage, centralizer size, stabilizer size).  The voltage is
     the least of its orbit, and the orbit holds centralizer size /
@@ -132,11 +165,11 @@ def voltage_orbits(n: int, firsts, depth: int):
         if left == 0:
             yield volt, len(group)
             return
-        for p, stabilizer in _orbit_reps(group, perms):
+        for p, stabilizer in orbit_reps(group, perms):
             yield from extend((*volt, p), stabilizer, left - 1)
 
     for first in firsts:
-        centralizer = tuple(g for g in perms if _conjugate(g, first) == first)
+        centralizer = tuple(g for g in perms if conjugate(g, first) == first)
         for volt, stab in extend((first,), centralizer, depth):
             yield volt, len(centralizer), stab
 

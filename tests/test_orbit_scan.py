@@ -29,10 +29,11 @@ from planecover.covers import (
 )
 from planecover.graphs import canonical_form, make_base
 from planecover.search import (
+    BudgetExceeded,
     SearchSpec,
-    _class_conjugators,
     _conjugate,
     _least_conjugate,
+    _perm_tables,
     _scan_chunk,
     _thin_edge_checks,
     _tree_symmetries,
@@ -138,22 +139,68 @@ def _naming_cases():
             yield tuple(rng.choice(perms) for _ in range(3))
 
 
+def _index_name(volt):
+    """``_least_conjugate`` of a voltage of permutation tuples, read on
+    their ``_perm_tables`` indices and turned back into tuples."""
+    tables = _perm_tables(len(volt[0]))
+    name = _least_conjugate(tuple(tables.index[p] for p in volt), tables)
+    return tuple(tables.perms[i] for i in name)
+
+
 def test_least_conjugate_is_the_brute_force_least_conjugate():
-    tables = {}
     for volt in _naming_cases():
-        n = len(volt[0])
-        perms = tuple(itertools.permutations(range(n)))
-        if n not in tables:
-            tables[n] = _class_conjugators(perms, conjugacy_representatives(n))
-        assert _least_conjugate(volt, tables[n]) == _brute_least_conjugate(volt, perms), volt
+        perms = tuple(itertools.permutations(range(len(volt[0]))))
+        assert _index_name(volt) == _brute_least_conjugate(volt, perms), volt
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_least_conjugate_names_every_scan_leaf_by_itself(n):
-    perms = tuple(itertools.permutations(range(n)))
-    table = _class_conjugators(perms, conjugacy_representatives(n))
     for volt, _, _ in voltage_orbits(n, conjugacy_representatives(n), 2):
-        assert _least_conjugate(volt, table) == volt
+        assert _index_name(volt) == volt
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_perm_tables_match_tuple_arithmetic(n):
+    # every entry against _conjugate, a brute-force inverse and class
+    # representative; index order is tuple order, which the scan's name
+    # comparison relies on
+    tables = _perm_tables(n)
+    perms = tables.perms
+    assert list(perms) == sorted(itertools.permutations(range(n)))
+    assert all(tables.index[p] == i for i, p in enumerate(perms)) and len(tables.index) == len(perms)
+    identity = tuple(range(n))
+    reps = conjugacy_representatives(n)
+    for i, p in enumerate(perms):
+        q = perms[tables.inverse[i]]
+        assert tuple(p[q[x]] for x in range(n)) == identity == tuple(q[p[x]] for x in range(n))
+        assert [perms[c] for c in tables.conj[i]] == [_conjugate(p, r) for r in perms]
+        (rep,) = {_conjugate(g, p) for g in perms} & set(reps)
+        assert perms[tables.rep[i]] == rep
+        assert [perms[g] for g in tables.conjugators[i]] == [g for g in perms if _conjugate(g, p) == rep]
+    assert _perm_tables(n) is tables
+
+
+def test_a_cached_fold_scan_conjugates_no_tuple(monkeypatch):
+    # once the tables of folds 1-4 are built, the fold 1-4 fragment search
+    # does its permutation arithmetic by lookups alone
+    for n in (1, 2, 3, 4):
+        _perm_tables(n)
+    calls = []
+    real = search._conjugate
+    monkeypatch.setattr(search, "_conjugate", lambda g, p: calls.append(1) or real(g, p))
+    search_k4_fragments(4)
+    assert calls == []
+
+
+def test_the_budget_refuses_a_fold_before_its_tables(monkeypatch):
+    # the n!^2 conjugation table is built only once the budget admits the
+    # fold's (n!)^3 assignments: fold 7 is refused first
+    def refused(n):
+        raise AssertionError(f"_perm_tables({n}) built past the budget")
+
+    monkeypatch.setattr(search, "_perm_tables", refused)
+    with pytest.raises(BudgetExceeded):
+        enumerate_covers(SearchSpec("k4", 7))
 
 
 def test_tree_symmetries_of_k4_are_explicit_isomorphisms():
@@ -217,12 +264,12 @@ def test_fragment_scan_runs_one_lr_test_per_symmetry_class(monkeypatch, n, lr_ca
 
 def test_the_triangulation_rule_shares_no_verdict(monkeypatch):
     # every connected fold-2 cover of K1,2,2,2 is triangulation-sized, so
-    # its scan builds no conjugator table and computes no symmetry
+    # its scan builds no verdict memo and computes no symmetry
     def refused(*args):
         raise AssertionError("called under the triangulation rule")
 
     monkeypatch.setattr(search, "_tree_symmetries", refused)
-    monkeypatch.setattr(search, "_class_conjugators", refused)
+    monkeypatch.setattr(search, "_SharedVerdicts", refused)
     assert _scan_chunk(make_base("k1222"), 2, conjugacy_representatives(2))[:3] == (4096, 4095, 0)
 
 
