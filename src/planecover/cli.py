@@ -263,11 +263,10 @@ def cmd_search(args) -> int:
     _check_directory(args.dot_dir)
     if mode == "covers":
         print(f"scanning base {spec.base} at fold {spec.n} ...", file=sys.stderr)
-        cert = enumerate_covers(spec, workers=args.workers)
+        cert = enumerate_covers(spec)
     else:
         cert = search_k4_fragments(
-            h_max, budget=budget, workers=args.workers,
-            progress=lambda msg: print(msg, file=sys.stderr),
+            h_max, budget=budget, progress=lambda msg: print(msg, file=sys.stderr)
         )
     _write_out(args, pio.dumps(cert))
     folds = _fold_records(cert)
@@ -343,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="run an exhaustive search from a spec file")
     sp.add_argument("spec", nargs="?")
     sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=1)
+    # accepted and ignored until ROADMAP item 1a drops it from the benchmark
+    sp.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     sp.add_argument("--dot-dir", default=None, help="write one DOT file per survivor here")
     common(sp)
     sp.set_defaults(func=cmd_search)

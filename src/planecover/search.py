@@ -324,17 +324,18 @@ def _least_conjugate(volt, tables: _PermTables) -> tuple[int, ...]:
 
 
 class _SharedVerdicts:
-    """Planarity verdicts of one scan chunk, shared across the base's
-    tree symmetries (``_tree_symmetries``).
+    """Planarity verdicts of one scan, shared across the base's tree
+    symmetries (``_tree_symmetries``).
 
     A symmetry's image of a leaf voltage has an isomorphic derived graph,
     and planarity is an isomorphism invariant, so the leaf's verdict holds
     for the class the scan names by the image's ``_least_conjugate``.  A
-    verdict is stored under that name only when this chunk visits it
-    later: its first voltage's class is one of the chunk's and it is
+    verdict is stored under that name only when this scan visits it
+    later: its first voltage's class is one of the scan's and it is
     greater than the leaf.  The scan visits each stored name as a leaf
     that reaches the planarity decision, and it takes the verdict out
-    there, so the memo holds only names still ahead of the walk.  Voltages
+    there, so the memo holds only names still ahead of the walk, also in
+    a scan of one first voltage.  A fold's scan takes every class.  Voltages
     are index tuples into ``_perm_tables``, whose tables invert and name
     the images; a name is kept as one integer, its indices read as base-n!
     digits, which is smaller than a tuple.
@@ -359,7 +360,7 @@ class _SharedVerdicts:
 
     def share(self, volt, planar: bool) -> None:
         """Store ``planar``, the verdict of leaf ``volt``, under the name
-        of each image the chunk visits later."""
+        of each image the scan visits later."""
         inverse, rep = self.tables.inverse, self.tables.rep
         for sigma in self.symmetries:
             image = [inverse[volt[k]] if inverted else volt[k] for k, inverted in sigma]
@@ -371,7 +372,7 @@ class _SharedVerdicts:
                 self.verdicts[self._key(name)] = planar
 
 
-def _scan_chunk(base: BaseGraph, n: int, firsts):
+def _scan(base: BaseGraph, n: int, firsts):
     """Scan the normalized assignments with the given first-cotree voltages.
 
     Every test runs once per orbit of sheet relabeling (simultaneous
@@ -398,7 +399,7 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
     counted whole, its weight times (n!)^k for the k cotree edges left:
     every completion is connected and none planar.  Otherwise each leaf's
     planarity verdict is stored under the names of its images by the
-    base's tree symmetries that the chunk visits later
+    base's tree symmetries that the scan visits later
     (``_SharedVerdicts``), and a leaf whose verdict is stored skips
     ``planar_rows``: at fold 4 of K4, 143 of the 604 transitive leaves
     reach it.
@@ -470,38 +471,20 @@ def _scan_chunk(base: BaseGraph, n: int, firsts):
     return visited, connected_count, planar_count, classes
 
 
-def _scan(base: BaseGraph, n: int, workers: int = 1):
-    firsts = conjugacy_representatives(n)
-    if workers <= 1 or len(firsts) == 1:
-        return _scan_chunk(base, n, firsts)
-    import multiprocessing as mp
-
-    chunks = [[f] for f in firsts]
-    with mp.Pool(min(workers, len(chunks))) as pool:
-        results = pool.starmap(_scan_chunk, [(base, n, ch) for ch in chunks])
-    # the chunks follow the sorted first voltages, so joining them keeps
-    # the scan order
-    visited, connected, planar, classes = zip(*results)
-    return sum(visited), sum(connected), sum(planar), list(itertools.chain(*classes))
-
-
 # ---------------------------------------------------------------------------
 # One fold: budget, scan and certificate entries
 # ---------------------------------------------------------------------------
 
 
-def _scan_fold(base: BaseGraph, n: int, budget: int, workers: int = 1) -> dict:
+def _scan_fold(base: BaseGraph, n: int, budget: int) -> dict:
     """Scan fold ``n`` of ``base`` and build its fold record.
 
-    A worker count below 1 is refused first.  The fold is refused when its
-    (n!)^k normalized assignments exceed ``budget``; k·log(n!) is compared
-    with log(budget) first, so a fold far beyond the budget is refused
-    without computing (n!)^k.  The record holds the counts and one entry
+    The fold is refused when its (n!)^k normalized assignments exceed
+    ``budget``; k·log(n!) is compared with log(budget) first, so a fold
+    far beyond the budget is refused without computing (n!)^k.  The record holds the counts and one entry
     per isomorphism class of connected planar covers, in scan order; each
     search adds its verdicts and survivors to the entries.
     """
-    if workers < 1:
-        raise SearchError(f"worker count must be at least 1, not {workers}")
     log_estimate = len(base.cotree_edges) * math.lgamma(n + 1)
     estimate = None
     if budget >= 1 and log_estimate <= math.log(budget) + 1e-9:
@@ -511,7 +494,7 @@ def _scan_fold(base: BaseGraph, n: int, budget: int, workers: int = 1) -> dict:
             f"voltage space for base {base.kind!r} at fold {n} has about "
             f"{_approx(log_estimate / math.log(10))} assignments, beyond the budget {budget}"
         )
-    visited, connected, planar, classes = _scan(base, n, workers)
+    visited, connected, planar, classes = _scan(base, n, conjugacy_representatives(n))
     candidates = [
         {"assignments": count, "voltage": [list(p) for p in volt]} for volt, count in classes
     ]
@@ -530,7 +513,7 @@ def _scan_fold(base: BaseGraph, n: int, budget: int, workers: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
+def enumerate_covers(spec: SearchSpec) -> dict:
     """Certify the connected planar covers of ``spec.base`` at fold
     ``spec.n``, one candidate entry per isomorphism class.
 
@@ -538,7 +521,7 @@ def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
     entry is a sidecar excluded from byte-for-byte comparisons.
     """
     t0 = time.monotonic()
-    record = _scan_fold(make_base(spec.base), spec.n, spec.budget, workers)
+    record = _scan_fold(make_base(spec.base), spec.n, spec.budget)
     for entry in record["candidates"]:
         entry.update(filters={"connected": True, "planar": True}, survivor=True)
     survivors = [e["voltage"] for e in record["candidates"]]
@@ -557,7 +540,7 @@ def enumerate_covers(spec: SearchSpec, workers: int = 1) -> dict:
         "survivors": survivors,
         "survivor_count": len(survivors),
         "alarms": alarms,
-        "timing": {"seconds": time.monotonic() - t0, "workers": workers},
+        "timing": {"seconds": time.monotonic() - t0},
     }
 
 
@@ -723,7 +706,7 @@ def analyze_fragment_candidate(g: LabeledGraph) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progress=None) -> dict:
+def search_k4_fragments(h_max: int, budget: int = 10**9, progress=None) -> dict:
     """Enumerate admissible K4-cover fragments for every fold up to h_max.
 
     Each fold scans the connected planar covers of K4, one per
@@ -748,7 +731,7 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
     for h in range(1, h_max + 1):
         if progress is not None:
             progress(f"fold {h}: scanning ...")
-        record = _scan_fold(base, h, budget, workers)
+        record = _scan_fold(base, h, budget)
         fold_censuses = set()
         for entry in record["candidates"]:
             c12, c13, c23 = entry["voltage"]
@@ -779,7 +762,7 @@ def search_k4_fragments(h_max: int, budget: int = 10**9, workers: int = 1, progr
         "skipped_conditions": list(INTERIOR_CONDITION_KEYS),
         "extra_conditions": list(EXTRA_FRAGMENT_FILTERS),
         "quotient_censuses": all_censuses,
-        "timing": {"seconds": time.monotonic() - t0, "workers": workers},
+        "timing": {"seconds": time.monotonic() - t0},
     }
 
 

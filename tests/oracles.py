@@ -312,7 +312,7 @@ def lr_planar(g: LabeledGraph) -> bool:
     return nx.check_planarity(G, counterexample=False)[0]
 
 
-def reference_scan_chunk(base, n: int, firsts):
+def reference_scan(base, n: int, firsts):
     """Brute-force normalized voltage scan: every cotree tuple whose first
     voltage is in ``firsts``, one derived graph and one connectivity,
     planarity and canonical-form test per tuple.

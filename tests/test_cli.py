@@ -386,6 +386,23 @@ def test_search_worker_count_below_one_exits_three(tmp_path, capsys, workers):
     assert "--workers" in err and "Traceback" not in err
 
 
+def test_search_accepts_and_ignores_workers(tmp_path, capsys):
+    # the scan runs in one process: --workers still parses but changes no
+    # byte of the certificate, and search --help does not list it
+    certs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"cert-{workers}.json"
+        assert main(["search", "--fixture", "spec-k4-n2", "--workers", workers, "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        cert.pop("timing")
+        certs.append(pio.dumps(cert))
+    assert certs[0] == certs[1]
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["search", "--help"])
+    assert "--workers" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name", ["../fixtures/two_faces", "no_such_fixture"])
 def test_a_fixture_name_that_is_not_a_bundled_plain_name_exits_3(tmp_path, name, capsys):
     # ../fixtures/two_faces resolves to a bundled file, but only a plain

@@ -14,7 +14,7 @@ from oracles import (
     format_one_covers,
     format_one_fragments,
     format_two_fragments,
-    reference_scan_chunk,
+    reference_scan,
     sheets_transitive,
     voltage_orbits,
 )
@@ -34,7 +34,7 @@ from planecover.search import (
     _conjugate,
     _least_conjugate,
     _perm_tables,
-    _scan_chunk,
+    _scan,
     _thin_edge_checks,
     _tree_symmetries,
     enumerate_covers,
@@ -44,7 +44,7 @@ from planecover.search import (
 
 def _both_scans(kind, n):
     args = (make_base(kind), n, conjugacy_representatives(n))
-    return _scan_chunk(*args), reference_scan_chunk(*args)
+    return _scan(*args), reference_scan(*args)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -84,7 +84,7 @@ def test_k1222_n2_scan_leaves_four_covers_to_the_lr_test(monkeypatch):
     count(embedding, "_lr_planar")
     for name in ("planar_rows", "_orbit_reps", "join_sheets"):
         count(search, name)
-    got = _scan_chunk(make_base("k1222"), 2, conjugacy_representatives(2))
+    got = _scan(make_base("k1222"), 2, conjugacy_representatives(2))
     assert got[:3] == (4096, 4095, 0)
     assert calls == {"_lr_planar": 4, "planar_rows": 4, "_orbit_reps": 104, "join_sheets": 24}
 
@@ -238,12 +238,22 @@ def _symmetry_classes(n: int) -> int:
 
 
 @pytest.mark.parametrize(
-    "n, lr_calls", [(1, 1), (2, 3), (3, 14), (4, 143), pytest.param(5, 2567, marks=pytest.mark.slow)]
+    "n, lr_calls",
+    [
+        (1, 1),
+        (2, 3),
+        (3, 14),
+        (4, 143),
+        pytest.param(5, 2567, marks=pytest.mark.slow),
+        pytest.param(6, 86451, marks=pytest.mark.slow),
+    ],
 )
 def test_fragment_scan_runs_one_lr_test_per_symmetry_class(monkeypatch, n, lr_calls):
     # each class of transitive voltages under S_3 x conjugation is tested
     # once, at its first leaf, and every verdict stored for a later leaf is
-    # taken out there; the classes are counted apart to fold 4
+    # taken out there; the classes are counted apart to fold 4.  A scan
+    # split by first voltage keeps only the verdicts for its own first
+    # voltages, so at fold 6 the eleven one-class scans run 224,024 tests
     if n <= 4:
         assert _symmetry_classes(n) == lr_calls
     calls = []
@@ -257,7 +267,7 @@ def test_fragment_scan_runs_one_lr_test_per_symmetry_class(monkeypatch, n, lr_ca
             memos.append(self)
 
     monkeypatch.setattr(search, "_SharedVerdicts", Recorded)
-    search._scan(make_base("k4"), n)
+    search._scan(make_base("k4"), n, conjugacy_representatives(n))
     assert len(calls) == lr_calls
     assert len(memos) == (n > 1) and all(not memo.verdicts for memo in memos)
 
@@ -270,7 +280,7 @@ def test_the_triangulation_rule_shares_no_verdict(monkeypatch):
 
     monkeypatch.setattr(search, "_tree_symmetries", refused)
     monkeypatch.setattr(search, "_SharedVerdicts", refused)
-    assert _scan_chunk(make_base("k1222"), 2, conjugacy_representatives(2))[:3] == (4096, 4095, 0)
+    assert _scan(make_base("k1222"), 2, conjugacy_representatives(2))[:3] == (4096, 4095, 0)
 
 
 # Per tuple length, for n = 1..5 (pairs to n = 6): the transitive tuples of S_n (P. Hall,
@@ -325,7 +335,7 @@ def test_scan_weights_sum_to_hall_transitive_triples(n):
     # S_n, K4 having three cotree edges
     k4 = make_base("k4")
     total = sum(
-        math.factorial(n) // _centralizer_order(c) * _scan_chunk(k4, n, [c])[1]
+        math.factorial(n) // _centralizer_order(c) * _scan(k4, n, [c])[1]
         for c in conjugacy_representatives(n)
     )
     assert total == HALL_TRANSITIVE_TUPLES[3][n]

@@ -53,7 +53,7 @@ def _scan_calls(monkeypatch, h_max: int) -> list:
 
     monkeypatch.setattr(search, "planar_rows", recorded)
     for n in range(1, h_max + 1):
-        search._scan(make_base("k4"), n)
+        search._scan(make_base("k4"), n, conjugacy_representatives(n))
     return calls
 
 

@@ -3,8 +3,8 @@
 The records are ``typing.NamedTuple`` classes; a class that caches
 derived values or checks its fields subclasses one.  Records built twice
 from equal fields compare equal and hash alike, whatever their caches
-hold; a pickle round trip (the ``--workers`` pool pickles the base graph)
-gives an equal record of the same class; and the two places that build a
+hold; a pickle round trip (a record is a plain value, so it can be stored
+or sent to another process) gives an equal record of the same class; and the two places that build a
 ``QuotientGraph`` around known faces or a known rotation keep them.
 """
 

@@ -26,7 +26,7 @@ from oracles import (
 from planecover import fixtures as fx
 from planecover import io as pio
 from planecover import search
-from planecover.covers import derive, normalized_assignment
+from planecover.covers import conjugacy_representatives, derive, normalized_assignment
 from planecover.fixtures import double_lens
 from planecover.graphs import LabeledGraph, canonical_form, make_base
 from planecover.search import (
@@ -100,30 +100,10 @@ def test_certificate_deterministic_and_replayable():
     assert len(set(forms)) == len(forms) == c1["classes"]
 
 
-def test_workers_produce_identical_certificates():
-    # each pool chunk is one first voltage and scans with fresh level stacks
-    for run in (
-        lambda workers: enumerate_covers(SearchSpec(base="k4", n=3), workers=workers),
-        lambda workers: enumerate_covers(SearchSpec(base="k1222", n=2), workers=workers),
-        lambda workers: search_k4_fragments(4, workers=workers),
-    ):
-        assert _strip_timing(run(1)) == _strip_timing(run(2))
-
-
 def test_budget_refusal():
     assert estimate_nodes(make_base("k1222"), 4) > 10**9
     with pytest.raises(BudgetExceeded):
         enumerate_covers(SearchSpec(base="k1222", n=4))
-
-
-@pytest.mark.parametrize("workers", [0, -3])
-def test_searches_refuse_worker_count_below_one(workers):
-    # refused before the budget check: k1222 fold 4 is over the budget
-    for spec in (SearchSpec("k4", 2), SearchSpec("k1222", 4)):
-        with pytest.raises(SearchError, match="worker count"):
-            enumerate_covers(spec, workers=workers)
-    with pytest.raises(SearchError, match="worker count"):
-        search_k4_fragments(2, workers=workers)
 
 
 def test_budget_gate_compares_the_exact_count_at_the_boundary():
@@ -414,7 +394,7 @@ def test_fold_six_fragment_certificate():
     # the fold bound of 6 is tight on the search itself: fold 6 has
     # admissible fragments, the fold-six fixture's class among them, and
     # its entries take the per-class step of every other fold
-    cert = search_k4_fragments(6, workers=2)
+    cert = search_k4_fragments(6)
     fold6 = cert["folds"][5]
     assert [fold6[k] for k in ("visited", "connected", "planar", "classes")] == [
         5_702_400, 5_373_568, 834_159, 43_690,
@@ -831,7 +811,7 @@ def test_analyzer_verdicts_are_the_restated_rule(fragment_certificate, monkeypat
 
 @pytest.mark.slow
 def test_analyzer_verdicts_are_the_restated_rule_at_fold_six(monkeypatch):
-    voltages = [e["voltage"] for e in enumerate_covers(SearchSpec("k4", 6), workers=2)["candidates"]]
+    voltages = [e["voltage"] for e in enumerate_covers(SearchSpec("k4", 6))["candidates"]]
     graphs = _gated_classes(6, voltages)
     assert len(graphs) == 385
     assert _check_rule_verdicts(monkeypatch, graphs) == {"no_internal_hexagon": 5105, "bead_sharing": 132, None: 141}
@@ -1020,7 +1000,7 @@ def test_fold_four_analyzers_agree_everywhere():
     # direct rotation enumeration over every fold-4 candidate class
     from planecover.search import _scan
 
-    _, _, _, classes = _scan(K4, 4)
+    _, _, _, classes = _scan(K4, 4, conjugacy_representatives(4))
     for volt, _ in classes:
         g, _ = derive(normalized_assignment(K4, 4, volt))
         assert analyze_fragment_candidate(g)["survivor"] == analyze_fragment_direct(g)["survivor"]
@@ -1040,7 +1020,7 @@ def test_direct_oracle_gate_matches_library_gate(monkeypatch):
     path = LabeledGraph((0, -1, -2, -3, 0), ((0, 1), (1, 2), (2, 3), (3, 4)))
     graphs = [path]
     for n in (1, 2, 3, 4):
-        _, _, _, classes = _scan(K4, n)
+        _, _, _, classes = _scan(K4, n, conjugacy_representatives(n))
         graphs += [derive(normalized_assignment(K4, n, v))[0] for v, _ in classes]
     seen = set()
     for g in graphs:
