@@ -66,10 +66,12 @@ def _load_json(path: str | None, fixture: str | None, fixture_suffix: str = ""):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or an integer past the digit limit
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
 def _write_out(args, text: str) -> None:
@@ -159,7 +161,7 @@ def cmd_lift(args) -> int:
     g, base, vmap, verdict = _load_cover(args)
     if not verdict.ok:
         raise InputError(f"not a cover: {verdict.violation}")
-    lifted, _ = lift_subgraph(g, base, vmap, labels)
+    lifted = lift_subgraph(g, base, vmap, labels)
     _write_out(args, pio.dumps(pio.graph_to_obj(lifted)))
     print(f"lift has {lifted.n} vertices, {lifted.m} edges", file=sys.stderr)
     return EXIT_OK

@@ -217,10 +217,11 @@ def is_connected_cover(v: VoltageAssignment) -> bool:
     return is_connected(derive(v)[0])
 
 
-def lift_subgraph(g: LabeledGraph, base: BaseGraph, vmap, sub_labels) -> tuple[LabeledGraph, dict[int, int]]:
+def lift_subgraph(g: LabeledGraph, base: BaseGraph, vmap, sub_labels) -> LabeledGraph:
     """Preimage under ``vmap`` of the base subgraph induced on the
     vertices that ``sub_labels`` names (by label): the source vertices
-    over them and the source edges over base edges among them."""
+    over them, in source order, and the source edges over base edges
+    among them."""
     try:
         sub_vs = {base.label_to_vertex[lab] for lab in sub_labels}
     except KeyError as exc:
@@ -235,8 +236,7 @@ def lift_subgraph(g: LabeledGraph, base: BaseGraph, vmap, sub_labels) -> tuple[L
             be = (bu, bw) if bu < bw else (bw, bu)
             if be in allowed:
                 edges.append((new_id[u], new_id[w]))
-    lifted = LabeledGraph(tuple(g.labels[v] for v in keep), tuple(edges))
-    return lifted, new_id
+    return LabeledGraph(tuple(g.labels[v] for v in keep), tuple(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -152,14 +152,14 @@ class PlaneEmbedding(_PlaneEmbeddingFields):
                 out[d] = i
         return out
 
-    def restrict(self, vertices) -> tuple["PlaneEmbedding", dict[int, int], dict[int, int]]:
+    def restrict(self, vertices) -> tuple["PlaneEmbedding", dict[int, int]]:
         """Embedding induced on a vertex subset.
 
-        Returns the sub-embedding plus the vertex and edge id maps
-        (old -> new).  The rotation of the subgraph is the restriction of
-        the host rotation, so faces of the subgraph are unions of host
-        faces.  The outer face is left at face 0; callers that care remap
-        it through the face correspondence.
+        Returns the sub-embedding plus the edge id map (old -> new); the
+        kept vertices are renumbered in their order.  The rotation of the
+        subgraph is the restriction of the host rotation, so faces of the
+        subgraph are unions of host faces.  The outer face is left at face
+        0; callers that care remap it through the face correspondence.
         """
         g = self.graph
         keep = set(vertices)
@@ -174,8 +174,7 @@ class PlaneEmbedding(_PlaneEmbeddingFields):
         for v in range(g.n):
             if v in keep:
                 rot.append(tuple(emap[e] for e in self.rotation[v] if e in emap))
-        emb = PlaneEmbedding(sub, tuple(rot), 0)
-        return emb, vmap, emap
+        return PlaneEmbedding(sub, tuple(rot), 0), emap
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ symbols 0, +-1, +-2, +-3.  The apex vertex of K(1,2,2,2) is labelled 0;
 the six octahedron vertices are labelled so that i and -i are the unique
 non-adjacent pairs.  Covers of the K4 subgraph reuse {0, -1, -2, -3}.
 Connectedness and components go through one component search,
-``_component``, the capped vertex connectivity through one cut-vertex
-search, ``_has_cut_vertex``, and triangles through one enumeration,
-``LabeledGraph.triangles``, which each graph runs at most once; the two
-base graphs are built once per process.
+``_component``, the vertex connectivity capped at 2 through one
+cut-vertex search, ``_has_cut_vertex``, and triangles through one
+enumeration, ``LabeledGraph.triangles``, which each graph runs at most
+once; the two base graphs are built once per process.
 """
 
 from __future__ import annotations
@@ -140,28 +140,25 @@ def _component(g: LabeledGraph, start: int) -> list[int]:
     return comp
 
 
-def _has_cut_vertex(g: LabeledGraph, removed: int = -1) -> bool:
-    """Whether g minus the vertex ``removed`` (none if -1), assumed
-    connected, has a cut vertex: one iterative lowpoint DFS.
+def _has_cut_vertex(g: LabeledGraph) -> bool:
+    """Whether g, assumed connected, has a cut vertex: one iterative
+    lowpoint DFS.
 
     A non-root vertex p is a cut vertex when some DFS child's subtree has
-    no edge to a proper ancestor of p (low[child] >= disc[p]); the root is
-    one when it has two DFS children.  Edges back to the parent, parallel
-    ones included, only lower low[child] to disc[p], which leaves that
-    test unchanged, so they need no special case.
+    no edge to a proper ancestor of p (low[child] >= disc[p]); the root,
+    vertex 0, is one when it has two DFS children.  Edges back to the
+    parent, parallel ones included, only lower low[child] to disc[p],
+    which leaves that test unchanged, so they need no special case.
     """
     adj = g.adj
     disc = [-1] * g.n
     low = [0] * g.n
-    root = 1 if removed == 0 else 0
-    disc[root] = low[root] = t = 1
+    disc[0] = low[0] = t = 1
     root_children = 0
-    stack = [(root, iter(adj[root]))]
+    stack = [(0, iter(adj[0]))]
     while stack:
         v, nbrs = stack[-1]
         for w in nbrs:
-            if w == removed:
-                continue
             if disc[w] < 0:
                 t += 1
                 disc[w] = low[w] = t
@@ -173,7 +170,7 @@ def _has_cut_vertex(g: LabeledGraph, removed: int = -1) -> bool:
             if stack:
                 p = stack[-1][0]
                 low[p] = min(low[p], low[v])
-                if p == root:
+                if p == 0:
                     root_children += 1
                 elif low[v] >= disc[p]:
                     return True
@@ -196,12 +193,11 @@ def connected_components(g: LabeledGraph) -> list[list[int]]:
 
 
 def connectivity(g: LabeledGraph) -> int:
-    """Vertex connectivity capped at 3 (and at n - 1): 0 if g is
-    disconnected, 1 if it has a cut vertex, 2 if it has a separation pair.
+    """Vertex connectivity capped at 2 (and at n - 1): 0 if g is
+    disconnected, 1 if it has a cut vertex.
 
-    One component search, one lowpoint search for a cut vertex, and one
-    lowpoint search per vertex v for a cut vertex of g - v.  Nothing
-    downstream distinguishes connectivities above 3, so no test goes
+    One component search and one lowpoint search for a cut vertex.  The
+    package asks only whether a graph is 2-connected, so no test goes
     further.
     """
     if g.n < 2:
@@ -210,9 +206,7 @@ def connectivity(g: LabeledGraph) -> int:
         return 0
     if g.n >= 3 and _has_cut_vertex(g):
         return 1
-    if g.n >= 4 and any(_has_cut_vertex(g, v) for v in range(g.n)):
-        return 2
-    return min(3, g.n - 1)
+    return min(2, g.n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,6 @@ def _conjugate(g, p) -> tuple[int, ...]:
 
 class _PermTables(NamedTuple):
     perms: tuple[tuple[int, ...], ...]  # S_n in itertools.permutations order
-    index: dict[tuple[int, ...], int]  # each permutation's position in perms
     inverse: tuple[int, ...]  # the index of each permutation's inverse
     conj: tuple[tuple[int, ...], ...]  # conj[g][p]: the index of g p g^-1
     rep: tuple[int, ...]  # the index of each permutation's class representative
@@ -209,7 +208,7 @@ def _perm_tables(n: int) -> _PermTables:
     reps = {index[r] for r in conjugacy_representatives(n)}
     conjugators = tuple(tuple(g for g, row in enumerate(conj) if row[p] in reps) for p in range(len(perms)))
     rep = tuple(conj[gs[0]][p] for p, gs in enumerate(conjugators))
-    return _PermTables(perms, index, inverse, conj, rep, conjugators)
+    return _PermTables(perms, inverse, conj, rep, conjugators)
 
 
 def _orbit_reps(group, size: int, conj):
@@ -330,22 +329,19 @@ class _SharedVerdicts:
     A symmetry's image of a leaf voltage has an isomorphic derived graph,
     and planarity is an isomorphism invariant, so the leaf's verdict holds
     for the class the scan names by the image's ``_least_conjugate``.  A
-    verdict is stored under that name only when this scan visits it
-    later: its first voltage's class is one of the scan's and it is
-    greater than the leaf.  The scan visits each stored name as a leaf
-    that reaches the planarity decision, and it takes the verdict out
-    there, so the memo holds only names still ahead of the walk, also in
-    a scan of one first voltage.  A fold's scan takes every class.  Voltages
-    are index tuples into ``_perm_tables``, whose tables invert and name
-    the images; a name is kept as one integer, its indices read as base-n!
-    digits, which is smaller than a tuple.
+    verdict is stored under that name only when the scan visits it later:
+    when it is greater than the leaf.  The scan visits each stored name as
+    a leaf that reaches the planarity decision, and it takes the verdict
+    out there, so the memo holds only names still ahead of the walk.
+    Voltages are index tuples into ``_perm_tables``, whose tables invert
+    and name the images; a name is kept as one integer, its indices read
+    as base-n! digits, which is smaller than a tuple.
     """
 
-    def __init__(self, base: BaseGraph, tables: _PermTables, firsts):
+    def __init__(self, base: BaseGraph, tables: _PermTables):
         self.symmetries = [sigma for _, sigma in _tree_symmetries(base)]
         self.tables = tables
         self.size = len(tables.perms)
-        self.firsts = set(firsts)
         self.verdicts = {}
 
     def _key(self, volt) -> int:
@@ -364,16 +360,16 @@ class _SharedVerdicts:
         inverse, rep = self.tables.inverse, self.tables.rep
         for sigma in self.symmetries:
             image = [inverse[volt[k]] if inverted else volt[k] for k, inverted in sigma]
-            first = rep[image[0]]
-            if first < volt[0] or first not in self.firsts:
+            if rep[image[0]] < volt[0]:
                 continue
             name = _least_conjugate(image, self.tables)
             if name > volt:
                 self.verdicts[self._key(name)] = planar
 
 
-def _scan(base: BaseGraph, n: int, firsts):
-    """Scan the normalized assignments with the given first-cotree voltages.
+def _scan(base: BaseGraph, n: int):
+    """Scan the normalized assignments of ``base`` at fold ``n`` whose
+    first cotree voltage is a conjugacy class representative.
 
     Every test runs once per orbit of sheet relabeling (simultaneous
     conjugation), on the orbit's least tuple; each orbit counts for the
@@ -383,10 +379,12 @@ def _scan(base: BaseGraph, n: int, firsts):
     order: by voltage.
 
     The scan walks the tree of voltage prefixes depth first, one level per
-    cotree edge; a prefix's children are the ``_orbit_reps`` of its
-    stabilizer (a first voltage's, of its centralizer), and a child's
-    weight, the size of its orbit, is its parent's times the index of its
-    stabilizer.  The walk holds each voltage as its index in
+    cotree edge.  Its roots are the representatives, the indices p with
+    ``tables.rep[p] == p``, each stabilized by its centralizer
+    ``tables.conjugators[p]``; a prefix's children are the
+    ``_orbit_reps`` of its stabilizer, and a child's weight, the size of
+    its orbit, is its parent's times the index of its stabilizer.  The
+    walk holds each voltage as its index in
     ``_perm_tables(n)``, whose tables do its conjugations; a class's
     voltage becomes permutation tuples only when it is recorded.  Each
     prefix ORs its edge's lifted rows into its parent's adjacency rows and
@@ -408,16 +406,16 @@ def _scan(base: BaseGraph, n: int, firsts):
     nverts = g.n * n
     cotree = base.cotree_edges
     depth = len(cotree) - 1
-    visited = len(firsts) * math.factorial(n) ** depth
+    tables = _perm_tables(n)
+    perms, conj = tables.perms, tables.conj
+    size = len(perms)
+    roots = [p for p in range(size) if tables.rep[p] == p]
+    visited = len(roots) * size**depth
     connected_count = 0
     planar_count = 0
     classes = []
     m = g.m * n  # each base edge lifts to n distinct edges
     one_orbit = (1 << n) - 1
-    tables = _perm_tables(n)
-    perms, conj = tables.perms, tables.conj
-    size = len(perms)
-    firsts = [tables.index[first] for first in firsts]
     tree = [g.edges[e] for e in base.spanning_tree_edges]
     lifts = [
         [adjacency_rows(nverts, derived_edges((g.edges[e],), n, (p,))) for p in perms]
@@ -428,7 +426,7 @@ def _scan(base: BaseGraph, n: int, firsts):
     if nverts >= 4 and m == 3 * nverts - 6:
         checks = _thin_edge_checks(base, n)
     elif n > 1:  # a fold-1 scan has one leaf
-        shared = _SharedVerdicts(base, tables, firsts)
+        shared = _SharedVerdicts(base, tables)
 
     rows = adjacency_rows(nverts, derived_edges(tree, n, perms[:1] * len(tree)))
     dead = any(has_thin_edge(rows, *c) for c in checks[0])
@@ -438,8 +436,8 @@ def _scan(base: BaseGraph, n: int, firsts):
     # orbits and dead flag; ``group`` is the stabilizer of ``volt`` and
     # ``weight`` the size of its orbit
     stack = [
-        (0, (first,), tuple(h for h in range(size) if conj[h][first] == first), 1, rows, orbits, dead)
-        for first in reversed(firsts)
+        (0, (first,), tables.conjugators[first], 1, rows, orbits, dead)
+        for first in reversed(roots)
     ]
     while stack:
         k, volt, group, weight, rows, orbits, dead = stack.pop()
@@ -494,7 +492,7 @@ def _scan_fold(base: BaseGraph, n: int, budget: int) -> dict:
             f"voltage space for base {base.kind!r} at fold {n} has about "
             f"{_approx(log_estimate / math.log(10))} assignments, beyond the budget {budget}"
         )
-    visited, connected, planar, classes = _scan(base, n, conjugacy_representatives(n))
+    visited, connected, planar, classes = _scan(base, n)
     candidates = [
         {"assignments": count, "voltage": [list(p) for p in volt]} for volt, count in classes
     ]

@@ -220,7 +220,7 @@ def refine_faces(sc: SemiCover) -> FaceRefinement:
     h_vertices = tuple(v for v in range(g.n) if g.labels[v] in _K4_LABEL_SET)
     if not h_vertices:
         raise StructureError("no K4-labelled vertices present")
-    h_emb, _, emap = emb.restrict(h_vertices)
+    h_emb, emap = emb.restrict(h_vertices)
     h_edge_ids = set(emap)
 
     # Faces sharing a non-fragment edge lie in the same fragment face

@@ -263,7 +263,10 @@ def _components_union_find(n, edges, removed):
 
 
 def connectivity_by_cut_search(g: LabeledGraph) -> int:
-    """Exhaustive vertex-cut search with union-find, capped at 3."""
+    """Exhaustive vertex-cut search with union-find, capped at 3: the
+    cap of format 2's ``connectivity`` field, which
+    ``format_two_fragments`` writes from it.  The package's
+    ``connectivity`` stops at 2."""
     n = g.n
     if _components_union_find(n, g.edges, frozenset()) > 1:
         return 0

@@ -95,6 +95,24 @@ def test_verify_parse_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000, b"[" + b"9" * 5000 + b"]"],
+    ids=["not-utf-8", "nested-100000-deep", "integer-of-5000-digits"],
+)
+@pytest.mark.parametrize(
+    "command", ["verify", "derive", "lift", "embed", "analyze", "quotient", "search", "export-dot"]
+)
+def test_an_unparseable_input_file_exits_three(tmp_path, capsys, command, content):
+    p = tmp_path / "input.json"
+    p.write_bytes(content)
+    paths = [str(p)] * (2 if command in ("verify", "lift") else 1)  # graph and map
+    rc = main([command, *paths])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
 def test_unknown_fixture_message_is_unquoted(capsys):
     # the KeyError's message, not its repr
     rc = main(["derive", "--fixture", "nonexistent"])

@@ -179,7 +179,7 @@ def test_join_sheets_folds_to_the_apex_components():
 
 def test_lift_whole_base():
     cube, vmap = derive(normalized_assignment(K4, 2, [(1, 0)] * 3))
-    lifted, _ = lift_subgraph(cube, K4, vmap, (0, -1, -2, -3))
+    lifted = lift_subgraph(cube, K4, vmap, (0, -1, -2, -3))
     assert canonical_form(lifted) == canonical_form(cube)
 
 
@@ -187,7 +187,7 @@ def test_lift_k4_part_of_k1222_cover():
     perms = [(1, 0)] * 12
     va = normalized_assignment(K1222, 2, perms)
     g, vmap = derive(va)
-    lifted, _ = lift_subgraph(g, K1222, vmap, (0, -1, -2, -3))
+    lifted = lift_subgraph(g, K1222, vmap, (0, -1, -2, -3))
     for comp in connected_components(lifted):
         sub, _ = lifted.induced_subgraph(comp)
         verdict = verify_cover(sub, K4, label_projection(sub, K4))
@@ -197,7 +197,7 @@ def test_lift_k4_part_of_k1222_cover():
 def test_lift_triangle_identity_net():
     va = normalized_assignment(K4, 3, [(0, 1, 2)] * 3)
     g, vmap = derive(va)
-    lifted, _ = lift_subgraph(g, K4, vmap, (0, -1, -2))
+    lifted = lift_subgraph(g, K4, vmap, (0, -1, -2))
     comps = connected_components(lifted)
     # net voltage of (0,-1,-2) is the identity: three disjoint triangles
     net = triangle_net_voltage(va, (0, -1, -2))

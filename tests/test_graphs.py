@@ -75,13 +75,13 @@ def test_loops_and_parallels_rejected():
 
 
 def test_connectivity_examples():
-    assert connectivity(make_base("k4").graph) == 3
+    assert connectivity(make_base("k4").graph) == 2
     path3 = LabeledGraph((0, -1, -2), ((0, 1), (1, 2)))
     assert connectivity(path3) == 1
     # cube graph: the double cover of K4 with all cotree swaps
     cube, _ = derive(normalized_assignment(make_base("k4"), 2, [(1, 0)] * 3))
-    assert connectivity(cube) == 3
-    assert connectivity(cube) == connectivity_by_cut_search(cube)
+    assert connectivity(cube) == 2
+    assert connectivity(cube) == min(2, connectivity_by_cut_search(cube))
     with pytest.raises(GraphError):
         connectivity(LabeledGraph((0,), ()))
 
@@ -103,7 +103,7 @@ def test_component_search_agrees_with_networkx(g):
     G.add_nodes_from(range(g.n))
     assert is_connected(g) == nx.is_connected(G)
     assert connected_components(g) == sorted(sorted(c) for c in nx.connected_components(G))
-    assert connectivity(g) == min(3, nx.node_connectivity(G))
+    assert connectivity(g) == min(2, nx.node_connectivity(G))
 
 
 _K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -124,14 +124,14 @@ _K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         (3, ((0, 1), (0, 1), (1, 2), (0, 2), (0, 2)), 2),
         (5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)), 2),
         (6, _K4_EDGES + ((0, 4), (0, 5), (1, 4), (1, 5), (4, 5)), 2),  # two K4s on an edge
-        (4, _K4_EDGES, 3),
-        (4, _K4_EDGES + _K4_EDGES[:2], 3),
-        (5, tuple((u, v) for u in range(5) for v in range(u + 1, 5)), 3),  # K5, capped
+        (4, _K4_EDGES, 2),
+        (4, _K4_EDGES + _K4_EDGES[:2], 2),
+        (5, tuple((u, v) for u in range(5) for v in range(u + 1, 5)), 2),  # K5
     ],
 )
 def test_connectivity_cases(n, edges, want):
     g = LabeledGraph((0,) * n, edges)
-    assert connectivity(g) == want == connectivity_by_cut_search(g)
+    assert connectivity(g) == want == min(2, connectivity_by_cut_search(g))
 
 
 def test_canonical_form_isomorphic_copies():

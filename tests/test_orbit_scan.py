@@ -43,8 +43,8 @@ from planecover.search import (
 )
 
 def _both_scans(kind, n):
-    args = (make_base(kind), n, conjugacy_representatives(n))
-    return _scan(*args), reference_scan(*args)
+    base = make_base(kind)
+    return _scan(base, n), reference_scan(base, n, conjugacy_representatives(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -84,7 +84,7 @@ def test_k1222_n2_scan_leaves_four_covers_to_the_lr_test(monkeypatch):
     count(embedding, "_lr_planar")
     for name in ("planar_rows", "_orbit_reps", "join_sheets"):
         count(search, name)
-    got = _scan(make_base("k1222"), 2, conjugacy_representatives(2))
+    got = _scan(make_base("k1222"), 2)
     assert got[:3] == (4096, 4095, 0)
     assert calls == {"_lr_planar": 4, "planar_rows": 4, "_orbit_reps": 104, "join_sheets": 24}
 
@@ -143,7 +143,8 @@ def _index_name(volt):
     """``_least_conjugate`` of a voltage of permutation tuples, read on
     their ``_perm_tables`` indices and turned back into tuples."""
     tables = _perm_tables(len(volt[0]))
-    name = _least_conjugate(tuple(tables.index[p] for p in volt), tables)
+    index = {p: i for i, p in enumerate(tables.perms)}
+    name = _least_conjugate(tuple(index[p] for p in volt), tables)
     return tuple(tables.perms[i] for i in name)
 
 
@@ -167,7 +168,6 @@ def test_perm_tables_match_tuple_arithmetic(n):
     tables = _perm_tables(n)
     perms = tables.perms
     assert list(perms) == sorted(itertools.permutations(range(n)))
-    assert all(tables.index[p] == i for i, p in enumerate(perms)) and len(tables.index) == len(perms)
     identity = tuple(range(n))
     reps = conjugacy_representatives(n)
     for i, p in enumerate(perms):
@@ -251,9 +251,7 @@ def _symmetry_classes(n: int) -> int:
 def test_fragment_scan_runs_one_lr_test_per_symmetry_class(monkeypatch, n, lr_calls):
     # each class of transitive voltages under S_3 x conjugation is tested
     # once, at its first leaf, and every verdict stored for a later leaf is
-    # taken out there; the classes are counted apart to fold 4.  A scan
-    # split by first voltage keeps only the verdicts for its own first
-    # voltages, so at fold 6 the eleven one-class scans run 224,024 tests
+    # taken out there; the classes are counted apart to fold 4
     if n <= 4:
         assert _symmetry_classes(n) == lr_calls
     calls = []
@@ -267,7 +265,7 @@ def test_fragment_scan_runs_one_lr_test_per_symmetry_class(monkeypatch, n, lr_ca
             memos.append(self)
 
     monkeypatch.setattr(search, "_SharedVerdicts", Recorded)
-    search._scan(make_base("k4"), n, conjugacy_representatives(n))
+    search._scan(make_base("k4"), n)
     assert len(calls) == lr_calls
     assert len(memos) == (n > 1) and all(not memo.verdicts for memo in memos)
 
@@ -280,7 +278,7 @@ def test_the_triangulation_rule_shares_no_verdict(monkeypatch):
 
     monkeypatch.setattr(search, "_tree_symmetries", refused)
     monkeypatch.setattr(search, "_SharedVerdicts", refused)
-    assert _scan(make_base("k1222"), 2, conjugacy_representatives(2))[:3] == (4096, 4095, 0)
+    assert _scan(make_base("k1222"), 2)[:3] == (4096, 4095, 0)
 
 
 # Per tuple length, for n = 1..5 (pairs to n = 6): the transitive tuples of S_n (P. Hall,
@@ -328,16 +326,20 @@ def _centralizer_order(c) -> int:
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_scan_weights_sum_to_hall_transitive_triples(n):
+def test_scan_weights_sum_to_hall_transitive_triples(monkeypatch, n):
     # the walk's weights, products of stabilizer indices along each path:
-    # a first voltage c's connected count, times the n!/|C(c)| conjugates
-    # of c, summed over the cycle types gives every transitive triple of
-    # S_n, K4 having three cotree edges
-    k4 = make_base("k4")
-    total = sum(
-        math.factorial(n) // _centralizer_order(c) * _scan(k4, n, [c])[1]
-        for c in conjugacy_representatives(n)
-    )
+    # with every leaf taken as planar, the classes are the transitive
+    # orbits with their weights.  A first voltage c's weights, times the
+    # n!/|C(c)| conjugates of c, summed over the cycle types give every
+    # transitive triple of S_n, K4 having three cotree edges
+    monkeypatch.setattr(search, "planar_rows", lambda rows, m: True)
+    _, connected, planar, classes = _scan(make_base("k4"), n)
+    assert planar == connected and len(classes) == ORBIT_COUNTS[3][n][1]
+    weights = Counter()
+    for volt, weight in classes:
+        weights[volt[0]] += weight
+    assert sorted(weights) == list(conjugacy_representatives(n))
+    total = sum(math.factorial(n) // _centralizer_order(c) * w for c, w in weights.items())
     assert total == HALL_TRANSITIVE_TUPLES[3][n]
 
 

@@ -26,7 +26,7 @@ from oracles import (
 from planecover import fixtures as fx
 from planecover import io as pio
 from planecover import search
-from planecover.covers import conjugacy_representatives, derive, normalized_assignment
+from planecover.covers import derive, normalized_assignment
 from planecover.fixtures import double_lens
 from planecover.graphs import LabeledGraph, canonical_form, make_base
 from planecover.search import (
@@ -1000,7 +1000,7 @@ def test_fold_four_analyzers_agree_everywhere():
     # direct rotation enumeration over every fold-4 candidate class
     from planecover.search import _scan
 
-    _, _, _, classes = _scan(K4, 4, conjugacy_representatives(4))
+    _, _, _, classes = _scan(K4, 4)
     for volt, _ in classes:
         g, _ = derive(normalized_assignment(K4, 4, volt))
         assert analyze_fragment_candidate(g)["survivor"] == analyze_fragment_direct(g)["survivor"]
@@ -1020,7 +1020,7 @@ def test_direct_oracle_gate_matches_library_gate(monkeypatch):
     path = LabeledGraph((0, -1, -2, -3, 0), ((0, 1), (1, 2), (2, 3), (3, 4)))
     graphs = [path]
     for n in (1, 2, 3, 4):
-        _, _, _, classes = _scan(K4, n, conjugacy_representatives(n))
+        _, _, _, classes = _scan(K4, n)
         graphs += [derive(normalized_assignment(K4, n, v))[0] for v, _ in classes]
     seen = set()
     for g in graphs:
